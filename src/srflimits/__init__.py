@@ -24,7 +24,7 @@ from .hp import (  # noqa: F401
     default_bits,
     hilbert_matrix,
     hp_cholesky,
-    hp_symmetric_eigen,
+    min_eig,
     min_eig_adaptive,
     pencil_mu,
     vandermonde_lastrow,

@@ -23,8 +23,8 @@ from .core import (
     gram_quadform,
     synthesize,
 )
-from .errors import PrecisionError
-from .hp import cholesky_solve, hp_cholesky, hp_symmetric_eigen
+from .errors import NotPositiveDefiniteError, PrecisionError
+from .hp import cholesky_solve, hp_cholesky, min_eig
 from .recovery import l0_solve, minimax_experiment
 from .spectral import contiguity_scan, min_eig_for_support, smally_exponent
 from .szego import (
@@ -116,8 +116,9 @@ def criterion_3_lower_ratio_stable() -> CriterionOutcome:
             params = SystemParams.from_y(ys, bits=bits)
             for n in range(1, 11):
                 G = build_gram(params, SupportSet(tuple(range(n + 1))), bits=bits)
-                lam = hp_symmetric_eigen(G.as_lists(), bits=bits).eigenvalues[0]
-                if not lam > 0:
+                try:
+                    lam = min_eig(G.as_lists(), bits=bits)[0]
+                except NotPositiveDefiniteError:
                     return _outcome("criterion_3_lower_ratio_stable", False,
                                     f"lambda_min <= 0 at y={ys} n={n} bits={bits}", t0)
                 with workprec(bits):
@@ -191,7 +192,7 @@ def _det(M, bits):
 
 def _lambda_min_bisect(entries, bits):
     """Characteristic-polynomial bisection for the smallest eigenvalue of a
-    positive definite matrix; independent of the Jacobi path.
+    positive definite matrix; independent of the inverse-iteration kernel.
 
     Grows the shift from far below until the determinant first changes
     sign, so the initial bracket (hi/2, hi] straddles lambda_min alone;

@@ -20,6 +20,7 @@ from .core import (
     MeasurementVector,
     SupportSet,
     SystemParams,
+    _to_mpf,
     build_gram,
     measurement_norm,
 )
@@ -158,13 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_complex(text, bits):
+    """A finite complex value, or the point at infinity spelled inf/oo/+inf."""
     with workprec(bits):
         if text in ("inf", "oo", "+inf"):
             return mp.inf
         try:
-            return mp.mpmathify(text)
-        except (TypeError, ValueError) as exc:
+            value = mp.mpmathify(text)
+        except (AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"cannot parse complex value {text!r}") from exc
+    if not mp.isfinite(value):
+        raise DomainError(f"complex value must be finite, got {text!r}")
+    return value
 
 
 # --- subcommand handlers: return (results, checks, errors, config_extra) ---
@@ -204,7 +209,7 @@ def _run_epsilon(args, bits, params):
 
 
 def _run_spark(args, bits, params):
-    res = eps_spark(params, mpf(args.eps), args.k_max, mode=args.mode,
+    res = eps_spark(params, _to_mpf(args.eps, bits), args.k_max, mode=args.mode,
                     span_max=args.span, workers=args.threads)
     results = {
         "spark": res.value,
@@ -294,8 +299,8 @@ def _run_recover(args, bits, params):
     W = SupportSet.from_text(args.window)
     coeffs = [_parse_complex(c.strip(), bits)
               for c in args.coeffs.split(";") if c.strip()]
-    f = MeasurementVector(window=W, coeffs=coeffs, rho=mpf(args.rho))
-    res = l0_solve(params, f, mpf(args.sigma), args.k_cap, bits=bits)
+    f = MeasurementVector(window=W, coeffs=coeffs, rho=_to_mpf(args.rho, bits))
+    res = l0_solve(params, f, _to_mpf(args.sigma, bits), args.k_cap, bits=bits)
     results = {
         "sparsity": res.sparsity,
         "support": list(res.support.offsets) if res.support else [],
@@ -310,24 +315,24 @@ def _run_recover(args, bits, params):
 
 
 def _run_adversary(args, bits, params):
-    pair = adversarial_pair(params, args.k, mpf(args.sigma), mode=args.mode,
-                            span_max=args.span, strict_ties=args.strict_ties,
-                            bits=bits)
+    pair = adversarial_pair(params, args.k, _to_mpf(args.sigma, bits),
+                            mode=args.mode, span_max=args.span,
+                            strict_ties=args.strict_ties, bits=bits)
     results = {
         "T_star": list(pair.T_star.offsets),
         "eps_2k": reports.enc_real(pair.eps2k, bits),
         "x0": reports.enc_coeff_vector(pair.x0, bits),
         "x1": reports.enc_coeff_vector(pair.x1, bits),
         "threshold_tie": pair.threshold_tie,
-        "separation": reports.enc_real(mpf(args.sigma) / pair.eps2k, bits),
+        "separation": reports.enc_real(pair.sigma / pair.eps2k, bits),
     }
     cfg = {"k": args.k, "sigma": args.sigma, "mode": args.mode, "span": args.span}
     return results, [], [], cfg
 
 
 def _run_minimax(args, bits, params):
-    rep = minimax_experiment(params, args.k, mpf(args.sigma), mode=args.mode,
-                             span_max=args.span, bits=bits)
+    rep = minimax_experiment(params, args.k, _to_mpf(args.sigma, bits),
+                             mode=args.mode, span_max=args.span, bits=bits)
     results = {
         "err_x0": reports.enc_real(rep.err_x0, bits),
         "err_x1": reports.enc_real(rep.err_x1, bits),

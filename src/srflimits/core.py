@@ -261,7 +261,7 @@ class MeasurementVector:
         if len(coeffs) != len(self.window):
             raise SupportError("one coefficient per window offset required")
         rho = keep_real(self.rho)
-        if rho < 0:
+        if not rho >= 0:
             raise DomainError("rho must be nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "rho", rho)

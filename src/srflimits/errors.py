@@ -55,7 +55,7 @@ class NotPositiveDefiniteError(PrecisionError):
 
 
 class ConvergenceError(SRFError):
-    """An iteration (Jacobi sweeps, quadrature node doubling) hit its cap."""
+    """An iteration (inverse iteration, quadrature node doubling) hit its cap."""
 
 
 class SingularSystemError(DomainError):

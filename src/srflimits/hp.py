@@ -2,14 +2,17 @@
 
 Everything here operates on plain lists of mpmath scalars so that values
 stay immutable-by-convention and picklable. Matrices never exceed a few
-dozen rows, so the O(n^3) classics are used throughout:
+dozen rows. The pieces:
 
-* Cholesky factorization with pivot diagnostics,
-* a cyclic two-sided Jacobi eigensolver (chosen over QR-type methods
-  because it preserves the relative accuracy of tiny eigenvalues of
-  positive definite matrices),
+* Cholesky factorization with pivot diagnostics, and its solve,
+* ``min_eig``: the smallest eigenpair of a positive definite matrix by
+  Cholesky-based shifted inverse iteration, confirmed by a Cholesky of
+  M - mu (1 - 2^-20) I (Sylvester inertia). It makes no relative-accuracy
+  claim for tiny eigenvalues: at ``bits`` the value is good to about
+  n 2^-bits ||M|| absolute, which for the unit-diagonal Gram matrices
+  here is 2^-bits times their condition number relative,
 * a precision ladder that doubles the mantissa until the smallest
-  eigenvalue stabilizes,
+  eigenvalue stabilizes; it, not the kernel, certifies accuracy,
 * exact rational Hilbert/Vandermonde machinery for the rank-one limiting
   pencil of the small-bandwidth asymptotics.
 """
@@ -37,7 +40,7 @@ MAX_BITS = 8192
 LADDER_START_BITS = 128
 LADDER_CAP_BITS = 8192
 LADDER_RELTOL = mpf("1e-6")
-JACOBI_SWEEP_CAP = 40
+CONFIRM_MARGIN = mpf(2) ** -20
 
 
 def default_bits() -> int:
@@ -107,101 +110,78 @@ def cholesky_solve(L, b, bits=None):
     return x
 
 
-def _jacobi_sweeps(A, V, n, bits, max_sweeps):
-    """In-place cyclic Jacobi on A with accumulation into V (may be None)."""
-    tol = mpf(2) ** (-bits)
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p][q]
-                if apq == 0:
-                    continue
-                scale = mp.sqrt(abs(A[p][p] * A[q][q]))
-                thresh = tol * scale if scale > 0 else tol
-                if abs(apq) <= thresh:
-                    continue
-                rotated = True
-                theta = (A[q][q] - A[p][p]) / (2 * apq)
-                t = 1 / (abs(theta) + mp.sqrt(1 + theta * theta))
-                if theta < 0:
-                    t = -t
-                c = 1 / mp.sqrt(1 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp, akq = A[k][p], A[k][q]
-                    A[k][p] = c * akp - s * akq
-                    A[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = A[p][k], A[q][k]
-                    A[p][k] = c * apk - s * aqk
-                    A[q][k] = s * apk + c * aqk
-                if V is not None:
-                    for k in range(n):
-                        vkp, vkq = V[k][p], V[k][q]
-                        V[k][p] = c * vkp - s * vkq
-                        V[k][q] = s * vkp + c * vkq
-        sweeps = sweep + 1
-        if not rotated:
-            return sweeps
-    raise ConvergenceError(f"Jacobi did not converge within {max_sweeps} sweeps")
+def _shifted(M, s):
+    """M - s*I as a new matrix."""
+    return [[x - s if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(M)]
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Symmetric eigendecomposition, eigenvalues ascending.
+def min_eig(M, bits=None, max_steps=None):
+    """Smallest eigenpair (value, unit vector) of a symmetric positive
+    definite M, at ``bits`` precision.
 
-    ``vectors[i]`` is the unit eigenvector paired with ``eigenvalues[i]``.
-    ``kappa_scaled`` reports the condition factor of the diagonally scaled
-    matrix, which governs the relative accuracy of the small eigenvalues
-    (about 2^{-bits/2} * kappa_scaled per the two-sided Jacobi contract).
+    Inverse iteration on a Cholesky factor of M - lo*I, from a graded
+    alternating-sign start vector. ``lo`` is a proven lower bound on the
+    smallest eigenvalue (M - lo*I factors); ``hi`` is an upper bound (the
+    Rayleigh quotient mu, or a shift that failed to factor). After each
+    step the next shift is s = mu - ||M v - mu v||, or the midpoint of
+    (lo, hi) when s falls outside it or the last shift failed; M - s*I
+    then factors (lo = s) or not (hi = s). Near the eigenvalue each step
+    about doubles the correct digits; the midpoint bounds what a poor
+    start vector or a nearly double eigenvalue costs. The iteration stops
+    when the residual reaches n 2^(8-bits) max_i M_ii or when
+    mu - lo <= 2^(8-bits) mu.
+
+    Before returning, M - mu (1 - 2^-20) I must factor: by Sylvester's law
+    of inertia no eigenvalue lies below that shift, so mu is the smallest
+    eigenvalue to 2^-20 relative, not a larger one.
+
+    Raises NotPositiveDefiniteError when M or the confirming shift does
+    not factor at this precision (too few bits), and ConvergenceError
+    after ``max_steps`` steps (default 2 * bits: one halving of (lo, hi)
+    per two steps reaches working precision). The entry of largest
+    magnitude of the vector is positive.
     """
-
-    eigenvalues: tuple
-    vectors: tuple
-    bits: int
-    sweeps: int
-    kappa_scaled: mpf
-
-
-def _scaled_condition(M, eigenvalues, n, bits):
-    diag = [M[i][i] for i in range(n)]
-    if any(d <= 0 for d in diag):
-        mags = sorted(abs(e) for e in eigenvalues)
-        return mp.inf if mags[0] == 0 else mags[-1] / mags[0]
-    unit = all(abs(d - 1) <= mpf(2) ** (8 - bits) for d in diag)
-    if unit:
-        lam = eigenvalues
-    else:
-        roots = [mp.sqrt(d) for d in diag]
-        S = [[M[i][j] / (roots[i] * roots[j]) for j in range(n)] for i in range(n)]
-        _jacobi_sweeps(S, None, n, bits, JACOBI_SWEEP_CAP)
-        lam = sorted(S[i][i] for i in range(n))
-    lo = lam[0]
-    return mp.inf if lo <= 0 else lam[-1] / lo
-
-
-def hp_symmetric_eigen(M, bits=None, max_sweeps=JACOBI_SWEEP_CAP) -> EigenResult:
-    """Eigen decomposition of a symmetric real matrix by cyclic Jacobi."""
     bits = default_bits() if bits is None else bits
+    max_steps = 2 * bits if max_steps is None else max_steps
     n = _check_square_symmetric(M)
     with workprec(bits):
-        A = [[mpf(M[i][j]) for j in range(n)] for i in range(n)]
-        V = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
-        sweeps = _jacobi_sweeps(A, V, n, bits, max_sweeps)
-        order = sorted(range(n), key=lambda i: A[i][i])
-        eigenvalues = tuple(A[i][i] for i in order)
-        vectors = []
-        for i in order:
-            col = [V[k][i] for k in range(n)]
-            # deterministic sign: largest-magnitude entry positive
-            pivot = max(range(n), key=lambda k: abs(col[k]))
-            if col[pivot] < 0:
-                col = [-x for x in col]
-            vectors.append(tuple(col))
-        kappa = _scaled_condition(M, eigenvalues, n, bits)
-    return EigenResult(eigenvalues, tuple(vectors), bits, sweeps, kappa)
+        L = hp_cholesky(M, bits=bits)
+        tol = mpf(2) ** (8 - bits)
+        res_tol = n * tol * max(M[i][i] for i in range(n))
+        lo, hi = mpf(0), mp.inf
+        # alternating signs, graded so that v is not orthogonal to the
+        # reflection-symmetric eigenvectors of a symmetric support
+        v = [mpf(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
+        failed = False
+        for _ in range(max_steps):
+            x = cholesky_solve(L, v, bits=bits)
+            norm = mp.sqrt(mp.fdot(x, x))
+            v = [xi / norm for xi in x]
+            Mv = [mp.fdot(row, v) for row in M]
+            mu = mp.fdot(v, Mv)
+            r = [a - mu * b for a, b in zip(Mv, v)]
+            res = mp.sqrt(mp.fdot(r, r))
+            if res <= res_tol or mu - lo <= tol * mu:
+                break
+            hi = min(hi, mu)
+            s = mu - res
+            if failed or not lo < s < hi:
+                s = (lo + hi) / 2
+            try:
+                L = hp_cholesky(_shifted(M, s), bits=bits)
+                lo, failed = s, False
+            except NotPositiveDefiniteError:
+                hi, failed = s, True
+        else:
+            raise ConvergenceError(
+                f"inverse iteration did not converge within {max_steps} steps"
+            )
+        hp_cholesky(_shifted(M, mu * (1 - CONFIRM_MARGIN)), bits=bits)
+        pivot = max(range(n), key=lambda k: abs(v[k]))
+        if v[pivot] < 0:
+            v = [-x for x in v]
+    return mu, tuple(v)
 
 
 @dataclass(frozen=True)
@@ -211,7 +191,8 @@ class MinEigResult:
     ``bits_used`` is the lower level of the first pair of consecutive
     precisions that agreed to the requested relative tolerance; ``value``
     is taken from the higher (more accurate) level. ``history`` records
-    every (bits, estimate) pair the ladder visited.
+    every (bits, estimate) pair the ladder visited; the estimate is None
+    at a level where the matrix did not factor (too few bits).
     """
 
     value: mpf
@@ -227,19 +208,23 @@ def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
 
     ``builder`` must rebuild the same mathematical matrix at any requested
     precision. Stability means two consecutive ladder levels agree to
-    relative ``reltol`` on a positive value.
+    relative ``reltol`` on a positive value. A level where the matrix (or
+    min_eig's confirming shift) does not factor has too few bits: it is
+    recorded without an estimate and the ladder climbs.
     """
     reltol = mpf(reltol)
     history = []
     prev = None
     bits = start_bits
     while bits <= cap_bits:
-        res = hp_symmetric_eigen(builder(bits), bits=bits)
-        lam = res.eigenvalues[0]
+        try:
+            lam, vec = min_eig(builder(bits), bits=bits)
+        except NotPositiveDefiniteError:
+            lam = None
         history.append((bits, lam))
-        if prev is not None and lam > 0 and prev > 0:
+        if lam is not None and prev is not None and min(lam, prev) > 0:
             if abs(lam - prev) <= reltol * abs(lam):
-                return MinEigResult(lam, res.vectors[0], bits // 2, tuple(history))
+                return MinEigResult(lam, vec, bits // 2, tuple(history))
         prev = lam
         bits *= 2
     raise PrecisionCapError(

@@ -60,7 +60,7 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
     complement: ||f||^2 - b* G_T^{-1} b + rho^2 with b = G_{T,W} coeffs.
     """
     sigma = keep_real(sigma)
-    if sigma < 0:
+    if not sigma >= 0:
         raise DomainError("sigma must be nonnegative")
     k_cap = int(k_cap)
     window = f.window
@@ -78,6 +78,7 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
         fnorm2 = base + f.rho * f.rho
         guard = mpf(2) ** (-bits // 2) * (1 + fnorm2)
         target = sigma * sigma + guard
+        b_window = [mp.fdot(row, f.coeffs) for row in G.entries]  # G_W coeffs
         examined = 0
         for s in range(0, k_cap + 1):
             for idx in itertools.combinations(range(nw), s):
@@ -87,12 +88,7 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
                     coeffs_T = ()
                 else:
                     sub = [[G.entries[i][j] for j in idx] for i in idx]
-                    b = []
-                    for i in idx:
-                        acc = mpc(0)
-                        for j in range(nw):
-                            acc += G.entries[i][j] * f.coeffs[j]
-                        b.append(acc)
+                    b = [b_window[i] for i in idx]
                     L = hp_cholesky(sub, bits=bits)
                     x = cholesky_solve(L, b, bits=bits)
                     proj = sum((mp.conj(bi) * xi).real for bi, xi in zip(b, x))

@@ -91,13 +91,22 @@ def canonical_supports(k, span_max):
         yield SupportSet((0,) + rest)
 
 
+def _check_budget(k, span_max, budget):
+    """Refuse an exhaustive scan of more than ``budget`` canonical supports."""
+    count = comb(int(span_max), k - 1)
+    if count > budget:
+        raise EnumerationBudgetError(
+            f"{count} supports exceed the enumeration budget {budget}"
+        )
+
+
 def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None,
-            workers=1) -> EpsilonResult:
+            workers=1, budget=DEFAULT_ENUMERATION_BUDGET) -> EpsilonResult:
     """eps_k = min over size-k supports of sigma_min(A_T).
 
     Contiguous mode evaluates the single support {0..k-1}; exhaustive mode
     scans every canonical support within span_max (ties broken toward the
-    lexicographically smallest support).
+    lexicographically smallest support), refusing more than ``budget``.
     """
     k = int(k)
     if k < 1:
@@ -111,6 +120,7 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None,
         raise DomainError(f"unknown mode {mode!r}")
     if span_max is None or span_max < k - 1:
         raise SpanTooSmallError(f"exhaustive mode requires span_max >= {k - 1}")
+    _check_budget(k, span_max, budget)
     best_val, best_T = None, None
     for T, val in _scan(params, canonical_supports(k, span_max), workers):
         if best_val is None or val < best_val:
@@ -126,17 +136,21 @@ def _scan_worker(args):
 
 
 def _scan(params, supports, workers):
-    """Map sigma_min over supports, preserving order; forks when asked to."""
-    supports = list(supports)
-    if workers and workers > 1 and len(supports) >= 64:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for offsets, val in pool.map(
-                _scan_worker, [(params, T.offsets) for T in supports], chunksize=8
-            ):
-                yield SupportSet(offsets), val
-    else:
-        for T in supports:
-            yield T, sigma_min(params, T)
+    """Map sigma_min over supports, preserving order; forks when asked to.
+
+    The serial path consumes ``supports`` lazily, one support at a time.
+    """
+    if workers and workers > 1:
+        supports = list(supports)
+        if len(supports) >= 64:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for offsets, val in pool.map(
+                    _scan_worker, [(params, T.offsets) for T in supports], chunksize=8
+                ):
+                    yield SupportSet(offsets), val
+            return
+    for T in supports:
+        yield T, sigma_min(params, T)
 
 
 @dataclass(frozen=True)
@@ -154,16 +168,19 @@ class SparkResult:
 
 
 def eps_spark(params: SystemParams, eps, k_max, mode=CONTIGUOUS,
-              span_max=None, workers=1) -> SparkResult:
+              span_max=None, workers=1,
+              budget=DEFAULT_ENUMERATION_BUDGET) -> SparkResult:
     """Largest s <= k_max such that every support of size <= s has
-    sigma_min at least eps. Returns 0 when even single atoms fail."""
+    sigma_min at least eps. Returns 0 when even single atoms fail.
+    ``budget`` bounds each exhaustive level's enumeration."""
     eps = keep_real(eps)
     if not eps > 0:
         raise DomainError("threshold eps must be positive")
     k_max = int(k_max)
     levels = []
     for s in range(1, k_max + 1):
-        res = epsilon(params, s, mode=mode, span_max=span_max, workers=workers)
+        res = epsilon(params, s, mode=mode, span_max=span_max, workers=workers,
+                      budget=budget)
         levels.append((s, res.value))
         if res.value < eps:
             return SparkResult(value=s - 1, saturated=False, threshold=eps,
@@ -237,11 +254,7 @@ def contiguity_scan(params: SystemParams, size, span_max,
         raise DomainError("size must be at least 2")
     if span_max < size - 1:
         raise SpanTooSmallError(f"span_max must be at least {size - 1}")
-    count = comb(int(span_max), size - 1)
-    if count > budget:
-        raise EnumerationBudgetError(
-            f"{count} supports exceed the enumeration budget {budget}"
-        )
+    _check_budget(size, span_max, budget)
     entries = list(_scan(params, canonical_supports(size, span_max), workers))
     table = sorted(entries, key=lambda e: (e[1], e[0].offsets))
     contiguous = SupportSet(tuple(range(size)))

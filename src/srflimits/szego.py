@@ -168,6 +168,9 @@ def szego_kernel(params: SystemParams, zeta, z, bits=None):
     """
     bits = params.bits if bits is None else bits
     c, L = params.c, params.arc_length
+    for point in (zeta, z):
+        if not _is_inf(point) and not mp.isfinite(keep_complex(point)):
+            raise DomainError(f"kernel argument is not a number: {point}")
     with workprec(bits):
         s1, w1 = _sqrt_phi_prime_at(c, zeta, bits)
         s2, w2 = _sqrt_phi_prime_at(c, z, bits)

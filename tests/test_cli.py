@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from mpmath import mpf, workprec
 
 from srflimits import reports
 from srflimits.cli import run_cli
@@ -190,3 +191,34 @@ def test_malformed_values_exit_two(capsys):
     assert code == 2
     code, _ = run(["szego", "--y", "0.1", "--z", "not-a-number"], capsys)
     assert code == 2
+
+
+def test_szego_nan_point_exit_two(capsys):
+    code, out = run(["szego", "--y", "0.1", "--z", "nan"], capsys)
+    assert code == 2 and out == ""
+    code, _ = run(["szego", "--y", "0.1", "--z", "1+nanj"], capsys)
+    assert code == 2
+
+
+def test_recover_nan_sigma_exit_two(capsys):
+    code, out = run(["recover", "--y", "0.1", "--window", "0,1,2",
+                     "--coeffs", "1;0;1", "--sigma", "nan", "--k-cap", "2"], capsys)
+    assert code == 2 and out == ""
+    code, _ = run(["recover", "--y", "0.1", "--window", "0,1,2",
+                   "--coeffs", "1;0;1", "--rho", "nan", "--sigma", "0.1",
+                   "--k-cap", "2"], capsys)
+    assert code == 2
+
+
+def test_minimax_bounds_use_sigma_at_report_bits(capsys):
+    code, out = run(["minimax", "--y", "0.2", "--k", "1", "--sigma", "1e-6",
+                     "--precision-bits", "256"], capsys)
+    assert code == 0
+    res = json.loads(out)["results"]
+    with workprec(300):
+        eps = mpf(res["eps_2k"]["dec"])
+        upper = mpf(res["upper_bound"]["dec"])
+        lower = mpf(res["lower_bound"]["dec"])
+        sigma = mpf("1e-6")
+        assert abs(upper - 2 * sigma / eps) <= mpf(2) ** (-200) * upper
+        assert abs(lower - sigma / (2 * eps)) <= mpf(2) ** (-200) * lower

@@ -189,16 +189,30 @@ def test_build_gram_is_positive_definite():
 
 
 def test_gram_spectrum_translation_reflection_invariant():
+    # det(G + s I) at the n + 1 shifts s = 0..n fixes the degree-n
+    # characteristic polynomial, hence the whole spectrum; each is a
+    # Cholesky determinant
     p = SystemParams.from_y("0.2", bits=256)
     T = SupportSet.of(0, 2, 5)
-    spectra = []
+    n = len(T)
+    dets = []
     for S in (T, T.translated(3), T.reflected()):
-        G = build_gram(p, S, bits=256)
-        ev = hp.hp_symmetric_eigen(G.as_lists(), bits=256).eigenvalues
-        spectra.append(ev)
-    for ev in spectra[1:]:
-        for a, b in zip(spectra[0], ev):
-            assert abs(a - b) < mpf(2) ** (-200)
+        G = build_gram(p, S, bits=256).as_lists()
+        row = []
+        for s in range(n + 1):
+            with workprec(256):
+                shifted = [[x + (s if i == j else 0) for j, x in enumerate(r)]
+                           for i, r in enumerate(G)]
+            L = hp.hp_cholesky(shifted, bits=256)
+            with workprec(256):
+                det = mpf(1)
+                for i in range(n):
+                    det *= L[i][i] ** 2
+            row.append(det)
+        dets.append(row)
+    for row in dets[1:]:
+        for a, b in zip(dets[0], row):
+            assert abs(a - b) < mpf(2) ** (-200) * a
 
 
 # --- synthesis and norms ----------------------------------------------------

@@ -1,10 +1,13 @@
-"""High-precision linear algebra: Cholesky, Jacobi eigen, precision ladder,
-and the exact rational Hilbert/Vandermonde/pencil machinery."""
+"""High-precision linear algebra: Cholesky, the smallest-eigenpair kernel,
+the precision ladder, and the exact rational Hilbert/Vandermonde/pencil
+machinery."""
 
 import pytest
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
 from conftest import lit
@@ -18,7 +21,7 @@ from srflimits.errors import (
 from srflimits.hp import (
     hilbert_matrix,
     hp_cholesky,
-    hp_symmetric_eigen,
+    min_eig,
     min_eig_adaptive,
     pencil_mu,
     rational_inverse,
@@ -72,45 +75,62 @@ def test_cholesky_reconstruction_residual():
         assert frob(R) <= mpf(2) ** (-bits // 2) * frob(M)
 
 
-# --- Jacobi eigen -----------------------------------------------------------
+# --- min_eig: Cholesky plus shifted inverse iteration ------------------------
+
+
+def inertia_below(M, shift, bits):
+    """Number of eigenvalues of M below ``shift``: negative LDL^T pivots."""
+    n = len(M)
+    with workprec(bits):
+        A = [[M[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
+        negative = 0
+        for k in range(n):
+            d = A[k][k]
+            negative += d < 0
+            for i in range(k + 1, n):
+                f = A[i][k] / d
+                for j in range(k + 1, n):
+                    A[i][j] -= f * A[k][j]
+    return negative
 
 
 def test_eigen_diagonal_matrix():
     M = [[mpf(3), mpf(0), mpf(0)],
          [mpf(0), mpf(1), mpf(0)],
          [mpf(0), mpf(0), mpf(2)]]
-    res = hp_symmetric_eigen(M, bits=128)
-    assert [round(float(e)) for e in res.eigenvalues] == [1, 2, 3]
-    # permutation eigenvectors
-    assert res.vectors[0][1] == 1 and res.vectors[1][2] == 1 and res.vectors[2][0] == 1
+    lam, v = min_eig(M, bits=128)
+    with workprec(128):
+        assert abs(lam - 1) < mpf(2) ** (-110)
+        # the permutation eigenvector e_1
+        assert abs(v[1] - 1) < mpf(2) ** (-110)
+        assert abs(v[0]) < mpf(2) ** (-55) and abs(v[2]) < mpf(2) ** (-55)
 
 
 def test_eigen_2x2_closed_form():
     p = SystemParams.from_y("0.1", bits=256)
     G = build_gram(p, SupportSet.of(0, 1), bits=256)
-    res = hp_symmetric_eigen(G.as_lists(), bits=256)
+    lam, v = min_eig(G.as_lists(), bits=256)
     g = G.entries[0][1]
     with workprec(256):
-        assert abs(res.eigenvalues[0] - (1 - g)) < mpf(2) ** (-240)
-        assert abs(res.eigenvalues[1] - (1 + g)) < mpf(2) ** (-240)
-        v = res.vectors[0]
+        assert abs(lam - (1 - g)) < mpf(2) ** (-240)
         assert abs(abs(v[0]) - 1 / mp.sqrt(2)) < mpf(2) ** (-120)
         assert abs(v[0] + v[1]) < mpf(2) ** (-120)
+        assert v[0] > 0  # the entry of largest magnitude (first on a tie) is positive
 
 
 def test_eigen_reconstruction_and_orthogonality():
+    # a unit eigenvector with a small residual, for the smallest eigenvalue
     bits = 192
     M = random_spd(6, bits, seed=3)
-    res = hp_symmetric_eigen(M, bits=bits)
+    lam, v = min_eig(M, bits=bits)
     n = len(M)
     with workprec(bits):
-        V = [[res.vectors[j][i] for j in range(n)] for i in range(n)]  # columns
-        VtV = [[sum(V[k][i] * V[k][j] for k in range(n)) - (i == j)
-                for j in range(n)] for i in range(n)]
-        assert frob(VtV) <= mpf(2) ** (-bits // 2)
-        R = [[sum(V[i][k] * res.eigenvalues[k] * V[j][k] for k in range(n)) - M[i][j]
-              for j in range(n)] for i in range(n)]
-        assert frob(R) <= mpf(2) ** (-bits // 2) * frob(M)
+        assert abs(sum(x * x for x in v) - 1) <= mpf(2) ** (-bits // 2)
+        r = [sum(M[i][k] * v[k] for k in range(n)) - lam * v[i] for i in range(n)]
+        assert mp.sqrt(sum(x * x for x in r)) <= mpf(2) ** (-bits // 2) * frob(M)
+        rel = mpf(2) ** (-60)
+        assert inertia_below(M, lam * (1 - rel), 2 * bits) == 0
+        assert inertia_below(M, lam * (1 + rel), 2 * bits) == 1
 
 
 def test_eigen_prolate_matches_bisection_oracle():
@@ -118,30 +138,71 @@ def test_eigen_prolate_matches_bisection_oracle():
     # polynomial bisection at 512 bits
     p = SystemParams.from_y("0.1", bits=512)
     G = build_gram(p, SupportSet(tuple(range(5))), bits=512)
-    res = hp_symmetric_eigen(G.as_lists(), bits=512)
-    lam = res.eigenvalues[0]
+    lam, _ = min_eig(G.as_lists(), bits=512)
     oracle = _lambda_min_bisect(G.as_lists(), 512)
     with workprec(512):
         assert lam > 0
         assert lam <= 16 * p.c ** 8
         assert abs(lam - oracle) <= lit("1e-60") * oracle
-        assert res.kappa_scaled > 1
 
 
 def test_cholesky_eigen_determinant_consistency():
+    # det(G - s I) > 0 (Cholesky succeeds) just below lambda_min and the
+    # factorization breaks down just above it
     bits = 256
     p = SystemParams.from_y("0.2", bits=bits)
-    G = build_gram(p, SupportSet(tuple(range(5))), bits=bits)
-    L = hp_cholesky(G.as_lists(), bits=bits)
-    res = hp_symmetric_eigen(G.as_lists(), bits=bits)
+    G = build_gram(p, SupportSet(tuple(range(5))), bits=bits).as_lists()
+    lam, _ = min_eig(G, bits=bits)
+    rel = mpf(2) ** (-100)
     with workprec(bits):
-        det_chol = mpf(1)
-        for i in range(5):
-            det_chol *= L[i][i] ** 2
-        det_eig = mpf(1)
-        for e in res.eigenvalues:
-            det_eig *= e
-        assert abs(det_chol - det_eig) <= mpf(2) ** (-bits // 4) * det_eig
+        below = [[x - (lam * (1 - rel) if i == j else 0) for j, x in enumerate(row)]
+                 for i, row in enumerate(G)]
+        above = [[x - (lam * (1 + rel) if i == j else 0) for j, x in enumerate(row)]
+                 for i, row in enumerate(G)]
+    hp_cholesky(below, bits=bits)
+    with pytest.raises(NotPositiveDefiniteError):
+        hp_cholesky(above, bits=bits)
+
+
+def test_min_eig_rejects_indefinite_matrix():
+    with pytest.raises(NotPositiveDefiniteError):
+        min_eig([[mpf(1), mpf(2)], [mpf(2), mpf(1)]], bits=128)
+
+
+def test_min_eig_symmetric_support_finds_symmetric_eigenvector():
+    # the Gram matrix of a reflection-symmetric support is persymmetric; its
+    # smallest eigenvector here is symmetric, orthogonal to a plain
+    # alternating-sign start vector
+    bits = 256
+    p = SystemParams.from_y("0.3", bits=bits)
+    G = build_gram(p, SupportSet.of(0, 1, 7, 8), bits=bits).as_lists()
+    lam, v = min_eig(G, bits=bits)
+    with workprec(bits):
+        assert abs(v[0] - v[3]) < mpf(2) ** (-100)
+        assert abs(v[1] - v[2]) < mpf(2) ** (-100)
+        rel = mpf(2) ** (-60)
+        assert inertia_below(G, lam * (1 - rel), 2 * bits) == 0
+        assert inertia_below(G, lam * (1 + rel), 2 * bits) == 1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    rest=st.sets(st.integers(min_value=1, max_value=12), min_size=1, max_size=5),
+    y=st.floats(min_value=0.02, max_value=0.45, exclude_min=True, exclude_max=True),
+)
+def test_ladder_value_passes_inertia_on_random_supports(rest, y):
+    T = SupportSet((0,) + tuple(sorted(rest)))
+    p = SystemParams.from_y(repr(y))
+    res = min_eig_adaptive(
+        lambda bits: build_gram(p.at_bits(bits), T, bits=bits).as_lists()
+    )
+    # the value comes from level 2 * bits_used; check at twice that
+    check_bits = 4 * res.bits_used
+    G = build_gram(p.at_bits(check_bits), T, bits=check_bits).as_lists()
+    with workprec(check_bits):
+        lo, hi = res.value * (1 - mpf("1e-6")), res.value * (1 + mpf("1e-6"))
+    assert inertia_below(G, lo, check_bits) == 0
+    assert inertia_below(G, hi, check_bits) == 1
 
 
 # --- precision ladder -------------------------------------------------------
@@ -282,9 +343,9 @@ def test_default_bits_env_override(monkeypatch):
         default_bits()
 
 
-def test_jacobi_sweep_cap():
+def test_min_eig_iteration_cap():
     from srflimits.errors import ConvergenceError
 
     M = [[mpf(1), mpf("0.5")], [mpf("0.5"), mpf(1)]]
     with pytest.raises(ConvergenceError):
-        hp_symmetric_eigen(M, bits=128, max_sweeps=0)
+        min_eig(M, bits=128, max_steps=0)

@@ -159,6 +159,26 @@ def test_contiguity_budget_guard():
         contiguity_scan(p, 4, 40, budget=100)
 
 
+def test_exhaustive_budget_guard_before_any_support(monkeypatch):
+    # C(100000, 4) ~ 4e18 supports: refused up front, nothing evaluated
+    import srflimits.spectral as spectral
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a support was evaluated")
+
+    monkeypatch.setattr(spectral, "sigma_min", evaluated)
+    p = SystemParams.from_y("0.1")
+    with pytest.raises(EnumerationBudgetError):
+        epsilon(p, 5, mode="exhaustive", span_max=100000)
+
+
+def test_eps_spark_budget_guard():
+    # level 1 is a single atom; level 2 would be 100000 supports
+    p = SystemParams.from_y("0.1")
+    with pytest.raises(EnumerationBudgetError):
+        eps_spark(p, mpf("1e-3"), 5, mode="exhaustive", span_max=100000, budget=1000)
+
+
 def test_canonical_supports_enumeration():
     sup = list(canonical_supports(3, 4))
     assert [T.offsets for T in sup] == [

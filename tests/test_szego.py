@@ -19,7 +19,7 @@ from srflimits import (
     szego_reproduce,
 )
 from conftest import lit
-from srflimits.errors import OnArcError, PoleError, TruncationError
+from srflimits.errors import DomainError, OnArcError, PoleError, TruncationError
 from srflimits.szego import (
     LaurentSeries,
     Phi_prime,
@@ -118,6 +118,14 @@ def test_arc_geometry_total_rotation():
 
 
 # --- Szego kernel -----------------------------------------------------------
+
+
+def test_kernel_rejects_nan_point():
+    p = SystemParams.from_y("0.1")
+    with pytest.raises(DomainError):
+        szego_kernel(p, None, mpc("nan"))
+    with pytest.raises(DomainError):
+        szego_kernel(p, mpc(3, float("nan")), None)
 
 
 def test_kernel_at_infinity():
