@@ -138,12 +138,15 @@ def min_eig(M, bits=None, max_steps=None):
 
     Raises NotPositiveDefiniteError when M or the confirming shift does
     not factor at this precision (too few bits), and ConvergenceError
-    after ``max_steps`` steps (default 2 * bits: one halving of (lo, hi)
-    per two steps reaches working precision). The entry of largest
-    magnitude of the vector is positive.
+    after ``max_steps`` steps. The default, 4 * bits, covers the midpoint
+    fallback alone: it halves (lo, hi) at least every second step, and
+    from (0, mu) it needs at most about bits halvings to reach an
+    eigenvalue that factors (above about 2^-bits ||M||) and bits more to
+    reach the relative stop. The entry of largest magnitude of the vector
+    is positive.
     """
     bits = default_bits() if bits is None else bits
-    max_steps = 2 * bits if max_steps is None else max_steps
+    max_steps = 4 * bits if max_steps is None else max_steps
     n = _check_square_symmetric(M)
     with workprec(bits):
         L = hp_cholesky(M, bits=bits)

@@ -101,12 +101,13 @@ def _check_budget(k, span_max, budget):
 
 
 def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None,
-            workers=1, budget=DEFAULT_ENUMERATION_BUDGET) -> EpsilonResult:
+            workers=1) -> EpsilonResult:
     """eps_k = min over size-k supports of sigma_min(A_T).
 
     Contiguous mode evaluates the single support {0..k-1}; exhaustive mode
     scans every canonical support within span_max (ties broken toward the
-    lexicographically smallest support), refusing more than ``budget``.
+    lexicographically smallest support), refusing more than
+    DEFAULT_ENUMERATION_BUDGET of them.
     """
     k = int(k)
     if k < 1:
@@ -120,7 +121,7 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None,
         raise DomainError(f"unknown mode {mode!r}")
     if span_max is None or span_max < k - 1:
         raise SpanTooSmallError(f"exhaustive mode requires span_max >= {k - 1}")
-    _check_budget(k, span_max, budget)
+    _check_budget(k, span_max, DEFAULT_ENUMERATION_BUDGET)
     best_val, best_T = None, None
     for T, val in _scan(params, canonical_supports(k, span_max), workers):
         if best_val is None or val < best_val:
@@ -168,19 +169,16 @@ class SparkResult:
 
 
 def eps_spark(params: SystemParams, eps, k_max, mode=CONTIGUOUS,
-              span_max=None, workers=1,
-              budget=DEFAULT_ENUMERATION_BUDGET) -> SparkResult:
+              span_max=None, workers=1) -> SparkResult:
     """Largest s <= k_max such that every support of size <= s has
-    sigma_min at least eps. Returns 0 when even single atoms fail.
-    ``budget`` bounds each exhaustive level's enumeration."""
+    sigma_min at least eps. Returns 0 when even single atoms fail."""
     eps = keep_real(eps)
     if not eps > 0:
         raise DomainError("threshold eps must be positive")
     k_max = int(k_max)
     levels = []
     for s in range(1, k_max + 1):
-        res = epsilon(params, s, mode=mode, span_max=span_max, workers=workers,
-                      budget=budget)
+        res = epsilon(params, s, mode=mode, span_max=span_max, workers=workers)
         levels.append((s, res.value))
         if res.value < eps:
             return SparkResult(value=s - 1, saturated=False, threshold=eps,

@@ -349,3 +349,17 @@ def test_min_eig_iteration_cap():
     M = [[mpf(1), mpf("0.5")], [mpf("0.5"), mpf(1)]]
     with pytest.raises(ConvergenceError):
         min_eig(M, bits=128, max_steps=0)
+
+
+@pytest.mark.parametrize("e", [32, 64, 82, 100, 112])
+def test_min_eig_near_double_pair_within_default_cap(e):
+    # [[1, -g], [-g, 1]] has 1 - g on (1, 1) and 1 + g on (1, -1); the
+    # alternating start vector begins near the larger one, so every
+    # mu - res shift fails and the midpoint fallback does the work
+    bits = 128
+    with workprec(bits):
+        g = mpf(2) ** -e
+        M = [[mpf(1), -g], [-g, mpf(1)]]
+        lam, v = min_eig(M, bits=bits)
+        assert abs(lam - (1 - g)) <= mpf(2) ** -120
+        assert v[0] > 0 and v[1] > 0

@@ -172,11 +172,20 @@ def test_exhaustive_budget_guard_before_any_support(monkeypatch):
         epsilon(p, 5, mode="exhaustive", span_max=100000)
 
 
-def test_eps_spark_budget_guard():
-    # level 1 is a single atom; level 2 would be 100000 supports
+def test_eps_spark_budget_guard(monkeypatch):
+    # level 1 is a single atom; level 2 would be 10**6 + 1 supports, one
+    # more than the default budget, and is refused before any of them runs
+    import srflimits.spectral as spectral
+
+    def evaluated(params, T):
+        if len(T) > 1:
+            raise AssertionError("a level-2 support was evaluated")
+        return mpf(1)
+
+    monkeypatch.setattr(spectral, "sigma_min", evaluated)
     p = SystemParams.from_y("0.1")
     with pytest.raises(EnumerationBudgetError):
-        eps_spark(p, mpf("1e-3"), 5, mode="exhaustive", span_max=100000, budget=1000)
+        eps_spark(p, mpf("1e-3"), 5, mode="exhaustive", span_max=10 ** 6 + 1)
 
 
 def test_canonical_supports_enumeration():
