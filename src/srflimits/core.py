@@ -37,6 +37,16 @@ def keep_real(value):
     return value if isinstance(value, mpf) else mpf(value)
 
 
+def finite_norm(value, name, positive=False):
+    """Coerce a norm-like parameter (sigma, rho) to mpf, requiring it finite
+    and nonnegative, or positive when ``positive`` is set."""
+    x = keep_real(value)
+    if not (mp.isfinite(x) and (x > 0 if positive else x >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise DomainError(f"{name} must be finite and {sign}, got {x}")
+    return x
+
+
 def keep_complex(value):
     """Coerce to mpc without re-rounding mpf/mpc values at ambient precision."""
     if isinstance(value, mpc):
@@ -260,9 +270,9 @@ class MeasurementVector:
         coeffs = tuple(keep_complex(v) for v in self.coeffs)
         if len(coeffs) != len(self.window):
             raise SupportError("one coefficient per window offset required")
-        rho = keep_real(self.rho)
-        if not rho >= 0:
-            raise DomainError("rho must be nonnegative")
+        if not all(mp.isfinite(v) for v in coeffs):
+            raise DomainError("measurement coefficients must be finite")
+        rho = finite_norm(self.rho, "rho")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "rho", rho)
 

@@ -20,8 +20,8 @@ from .core import (
     SupportSet,
     SystemParams,
     build_gram,
+    finite_norm,
     gram_quadform,
-    keep_real,
     synthesize,
 )
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     ThresholdTieError,
 )
 from .hp import cholesky_solve, hp_cholesky
-from .spectral import CONTIGUOUS, epsilon, min_eig_for_support
+from .spectral import CONTIGUOUS, epsilon, loglog_fit, min_eig_for_support
 
 DEFAULT_WINDOW_CAP = 16
 
@@ -59,9 +59,7 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
     support T is computed exactly in coefficient space through the Schur
     complement: ||f||^2 - b* G_T^{-1} b + rho^2 with b = G_{T,W} coeffs.
     """
-    sigma = keep_real(sigma)
-    if not sigma >= 0:
-        raise DomainError("sigma must be nonnegative")
+    sigma = finite_norm(sigma, "sigma")
     k_cap = int(k_cap)
     window = f.window
     nw = len(window)
@@ -141,9 +139,7 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
     k = int(k)
     if k < 1:
         raise DomainError("k must be at least 1")
-    sigma = keep_real(sigma)
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
+    sigma = finite_norm(sigma, "sigma", positive=True)
     bits = params.bits if bits is None else bits
     eps_res = epsilon(params, 2 * k, mode=mode, span_max=span_max)
     T = eps_res.attaining_support
@@ -202,9 +198,7 @@ def minimax_experiment(params: SystemParams, k, sigma, mode=CONTIGUOUS,
     Upper side: ||xhat - x0|| <= 2 sigma / eps_2k (any (P0) minimizer).
     Lower side: max(||xhat - x0||, ||xhat - x1||) >= sigma / (2 eps_2k).
     """
-    sigma = keep_real(sigma)
-    if not sigma > 0:
-        raise DomainError("sigma must be positive")
+    sigma = finite_norm(sigma, "sigma", positive=True)
     bits = params.bits if bits is None else bits
     pair = adversarial_pair(params, k, sigma, mode=mode, span_max=span_max,
                             bits=bits)
@@ -252,13 +246,5 @@ def srf_scaling(k, srf_grid, bits=None) -> ScalingResult:
         params = SystemParams.from_srf(srf, bits=bits)
         val = epsilon(params, 2 * k, mode=CONTIGUOUS).value
         rows.append((srf, params.y, val))
-    with workprec(512):
-        xs = [mp.log(r[0]) for r in rows]
-        ls = [mp.log(r[2]) for r in rows]
-        n = len(rows)
-        sx, sl = sum(xs), sum(ls)
-        sxx = sum(x * x for x in xs)
-        sxl = sum(x * l for x, l in zip(xs, ls))
-        slope = (n * sxl - sx * sl) / (n * sxx - sx * sx)
-        intercept = (sl - slope * sx) / n
+    slope, intercept = loglog_fit([r[0] for r in rows], [r[2] for r in rows], 512)
     return ScalingResult(k=k, slope=slope, intercept=intercept, table=tuple(rows))

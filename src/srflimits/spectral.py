@@ -275,6 +275,25 @@ def contiguity_scan(params: SystemParams, size, span_max,
                             supports_checked=len(entries))
 
 
+def loglog_fit(xs, ys, bits):
+    """Least-squares line log y = intercept + slope log x at ``bits``.
+
+    Returns (slope, intercept). Raises PrecisionError when the xs hold
+    fewer than two distinct points, where no line is determined.
+    """
+    if len(set(xs)) < 2:
+        raise PrecisionError("degenerate fit: the grid has fewer than two distinct points")
+    with workprec(bits):
+        lx = [mp.log(x) for x in xs]
+        ly = [mp.log(y) for y in ys]
+        n = len(lx)
+        sx, sl = sum(lx), sum(ly)
+        sxx = sum(x * x for x in lx)
+        sxl = sum(x * l for x, l in zip(lx, ly))
+        slope = (n * sxl - sx * sl) / (n * sxx - sx * sx)
+        return slope, (sl - slope * sx) / n
+
+
 @dataclass(frozen=True)
 class SmallYResult:
     """Least-squares fit of log lambda_min = log mu + alpha log y.
@@ -311,20 +330,10 @@ def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
         if res.value <= 0:
             raise PrecisionError(f"lambda_min underflowed the ladder at y = {yv}")
         rows.append((yv, res.value, res.bits_used))
-    n_pts = len(rows)
     work_bits = max(r[2] for r in rows) * 2
+    alpha, log_mu = loglog_fit([r[0] for r in rows], [r[1] for r in rows], work_bits)
     with workprec(work_bits):
-        xs = [mp.log(r[0]) for r in rows]
-        ls = [mp.log(r[1]) for r in rows]
-        sx = sum(xs)
-        sl = sum(ls)
-        sxx = sum(x * x for x in xs)
-        sxl = sum(x * l for x, l in zip(xs, ls))
-        denom = n_pts * sxx - sx * sx
-        if denom == 0:
-            raise PrecisionError("degenerate fit: y grid collapsed")
-        alpha = (n_pts * sxl - sx * sl) / denom
-        mu = mp.exp((sl - alpha * sx) / n_pts)
+        mu = mp.exp(log_mu)
     n = len(T) - 1
     pencil = pencil_mu(T.offsets, bits=bits) if n >= 1 else None
     return SmallYResult(support=T, alpha=alpha, mu=mu, table=tuple(rows),

@@ -19,6 +19,7 @@ sqrt(Phi'(z)) = 1 / q(Phi(z)), positive at infinity.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,17 @@ def _is_inf(z) -> bool:
         return bool(mp.isinf(z))
     except TypeError:
         return False
+
+
+def _degree(n, name):
+    """``n`` as a nonnegative int; non-integral values are refused, not truncated."""
+    try:
+        d = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a nonnegative integer, got {n!r}") from exc
+    if d != n or d < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {n!r}")
+    return d
 
 
 def _cap_of(params_or_c):
@@ -189,13 +201,19 @@ def szego_kernel(params: SystemParams, zeta, z, bits=None):
 # ---------------------------------------------------------------------------
 # Gauss-Legendre quadrature with node doubling
 
+# Rules above this many nodes are rebuilt on every use, never retained: a
+# point near the arc can double toward QUAD_NODE_CAP, and its rules would
+# otherwise stay behind for the life of the process.
+RULE_RETAIN_NODES = 2 ** 10
+
 _NODE_CACHE = {}
 
 
 def legendre_nodes(n, bits):
     """Gauss-Legendre nodes/weights on [-1, 1] at ``bits`` precision.
 
-    float64 initial guesses polished by Newton iterations on P_n.
+    float64 initial guesses polished by Newton iterations on P_n. Rules of
+    at most RULE_RETAIN_NODES nodes are cached by (n, bits).
     """
     key = (n, bits)
     cached = _NODE_CACHE.get(key)
@@ -218,41 +236,30 @@ def legendre_nodes(n, bits):
             dp = n * (x * p1 - p0) / (x * x - 1)
             nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
     result = tuple(nodes)
-    _NODE_CACHE[key] = result
+    if n <= RULE_RETAIN_NODES:
+        _NODE_CACHE[key] = result
     return result
 
 
-def _gl_sum(f, a, b, n, bits):
-    """Plain n-node Gauss-Legendre approximation of int_a^b f, plus the
-    largest sampled |f| (used as the scale in convergence tests)."""
-    half = (b - a) / 2
-    mid = (b + a) / 2
-    total = mpc(0)
-    peak = mpf(0)
-    for x, w in legendre_nodes(n, bits):
-        val = f(mid + half * x)
-        total += w * val
-        peak = max(peak, abs(val))
-    return half * total, peak
-
-
-def integrate_doubling(f, a, b, rel_target=QUAD_REL_TARGET, bits=None,
+def integrate_doubling(level, rel_target=QUAD_REL_TARGET, bits=None,
                        start_nodes=16, node_cap=QUAD_NODE_CAP):
-    """Node-doubling Gauss-Legendre integration of f over [a, b].
+    """Node-doubling loop over an n-node quadrature rule.
 
-    Converged when two successive node counts agree to ``rel_target``
-    relative to max(|integral|, sampled peak of |f|), which keeps
-    integrals that vanish by symmetry from chasing an impossible
-    relative tolerance. Raises ConvergenceError past ``node_cap`` nodes.
+    ``level(n)`` returns the n-node approximation of the integral and the
+    largest sampled |integrand| in the same scale. Converged when two
+    successive node counts agree to ``rel_target`` relative to
+    max(|integral|, sampled peak), which keeps integrals that vanish by
+    symmetry from chasing an impossible relative tolerance. Raises
+    ConvergenceError past ``node_cap`` nodes.
     """
     bits = default_bits() if bits is None else bits
     rel_target = mpf(rel_target)
     with workprec(bits):
         n = start_nodes
-        prev, peak = _gl_sum(f, a, b, n, bits)
+        prev, peak = level(n)
         while 2 * n <= node_cap:
             n *= 2
-            cur, pk = _gl_sum(f, a, b, n, bits)
+            cur, pk = level(n)
             peak = max(peak, pk)
             scale = max(abs(cur), peak)
             if abs(cur - prev) <= rel_target * scale:
@@ -282,35 +289,60 @@ def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams,
     """
     bits = params.bits if bits is None else bits
     with workprec(bits):
-        hi = mp.pi * params.y
+        half = mp.pi * params.y
 
-        def integrand(theta):
-            z = mp.exp(mpc(0, 1) * theta)
-            return _poly_eval(f_coeffs, z) * mp.conj(_poly_eval(g_coeffs, z))
+        def level(n):
+            total = mpc(0)
+            peak = mpf(0)
+            for x, w in legendre_nodes(n, bits):
+                z = mp.exp(mpc(0, 1) * (half * x))
+                val = _poly_eval(f_coeffs, z) * mp.conj(_poly_eval(g_coeffs, z))
+                total += w * val
+                peak = max(peak, abs(val))
+            return half * total, peak
 
-        total = integrate_doubling(integrand, -hi, hi, rel_target=rel_target,
-                                   bits=bits, start_nodes=start_nodes,
-                                   node_cap=node_cap)
+        total = integrate_doubling(level, rel_target=rel_target, bits=bits,
+                                   start_nodes=start_nodes, node_cap=node_cap)
         return total / params.arc_length
 
 
-def _integrate_with_sqrt_endpoints(f, a, b, rel_target, bits, node_cap):
-    """Integrate f over [a, b] when f has square-root kinks at the endpoints.
+def _build_boundary_rule(c, bits, n, piece):
+    """n-node rule on one piece of the unit circle, the preimage of the slit.
 
-    The substitution t = a + (b-a)(1 - cos(pi s))/2 makes the composite
-    integrand analytic in s, restoring spectral convergence of the
-    node-doubling rule.
+    The circle splits at the arc-endpoint preimages t = +-t0, cos t0 = -c,
+    where the boundary integrand has square-root kinks: piece 0 is
+    [-t0, t0] and piece 1 is [t0, 2 pi - t0]. The substitution
+    t = a + width (1 - cos(pi s))/2 on s in [0, 1] makes each piece's
+    integrand analytic in s. Returns one (weight, w, h) per node: the
+    Legendre weight on [0, 1], w = e^{it}, and the part of the kernel trace
+    that depends on the node alone,
+    h = sqrt(1 + 2c u + u^2)/(w + c) * dt/ds with u = conj(w) = 1/w.
     """
     with workprec(bits):
-        width = b - a
-
-        def g(s):
+        t0 = mp.acos(-c)
+        a, width = (-t0, 2 * t0) if piece == 0 else (t0, 2 * (mp.pi - t0))
+        rule = []
+        for x, weight in legendre_nodes(n, bits):
+            s = (1 + x) / 2
             t = a + width * (1 - mp.cos(mp.pi * s)) / 2
-            dt = width * (mp.pi / 2) * mp.sin(mp.pi * s)
-            return f(t) * dt
+            w = mp.exp(mpc(0, 1) * t)
+            u = mp.conj(w)
+            h = mp.sqrt(1 + (2 * c + u) * u) / (w + c) \
+                * (width * (mp.pi / 2) * mp.sin(mp.pi * s))
+            rule.append((weight / 2, w, h))
+        return tuple(rule)
 
-        return integrate_doubling(g, mpf(0), mpf(1), rel_target=rel_target,
-                                  bits=bits, node_cap=node_cap)
+
+# 16 rules hold both pieces of one arc at every level from 16 to 2^10 nodes
+# (2 x 7 = 14); a rule takes about 1.4 kB per node at 256 bits
+_retained_boundary_rule = functools.lru_cache(maxsize=16)(_build_boundary_rule)
+
+
+def _boundary_rule(c, bits, n, piece):
+    """The (c, bits, n, piece) rule, retained when it has few enough nodes."""
+    if n > RULE_RETAIN_NODES:
+        return _build_boundary_rule(c, bits, n, piece)
+    return _retained_boundary_rule(c, bits, n, piece)
 
 
 def szego_reproduce(params: SystemParams, n, z, rel_target=QUAD_REL_TARGET,
@@ -320,30 +352,42 @@ def szego_reproduce(params: SystemParams, n, z, rel_target=QUAD_REL_TARGET,
     Evaluates the reproducing integral over the slit boundary (the arc
     covered once per side, i.e. the full |w| = 1 preimage) with the single-
     traversal normalization: value = (1/(2L)) * \\oint F conj(K) |dzeta|.
-    The boundary integrand has square-root kinks at the two arc-endpoint
-    preimages cos(t) = -c, so the circle splits there and each piece is
-    integrated under a kink-flattening substitution.
+    On |w| = 1, with W = Phi(z), the integrand F conj(K(zeta, z)) |phi'(w)|
+    is K0 u^(n-1) sqrt(1 + 2c u + u^2)/((w + c)(W - w)), u = conj(w), and
+    K0 = (L/pi) sqrt(Phi'(z)) W sqrt(c). The boundary integrand has
+    square-root kinks at the two arc-endpoint preimages cos(t) = -c, so
+    the circle splits there and each piece is integrated under a kink-
+    flattening substitution. Everything that depends on the node alone
+    sits in a per-arc rule (``_boundary_rule``), shared by every n and z
+    on the same arc at the same bits; a reproduction then costs one
+    complex division and one small power per node.
     """
     bits = params.bits if bits is None else bits
     c, L = params.c, params.arc_length
-    n = int(n)
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    n = _degree(n, "n")
+    z = keep_complex(z)
+    if not mp.isfinite(z):
+        raise DomainError(f"reproduction point is not finite: {z}")
     with workprec(bits):
         W = Phi_map(c, z, bits=bits)
-        SW = 1 / phi_prime_sqrt(c, W)
-        t0 = mp.acos(-c)
+        K0 = (L / mp.pi) * (1 / phi_prime_sqrt(c, W)) * W * mp.sqrt(c)
 
-        def integrand(t):
-            w = mp.exp(mpc(0, 1) * t)
-            Kb = (L / mp.pi) * (1 / phi_prime_sqrt(c, w)) * mp.conj(SW) \
-                * (w * mp.conj(W)) / (w * mp.conj(W) - 1)
-            return w ** (-n) * mp.conj(Kb) * abs(phi_prime(c, w))
+        def piece_level(piece):
+            def level(nodes):
+                total = mpc(0)
+                peak = mpf(0)
+                for weight, w, h in _boundary_rule(c, bits, nodes, piece):
+                    power = w if n == 0 else mp.conj(w) ** (n - 1)
+                    val = h * power / (W - w)
+                    total += weight * val
+                    peak = max(peak, abs(val))
+                return K0 * total, abs(K0) * peak
+            return level
 
-        part1 = _integrate_with_sqrt_endpoints(integrand, -t0, t0,
-                                               rel_target, bits, node_cap)
-        part2 = _integrate_with_sqrt_endpoints(integrand, t0, 2 * mp.pi - t0,
-                                               rel_target, bits, node_cap)
+        part1 = integrate_doubling(piece_level(0), rel_target=rel_target,
+                                   bits=bits, node_cap=node_cap)
+        part2 = integrate_doubling(piece_level(1), rel_target=rel_target,
+                                   bits=bits, node_cap=node_cap)
         return (part1 + part2) / (2 * L)
 
 
@@ -501,9 +545,7 @@ def faber_poly(params: SystemParams, n, truncation=None, bits=None):
     must allow at least n + 10 of them.
     """
     bits = params.bits if bits is None else bits
-    n = int(n)
-    if n < 0:
-        raise DomainError("Faber degree must be nonnegative")
+    n = _degree(n, "Faber degree")
     if truncation is None:
         truncation = n + 16
     if truncation < n + 10:
@@ -563,9 +605,7 @@ class OrthoPolyTable:
 def leading_coeffs(params: SystemParams, n_max, bits=None) -> OrthoPolyTable:
     """k_0..k_{n_max} from the Cholesky factor of the contiguous Gram matrix."""
     bits = params.bits if bits is None else bits
-    n_max = int(n_max)
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
+    n_max = _degree(n_max, "n_max")
     G = build_gram(params, SupportSet(tuple(range(n_max + 1))), bits=bits)
     L = hp_cholesky(G.as_lists(), bits=bits)
     with workprec(bits):
@@ -648,7 +688,7 @@ def bound_suite(params: SystemParams, n_max, samples=200, seed=0, polys=100,
     Individual section failures are captured, never aborting the suite.
     """
     bits = params.bits if bits is None else bits
-    n_max = int(n_max)
+    n_max = _degree(n_max, "n_max")
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     if samples < 100:

@@ -210,6 +210,21 @@ def test_recover_nan_sigma_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimax", "--y", "0.2", "--k", "1", "--sigma", "inf"],
+    ["adversary", "--y", "0.2", "--k", "1", "--sigma", "inf"],
+    ["recover", "--y", "0.1", "--window", "0,1,2", "--coeffs", "1;0;1",
+     "--sigma", "inf", "--k-cap", "2"],
+    ["recover", "--y", "0.1", "--window", "0,1,2", "--coeffs", "1;0;1",
+     "--rho", "inf", "--sigma", "0.1", "--k-cap", "2"],
+    ["recover", "--y", "0.1", "--window", "0,1,2", "--coeffs", "inf;0;1",
+     "--sigma", "0.1", "--k-cap", "2"],
+])
+def test_infinite_input_exit_two(argv, capsys):
+    code, out = run(argv, capsys)
+    assert code == 2 and out == ""
+
+
 def test_minimax_bounds_use_sigma_at_report_bits(capsys):
     code, out = run(["minimax", "--y", "0.2", "--k", "1", "--sigma", "1e-6",
                      "--precision-bits", "256"], capsys)

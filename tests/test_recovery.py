@@ -18,7 +18,12 @@ from srflimits import (
     synthesize,
 )
 from srflimits.core import MeasurementVector, gram_quadform
-from srflimits.errors import DomainError, InfeasibleError, ThresholdTieError
+from srflimits.errors import (
+    DomainError,
+    InfeasibleError,
+    PrecisionError,
+    ThresholdTieError,
+)
 
 
 def test_l0_exact_single_atom():
@@ -81,6 +86,17 @@ def test_l0_infeasible_when_rho_exceeds_sigma():
                           coeffs=(mpc(0), mpc(0)), rho=mpf("0.5"))
     with pytest.raises(InfeasibleError):
         l0_solve(p, f, mpf("0.1"), 2)
+
+
+def test_l0_rejects_non_finite_sigma_and_rho():
+    p = SystemParams.from_y("0.1")
+    f = MeasurementVector(window=SupportSet.of(0, 1), coeffs=(1, 0), rho=0)
+    for sigma in (mpf("inf"), mpf("-inf"), mpf("nan")):
+        with pytest.raises(DomainError):
+            l0_solve(p, f, sigma, k_cap=1)
+    for rho in (mpf("inf"), mpf("nan")):
+        with pytest.raises(DomainError):
+            MeasurementVector(window=SupportSet.of(0, 1), coeffs=(1, 0), rho=rho)
 
 
 def test_l0_window_cap():
@@ -148,6 +164,8 @@ def test_adversarial_pair_rejects_bad_inputs():
         adversarial_pair(p, 0, mpf("1e-4"))
     with pytest.raises(DomainError):
         adversarial_pair(p, 1, mpf(0))
+    with pytest.raises(DomainError):
+        adversarial_pair(p, 1, mpf("inf"))
 
 
 # --- minimax sandwich -------------------------------------------------------
@@ -175,6 +193,8 @@ def test_minimax_rejects_zero_sigma():
     p = SystemParams.from_y("0.2")
     with pytest.raises(DomainError):
         minimax_experiment(p, 1, 0)
+    with pytest.raises(DomainError):
+        minimax_experiment(p, 1, mpf("inf"))
 
 
 # --- SRF scaling ------------------------------------------------------------
@@ -209,3 +229,8 @@ def test_scaling_input_validation():
         srf_scaling(1, ("8", "12", "16"))
     with pytest.raises(DomainError):
         srf_scaling(1, ("8", "12", "16", "2"))
+
+
+def test_scaling_degenerate_grid():
+    with pytest.raises(PrecisionError):
+        srf_scaling(1, ("3", "3", "3", "3"))

@@ -19,7 +19,12 @@ from srflimits import (
 )
 from conftest import lit
 from srflimits.core import gram_quadform
-from srflimits.errors import DomainError, EnumerationBudgetError, SpanTooSmallError
+from srflimits.errors import (
+    DomainError,
+    EnumerationBudgetError,
+    PrecisionError,
+    SpanTooSmallError,
+)
 from srflimits.spectral import canonical_supports, min_eig_for_support
 
 
@@ -258,3 +263,5 @@ def test_smally_grid_validation():
         smally_exponent(SupportSet.of(0, 1), ("0.001", "0.002", "0.004"))
     with pytest.raises(DomainError):
         smally_exponent(SupportSet.of(0, 1), ("0.001", "0.002", "0.004", "0.1"))
+    with pytest.raises(PrecisionError):
+        smally_exponent(SupportSet.of(0, 1), ("0.002",) * 4)

@@ -19,6 +19,7 @@ from srflimits import (
     szego_reproduce,
 )
 from conftest import lit
+from srflimits import szego
 from srflimits.errors import DomainError, OnArcError, PoleError, TruncationError
 from srflimits.szego import (
     LaurentSeries,
@@ -170,6 +171,106 @@ def test_reproducing_inverse_powers(n):
         val = szego_reproduce(p, n, z)
         ref = Phi_map(p.c, z, bits=256) ** (-n)
         assert abs(val - ref) <= mpf("1e-10") * abs(ref)
+
+
+def test_non_finite_points_and_fractional_degrees_are_refused():
+    # the non-finite points used to double toward the node cap, and int()
+    # turned a degree of 1.5 into 1
+    p = SystemParams.from_y("0.17")
+    for z in (mpc("nan", 0), mpc("inf", 0)):
+        with pytest.raises(DomainError):
+            szego_reproduce(p, 1, z)
+    with pytest.raises(DomainError):
+        szego_reproduce(p, 1.5, mpf(4))
+    with pytest.raises(DomainError):
+        faber_poly(p, 2.5)
+    with pytest.raises(DomainError):
+        leading_coeffs(p, 2.7)
+
+
+# --- boundary rule ----------------------------------------------------------
+
+
+def _reproduce_oracle(p, n, z, bits):
+    """The reproducing integral with the kernel, Phi' and w^-n evaluated
+    afresh at every node, under the same substitution, node doubling and
+    stopping test as szego_reproduce, but without its per-arc rule."""
+    c, L = p.c, p.arc_length
+    with workprec(bits):
+        W = Phi_map(c, z, bits=bits)
+        SW = 1 / phi_prime_sqrt(c, W)
+
+        def f(t):
+            w = mp.exp(mpc(0, 1) * t)
+            P = w * mp.conj(W)
+            K = (L / mp.pi) * (1 / phi_prime_sqrt(c, w)) * mp.conj(SW) * P / (P - 1)
+            return w ** (-n) * mp.conj(K) * abs(phi_prime(c, w))
+
+        t0 = mp.acos(-c)
+        total = mpc(0)
+        for a, b in ((-t0, t0), (t0, 2 * mp.pi - t0)):
+            width = b - a
+
+            def g(s):
+                t = a + width * (1 - mp.cos(mp.pi * s)) / 2
+                return f(t) * width * (mp.pi / 2) * mp.sin(mp.pi * s)
+
+            prev, peak = None, mpf(0)
+            for nodes in (16, 32, 64, 128, 256):
+                vals = [(weight, g((1 + x) / 2)) for x, weight in szego.legendre_nodes(nodes, bits)]
+                cur = sum(weight * v for weight, v in vals) / 2
+                peak = max([peak] + [abs(v) for _, v in vals])
+                if prev is not None and \
+                        abs(cur - prev) <= szego.QUAD_REL_TARGET * max(abs(cur), peak):
+                    break
+                prev = cur
+            else:
+                raise AssertionError("oracle quadrature did not converge")
+            total += cur
+        return total / (2 * L)
+
+
+def test_reproduce_matches_pointwise_oracle():
+    # 128 bits before 256 on each arc, and a second arc after the first:
+    # a rule shared across arcs or bits would miss the tolerance
+    szego._retained_boundary_rule.cache_clear()
+    for y in ("0.1", "0.17"):
+        for bits in (128, 256):
+            p = SystemParams.from_y(y, bits=bits)
+            with workprec(bits):
+                z = phi_map(p.c, 4 * mp.exp(mpc(0, 1)))
+            for n in range(6):
+                got = szego_reproduce(p, n, z)
+                want = _reproduce_oracle(p, n, z, bits)
+                with workprec(bits):
+                    assert abs(got - want) <= mpf(2) ** (16 - bits) * abs(want)
+
+
+def test_boundary_rules_are_kept_per_arc_and_bits():
+    keys = [(SystemParams.from_y(y, bits=bits).c, bits)
+            for y, bits in (("0.1", 128), ("0.1", 256), ("0.17", 256))]
+    rules = [szego._boundary_rule(c, bits, 16, 0) for c, bits in keys]
+    assert all(szego._boundary_rule(c, bits, 16, 0) is rule
+               for (c, bits), rule in zip(keys, rules))
+    first_nodes = [rule[0][1] for rule in rules]
+    assert len({(w.real, w.imag) for w in first_nodes}) == 3
+    assert szego._retained_boundary_rule.cache_info().maxsize is not None
+
+
+def test_rules_above_retention_threshold_are_not_kept(monkeypatch):
+    # a threshold of 32 nodes stands in for 2^10, so the run stays small;
+    # 136 bits is used by no other test, so every key below is fresh
+    monkeypatch.setattr(szego, "RULE_RETAIN_NODES", 32)
+    szego._retained_boundary_rule.cache_clear()
+    bits = 136
+    p = SystemParams.from_y("0.1", bits=bits)
+    with workprec(bits):
+        z = phi_map(p.c, 4 * mp.exp(mpc(0, 1)))
+        val = szego_reproduce(p, 2, z)
+        assert abs(val - Phi_map(p.c, z, bits=bits) ** -2) < mpf("1e-20")
+    assert max(n for n, b in szego._NODE_CACHE if b == bits) == 32
+    # the 16- and 32-node rules of both pieces, and nothing larger
+    assert szego._retained_boundary_rule.cache_info().currsize == 4
 
 
 # --- leading coefficients ---------------------------------------------------
