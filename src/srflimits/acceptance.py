@@ -299,7 +299,7 @@ def criterion_8_faber_rotation_bound() -> CriterionOutcome:
             bound = 2 * (1 + 2 * params.y)
         for n in range(0, 11):
             coeffs = faber_poly(params, n)
-            peak = faber_arc_max(params, coeffs, arc_samples=10 ** 4)
+            peak = faber_arc_max(params, coeffs)
             margin = (bound - peak) / bound
             if worst is None or margin < worst:
                 worst = margin

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 from mpmath import mpf
 
+from .core import keep_real
+
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -22,7 +24,6 @@ class BoundCheck:
 
 
 def bound_check(name, lhs, rhs) -> BoundCheck:
-    lhs = mpf(lhs) if not isinstance(lhs, mpf) else lhs
-    rhs = mpf(rhs) if not isinstance(rhs, mpf) else rhs
+    lhs, rhs = keep_real(lhs), keep_real(rhs)
     slack = rhs - lhs
     return BoundCheck(name=name, lhs=lhs, rhs=rhs, satisfied=bool(slack >= 0), slack=slack)

@@ -9,7 +9,7 @@ Quadrature of the defining integral survives only as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, workprec
@@ -47,6 +47,28 @@ def finite_norm(value, name, positive=False):
     return x
 
 
+def as_count(n, name, least=0):
+    """``n`` as an int of at least ``least``; non-integral values are
+    refused, not truncated."""
+    try:
+        d = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}") from exc
+    if d != n or d < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+    return d
+
+
+def parse_grid(values, bits, name):
+    """Grid values parsed at ``bits`` (default_bits() when None); at least
+    four are required for a fit."""
+    bits = default_bits() if bits is None else bits
+    grid = [_to_mpf(v, bits) for v in values]
+    if len(grid) < 4:
+        raise DomainError(f"need at least 4 {name} grid points")
+    return grid
+
+
 def keep_complex(value):
     """Coerce to mpc without re-rounding mpf/mpc values at ambient precision."""
     if isinstance(value, mpc):
@@ -56,43 +78,33 @@ def keep_complex(value):
     return mpc(value)
 
 
-def capacity(y, bits=None) -> mpf:
-    """Capacity (transfinite diameter) of the arc: sin(pi*y/2).
-
-    Equals the leading Laurent coefficient of the exterior conformal map.
-    """
-    bits = default_bits() if bits is None else bits
-    yv = _to_mpf(y, bits)
-    if not 0 < yv < mpf("0.5"):
-        raise DomainError(f"band fraction y must lie in (0, 1/2), got {yv}")
-    with workprec(bits):
-        return mp.sin(mp.pi * yv / 2)
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """Normalized problem: band fraction y in (0, 1/2), srf = 1/y,
-    capacity c = sin(pi*y/2), arc length L = 2*pi*y."""
+    capacity c = sin(pi*y/2), arc length L = 2*pi*y, all at ``bits``.
+
+    Constructed from (y, bits); the range check and the derived fields
+    live here only.
+    """
 
     y: mpf
-    srf: mpf
-    c: mpf
-    arc_length: mpf
+    srf: mpf = field(init=False)
+    c: mpf = field(init=False)
+    arc_length: mpf = field(init=False)
     bits: int
 
     def __post_init__(self):
         if not 0 < self.y < mpf("0.5"):
             raise DomainError(f"band fraction y must lie in (0, 1/2), got {self.y}")
+        with workprec(self.bits):
+            object.__setattr__(self, "srf", 1 / self.y)
+            object.__setattr__(self, "c", mp.sin(mp.pi * self.y / 2))
+            object.__setattr__(self, "arc_length", 2 * mp.pi * self.y)
 
     @classmethod
     def from_y(cls, y, bits=None) -> "SystemParams":
         bits = default_bits() if bits is None else bits
-        yv = _to_mpf(y, bits)
-        if not 0 < yv < mpf("0.5"):
-            raise DomainError(f"band fraction y must lie in (0, 1/2), got {yv}")
-        with workprec(bits):
-            return cls(y=yv, srf=1 / yv, c=mp.sin(mp.pi * yv / 2),
-                       arc_length=2 * mp.pi * yv, bits=bits)
+        return cls(_to_mpf(y, bits), bits)
 
     @classmethod
     def from_srf(cls, srf, bits=None) -> "SystemParams":
@@ -105,11 +117,15 @@ class SystemParams:
 
     def at_bits(self, bits) -> "SystemParams":
         """Same dyadic y, derived quantities recomputed at a new precision."""
-        if bits == self.bits:
-            return self
-        with workprec(bits):
-            return SystemParams(y=self.y, srf=1 / self.y, c=mp.sin(mp.pi * self.y / 2),
-                                arc_length=2 * mp.pi * self.y, bits=bits)
+        return self if bits == self.bits else SystemParams(self.y, bits)
+
+
+def capacity(y, bits=None) -> mpf:
+    """Capacity (transfinite diameter) of the arc: sin(pi*y/2).
+
+    Equals the leading Laurent coefficient of the exterior conformal map.
+    """
+    return SystemParams.from_y(y, bits).c
 
 
 @dataclass(frozen=True)
@@ -129,6 +145,11 @@ class SupportSet:
     @classmethod
     def of(cls, *offsets) -> "SupportSet":
         return cls(tuple(offsets))
+
+    @classmethod
+    def coerce(cls, support) -> "SupportSet":
+        """A SupportSet as is, or any iterable of offsets (a range, a tuple)."""
+        return support if isinstance(support, cls) else cls(tuple(support))
 
     @classmethod
     def from_text(cls, text) -> "SupportSet":
@@ -196,7 +217,7 @@ class GramMatrix:
 def build_gram(params: SystemParams, support, bits=None) -> GramMatrix:
     """Gram matrix with entry (i, j) = gram_entry(tau_j - tau_i)."""
     bits = params.bits if bits is None else bits
-    T = support if isinstance(support, SupportSet) else SupportSet(tuple(support))
+    T = SupportSet.coerce(support)
     offs = T.offsets
     diffs = {}
     for i, ti in enumerate(offs):
@@ -242,11 +263,6 @@ class CoefficientVector:
         """Number of nonzero values (l0 norm)."""
         return sum(1 for v in self.values if v != 0)
 
-    def l2_norm(self, bits=None) -> mpf:
-        bits = default_bits() if bits is None else bits
-        with workprec(bits):
-            return mp.sqrt(sum((v * mp.conj(v)).real for v in self.values))
-
     def embed(self, window: SupportSet):
         """Zero-padded value tuple over a containing window."""
         out = [mpc(0)] * len(window)
@@ -279,7 +295,7 @@ class MeasurementVector:
 
 def synthesize(params: SystemParams, x: CoefficientVector, window) -> MeasurementVector:
     """Noiseless measurement f = A x embedded in the window (rho = 0)."""
-    W = window if isinstance(window, SupportSet) else SupportSet(tuple(window))
+    W = SupportSet.coerce(window)
     return MeasurementVector(window=W, coeffs=x.embed(W), rho=mpf(0))
 
 

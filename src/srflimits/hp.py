@@ -205,9 +205,9 @@ class MinEigResult:
 
 
 def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
-                     start_bits=LADDER_START_BITS,
                      cap_bits=LADDER_CAP_BITS) -> MinEigResult:
-    """Smallest eigenvalue of builder(bits), doubling bits until stable.
+    """Smallest eigenvalue of builder(bits), doubling bits from
+    LADDER_START_BITS until stable.
 
     ``builder`` must rebuild the same mathematical matrix at any requested
     precision. Stability means two consecutive ladder levels agree to
@@ -218,7 +218,7 @@ def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
     reltol = mpf(reltol)
     history = []
     prev = None
-    bits = start_bits
+    bits = LADDER_START_BITS
     while bits <= cap_bits:
         try:
             lam, vec = min_eig(builder(bits), bits=bits)
@@ -244,25 +244,6 @@ def hilbert_matrix(n):
     if n < 0:
         raise DomainError("hilbert_matrix requires n >= 0")
     return [[Fraction(1, i + j + 1) for j in range(n + 1)] for i in range(n + 1)]
-
-
-def rational_inverse(M):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan elimination."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise SingularSystemError("matrix is singular over the rationals")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return [row[n:] for row in A]
 
 
 def rational_solve(M, b):
@@ -342,12 +323,8 @@ def pencil_mu(offsets, bits=None) -> PencilData:
         raise DomainError("pencil requires at least two offsets")
     n = len(taus) - 1
     H = hilbert_matrix(n)
-    Hinv = rational_inverse(H)
     m = vandermonde_lastrow(taus)
-    qf = Fraction(0)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            qf += m[i] * Hinv[i][j] * m[j]
+    qf = sum(a * b for a, b in zip(m, rational_solve(H, m)))
     with workprec(bits):
         c_n = (2 * mp.pi) ** (2 * n) / mpf(factorial(n)) ** 2
         mu = 1 / (c_n * mpf(qf.numerator) / mpf(qf.denominator))

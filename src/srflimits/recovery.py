@@ -19,9 +19,11 @@ from .core import (
     MeasurementVector,
     SupportSet,
     SystemParams,
+    as_count,
     build_gram,
     finite_norm,
     gram_quadform,
+    parse_grid,
     synthesize,
 )
 from .errors import (
@@ -60,7 +62,7 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
     complement: ||f||^2 - b* G_T^{-1} b + rho^2 with b = G_{T,W} coeffs.
     """
     sigma = finite_norm(sigma, "sigma")
-    k_cap = int(k_cap)
+    k_cap = as_count(k_cap, "k_cap")
     window = f.window
     nw = len(window)
     if k_cap > nw:
@@ -136,9 +138,7 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
     vector makes the split ambiguous; it is broken toward lower indices
     and flagged (or raised when strict_ties is set).
     """
-    k = int(k)
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    k = as_count(k, "k", 1)
     sigma = finite_norm(sigma, "sigma", positive=True)
     bits = params.bits if bits is None else bits
     eps_res = epsilon(params, 2 * k, mode=mode, span_max=span_max)
@@ -233,12 +233,8 @@ class ScalingResult:
 
 def srf_scaling(k, srf_grid, bits=None) -> ScalingResult:
     """Fit log eps_2k = intercept + slope * log SRF over the grid."""
-    k = int(k)
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    grid = [mpf(str(s)) if not isinstance(s, mpf) else s for s in srf_grid]
-    if len(grid) < 4:
-        raise DomainError("need at least 4 SRF grid points")
+    k = as_count(k, "k", 1)
+    grid = parse_grid(srf_grid, bits, "SRF")
     if any(not s > 2 for s in grid):
         raise DomainError("every SRF must exceed 2")
     rows = []

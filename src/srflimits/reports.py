@@ -43,11 +43,6 @@ def enc_complex(z, bits) -> dict:
         return {"re": mp.nstr(z.real, d), "im": mp.nstr(z.imag, d), "bits": bits}
 
 
-def dec_real(obj) -> mpf:
-    with workprec(obj["bits"] + 8):
-        return mpf(obj["dec"])
-
-
 def enc_support(T: SupportSet) -> list:
     return list(T.offsets)
 

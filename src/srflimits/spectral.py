@@ -17,7 +17,7 @@ from math import comb
 from mpmath import mp, mpf, workprec
 
 from .checks import BoundCheck, bound_check
-from .core import SupportSet, SystemParams, build_gram, keep_real
+from .core import SupportSet, SystemParams, as_count, build_gram, keep_real, parse_grid
 from .errors import (
     DomainError,
     EnumerationBudgetError,
@@ -47,23 +47,17 @@ EXHAUSTIVE = "exhaustive"
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 
 
-def _as_support(T) -> SupportSet:
-    return T if isinstance(T, SupportSet) else SupportSet(tuple(T))
-
-
-def min_eig_for_support(params: SystemParams, T, reltol=None) -> MinEigResult:
+def min_eig_for_support(params: SystemParams, T) -> MinEigResult:
     """Precision-ladder smallest eigenvalue of the Gram matrix over T."""
-    T = _as_support(T)
-    kwargs = {} if reltol is None else {"reltol": reltol}
+    T = SupportSet.coerce(T)
     return min_eig_adaptive(
-        lambda bits: build_gram(params.at_bits(bits), T, bits=bits).as_lists(),
-        **kwargs,
+        lambda bits: build_gram(params.at_bits(bits), T, bits=bits).as_lists()
     )
 
 
 def sigma_min(params: SystemParams, T) -> mpf:
     """Least singular value of the atom matrix over T: sqrt(lambda_min(G))."""
-    T = _as_support(T)
+    T = SupportSet.coerce(T)
     if len(T) == 1:
         return mpf(1)
     res = min_eig_for_support(params, T)
@@ -91,9 +85,18 @@ def canonical_supports(k, span_max):
         yield SupportSet((0,) + rest)
 
 
+def _span(span_max, k):
+    """span_max as a count, refused when None or below k - 1 (no size-k
+    canonical support fits)."""
+    span = None if span_max is None else as_count(span_max, "span_max")
+    if span is None or span < k - 1:
+        raise SpanTooSmallError(f"an exhaustive scan of size {k} requires span_max >= {k - 1}")
+    return span
+
+
 def _check_budget(k, span_max, budget):
     """Refuse an exhaustive scan of more than ``budget`` canonical supports."""
-    count = comb(int(span_max), k - 1)
+    count = comb(span_max, k - 1)
     if count > budget:
         raise EnumerationBudgetError(
             f"{count} supports exceed the enumeration budget {budget}"
@@ -109,9 +112,7 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None,
     lexicographically smallest support), refusing more than
     DEFAULT_ENUMERATION_BUDGET of them.
     """
-    k = int(k)
-    if k < 1:
-        raise DomainError("sparsity level k must be at least 1")
+    k = as_count(k, "sparsity level k", 1)
     if mode == CONTIGUOUS:
         T = SupportSet(tuple(range(k)))
         return EpsilonResult(k=k, value=sigma_min(params, T),
@@ -119,15 +120,14 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None,
                              span_searched=None)
     if mode != EXHAUSTIVE:
         raise DomainError(f"unknown mode {mode!r}")
-    if span_max is None or span_max < k - 1:
-        raise SpanTooSmallError(f"exhaustive mode requires span_max >= {k - 1}")
+    span_max = _span(span_max, k)
     _check_budget(k, span_max, DEFAULT_ENUMERATION_BUDGET)
     best_val, best_T = None, None
     for T, val in _scan(params, canonical_supports(k, span_max), workers):
         if best_val is None or val < best_val:
             best_val, best_T = val, T
     return EpsilonResult(k=k, value=best_val, attaining_support=best_T,
-                         mode=EXHAUSTIVE, span_searched=int(span_max))
+                         mode=EXHAUSTIVE, span_searched=span_max)
 
 
 def _scan_worker(args):
@@ -175,7 +175,7 @@ def eps_spark(params: SystemParams, eps, k_max, mode=CONTIGUOUS,
     eps = keep_real(eps)
     if not eps > 0:
         raise DomainError("threshold eps must be positive")
-    k_max = int(k_max)
+    k_max = as_count(k_max, "k_max", 1)
     levels = []
     for s in range(1, k_max + 1):
         res = epsilon(params, s, mode=mode, span_max=span_max, workers=workers)
@@ -198,20 +198,17 @@ class SrfBoundsResult:
     min_lower_ratio: mpf
 
 
-def verify_srf_bounds(params: SystemParams, n_max, mode=CONTIGUOUS,
-                      span_max=None) -> SrfBoundsResult:
+def verify_srf_bounds(params: SystemParams, n_max) -> SrfBoundsResult:
     """Certify eps_{n+1} <= k_n^{-1} <= 4 c^n for n = 1..n_max and record
-    the ratio eps_{n+1} / (c/4)^n."""
-    n_max = int(n_max)
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+    the ratio eps_{n+1} / (c/4)^n, with eps in contiguous mode."""
+    n_max = as_count(n_max, "n_max", 1)
     table = leading_coeffs(params, n_max, bits=params.bits)
     checks = []
     ratios = []
     min_ratio = None
     with workprec(params.bits):
         for n in range(1, n_max + 1):
-            eps_n1 = epsilon(params, n + 1, mode=mode, span_max=span_max).value
+            eps_n1 = epsilon(params, n + 1).value
             kn_inv = 1 / table.k_values[n]
             four_cn = 4 * params.c ** n
             checks.append(bound_check(f"eps_le_kn_inv[n={n}]", eps_n1, kn_inv))
@@ -247,12 +244,9 @@ def contiguity_scan(params: SystemParams, size, span_max,
     componentwise domination of the pairwise offset differences
     (equivalently, of the consecutive gap vectors).
     """
-    size = int(size)
-    if size < 2:
-        raise DomainError("size must be at least 2")
-    if span_max < size - 1:
-        raise SpanTooSmallError(f"span_max must be at least {size - 1}")
-    _check_budget(size, span_max, budget)
+    size = as_count(size, "size", 2)
+    span_max = _span(span_max, size)
+    _check_budget(size, span_max, as_count(budget, "budget", 1))
     entries = list(_scan(params, canonical_supports(size, span_max), workers))
     table = sorted(entries, key=lambda e: (e[1], e[0].offsets))
     contiguous = SupportSet(tuple(range(size)))
@@ -316,10 +310,8 @@ def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
     """Fit the decay exponent of lambda_min(G_T(y)) on a small-y grid."""
     from .hp import pencil_mu
 
-    T = _as_support(T)
-    ys = [mpf(str(v)) if not isinstance(v, mpf) else v for v in y_grid]
-    if len(ys) < 4:
-        raise DomainError("need at least 4 grid points")
+    T = SupportSet.coerce(T)
+    ys = parse_grid(y_grid, bits, "y")
     if any(not 0 < v <= mpf("0.02") for v in ys):
         raise DomainError("y grid must lie in (0, 0.02]")
     ys = sorted(ys, reverse=True)

@@ -26,7 +26,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf, workprec
 
 from .checks import bound_check
-from .core import SupportSet, SystemParams, build_gram, keep_complex
+from .core import SupportSet, SystemParams, as_count, build_gram, keep_complex, keep_real
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -40,7 +40,9 @@ from .hp import default_bits, hp_cholesky
 ON_ARC_TOL = mpf("1e-12")
 KERNEL_DEGENERACY_TOL = mpf("1e-30")
 QUAD_REL_TARGET = mpf("1e-13")
+QUAD_START_NODES = 16
 QUAD_NODE_CAP = 2 ** 16
+ARC_SAMPLES = 10 ** 4
 
 
 def _is_inf(z) -> bool:
@@ -52,33 +54,13 @@ def _is_inf(z) -> bool:
         return False
 
 
-def _degree(n, name):
-    """``n`` as a nonnegative int; non-integral values are refused, not truncated."""
-    try:
-        d = int(n)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{name} must be a nonnegative integer, got {n!r}") from exc
-    if d != n or d < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {n!r}")
-    return d
-
-
-def _cap_of(params_or_c):
-    # never mpf()-convert an existing mpf: that re-rounds at ambient precision
-    if isinstance(params_or_c, SystemParams):
-        return params_or_c.c
-    if isinstance(params_or_c, mpf):
-        return params_or_c
-    return mpf(params_or_c)
-
-
 # ---------------------------------------------------------------------------
 # conformal maps
 
 
 def phi_map(c, w):
     """Exterior map phi(w) = w (c w + 1)/(w + c); pole at w = -c."""
-    c = _cap_of(c)
+    c = keep_real(c)
     w = keep_complex(w)
     if abs(w + c) == 0:
         raise PoleError("phi has a pole at w = -c")
@@ -87,7 +69,7 @@ def phi_map(c, w):
 
 def phi_prime(c, w):
     """phi'(w) = c (w^2 + 2 c w + 1)/(w + c)^2."""
-    c = _cap_of(c)
+    c = keep_real(c)
     w = keep_complex(w)
     if abs(w + c) == 0:
         raise PoleError("phi' has a pole at w = -c")
@@ -100,7 +82,7 @@ def Phi_map(c, z, bits=None):
     Raises OnArcError when both candidate roots have modulus within
     1 +- 1e-12, i.e. z is numerically on the arc.
     """
-    c = _cap_of(c)
+    c = keep_real(c)
     bits = default_bits() if bits is None else bits
     with workprec(bits):
         z = keep_complex(z)
@@ -118,7 +100,7 @@ def Phi_map(c, z, bits=None):
 
 def phi_prime_sqrt(c, w):
     """Analytic branch q(w) of sqrt(phi'(w)) on |w| >= 1, q(inf) = sqrt(c)."""
-    c = _cap_of(c)
+    c = keep_real(c)
     w = keep_complex(w)
     u = 1 / w
     return mp.sqrt(c) * w * mp.sqrt(1 + 2 * c * u + u * u) / (w + c)
@@ -126,36 +108,14 @@ def phi_prime_sqrt(c, w):
 
 def Phi_prime(c, z, bits=None):
     """Phi'(z) computed through 1/phi'(Phi(z))."""
-    c = _cap_of(c)
+    c = keep_real(c)
     return 1 / phi_prime(c, Phi_map(c, z, bits=bits))
 
 
 def Phi_prime_sqrt(c, z, bits=None):
     """Analytic sqrt(Phi'(z)), positive at infinity."""
-    c = _cap_of(c)
+    c = keep_real(c)
     return 1 / phi_prime_sqrt(c, Phi_map(c, z, bits=bits))
-
-
-@dataclass(frozen=True)
-class ArcGeometry:
-    """The arc, its endpoints e^{+-i pi y}, and total rotation V = 2 pi (1+2y)."""
-
-    params: SystemParams
-    endpoint: mpc
-    total_rotation: mpf
-    bits: int
-
-    def point(self, theta):
-        with workprec(self.bits):
-            return mp.exp(mpc(0, 1) * mpf(theta))
-
-
-def arc_geometry(params: SystemParams, bits=None) -> ArcGeometry:
-    bits = params.bits if bits is None else bits
-    with workprec(bits):
-        endpoint = mp.exp(mpc(0, 1) * mp.pi * params.y)
-        v = 2 * mp.pi * (1 + 2 * params.y)
-    return ArcGeometry(params=params, endpoint=endpoint, total_rotation=v, bits=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -241,32 +201,32 @@ def legendre_nodes(n, bits):
     return result
 
 
-def integrate_doubling(level, rel_target=QUAD_REL_TARGET, bits=None,
-                       start_nodes=16, node_cap=QUAD_NODE_CAP):
+def integrate_doubling(level, bits=None):
     """Node-doubling loop over an n-node quadrature rule.
 
     ``level(n)`` returns the n-node approximation of the integral and the
-    largest sampled |integrand| in the same scale. Converged when two
-    successive node counts agree to ``rel_target`` relative to
-    max(|integral|, sampled peak), which keeps integrals that vanish by
-    symmetry from chasing an impossible relative tolerance. Raises
-    ConvergenceError past ``node_cap`` nodes.
+    largest sampled |integrand| in the same scale. Starts at
+    QUAD_START_NODES; converged when two successive node counts agree to
+    QUAD_REL_TARGET relative to max(|integral|, sampled peak), which keeps
+    integrals that vanish by symmetry from chasing an impossible relative
+    tolerance. Raises ConvergenceError past QUAD_NODE_CAP nodes. The
+    constants are read at call time.
     """
     bits = default_bits() if bits is None else bits
-    rel_target = mpf(rel_target)
     with workprec(bits):
-        n = start_nodes
+        n = QUAD_START_NODES
         prev, peak = level(n)
-        while 2 * n <= node_cap:
+        while 2 * n <= QUAD_NODE_CAP:
             n *= 2
             cur, pk = level(n)
             peak = max(peak, pk)
             scale = max(abs(cur), peak)
-            if abs(cur - prev) <= rel_target * scale:
+            if abs(cur - prev) <= QUAD_REL_TARGET * scale:
                 return cur
             prev = cur
         raise ConvergenceError(
-            f"quadrature did not converge to rel {rel_target} within {node_cap} nodes"
+            f"quadrature did not converge to rel {QUAD_REL_TARGET} "
+            f"within {QUAD_NODE_CAP} nodes"
         )
 
 
@@ -277,13 +237,11 @@ def _poly_eval(coeffs, z):
     return acc
 
 
-def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams,
-                      start_nodes=16, rel_target=QUAD_REL_TARGET, bits=None,
-                      node_cap=QUAD_NODE_CAP):
+def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
     """Arclength inner product (1/L) int_Gamma f conj(g) |dz| of polynomials.
 
-    Pure quadrature on theta in [-pi y, pi y], doubling from start_nodes
-    until two successive evaluations agree; this is the test oracle for
+    Pure quadrature on theta in [-pi y, pi y], node doubling by
+    ``integrate_doubling``; this is the test oracle for
     the closed-form Gram entries and the reproducing property, never a
     production path.
     """
@@ -301,8 +259,7 @@ def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams,
                 peak = max(peak, abs(val))
             return half * total, peak
 
-        total = integrate_doubling(level, rel_target=rel_target, bits=bits,
-                                   start_nodes=start_nodes, node_cap=node_cap)
+        total = integrate_doubling(level, bits=bits)
         return total / params.arc_length
 
 
@@ -345,8 +302,7 @@ def _boundary_rule(c, bits, n, piece):
     return _retained_boundary_rule(c, bits, n, piece)
 
 
-def szego_reproduce(params: SystemParams, n, z, rel_target=QUAD_REL_TARGET,
-                    bits=None, node_cap=QUAD_NODE_CAP):
+def szego_reproduce(params: SystemParams, n, z, bits=None):
     """Reproduce F(z) = Phi(z)^{-n} from its boundary trace via the kernel.
 
     Evaluates the reproducing integral over the slit boundary (the arc
@@ -364,7 +320,7 @@ def szego_reproduce(params: SystemParams, n, z, rel_target=QUAD_REL_TARGET,
     """
     bits = params.bits if bits is None else bits
     c, L = params.c, params.arc_length
-    n = _degree(n, "n")
+    n = as_count(n, "n")
     z = keep_complex(z)
     if not mp.isfinite(z):
         raise DomainError(f"reproduction point is not finite: {z}")
@@ -384,10 +340,8 @@ def szego_reproduce(params: SystemParams, n, z, rel_target=QUAD_REL_TARGET,
                 return K0 * total, abs(K0) * peak
             return level
 
-        part1 = integrate_doubling(piece_level(0), rel_target=rel_target,
-                                   bits=bits, node_cap=node_cap)
-        part2 = integrate_doubling(piece_level(1), rel_target=rel_target,
-                                   bits=bits, node_cap=node_cap)
+        part1 = integrate_doubling(piece_level(0), bits=bits)
+        part2 = integrate_doubling(piece_level(1), bits=bits)
         return (part1 + part2) / (2 * L)
 
 
@@ -496,7 +450,7 @@ def phi_laurent(c, depth, bits=None) -> LaurentSeries:
 
     gamma_n = c (1-c^2) (-c)^{n-1}; the coefficient of w is the capacity.
     """
-    c = _cap_of(c)
+    c = keep_real(c)
     bits = default_bits() if bits is None else bits
     with workprec(bits):
         coeffs = [c, 1 - c * c]
@@ -518,7 +472,7 @@ def inverse_map_laurent(c, depth, bits=None) -> LaurentSeries:
     The recurrence is exact at working precision; tail_bound extrapolates
     the measured geometric decay of the last stored coefficients.
     """
-    c = _cap_of(c)
+    c = keep_real(c)
     bits = default_bits() if bits is None else bits
     with workprec(bits):
         b = {1: 1 / c, 0: (c * c - 1) / c}
@@ -545,7 +499,7 @@ def faber_poly(params: SystemParams, n, truncation=None, bits=None):
     must allow at least n + 10 of them.
     """
     bits = params.bits if bits is None else bits
-    n = _degree(n, "Faber degree")
+    n = as_count(n, "Faber degree")
     if truncation is None:
         truncation = n + 16
     if truncation < n + 10:
@@ -605,7 +559,7 @@ class OrthoPolyTable:
 def leading_coeffs(params: SystemParams, n_max, bits=None) -> OrthoPolyTable:
     """k_0..k_{n_max} from the Cholesky factor of the contiguous Gram matrix."""
     bits = params.bits if bits is None else bits
-    n_max = _degree(n_max, "n_max")
+    n_max = as_count(n_max, "n_max")
     G = build_gram(params, SupportSet(tuple(range(n_max + 1))), bits=bits)
     L = hp_cholesky(G.as_lists(), bits=bits)
     with workprec(bits):
@@ -633,15 +587,16 @@ def _np_poly_eval(coeff_rows, z):
     return coeff_rows @ powers
 
 
-def faber_arc_max(params: SystemParams, coeffs, arc_samples=10 ** 4):
-    """Sampled max of |Faber_n| on the arc plus a float64 rounding cushion.
+def faber_arc_max(params: SystemParams, coeffs):
+    """Sampled max of |Faber_n| on the arc (ARC_SAMPLES points) plus a
+    float64 rounding cushion.
 
     Coefficients can reach c^{-n}, so the cushion tracks the l1 mass of
     the coefficient vector; it stays orders of magnitude below the
     theorem's slack for every tested configuration.
     """
     y = float(params.y)
-    theta = np.linspace(-np.pi * y, np.pi * y, arc_samples)
+    theta = np.linspace(-np.pi * y, np.pi * y, ARC_SAMPLES)
     z = np.exp(1j * theta)
     row = np.array([[float(a) for a in coeffs]], dtype=float)
     vals = np.abs(_np_poly_eval(row.astype(complex), z))[0]
@@ -673,7 +628,7 @@ def _unit_arc_polys(params, degree, count, rng):
 
 
 def bound_suite(params: SystemParams, n_max, samples=200, seed=0, polys=100,
-                arc_samples=10 ** 4, bits=None) -> BoundSuiteResult:
+                bits=None) -> BoundSuiteResult:
     """Certify the explicit arc inequalities on sampled points.
 
     Emits, per degree n <= n_max:
@@ -688,11 +643,9 @@ def bound_suite(params: SystemParams, n_max, samples=200, seed=0, polys=100,
     Individual section failures are captured, never aborting the suite.
     """
     bits = params.bits if bits is None else bits
-    n_max = _degree(n_max, "n_max")
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
-    if samples < 100:
-        raise DomainError("at least 100 sample points required")
+    n_max = as_count(n_max, "n_max", 1)
+    samples = as_count(samples, "samples", 100)
+    polys = as_count(polys, "polys", 1)
     checks = []
     errors = []
     rng = np.random.default_rng(seed)
@@ -716,7 +669,7 @@ def bound_suite(params: SystemParams, n_max, samples=200, seed=0, polys=100,
             rot_bound = 2 * (1 + 2 * params.y)
         for n in range(n_max + 1):
             coeffs = faber_poly(params, n, bits=bits)
-            peak = faber_arc_max(params, coeffs, arc_samples=arc_samples)
+            peak = faber_arc_max(params, coeffs)
             checks.append(bound_check(f"faber_arc_max[n={n}]", peak, rot_bound))
     except Exception as exc:  # noqa: BLE001
         errors.append(("faber_arc_max", repr(exc)))

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from mpmath import mpf, workprec
 
-from srflimits import reports
-from srflimits.cli import run_cli
+from srflimits import SystemParams, reports
+from srflimits.cli import build_parser, run_cli
 
 
 def run(argv, capsys):
@@ -145,6 +147,11 @@ def test_asymptote_cli(capsys):
     assert data["results"]["gram_order_alpha"] == 2
     assert data["results"]["claimed_alpha"] == 3
     assert data["results"]["pencil_mu"] is not None
+    # grid values are parsed at the report's bits, like --y
+    grid = ("0.001", "0.002", "0.004", "0.008")
+    echoed = [row["y"] for row in data["results"]["table"]]
+    assert sorted(echoed, key=lambda e: float(e["dec"])) == \
+        [reports.enc_real(SystemParams.from_y(v, bits=256).y, 256) for v in grid]
 
 
 def test_output_file(tmp_path, capsys):
@@ -237,3 +244,26 @@ def test_minimax_bounds_use_sigma_at_report_bits(capsys):
         sigma = mpf("1e-6")
         assert abs(upper - 2 * sigma / eps) <= mpf(2) ** (-200) * upper
         assert abs(lower - sigma / (2 * eps)) <= mpf(2) ** (-200) * lower
+
+
+@pytest.mark.parametrize("argv", [
+    ["spark", "--y", "0.2", "--eps", "0.1", "--k-max", "-1"],
+    ["recover", "--y", "0.1", "--window", "0,1,2", "--coeffs", "1;0;1",
+     "--sigma", "1e-6", "--k-cap", "-1"],
+    ["bounds", "--y", "0.1", "--n", "2", "--polys", "0"],
+    ["contiguity", "--y", "0.1", "--size", "2", "--span", "4", "--budget", "-1"],
+])
+def test_bad_count_exit_two(argv, capsys):
+    code, out = run(argv, capsys)
+    assert code == 2 and out == ""
+
+
+def test_readme_cli_examples_parse():
+    # catches documentation drift when flags change; computes nothing
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("srf ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv[1:]).subcommand == argv[1]

@@ -105,6 +105,10 @@ def test_l0_window_cap():
     f = MeasurementVector(window=W, coeffs=tuple(mpc(0) for _ in W), rho=mpf(0))
     with pytest.raises(DomainError):
         l0_solve(p, f, 0, 2)
+    small = MeasurementVector(window=SupportSet.of(0, 1), coeffs=(1, 0), rho=0)
+    for k_cap in (1.5, -1, 3):
+        with pytest.raises(DomainError):
+            l0_solve(p, small, mpf("0.1"), k_cap)
 
 
 def test_l0_first_feasible_support_is_lexicographic():
@@ -166,6 +170,8 @@ def test_adversarial_pair_rejects_bad_inputs():
         adversarial_pair(p, 1, mpf(0))
     with pytest.raises(DomainError):
         adversarial_pair(p, 1, mpf("inf"))
+    with pytest.raises(DomainError):
+        adversarial_pair(p, 1.5, mpf("1e-4"))
 
 
 # --- minimax sandwich -------------------------------------------------------
@@ -229,6 +235,9 @@ def test_scaling_input_validation():
         srf_scaling(1, ("8", "12", "16"))
     with pytest.raises(DomainError):
         srf_scaling(1, ("8", "12", "16", "2"))
+    for k in (1.5, 0):
+        with pytest.raises(DomainError):
+            srf_scaling(k, ("8", "12", "16", "24"))
 
 
 def test_scaling_degenerate_grid():

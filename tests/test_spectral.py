@@ -96,6 +96,23 @@ def test_epsilon_span_guard():
     p = SystemParams.from_y("0.1")
     with pytest.raises(SpanTooSmallError):
         epsilon(p, 4, mode="exhaustive", span_max=2)
+    with pytest.raises(SpanTooSmallError):
+        epsilon(p, 2, mode="exhaustive")
+    # counts are refused when not integral, never truncated
+    for k in (1.5, 2.9, 0):
+        with pytest.raises(DomainError):
+            epsilon(p, k)
+    with pytest.raises(DomainError):
+        epsilon(p, 2, mode="exhaustive", span_max=2.5)
+    for k_max in (1.5, -1, 0):
+        with pytest.raises(DomainError):
+            eps_spark(p, "0.1", k_max)
+    with pytest.raises(DomainError):
+        verify_srf_bounds(p, 1.5)
+    with pytest.raises(DomainError):
+        contiguity_scan(p, 2.5, 4)
+    with pytest.raises(DomainError):
+        contiguity_scan(p, 2, 4.5)
 
 
 def test_epsilon_recomputable_at_attaining_support():
@@ -162,6 +179,9 @@ def test_contiguity_budget_guard():
     p = SystemParams.from_y("0.1")
     with pytest.raises(EnumerationBudgetError):
         contiguity_scan(p, 4, 40, budget=100)
+    for budget in (-1, 0, 2.5):
+        with pytest.raises(DomainError):
+            contiguity_scan(p, 2, 4, budget=budget)
 
 
 def test_exhaustive_budget_guard_before_any_support(monkeypatch):
@@ -265,3 +285,7 @@ def test_smally_grid_validation():
         smally_exponent(SupportSet.of(0, 1), ("0.001", "0.002", "0.004", "0.1"))
     with pytest.raises(PrecisionError):
         smally_exponent(SupportSet.of(0, 1), ("0.002",) * 4)
+    for bad in ("nan", "inf", "0"):
+        with pytest.raises(DomainError):
+            smally_exponent(SupportSet.of(0, 1), ("0.001", "0.002", "0.004", bad))
+

@@ -20,12 +20,17 @@ from srflimits import (
 )
 from conftest import lit
 from srflimits import szego
-from srflimits.errors import DomainError, OnArcError, PoleError, TruncationError
+from srflimits.errors import (
+    ConvergenceError,
+    DomainError,
+    OnArcError,
+    PoleError,
+    TruncationError,
+)
 from srflimits.szego import (
     LaurentSeries,
     Phi_prime,
     Phi_prime_sqrt,
-    arc_geometry,
     inverse_map_laurent,
     phi_laurent,
     phi_prime,
@@ -108,14 +113,6 @@ def test_phi_prime_sqrt_is_analytic_branch():
             z = phi_map(p.c, w)
             s = Phi_prime_sqrt(p.c, z, bits=192)
             assert abs(s * s - Phi_prime(p.c, z, bits=192)) < mpf(2) ** (-120) * abs(s * s)
-
-
-def test_arc_geometry_total_rotation():
-    p = SystemParams.from_y("0.25", bits=128)
-    geo = arc_geometry(p)
-    with workprec(128):
-        assert abs(geo.total_rotation - 2 * mp.pi * mpf("1.5")) < mpf(2) ** (-100)
-        assert abs(geo.endpoint - mp.exp(mpc(0, 1) * mp.pi * p.y)) < mpf(2) ** (-100)
 
 
 # --- Szego kernel -----------------------------------------------------------
@@ -271,6 +268,19 @@ def test_rules_above_retention_threshold_are_not_kept(monkeypatch):
     assert max(n for n, b in szego._NODE_CACHE if b == bits) == 32
     # the 16- and 32-node rules of both pieces, and nothing larger
     assert szego._retained_boundary_rule.cache_info().currsize == 4
+
+
+def test_quadrature_node_cap_raises(monkeypatch):
+    # the cap is read at call time: at 32 nodes a point near the arc and a
+    # degree-200 monomial both stop after one doubling, with no large rule
+    monkeypatch.setattr(szego, "QUAD_NODE_CAP", 32)
+    p = SystemParams.from_y("0.3", bits=128)
+    with workprec(128):
+        z = phi_map(p.c, mpf("1.001") * mp.exp(mpc(0, 1)))
+    with pytest.raises(ConvergenceError):
+        szego_reproduce(p, 1, z)
+    with pytest.raises(ConvergenceError):
+        arc_inner_product([0] * 200 + [1], [1], p)
 
 
 # --- leading coefficients ---------------------------------------------------
