@@ -54,7 +54,9 @@ def _add_common(p, needs_y=True):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for contiguity; every other "
+                        "subcommand runs serially and ignores it")
 
 
 def _params_from(args, bits) -> SystemParams:
@@ -196,8 +198,7 @@ def _run_smin(args, bits, params):
 
 
 def _run_epsilon(args, bits, params):
-    res = epsilon(params, args.k, mode=args.mode, span_max=args.span,
-                  workers=args.threads)
+    res = epsilon(params, args.k, mode=args.mode, span_max=args.span)
     results = {
         "k": res.k,
         "epsilon": reports.enc_real(res.value, bits),
@@ -210,7 +211,7 @@ def _run_epsilon(args, bits, params):
 
 def _run_spark(args, bits, params):
     res = eps_spark(params, _to_mpf(args.eps, bits), args.k_max, mode=args.mode,
-                    span_max=args.span, workers=args.threads)
+                    span_max=args.span)
     results = {
         "spark": res.value,
         "saturated": res.saturated,
@@ -237,7 +238,8 @@ def _run_contiguity(args, bits, params):
              for T, v in res.table]
     results = {"holds": res.holds, "supports_checked": res.supports_checked,
                "table": table}
-    cfg = {"size": args.size, "span": args.span, "budget": args.budget}
+    cfg = {"size": args.size, "span": args.span, "budget": args.budget,
+           "threads": args.threads}
     return results, checks, [], cfg
 
 
@@ -419,8 +421,7 @@ def run_cli(argv=None) -> int:
         print(f"computational error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATIONAL
 
-    config = {"precision_bits": bits, "format": args.format,
-              "threads": args.threads}
+    config = {"precision_bits": bits, "format": args.format}
     config.update(cfg_extra)
     if params is not None:
         config.update(_echo_params(params, bits))

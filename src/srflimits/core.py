@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpc, mpf, workprec
 
@@ -48,14 +49,15 @@ def finite_norm(value, name, positive=False):
 
 
 def as_count(n, name, least=0):
-    """``n`` as an int of at least ``least``; non-integral values are
-    refused, not truncated."""
+    """``n`` as an int of at least ``least`` (any sign when ``least`` is
+    None); non-integral values are refused, not truncated."""
+    bound = "" if least is None else f" >= {least}"
     try:
         d = int(n)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}") from exc
-    if d != n or d < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
+        raise DomainError(f"{name} must be an integer{bound}, got {n!r}") from exc
+    if d != n or (least is not None and d < least):
+        raise DomainError(f"{name} must be an integer{bound}, got {n!r}")
     return d
 
 
@@ -135,7 +137,7 @@ class SupportSet:
     offsets: tuple
 
     def __post_init__(self):
-        offs = tuple(int(t) for t in self.offsets)
+        offs = tuple(as_count(t, "support offset", None) for t in self.offsets)
         if not offs:
             raise SupportError("support set must be nonempty")
         if any(b <= a for a, b in zip(offs, offs[1:])):
@@ -189,11 +191,18 @@ class SupportSet:
 def gram_entry(params: SystemParams, m, bits=None) -> mpf:
     """Inner product of two atoms at offset difference m: sinc(pi*y*m)."""
     bits = params.bits if bits is None else bits
-    m = int(m)
+    m = as_count(m, "offset difference", None)
     if m == 0:
         return mpf(1)
+    return _sinc(params.y, abs(m), bits)
+
+
+@lru_cache(maxsize=4096)
+def _sinc(y, m, bits):
+    """sin(pi*y*m) / (pi*y*m) at ``bits``, for m > 0. Scans rebuild the
+    same few entries for every support, at every ladder level."""
     with workprec(bits):
-        x = mp.pi * params.y * m
+        x = mp.pi * y * m
         return mp.sin(x) / x
 
 

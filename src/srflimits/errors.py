@@ -46,7 +46,8 @@ class PrecisionCapError(PrecisionError):
 class NotPositiveDefiniteError(PrecisionError):
     """Cholesky pivot failure: either a genuine singularity or too few bits.
 
-    The failing pivot index is stored in ``pivot``.
+    The failing pivot index is stored in ``pivot`` (None when a shifted
+    copy of the matrix failed, see hp.spectrum_above).
     """
 
     def __init__(self, pivot, message=None):

@@ -5,9 +5,12 @@ stay immutable-by-convention and picklable. Matrices never exceed a few
 dozen rows. The pieces:
 
 * Cholesky factorization with pivot diagnostics, and its solve,
+* ``spectrum_above``: the inertia test "M - s I factors, so no eigenvalue
+  lies at or below s", shared by min_eig's confirming step and the prune
+  of the exhaustive eps_k scan,
 * ``min_eig``: the smallest eigenpair of a positive definite matrix by
-  Cholesky-based shifted inverse iteration, confirmed by a Cholesky of
-  M - mu (1 - 2^-20) I (Sylvester inertia). It makes no relative-accuracy
+  Cholesky-based shifted inverse iteration, confirmed by spectrum_above
+  at M - mu (1 - 2^-20) I. It makes no relative-accuracy
   claim for tiny eigenvalues: at ``bits`` the value is good to about
   n 2^-bits ||M|| absolute, which for the unit-diagonal Gram matrices
   here is 2^-bits times their condition number relative,
@@ -101,7 +104,15 @@ def cholesky_solve(L, b, bits=None):
             for k in range(i):
                 s -= L[i][k] * y[k]
             y[i] = s / L[i][i]
-        x = y[:]
+    return back_substitute(L, y, bits=bits)
+
+
+def back_substitute(L, y, bits=None):
+    """Solve L^T x = y (the second half of cholesky_solve)."""
+    bits = default_bits() if bits is None else bits
+    n = len(L)
+    with workprec(bits):
+        x = list(y)
         for i in range(n - 1, -1, -1):
             s = x[i]
             for k in range(i + 1, n):
@@ -114,6 +125,25 @@ def _shifted(M, s):
     """M - s*I as a new matrix."""
     return [[x - s if i == j else x for j, x in enumerate(row)]
             for i, row in enumerate(M)]
+
+
+def rounding_floor(M, bits):
+    """n 2^(8-bits) max_i M_ii: the absolute accuracy that min_eig assumes
+    at ``bits``, and the least margin a shifted Cholesky can resolve."""
+    with workprec(bits):
+        return len(M) * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(len(M)))
+
+
+def spectrum_above(M, s, bits):
+    """True when M - s*I factors at ``bits``. By Sylvester's law of inertia
+    no eigenvalue of M then lies at or below s, up to rounding_floor(M, bits).
+    False means only that this precision proves nothing."""
+    with workprec(bits):
+        try:
+            hp_cholesky(_shifted(M, s), bits=bits)
+        except NotPositiveDefiniteError:
+            return False
+    return True
 
 
 def min_eig(M, bits=None, max_steps=None):
@@ -151,7 +181,7 @@ def min_eig(M, bits=None, max_steps=None):
     with workprec(bits):
         L = hp_cholesky(M, bits=bits)
         tol = mpf(2) ** (8 - bits)
-        res_tol = n * tol * max(M[i][i] for i in range(n))
+        res_tol = rounding_floor(M, bits)
         lo, hi = mpf(0), mp.inf
         # alternating signs, graded so that v is not orthogonal to the
         # reflection-symmetric eigenvectors of a symmetric support
@@ -180,7 +210,9 @@ def min_eig(M, bits=None, max_steps=None):
             raise ConvergenceError(
                 f"inverse iteration did not converge within {max_steps} steps"
             )
-        hp_cholesky(_shifted(M, mu * (1 - CONFIRM_MARGIN)), bits=bits)
+        if not spectrum_above(M, mu * (1 - CONFIRM_MARGIN), bits):
+            raise NotPositiveDefiniteError(
+                None, f"M - mu (1 - 2^-20) I does not factor at {bits} bits")
         pivot = max(range(n), key=lambda k: abs(v[k]))
         if v[pivot] < 0:
             v = [-x for x in v]

@@ -8,7 +8,6 @@ error the theory brackets, not to approximate it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf, workprec
@@ -29,11 +28,12 @@ from .core import (
 from .errors import (
     DomainError,
     InfeasibleError,
+    NotPositiveDefiniteError,
     PrecisionError,
     ThresholdTieError,
 )
-from .hp import cholesky_solve, hp_cholesky
-from .spectral import CONTIGUOUS, epsilon, loglog_fit, min_eig_for_support
+from .hp import back_substitute
+from .spectral import CONTIGUOUS, epsilon, loglog_fit
 
 DEFAULT_WINDOW_CAP = 16
 
@@ -81,26 +81,22 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
         b_window = [mp.fdot(row, f.coeffs) for row in G.entries]  # G_W coeffs
         examined = 0
         for s in range(0, k_cap + 1):
-            for idx in itertools.combinations(range(nw), s):
+            for idx, L, z, proj in _factored_supports(G.entries, b_window, s):
                 examined += 1
+                if fnorm2 - proj > target:
+                    continue
                 if s == 0:
-                    resid2 = fnorm2
-                    coeffs_T = ()
-                else:
-                    sub = [[G.entries[i][j] for j in idx] for i in idx]
-                    b = [b_window[i] for i in idx]
-                    L = hp_cholesky(sub, bits=bits)
-                    x = cholesky_solve(L, b, bits=bits)
-                    proj = sum((mp.conj(bi) * xi).real for bi, xi in zip(b, x))
-                    resid2 = fnorm2 - proj
-                    coeffs_T = tuple(x)
-                if resid2 <= target:
-                    residual = mp.sqrt(resid2) if resid2 > 0 else mpf(0)
-                    if s == 0:
-                        return RecoveryResult(None, None, 0, residual, examined)
-                    T = SupportSet(tuple(window.offsets[i] for i in idx))
-                    est = CoefficientVector(support=T, values=coeffs_T)
-                    return RecoveryResult(est, T, s, residual, examined)
+                    residual = mp.sqrt(fnorm2) if fnorm2 > 0 else mpf(0)
+                    return RecoveryResult(None, None, 0, residual, examined)
+                x = back_substitute(L, z, bits=bits)
+                # report ||f||^2 - Re b* x from the coefficients the estimate
+                # carries, not the running ||z||^2 that decided feasibility
+                b = [b_window[i] for i in idx]
+                resid2 = fnorm2 - sum((mp.conj(bi) * xi).real for bi, xi in zip(b, x))
+                residual = mp.sqrt(resid2) if resid2 > 0 else mpf(0)
+                T = SupportSet(tuple(window.offsets[i] for i in idx))
+                est = CoefficientVector(support=T, values=tuple(x))
+                return RecoveryResult(est, T, s, residual, examined)
     if f.rho > sigma:
         raise InfeasibleError(
             f"rho = {f.rho} exceeds sigma = {sigma}: no support can explain f"
@@ -109,6 +105,55 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
         f"no support of size <= {k_cap} reaches residual {sigma} "
         f"({examined} supports examined)"
     )
+
+
+def _factored_supports(G, b, s):
+    """(idx, L, z, proj) for every s-subset idx of range(len(G)), in
+    itertools.combinations order. L is the Cholesky factor of G over idx,
+    z solves L z = b[idx], and proj = ||z||^2 = b* G_idx^-1 b.
+
+    Consecutive subsets share prefixes, so each prefix is factored once and
+    a subset costs one bordered row of L and one entry of z. The rows and
+    entries are those of hp_cholesky and cholesky_solve, operation for
+    operation. L and z are the walk's own lists, valid only until the next
+    item is drawn. Runs at the ambient precision.
+    """
+    n = len(G)
+    idx, L, z, projs = [], [], [], [mpf(0)]
+
+    def walk(start):
+        depth = len(idx)
+        if depth == s:
+            yield tuple(idx), L, z, projs[-1]
+            return
+        for j in range(start, n - s + depth + 1):
+            row = []
+            for i, p in enumerate(idx):
+                acc = G[j][p]
+                for m in range(i):
+                    acc -= row[m] * L[i][m]
+                row.append(acc / L[i][i])
+            acc = G[j][j]
+            for x in row:
+                acc -= x * x
+            if acc <= 0:
+                raise NotPositiveDefiniteError(depth)
+            row.append(mp.sqrt(acc))
+            acc = b[j]
+            for m in range(depth):
+                acc -= row[m] * z[m]
+            zj = acc / row[depth]
+            idx.append(j)
+            L.append(row)
+            z.append(zj)
+            projs.append(projs[-1] + (zj * mp.conj(zj)).real)
+            yield from walk(j + 1)
+            idx.pop()
+            L.pop()
+            z.pop()
+            projs.pop()
+
+    return walk(0)
 
 
 @dataclass(frozen=True)
@@ -143,7 +188,7 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
     bits = params.bits if bits is None else bits
     eps_res = epsilon(params, 2 * k, mode=mode, span_max=span_max)
     T = eps_res.attaining_support
-    eig = min_eig_for_support(params, T)
+    eig = eps_res.eig
     with workprec(max(bits, 2 * eig.bits_used)):
         eps2k = mp.sqrt(eig.value)
         v = eig.vector

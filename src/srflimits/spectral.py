@@ -5,6 +5,8 @@ The minimum over all supports of a given size is not computable on an
 infinite grid, so every result is labeled with its mode: 'contiguous'
 invokes the contiguous-minimizer property, 'exhaustive' enumerates all
 canonical supports (tau_0 = 0) up to a stated span and is exact within it.
+The exhaustive eps_k scan runs the precision ladder only on supports that
+one shifted Cholesky cannot rule out; contiguity scans evaluate them all.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ from .errors import (
     PrecisionError,
     SpanTooSmallError,
 )
-from .hp import MinEigResult, min_eig_adaptive
+from .hp import (
+    CONFIRM_MARGIN,
+    LADDER_START_BITS,
+    MinEigResult,
+    min_eig_adaptive,
+    rounding_floor,
+    spectrum_above,
+)
 from .szego import leading_coeffs
 
 __all__ = [
@@ -55,25 +64,34 @@ def min_eig_for_support(params: SystemParams, T) -> MinEigResult:
     )
 
 
+def _evaluate(params, T):
+    """(sigma_min, ladder result) over T; a single atom has no ladder result."""
+    if len(T) == 1:
+        return mpf(1), None
+    eig = min_eig_for_support(params, T)
+    with workprec(2 * eig.bits_used):
+        return mp.sqrt(eig.value), eig
+
+
 def sigma_min(params: SystemParams, T) -> mpf:
     """Least singular value of the atom matrix over T: sqrt(lambda_min(G))."""
-    T = SupportSet.coerce(T)
-    if len(T) == 1:
-        return mpf(1)
-    res = min_eig_for_support(params, T)
-    with workprec(2 * res.bits_used):
-        return mp.sqrt(res.value)
+    return _evaluate(params, SupportSet.coerce(T))[0]
 
 
 @dataclass(frozen=True)
 class EpsilonResult:
-    """Lower restricted isometry constant at sparsity k, with provenance."""
+    """Lower restricted isometry constant at sparsity k, with provenance.
+
+    ``eig`` is the ladder result over the attaining support; it is None at
+    k = 1, where sigma_min is 1 without an eigenproblem.
+    """
 
     k: int
     value: mpf
     attaining_support: SupportSet
     mode: str
     span_searched: int | None
+    eig: MinEigResult | None
 
 
 def canonical_supports(k, span_max):
@@ -103,8 +121,7 @@ def _check_budget(k, span_max, budget):
         )
 
 
-def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None,
-            workers=1) -> EpsilonResult:
+def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None) -> EpsilonResult:
     """eps_k = min over size-k supports of sigma_min(A_T).
 
     Contiguous mode evaluates the single support {0..k-1}; exhaustive mode
@@ -115,19 +132,50 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None,
     k = as_count(k, "sparsity level k", 1)
     if mode == CONTIGUOUS:
         T = SupportSet(tuple(range(k)))
-        return EpsilonResult(k=k, value=sigma_min(params, T),
-                             attaining_support=T, mode=CONTIGUOUS,
-                             span_searched=None)
+        value, eig = _evaluate(params, T)
+        return EpsilonResult(k=k, value=value, attaining_support=T, mode=CONTIGUOUS,
+                             span_searched=None, eig=eig)
     if mode != EXHAUSTIVE:
         raise DomainError(f"unknown mode {mode!r}")
     span_max = _span(span_max, k)
     _check_budget(k, span_max, DEFAULT_ENUMERATION_BUDGET)
-    best_val, best_T = None, None
-    for T, val in _scan(params, canonical_supports(k, span_max), workers):
+    value, T, eig = _least(params, canonical_supports(k, span_max))
+    return EpsilonResult(k=k, value=value, attaining_support=T, mode=EXHAUSTIVE,
+                         span_searched=span_max, eig=eig)
+
+
+def _cannot_win(G, lam_best, bits):
+    """True when G has no eigenvalue at or below lam_best, proven by one
+    Cholesky of G - lam_best (1 + CONFIRM_MARGIN) I at ``bits``. The proof
+    is trusted only when the margin lam_best CONFIRM_MARGIN exceeds the
+    rounding floor; below it, and whenever the Cholesky fails, the answer
+    is False and the support is evaluated in full."""
+    with workprec(bits):
+        margin = lam_best * CONFIRM_MARGIN
+        return margin > rounding_floor(G, bits) and spectrum_above(G, lam_best + margin, bits)
+
+
+def _least(params, supports):
+    """(sigma_min, support, ladder result) of the first support, in the
+    order given, attaining the least sigma_min.
+
+    A support that provably has no eigenvalue at or below the best
+    lambda_min so far cannot win, not even a tie, and is skipped after one
+    shifted Cholesky at LADDER_START_BITS; every other support climbs the
+    full precision ladder, so the strict comparison below sees the same
+    values as an unpruned scan.
+    """
+    bits = LADDER_START_BITS
+    at_start = params.at_bits(bits)
+    best_val, best_T, best_eig = None, None, None
+    for T in supports:
+        if best_eig is not None and _cannot_win(
+                build_gram(at_start, T, bits=bits).as_lists(), best_eig.value, bits):
+            continue
+        val, eig = _evaluate(params, T)
         if best_val is None or val < best_val:
-            best_val, best_T = val, T
-    return EpsilonResult(k=k, value=best_val, attaining_support=best_T,
-                         mode=EXHAUSTIVE, span_searched=span_max)
+            best_val, best_T, best_eig = val, T, eig
+    return best_val, best_T, best_eig
 
 
 def _scan_worker(args):
@@ -169,7 +217,7 @@ class SparkResult:
 
 
 def eps_spark(params: SystemParams, eps, k_max, mode=CONTIGUOUS,
-              span_max=None, workers=1) -> SparkResult:
+              span_max=None) -> SparkResult:
     """Largest s <= k_max such that every support of size <= s has
     sigma_min at least eps. Returns 0 when even single atoms fail."""
     eps = keep_real(eps)
@@ -178,7 +226,7 @@ def eps_spark(params: SystemParams, eps, k_max, mode=CONTIGUOUS,
     k_max = as_count(k_max, "k_max", 1)
     levels = []
     for s in range(1, k_max + 1):
-        res = epsilon(params, s, mode=mode, span_max=span_max, workers=workers)
+        res = epsilon(params, s, mode=mode, span_max=span_max)
         levels.append((s, res.value))
         if res.value < eps:
             return SparkResult(value=s - 1, saturated=False, threshold=eps,

@@ -78,6 +78,19 @@ def test_determinism_except_timestamp(capsys):
     assert strip_timestamp(out1) == strip_timestamp(out2)
 
 
+def test_threads_echoed_only_where_a_pool_can_run(capsys):
+    argv = ["epsilon", "--y", "0.2", "--k", "3", "--mode", "exhaustive",
+            "--span", "8", "--precision-bits", "128"]
+    code1, out1 = run(argv + ["--threads", "1"], capsys)
+    code2, out2 = run(argv + ["--threads", "2"], capsys)
+    assert code1 == code2 == 0
+    assert strip_timestamp(out1) == strip_timestamp(out2)
+    assert "threads" not in json.loads(out1)["config"]
+    _, out = run(["contiguity", "--y", "0.05", "--size", "2", "--span", "4",
+                  "--threads", "1"], capsys)
+    assert json.loads(out)["config"]["threads"] == 1
+
+
 def test_srf_y_duality(capsys):
     _, out_srf = run(["epsilon", "--srf", "8", "--k", "2",
                       "--precision-bits", "128"], capsys)

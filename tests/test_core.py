@@ -113,6 +113,15 @@ def test_support_validation():
         SupportSet((0, 0))
     with pytest.raises(SupportError):
         SupportSet((3, 1))
+    # offsets are refused when not integral, never truncated; any sign is fine
+    p = SystemParams.from_y("0.1")
+    for bad in ((0, 1.9), (0, 1.5), (-0.5, 2)):
+        with pytest.raises(DomainError):
+            SupportSet(bad)
+    for m in (1.5, -0.5, "1"):
+        with pytest.raises(DomainError):
+            gram_entry(p, m)
+    assert SupportSet.of(-3, 2.0).offsets == (-3, 2)
 
 
 def test_support_canonical_and_reflect():

@@ -1,5 +1,7 @@
 """Brute-force l0 recovery, adversarial pairs, minimax sandwich, scaling."""
 
+import itertools
+
 import pytest
 
 import numpy as np
@@ -18,6 +20,7 @@ from srflimits import (
     synthesize,
 )
 from srflimits.core import MeasurementVector, gram_quadform
+from srflimits.hp import cholesky_solve, hp_cholesky
 from srflimits.errors import (
     DomainError,
     InfeasibleError,
@@ -122,6 +125,54 @@ def test_l0_first_feasible_support_is_lexicographic():
     # with a generous tolerance the first lexicographic support {0} wins
     big = l0_solve(p, f, mpf("0.999999"), 2)
     assert big.support.offsets == (0,)
+
+
+def per_support_l0(p, f, sigma, k_cap, bits):
+    """The search l0_solve used to run, one full Cholesky and solve per
+    support: (window indices, coefficients, residual, supports examined),
+    or None in place of the first three when nothing is feasible."""
+    G = build_gram(p, f.window, bits=bits)
+    with workprec(bits):
+        fnorm2 = gram_quadform(G.entries, f.coeffs, bits=bits) + f.rho * f.rho
+        target = sigma * sigma + mpf(2) ** (-bits // 2) * (1 + fnorm2)
+        b_window = [mp.fdot(row, f.coeffs) for row in G.entries]
+        examined = 0
+        for s in range(k_cap + 1):
+            for idx in itertools.combinations(range(len(f.window)), s):
+                examined += 1
+                sub = [[G.entries[i][j] for j in idx] for i in idx]
+                b = [b_window[i] for i in idx]
+                x = cholesky_solve(hp_cholesky(sub, bits=bits), b, bits=bits) if s else []
+                resid2 = fnorm2 - sum((mp.conj(bi) * xi).real for bi, xi in zip(b, x))
+                if resid2 <= target:
+                    residual = mp.sqrt(resid2) if resid2 > 0 else mpf(0)
+                    return idx, x, residual, examined
+    return None, None, None, examined
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_l0_matches_per_support_cholesky(seed):
+    rng = np.random.default_rng(seed)
+    p = SystemParams.from_y(("0.1", "0.2", "0.3")[seed % 3], bits=256)
+    W = SupportSet(tuple(sorted(rng.choice(16, size=7 + seed, replace=False).tolist())))
+    planted = sorted(rng.choice(len(W), size=1 + seed % 3, replace=False).tolist())
+    with workprec(256):
+        coeffs = [mpc(*rng.standard_normal(2)) * mpf("1e-7") for _ in W]
+        for i in planted:
+            coeffs[i] += mpc(*rng.standard_normal(2))
+    f = MeasurementVector(window=W, coeffs=coeffs, rho=mpf("1e-7"))
+    sigma = mpf("1e-5")
+    for k_cap in (len(planted), len(planted) - 1):
+        idx, x, residual, examined = per_support_l0(p, f, sigma, k_cap, 256)
+        if idx is None:
+            with pytest.raises(InfeasibleError, match=f"{examined} supports examined"):
+                l0_solve(p, f, sigma, k_cap)
+            continue
+        res = l0_solve(p, f, sigma, k_cap)
+        assert res.supports_examined == examined
+        assert res.support.offsets == tuple(W.offsets[i] for i in idx)
+        assert all(abs(a - b) <= mpf(2) ** -200 for a, b in zip(res.estimate.values, x))
+        assert res.residual == residual
 
 
 # --- adversarial pairs ------------------------------------------------------

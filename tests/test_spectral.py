@@ -25,6 +25,8 @@ from srflimits.errors import (
     PrecisionError,
     SpanTooSmallError,
 )
+from srflimits import spectral
+from srflimits.hp import spectrum_above
 from srflimits.spectral import canonical_supports, min_eig_for_support
 
 
@@ -186,12 +188,10 @@ def test_contiguity_budget_guard():
 
 def test_exhaustive_budget_guard_before_any_support(monkeypatch):
     # C(100000, 4) ~ 4e18 supports: refused up front, nothing evaluated
-    import srflimits.spectral as spectral
-
     def evaluated(*args, **kwargs):
         raise AssertionError("a support was evaluated")
 
-    monkeypatch.setattr(spectral, "sigma_min", evaluated)
+    monkeypatch.setattr(spectral, "min_eig_for_support", evaluated)
     p = SystemParams.from_y("0.1")
     with pytest.raises(EnumerationBudgetError):
         epsilon(p, 5, mode="exhaustive", span_max=100000)
@@ -200,14 +200,11 @@ def test_exhaustive_budget_guard_before_any_support(monkeypatch):
 def test_eps_spark_budget_guard(monkeypatch):
     # level 1 is a single atom; level 2 would be 10**6 + 1 supports, one
     # more than the default budget, and is refused before any of them runs
-    import srflimits.spectral as spectral
-
     def evaluated(params, T):
-        if len(T) > 1:
-            raise AssertionError("a level-2 support was evaluated")
-        return mpf(1)
+        raise AssertionError("a level-2 support was evaluated")
 
-    monkeypatch.setattr(spectral, "sigma_min", evaluated)
+    # level 1 needs no eigenproblem, so any call is a level-2 support
+    monkeypatch.setattr(spectral, "min_eig_for_support", evaluated)
     p = SystemParams.from_y("0.1")
     with pytest.raises(EnumerationBudgetError):
         eps_spark(p, mpf("1e-3"), 5, mode="exhaustive", span_max=10 ** 6 + 1)
@@ -250,11 +247,70 @@ def test_rayleigh_quotient_never_beats_lambda_min():
 
 
 def test_parallel_scan_matches_serial():
+    # 66 supports: above the 64 at which _scan forks
     p = SystemParams.from_y("0.2")
-    serial = epsilon(p, 3, mode="exhaustive", span_max=12, workers=1)
-    forked = epsilon(p, 3, mode="exhaustive", span_max=12, workers=2)
-    assert serial.attaining_support == forked.attaining_support
-    assert serial.value == forked.value
+    serial = contiguity_scan(p, 3, 12, workers=1)
+    forked = contiguity_scan(p, 3, 12, workers=2)
+    assert serial == forked
+    assert serial.supports_checked == 66
+
+
+# --- the pruned exhaustive scan ---------------------------------------------
+
+
+def brute_least(p, supports):
+    """sigma_min of every support, the first strict minimum kept."""
+    best = None
+    for T in supports:
+        val = sigma_min(p, T)
+        if best is None or val < best[0]:
+            best = (val, T)
+    return best
+
+
+@pytest.mark.parametrize("y,k,span", [
+    ("0.1", 3, 12),  # span above 1/y = 10
+    ("0.05", 2, 25),  # span above 1/y = 20
+    ("0.2", 4, 7),
+    ("0.3", 3, 6),
+    ("0.45", 4, 6),
+])
+def test_pruned_epsilon_matches_brute_force(y, k, span):
+    p = SystemParams.from_y(y)
+    supports = list(canonical_supports(k, span))
+    res = epsilon(p, k, mode="exhaustive", span_max=span)
+    val, T = brute_least(p, supports)
+    assert res.value._mpf_ == val._mpf_
+    assert res.attaining_support == T
+    assert res.eig == min_eig_for_support(p, T)
+    # in reversed order the best support changes mid-scan, and a tie now
+    # goes to the support that comes first in that order
+    supports.reverse()
+    val, T = brute_least(p, supports)
+    rev_val, rev_T, _ = spectral._least(p, supports)
+    assert rev_val._mpf_ == val._mpf_
+    assert rev_T == T
+
+
+def test_prune_never_skips_a_reflection_tie():
+    # {0,1,3} and {0,2,3} are reflections of each other: same spectrum
+    p = SystemParams.from_y("0.2")
+    first, second = SupportSet.of(0, 1, 3), SupportSet.of(0, 2, 3)
+    lam = min_eig_for_support(p, first).value
+    G = build_gram(p.at_bits(128), second, bits=128).as_lists()
+    assert not spectral._cannot_win(G, lam, 128)
+    for order in ([first, second], [second, first]):
+        val, T, _ = spectral._least(p, order)
+        assert (val, T) == brute_least(p, order)
+
+
+def test_prune_guard_refuses_below_rounding_floor():
+    # G - lam I plainly factors, but lam 2^-20 is under the 3 2^-120 floor
+    p = SystemParams.from_y("0.2")
+    G = build_gram(p.at_bits(128), SupportSet.of(0, 4, 9), bits=128).as_lists()
+    assert spectrum_above(G, mpf(2) ** -100, 128)
+    assert not spectral._cannot_win(G, mpf(2) ** -100, 128)
+    assert spectral._cannot_win(G, mpf(2) ** -60, 128)
 
 
 # --- small-y asymptotics ----------------------------------------------------
