@@ -8,6 +8,7 @@ Diagnostics go to stderr; the report is the only thing on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -74,6 +75,8 @@ def _echo_params(params: SystemParams, bits) -> dict:
     }
 
 
+# built once per process: parsing leaves the parser unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="srf",

@@ -12,6 +12,7 @@ one shifted Cholesky cannot rule out; contiguity scans evaluate them all.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
@@ -54,6 +55,8 @@ __all__ = [
 CONTIGUOUS = "contiguous"
 EXHAUSTIVE = "exhaustive"
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
+POOL_MIN_SUPPORTS = 64
+POOL_CHUNK = 256
 
 
 def min_eig_for_support(params: SystemParams, T) -> MinEigResult:
@@ -187,18 +190,23 @@ def _scan_worker(args):
 def _scan(params, supports, workers):
     """Map sigma_min over supports, preserving order; forks when asked to.
 
-    The serial path consumes ``supports`` lazily, one support at a time.
+    The pool, of at most os.cpu_count() workers, starts only for at least
+    POOL_MIN_SUPPORTS supports and is fed POOL_CHUNK of them at a time; the
+    serial path consumes ``supports`` one at a time. Neither lists them all.
     """
-    if workers and workers > 1:
-        supports = list(supports)
-        if len(supports) >= 64:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    supports = iter(supports)
+    workers = min(workers, os.cpu_count() or 1)
+    chunk = list(itertools.islice(supports, POOL_CHUNK)) if workers > 1 else []
+    if len(chunk) >= POOL_MIN_SUPPORTS:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            while chunk:
                 for offsets, val in pool.map(
-                    _scan_worker, [(params, T.offsets) for T in supports], chunksize=8
+                    _scan_worker, [(params, T.offsets) for T in chunk], chunksize=8
                 ):
                     yield SupportSet(offsets), val
-            return
-    for T in supports:
+                chunk = list(itertools.islice(supports, POOL_CHUNK))
+        return
+    for T in itertools.chain(chunk, supports):
         yield T, sigma_min(params, T)
 
 
@@ -295,6 +303,7 @@ def contiguity_scan(params: SystemParams, size, span_max,
     size = as_count(size, "size", 2)
     span_max = _span(span_max, size)
     _check_budget(size, span_max, as_count(budget, "budget", 1))
+    workers = as_count(workers, "workers", 1)
     entries = list(_scan(params, canonical_supports(size, span_max), workers))
     table = sorted(entries, key=lambda e: (e[1], e[0].offsets))
     contiguous = SupportSet(tuple(range(size)))

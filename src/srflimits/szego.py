@@ -159,12 +159,12 @@ def szego_kernel(params: SystemParams, zeta, z, bits=None):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre quadrature with node doubling
+# quadrature with node doubling
 
-# Rules above this many nodes are rebuilt on every use, never retained: a
-# point near the arc can double toward QUAD_NODE_CAP, and its rules would
-# otherwise stay behind for the life of the process.
-RULE_RETAIN_NODES = 2 ** 10
+# Node tables and Legendre rules above this many nodes are computed on use,
+# never retained: a point near the arc can double toward QUAD_NODE_CAP, and
+# its nodes would otherwise stay behind for the life of the process.
+RETAIN_NODES = 2 ** 10
 
 _NODE_CACHE = {}
 
@@ -173,7 +173,7 @@ def legendre_nodes(n, bits):
     """Gauss-Legendre nodes/weights on [-1, 1] at ``bits`` precision.
 
     float64 initial guesses polished by Newton iterations on P_n. Rules of
-    at most RULE_RETAIN_NODES nodes are cached by (n, bits).
+    at most RETAIN_NODES nodes are cached by (n, bits).
     """
     key = (n, bits)
     cached = _NODE_CACHE.get(key)
@@ -196,21 +196,23 @@ def legendre_nodes(n, bits):
             dp = n * (x * p1 - p0) / (x * x - 1)
             nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
     result = tuple(nodes)
-    if n <= RULE_RETAIN_NODES:
+    if n <= RETAIN_NODES:
         _NODE_CACHE[key] = result
     return result
 
 
 def integrate_doubling(level, bits=None):
-    """Node-doubling loop over an n-node quadrature rule.
+    """Node-doubling loop over an n-point quadrature rule.
 
-    ``level(n)`` returns the n-node approximation of the integral and the
-    largest sampled |integrand| in the same scale. Starts at
-    QUAD_START_NODES; converged when two successive node counts agree to
-    QUAD_REL_TARGET relative to max(|integral|, sampled peak), which keeps
-    integrals that vanish by symmetry from chasing an impossible relative
-    tolerance. Raises ConvergenceError past QUAD_NODE_CAP nodes. The
-    constants are read at call time.
+    ``level(n)`` returns the approximation of the integral by the rule of
+    order n (n nodes, or n panels for a trapezoid rule) and the largest
+    sampled |integrand| in the same scale; it is called with
+    n = QUAD_START_NODES (a power of two), then with n doubled each time.
+    Converged when two successive orders agree to QUAD_REL_TARGET relative
+    to max(|integral|, sampled peak), which keeps integrals that vanish by
+    symmetry from chasing an impossible relative tolerance. Raises
+    ConvergenceError past QUAD_NODE_CAP. The constants are read at call
+    time.
     """
     bits = default_bits() if bits is None else bits
     with workprec(bits):
@@ -240,10 +242,9 @@ def _poly_eval(coeffs, z):
 def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
     """Arclength inner product (1/L) int_Gamma f conj(g) |dz| of polynomials.
 
-    Pure quadrature on theta in [-pi y, pi y], node doubling by
-    ``integrate_doubling``; this is the test oracle for
-    the closed-form Gram entries and the reproducing property, never a
-    production path.
+    Pure Gauss-Legendre quadrature on theta in [-pi y, pi y], node doubling
+    by ``integrate_doubling``; this is the test oracle for the closed-form
+    Gram entries, never a production path.
     """
     bits = params.bits if bits is None else bits
     with workprec(bits):
@@ -263,43 +264,62 @@ def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
         return total / params.arc_length
 
 
-def _build_boundary_rule(c, bits, n, piece):
-    """n-node rule on one piece of the unit circle, the preimage of the slit.
+class _NodeTable:
+    """Nested trapezoid nodes on one piece of the unit circle, the preimage
+    of the slit.
 
     The circle splits at the arc-endpoint preimages t = +-t0, cos t0 = -c,
     where the boundary integrand has square-root kinks: piece 0 is
-    [-t0, t0] and piece 1 is [t0, 2 pi - t0]. The substitution
-    t = a + width (1 - cos(pi s))/2 on s in [0, 1] makes each piece's
-    integrand analytic in s. Returns one (weight, w, h) per node: the
-    Legendre weight on [0, 1], w = e^{it}, and the part of the kernel trace
-    that depends on the node alone,
+    [-t0, t0] and piece 1 is [t0, 2 pi - t0]. Under the substitution
+    t = a + width (1 - cos(pi s))/2, s in [0, 1], each piece's integrand is
+    sin^2(pi s) times an even, periodic, analytic function of pi s, so the
+    trapezoid rule with m panels, (1/m) sum_{0<k<m} g(k/m), converges
+    geometrically (the endpoint terms vanish) and doubling m adds only the
+    nodes with odd k. A node is (w, h): w = e^{it}, and the part of the
+    kernel trace that depends on the node alone,
     h = sqrt(1 + 2c u + u^2)/(w + c) * dt/ds with u = conj(w) = 1/w.
+    ``nodes`` holds them level by level (m = 2, 4, 8, ...), so the m-panel
+    rule's nodes are its first m - 1 entries; levels with more than
+    RETAIN_NODES panels are computed on use and not kept.
     """
-    with workprec(bits):
-        t0 = mp.acos(-c)
-        a, width = (-t0, 2 * t0) if piece == 0 else (t0, 2 * (mp.pi - t0))
-        rule = []
-        for x, weight in legendre_nodes(n, bits):
-            s = (1 + x) / 2
-            t = a + width * (1 - mp.cos(mp.pi * s)) / 2
-            w = mp.exp(mpc(0, 1) * t)
-            u = mp.conj(w)
-            h = mp.sqrt(1 + (2 * c + u) * u) / (w + c) \
-                * (width * (mp.pi / 2) * mp.sin(mp.pi * s))
-            rule.append((weight / 2, w, h))
-        return tuple(rule)
+
+    def __init__(self, c, bits, piece):
+        self.c, self.bits = c, bits
+        with workprec(bits):
+            t0 = mp.acos(-c)
+            self.a, self.width = (-t0, 2 * t0) if piece == 0 else (t0, 2 * (mp.pi - t0))
+        self.nodes = []
+
+    def _level(self, m):
+        """The nodes s = k/m with k odd: those the m-panel rule adds."""
+        c, a, width = self.c, self.a, self.width
+        for k in range(1, m, 2):
+            with workprec(self.bits):
+                s = mpf(k) / m
+                w = mp.expj(a + width * (1 - mp.cospi(s)) / 2)
+                u = mp.conj(w)
+                h = mp.sqrt(1 + (2 * c + u) * u) / (w + c) \
+                    * (width * (mp.pi / 2) * mp.sinpi(s))
+            yield w, h
+
+    def added(self, lo, hi):
+        """The nodes the hi-panel rule adds to the lo-panel one (lo = 1:
+        all of the hi-panel rule's nodes); both are powers of two."""
+        m = lo
+        while m < hi:
+            m *= 2
+            if m > RETAIN_NODES:
+                yield from self._level(m)
+                continue
+            while len(self.nodes) < m - 1:
+                self.nodes.extend(self._level(2 * len(self.nodes) + 2))
+            yield from self.nodes[m // 2 - 1:m - 1]
 
 
-# 16 rules hold both pieces of one arc at every level from 16 to 2^10 nodes
-# (2 x 7 = 14); a rule takes about 1.4 kB per node at 256 bits
-_retained_boundary_rule = functools.lru_cache(maxsize=16)(_build_boundary_rule)
-
-
-def _boundary_rule(c, bits, n, piece):
-    """The (c, bits, n, piece) rule, retained when it has few enough nodes."""
-    if n > RULE_RETAIN_NODES:
-        return _build_boundary_rule(c, bits, n, piece)
-    return _retained_boundary_rule(c, bits, n, piece)
+# one table per (c, bits, piece), shared by every n and z on that arc; 8
+# tables hold both pieces of four arcs, and a full table of RETAIN_NODES
+# nodes takes about 1.2 MB at 256 bits
+_node_table = functools.lru_cache(maxsize=8)(_NodeTable)
 
 
 def szego_reproduce(params: SystemParams, n, z, bits=None):
@@ -312,11 +332,13 @@ def szego_reproduce(params: SystemParams, n, z, bits=None):
     is K0 u^(n-1) sqrt(1 + 2c u + u^2)/((w + c)(W - w)), u = conj(w), and
     K0 = (L/pi) sqrt(Phi'(z)) W sqrt(c). The boundary integrand has
     square-root kinks at the two arc-endpoint preimages cos(t) = -c, so
-    the circle splits there and each piece is integrated under a kink-
-    flattening substitution. Everything that depends on the node alone
-    sits in a per-arc rule (``_boundary_rule``), shared by every n and z
-    on the same arc at the same bits; a reproduction then costs one
-    complex division and one small power per node.
+    the circle splits there and each piece is integrated by a nested
+    trapezoid rule under a kink-flattening substitution (``_NodeTable``):
+    each doubling evaluates only the new nodes, so stopping at m panels
+    costs m - 1 nodes per piece. Everything that depends on the node alone
+    sits in a per-arc table shared by every n and z on the same arc at the
+    same bits; a reproduction then costs one complex division and one
+    small power per node.
     """
     bits = params.bits if bits is None else bits
     c, L = params.c, params.arc_length
@@ -329,15 +351,18 @@ def szego_reproduce(params: SystemParams, n, z, bits=None):
         K0 = (L / mp.pi) * (1 / phi_prime_sqrt(c, W)) * W * mp.sqrt(c)
 
         def piece_level(piece):
-            def level(nodes):
-                total = mpc(0)
-                peak = mpf(0)
-                for weight, w, h in _boundary_rule(c, bits, nodes, piece):
+            table = _node_table(c, bits, piece)
+            total, peak, done = mpc(0), mpf(0), 1
+
+            def level(panels):
+                nonlocal total, peak, done
+                for w, h in table.added(done, panels):
                     power = w if n == 0 else mp.conj(w) ** (n - 1)
                     val = h * power / (W - w)
-                    total += weight * val
+                    total += val
                     peak = max(peak, abs(val))
-                return K0 * total, abs(K0) * peak
+                done = panels
+                return K0 * total / panels, abs(K0) * peak
             return level
 
         part1 = integrate_doubling(piece_level(0), bits=bits)
@@ -529,18 +554,6 @@ class OrthoPolyTable:
     cholesky_diag: tuple
     cholesky_factor: tuple
     bits: int
-
-    def poly_coeffs(self, n):
-        """Coefficients of the orthonormal p_n (ascending, degree <= n)."""
-        L = self.cholesky_factor
-        x = [mpf(0)] * (n + 1)
-        x[n] = 1 / L[n][n]
-        for i in range(n - 1, -1, -1):
-            s = mpf(0)
-            for k in range(i + 1, n + 1):
-                s -= L[k][i] * x[k]
-            x[i] = s / L[i][i]
-        return tuple(x)
 
     def thm10_checks(self, params: SystemParams):
         """Two-sided bracket c/(2y) c^{2n} <= k_n^{-2} <= 4 (1+2y)^2 c^{2n}."""

@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from mpmath import mpf, workprec
 
+import srflimits
 from srflimits import SystemParams, reports
 from srflimits.cli import build_parser, run_cli
 
@@ -265,6 +269,8 @@ def test_minimax_bounds_use_sigma_at_report_bits(capsys):
      "--sigma", "1e-6", "--k-cap", "-1"],
     ["bounds", "--y", "0.1", "--n", "2", "--polys", "0"],
     ["contiguity", "--y", "0.1", "--size", "2", "--span", "4", "--budget", "-1"],
+    ["contiguity", "--y", "0.1", "--size", "2", "--span", "4", "--threads", "0"],
+    ["contiguity", "--y", "0.1", "--size", "2", "--span", "4", "--threads", "-3"],
 ])
 def test_bad_count_exit_two(argv, capsys):
     code, out = run(argv, capsys)
@@ -280,3 +286,30 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in lines:
         assert parser.parse_args(argv[1:]).subcommand == argv[1]
+
+
+def test_runs_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process; a usage error between runs
+    # must leave later reports unchanged
+    gram = ["gram", "--y", "0.1", "--support", "0,1,3", "--precision-bits", "128"]
+    eps = ["epsilon", "--y", "0.2", "--k", "3", "--precision-bits", "128"]
+    assert build_parser() is build_parser()
+    outs = []
+    for argv in (gram, eps, None, gram):
+        if argv is None:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["epsilon", "--y", "0.1", "--k", "x"])
+            assert exc.value.code == 2
+            assert run(["contiguity", "--y", "0.1", "--size", "2", "--span", "4",
+                        "--threads", "0"], capsys)[0] == 2
+            continue
+        code, out = run(argv, capsys)
+        assert code == 0
+        outs.append(strip_timestamp(out))
+    src = str(Path(srflimits.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, out in zip((gram, eps), outs):
+        fresh = subprocess.run([sys.executable, "-m", "srflimits.cli", *argv],
+                               capture_output=True, text=True, env=env, check=True)
+        assert strip_timestamp(fresh.stdout) == out
+    assert outs[2] == outs[0]

@@ -255,6 +255,58 @@ def test_parallel_scan_matches_serial():
     assert serial.supports_checked == 66
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+def test_contiguity_scan_refuses_bad_worker_counts(workers):
+    with pytest.raises(DomainError):
+        contiguity_scan(SystemParams.from_y("0.2"), 2, 4, workers=workers)
+
+
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    """spectral's ProcessPoolExecutor replaced by one that starts no
+    process: it records the pool size asked for and the size of every
+    batch, and maps each batch in this process."""
+    log = {"workers": [], "batches": []}
+
+    class Pool:
+        def __init__(self, max_workers):
+            log["workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            log["batches"].append(len(items))
+            return map(fn, items)
+
+    monkeypatch.setattr(spectral, "ProcessPoolExecutor", Pool)
+    return log
+
+
+def test_pool_capped_at_cpu_count(stand_in_pool, monkeypatch):
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 3)
+    p = SystemParams.from_y("0.2")
+    assert contiguity_scan(p, 3, 12, workers=10 ** 6).supports_checked == 66
+    assert stand_in_pool["workers"] == [3]
+    # below POOL_MIN_SUPPORTS the scan stays serial and asks for no pool
+    assert contiguity_scan(p, 2, 5, workers=10 ** 6).holds
+    assert stand_in_pool["workers"] == [3]
+
+
+def test_pool_is_fed_bounded_chunks(stand_in_pool, monkeypatch):
+    monkeypatch.setattr(spectral, "POOL_CHUNK", 32)
+    monkeypatch.setattr(spectral, "POOL_MIN_SUPPORTS", 32)
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: 2)
+    p = SystemParams.from_y("0.2")
+    supports = list(canonical_supports(3, 13))  # 78
+    got = list(spectral._scan(p, iter(supports), 2))
+    assert stand_in_pool["batches"] == [32, 32, 14]
+    assert got == list(spectral._scan(p, supports, 1))
+
+
 # --- the pruned exhaustive scan ---------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Conformal maps, Szego kernel, leading coefficients, Faber polynomials."""
 
+from collections import Counter
+
 import pytest
 
 import numpy as np
@@ -188,10 +190,26 @@ def test_non_finite_points_and_fractional_degrees_are_refused():
 # --- boundary rule ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("y", ["0.05", "0.3"])
+@pytest.mark.parametrize("bits", [128, 256])
+def test_reproduce_matches_inverse_power_of_seeded_preimage(y, bits):
+    # no rule and no Phi_map: z = phi(w) from a seeded w, checked against w^-n
+    p = SystemParams.from_y(y, bits=bits)
+    rng = np.random.default_rng(5)
+    with workprec(bits):
+        for r in ("1.1", "3.2"):
+            w = mpf(r) * mp.expj(mpf(float(rng.uniform(-np.pi, np.pi))))
+            z = phi_map(p.c, w)
+            for n in range(6):
+                want = w ** -n
+                assert abs(szego_reproduce(p, n, z) - want) <= mpf("1e-20") * abs(want)
+
+
 def _reproduce_oracle(p, n, z, bits):
     """The reproducing integral with the kernel, Phi' and w^-n evaluated
-    afresh at every node, under the same substitution, node doubling and
-    stopping test as szego_reproduce, but without its per-arc rule."""
+    afresh at every node, under the same substitution, nested trapezoid
+    rule and stopping test as szego_reproduce, but without its node
+    tables."""
     c, L = p.c, p.arc_length
     with workprec(bits):
         W = Phi_map(c, z, bits=bits)
@@ -212,11 +230,12 @@ def _reproduce_oracle(p, n, z, bits):
                 t = a + width * (1 - mp.cos(mp.pi * s)) / 2
                 return f(t) * width * (mp.pi / 2) * mp.sin(mp.pi * s)
 
-            prev, peak = None, mpf(0)
-            for nodes in (16, 32, 64, 128, 256):
-                vals = [(weight, g((1 + x) / 2)) for x, weight in szego.legendre_nodes(nodes, bits)]
-                cur = sum(weight * v for weight, v in vals) / 2
-                peak = max([peak] + [abs(v) for _, v in vals])
+            vals, prev = [], None
+            for panels in (16, 32, 64, 128, 256):
+                ks = range(1, panels, 2) if vals else range(1, panels)
+                vals += [g(mpf(k) / panels) for k in ks]
+                cur = sum(vals) / panels
+                peak = max(abs(v) for v in vals)
                 if prev is not None and \
                         abs(cur - prev) <= szego.QUAD_REL_TARGET * max(abs(cur), peak):
                     break
@@ -229,8 +248,8 @@ def _reproduce_oracle(p, n, z, bits):
 
 def test_reproduce_matches_pointwise_oracle():
     # 128 bits before 256 on each arc, and a second arc after the first:
-    # a rule shared across arcs or bits would miss the tolerance
-    szego._retained_boundary_rule.cache_clear()
+    # a node table shared across arcs or bits would miss the tolerance
+    szego._node_table.cache_clear()
     for y in ("0.1", "0.17"):
         for bits in (128, 256):
             p = SystemParams.from_y(y, bits=bits)
@@ -243,31 +262,79 @@ def test_reproduce_matches_pointwise_oracle():
                     assert abs(got - want) <= mpf(2) ** (16 - bits) * abs(want)
 
 
-def test_boundary_rules_are_kept_per_arc_and_bits():
-    keys = [(SystemParams.from_y(y, bits=bits).c, bits)
-            for y, bits in (("0.1", 128), ("0.1", 256), ("0.17", 256))]
-    rules = [szego._boundary_rule(c, bits, 16, 0) for c, bits in keys]
-    assert all(szego._boundary_rule(c, bits, 16, 0) is rule
-               for (c, bits), rule in zip(keys, rules))
-    first_nodes = [rule[0][1] for rule in rules]
-    assert len({(w.real, w.imag) for w in first_nodes}) == 3
-    assert szego._retained_boundary_rule.cache_info().maxsize is not None
+def _count_panels_and_nodes(monkeypatch):
+    """Record the last order of each integrate_doubling call, and count
+    the nodes each node table builds."""
+    panels, built = [], Counter()
+    doubling, level = szego.integrate_doubling, szego._NodeTable._level
+
+    def recording(f, bits=None):
+        seen = []
+        out = doubling(lambda m: seen.append(m) or f(m), bits=bits)
+        panels.append(seen[-1])
+        return out
+
+    def counting(table, m):
+        for node in level(table, m):
+            built[table] += 1
+            yield node
+
+    monkeypatch.setattr(szego, "integrate_doubling", recording)
+    monkeypatch.setattr(szego._NodeTable, "_level", counting)
+    return panels, built
 
 
-def test_rules_above_retention_threshold_are_not_kept(monkeypatch):
-    # a threshold of 32 nodes stands in for 2^10, so the run stays small;
-    # 136 bits is used by no other test, so every key below is fresh
-    monkeypatch.setattr(szego, "RULE_RETAIN_NODES", 32)
-    szego._retained_boundary_rule.cache_clear()
+def test_reproduction_evaluates_each_node_once(monkeypatch):
+    panels, built = _count_panels_and_nodes(monkeypatch)
+    szego._node_table.cache_clear()
+    p = SystemParams.from_y("0.2", bits=144)
+    tables = [szego._node_table(p.c, 144, piece) for piece in (0, 1)]
+    with workprec(144):
+        near = phi_map(p.c, mpf("1.3") * mp.expj(1))
+        far = phi_map(p.c, 4 * mp.expj(-2))
+    szego_reproduce(p, 3, near)
+    # 16 panels, then doublings: N - 1 nodes per piece, not 16 + 32 + ... + N
+    assert panels[0] > 32
+    assert [built[t] for t in tables] == [m - 1 for m in panels]
+    built.clear()
+    szego_reproduce(p, 2, far)
+    assert max(panels[2:]) <= min(panels[:2])
+    assert not built
+
+
+def test_node_tables_keep_nothing_above_retention(monkeypatch):
+    # a limit of 32 panels stands in for 2^10, so the run stays small
+    panels, built = _count_panels_and_nodes(monkeypatch)
+    monkeypatch.setattr(szego, "RETAIN_NODES", 32)
+    szego._node_table.cache_clear()
     bits = 136
     p = SystemParams.from_y("0.1", bits=bits)
     with workprec(bits):
-        z = phi_map(p.c, 4 * mp.exp(mpc(0, 1)))
-        val = szego_reproduce(p, 2, z)
-        assert abs(val - Phi_map(p.c, z, bits=bits) ** -2) < mpf("1e-20")
-    assert max(n for n, b in szego._NODE_CACHE if b == bits) == 32
-    # the 16- and 32-node rules of both pieces, and nothing larger
-    assert szego._retained_boundary_rule.cache_info().currsize == 4
+        w = mpf("1.3") * mp.expj(1)
+        val = szego_reproduce(p, 2, phi_map(p.c, w))
+        assert abs(val - w ** -2) < mpf("1e-20") * abs(w ** -2)
+    assert min(panels) > 32
+    tables = [szego._node_table(p.c, bits, piece) for piece in (0, 1)]
+    assert [len(t.nodes) for t in tables] == [31, 31]
+    # every level above the limit was built afresh, and nothing else twice
+    assert [built[t] for t in tables] == [m - 1 for m in panels]
+
+
+def test_node_tables_are_kept_per_arc_bits_and_piece():
+    szego._node_table.cache_clear()
+    keys = []
+    for y in ("0.1", "0.17"):
+        for bits in (128, 256):
+            p = SystemParams.from_y(y, bits=bits)
+            with workprec(bits):
+                szego_reproduce(p, 1, phi_map(p.c, 4 * mp.expj(1)))
+            keys += [(p.c, bits, piece) for piece in (0, 1)]
+    tables = [szego._node_table(*key) for key in keys]
+    assert szego._node_table.cache_info().hits == len(keys)
+    # the first node, s = 1/2, is w = +-1 on every arc; the next one moves
+    quarter = {(t.nodes[1][0].real, t.nodes[1][0].imag) for t in tables}
+    assert len(quarter) == len(keys)
+    assert szego._node_table.cache_info().maxsize is not None
 
 
 def test_quadrature_node_cap_raises(monkeypatch):
@@ -316,10 +383,22 @@ def test_kn_strictly_increasing():
         assert b > a
 
 
+def _orthonormal_poly(table, n):
+    """Coefficients (ascending) of the orthonormal p_n: with L the Cholesky
+    factor of the monomial Gram matrix, they solve L^T x = e_n."""
+    L = table.cholesky_factor
+    with workprec(table.bits):
+        x = [mpf(0)] * (n + 1)
+        x[n] = 1 / L[n][n]
+        for i in range(n - 1, -1, -1):
+            x[i] = -sum(L[k][i] * x[k] for k in range(i + 1, n + 1)) / L[i][i]
+        return x
+
+
 def test_orthonormality_via_quadrature():
     p = SystemParams.from_y("0.15", bits=256)
     table = leading_coeffs(p, 6)
-    polys = [table.poly_coeffs(n) for n in range(7)]
+    polys = [_orthonormal_poly(table, n) for n in range(7)]
     for m in range(7):
         for n in range(m, 7):
             ip = arc_inner_product(polys[m], polys[n], p)
