@@ -117,6 +117,7 @@ def criterion_3_lower_ratio_stable() -> CriterionOutcome:
             for n in range(1, 11):
                 G = build_gram(params, SupportSet(tuple(range(n + 1))), bits=bits)
                 try:
+                    # cold on purpose: the two precisions must stay independent
                     lam = min_eig(G.as_lists(), bits=bits)[0]
                 except NotPositiveDefiniteError:
                     return _outcome("criterion_3_lower_ratio_stable", False,

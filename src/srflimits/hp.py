@@ -9,13 +9,15 @@ dozen rows. The pieces:
   lies at or below s", shared by min_eig's confirming step and the prune
   of the exhaustive eps_k scan,
 * ``min_eig``: the smallest eigenpair of a positive definite matrix by
-  Cholesky-based shifted inverse iteration, confirmed by spectrum_above
-  at M - mu (1 - 2^-20) I. It makes no relative-accuracy
+  Cholesky-based shifted inverse iteration, with no eigenvalue below
+  mu (1 - 2^-20) proven either by the last shift that factored or by
+  spectrum_above. It makes no relative-accuracy
   claim for tiny eigenvalues: at ``bits`` the value is good to about
   n 2^-bits ||M|| absolute, which for the unit-diagonal Gram matrices
   here is 2^-bits times their condition number relative,
 * a precision ladder that doubles the mantissa until the smallest
-  eigenvalue stabilizes; it, not the kernel, certifies accuracy,
+  eigenvalue stabilizes, each level starting inverse iteration from the
+  eigenpair of the level below; it, not the kernel, certifies accuracy,
 * exact rational Hilbert/Vandermonde machinery for the rank-one limiting
   pencil of the small-bandwidth asymptotics.
 """
@@ -162,9 +164,11 @@ def min_eig(M, bits=None, max_steps=None):
     when the residual reaches n 2^(8-bits) max_i M_ii or when
     mu - lo <= 2^(8-bits) mu.
 
-    Before returning, M - mu (1 - 2^-20) I must factor: by Sylvester's law
-    of inertia no eigenvalue lies below that shift, so mu is the smallest
-    eigenvalue to 2^-20 relative, not a larger one.
+    Before returning, M - mu (1 - 2^-20) I must be known to factor: by
+    Sylvester's law of inertia no eigenvalue lies below that shift, so mu
+    is the smallest eigenvalue to 2^-20 relative, not a larger one. When
+    the last shift that factored, lo, is already at least mu (1 - 2^-20),
+    its Cholesky proved this; otherwise one more Cholesky confirms it.
 
     Raises NotPositiveDefiniteError when M or the confirming shift does
     not factor at this precision (too few bits), and ConvergenceError
@@ -175,17 +179,33 @@ def min_eig(M, bits=None, max_steps=None):
     reach the relative stop. The entry of largest magnitude of the vector
     is positive.
     """
-    bits = default_bits() if bits is None else bits
+    return _min_eig(M, default_bits() if bits is None else bits, max_steps, None)
+
+
+def _min_eig(M, bits, max_steps, warm):
+    """min_eig, started from ``warm`` = (mu, v), an eigenpair estimate of
+    the level below, when M - mu (1 - CONFIRM_MARGIN) I factors: that
+    shift is then a proven lo and v the start vector. With warm None, a
+    shift that does not factor, or a warm run whose confirming shift does
+    not factor, the result is that of the cold start."""
     max_steps = 4 * bits if max_steps is None else max_steps
     n = _check_square_symmetric(M)
     with workprec(bits):
-        L = hp_cholesky(M, bits=bits)
+        if warm is not None:
+            try:
+                lo = warm[0] * (1 - CONFIRM_MARGIN)
+                L = hp_cholesky(_shifted(M, lo), bits=bits)
+                v = list(warm[1])
+            except NotPositiveDefiniteError:
+                warm = None
+        if warm is None:
+            L, lo = hp_cholesky(M, bits=bits), mpf(0)
+            # alternating signs, graded so that v is not orthogonal to the
+            # reflection-symmetric eigenvectors of a symmetric support
+            v = [mpf(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
         tol = mpf(2) ** (8 - bits)
         res_tol = rounding_floor(M, bits)
-        lo, hi = mpf(0), mp.inf
-        # alternating signs, graded so that v is not orthogonal to the
-        # reflection-symmetric eigenvectors of a symmetric support
-        v = [mpf(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
+        hi = mp.inf
         failed = False
         for _ in range(max_steps):
             x = cholesky_solve(L, v, bits=bits)
@@ -210,7 +230,10 @@ def min_eig(M, bits=None, max_steps=None):
             raise ConvergenceError(
                 f"inverse iteration did not converge within {max_steps} steps"
             )
-        if not spectrum_above(M, mu * (1 - CONFIRM_MARGIN), bits):
+        confirm = mu * (1 - CONFIRM_MARGIN)
+        if lo < confirm and not spectrum_above(M, confirm, bits):
+            if warm is not None:
+                return _min_eig(M, bits, max_steps, None)
             raise NotPositiveDefiniteError(
                 None, f"M - mu (1 - 2^-20) I does not factor at {bits} bits")
         pivot = max(range(n), key=lambda k: abs(v[k]))
@@ -246,14 +269,20 @@ def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
     relative ``reltol`` on a positive value. A level where the matrix (or
     min_eig's confirming shift) does not factor has too few bits: it is
     recorded without an estimate and the ladder climbs.
+
+    A level after one with an estimate (mu, v) first tries the shift
+    M - mu (1 - 2^-20) I: when it factors, it is the proven lower end of
+    the shift bracket and v the start vector, and inverse iteration
+    usually finishes in one or two steps. Otherwise, and after a level
+    without an estimate, the level starts as min_eig does.
     """
     reltol = mpf(reltol)
     history = []
-    prev = None
+    prev = warm = None
     bits = LADDER_START_BITS
     while bits <= cap_bits:
         try:
-            lam, vec = min_eig(builder(bits), bits=bits)
+            lam, vec = _min_eig(builder(bits), bits, None, warm)
         except NotPositiveDefiniteError:
             lam = None
         history.append((bits, lam))
@@ -261,6 +290,7 @@ def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
             if abs(lam - prev) <= reltol * abs(lam):
                 return MinEigResult(lam, vec, bits // 2, tuple(history))
         prev = lam
+        warm = None if lam is None else (lam, vec)
         bits *= 2
     raise PrecisionCapError(
         f"smallest eigenvalue did not stabilize to rel {reltol} within {cap_bits} bits"

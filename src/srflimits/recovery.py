@@ -192,16 +192,22 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
     with workprec(max(bits, 2 * eig.bits_used)):
         eps2k = mp.sqrt(eig.value)
         v = eig.vector
-        order = sorted(range(2 * k), key=lambda i: (-abs(v[i]), i))
-        tie = abs(abs(v[order[k - 1]]) - abs(v[order[k]])) <= mpf(2) ** (-bits // 2)
+        # magnitudes within 2^-(bits/2) of the k-th largest are tied, and
+        # the lower indices among them go to x1, whatever the rounding says
+        tol = mpf(2) ** (-bits // 2)
+        mags = [abs(x) for x in v]
+        kth = sorted(mags, reverse=True)[k - 1]
+        above = [i for i in range(2 * k) if mags[i] > kth + tol]
+        tied = [i for i in range(2 * k) if abs(mags[i] - kth) <= tol]
+        tie = len(above) + len(tied) > k
         if tie and strict_ties:
             raise ThresholdTieError(
                 "k-th and (k+1)-th magnitudes of the least singular vector "
                 "agree to working precision"
             )
         scale = sigma / eps2k
-        top = sorted(order[:k])
-        rest = sorted(order[k:])
+        top = sorted(above + tied[:k - len(above)])
+        rest = [i for i in range(2 * k) if i not in top]
         x1 = CoefficientVector(
             support=SupportSet(tuple(T.offsets[i] for i in top)),
             values=tuple(scale * v[i] for i in top),

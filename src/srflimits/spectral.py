@@ -5,8 +5,10 @@ The minimum over all supports of a given size is not computable on an
 infinite grid, so every result is labeled with its mode: 'contiguous'
 invokes the contiguous-minimizer property, 'exhaustive' enumerates all
 canonical supports (tau_0 = 0) up to a stated span and is exact within it.
-The exhaustive eps_k scan runs the precision ladder only on supports that
-one shifted Cholesky cannot rule out; contiguity scans evaluate them all.
+Both kinds of scan evaluate one support of each reflection pair, which
+shares its spectrum with the other. The exhaustive eps_k scan runs the
+precision ladder only on supports that one shifted Cholesky cannot rule
+out; contiguity scans evaluate them all.
 """
 
 from __future__ import annotations
@@ -106,6 +108,20 @@ def canonical_supports(k, span_max):
         yield SupportSet((0,) + rest)
 
 
+def _mirror(T: SupportSet) -> SupportSet:
+    """The canonical support of T's reflection, whose Gram spectrum is T's."""
+    return T.reflected().canonical()
+
+
+def reflection_representatives(k, span_max):
+    """The canonical supports of size k within span_max, in lexicographic
+    order, that are lexicographically no later than their reflection: one
+    support from each reflection pair."""
+    for T in canonical_supports(k, span_max):
+        if T.offsets <= _mirror(T).offsets:
+            yield T
+
+
 def _span(span_max, k):
     """span_max as a count, refused when None or below k - 1 (no size-k
     canonical support fits)."""
@@ -130,7 +146,8 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None) -> EpsilonR
     Contiguous mode evaluates the single support {0..k-1}; exhaustive mode
     scans every canonical support within span_max (ties broken toward the
     lexicographically smallest support), refusing more than
-    DEFAULT_ENUMERATION_BUDGET of them.
+    DEFAULT_ENUMERATION_BUDGET of them. A support and its reflection have
+    the same spectrum, so the later of a pair can only tie and is skipped.
     """
     k = as_count(k, "sparsity level k", 1)
     if mode == CONTIGUOUS:
@@ -142,7 +159,7 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None) -> EpsilonR
         raise DomainError(f"unknown mode {mode!r}")
     span_max = _span(span_max, k)
     _check_budget(k, span_max, DEFAULT_ENUMERATION_BUDGET)
-    value, T, eig = _least(params, canonical_supports(k, span_max))
+    value, T, eig = _least(params, reflection_representatives(k, span_max))
     return EpsilonResult(k=k, value=value, attaining_support=T, mode=EXHAUSTIVE,
                          span_searched=span_max, eig=eig)
 
@@ -298,13 +315,17 @@ def contiguity_scan(params: SystemParams, size, span_max,
 
     Also verifies the stronger statement that sigma_min is monotone under
     componentwise domination of the pairwise offset differences
-    (equivalently, of the consecutive gap vectors).
+    (equivalently, of the consecutive gap vectors). sigma_min is evaluated
+    once per reflection pair, and both supports of the pair carry that
+    value, so ties within a pair are ordered by offsets.
     """
     size = as_count(size, "size", 2)
     span_max = _span(span_max, size)
     _check_budget(size, span_max, as_count(budget, "budget", 1))
     workers = as_count(workers, "workers", 1)
-    entries = list(_scan(params, canonical_supports(size, span_max), workers))
+    values = dict(_scan(params, reflection_representatives(size, span_max), workers))
+    entries = [(T, values[T] if T in values else values[_mirror(T)])
+               for T in canonical_supports(size, span_max)]
     table = sorted(entries, key=lambda e: (e[1], e[0].offsets))
     contiguous = SupportSet(tuple(range(size)))
     holds = table[0][0] == contiguous and (

@@ -2,6 +2,8 @@
 the precision ladder, and the exact rational Hilbert/Vandermonde/pencil
 machinery."""
 
+import itertools
+
 import pytest
 from fractions import Fraction
 
@@ -13,12 +15,16 @@ from mpmath import mp, mpf, workprec
 from conftest import lit
 from srflimits import SupportSet, SystemParams, build_gram
 from srflimits.acceptance import _lambda_min_bisect
+from srflimits import hp
 from srflimits.errors import (
+    DomainError,
     NotPositiveDefiniteError,
     PrecisionCapError,
     SingularSystemError,
 )
 from srflimits.hp import (
+    LADDER_RELTOL,
+    LADDER_START_BITS,
     hilbert_matrix,
     hp_cholesky,
     min_eig,
@@ -265,6 +271,154 @@ def test_ladder_cap_error():
         )
 
 
+# --- the warm-started ladder ------------------------------------------------
+
+
+def cold_ladder(builder):
+    """The reference for min_eig_adaptive: the same ladder with every level
+    started cold by the public min_eig. Returns (history, bits_used, value)."""
+    history, prev, bits = [], None, LADDER_START_BITS
+    while True:
+        try:
+            lam = min_eig(builder(bits), bits=bits)[0]
+        except NotPositiveDefiniteError:
+            lam = None
+        history.append((bits, lam))
+        if lam is not None and prev is not None and min(lam, prev) > 0:
+            if abs(lam - prev) <= LADDER_RELTOL * abs(lam):
+                return history, bits // 2, lam
+        prev = lam
+        bits *= 2
+
+
+def gram_builder(y, T):
+    p = SystemParams.from_y(y)
+    return lambda bits: build_gram(p.at_bits(bits), T, bits=bits).as_lists()
+
+
+def agree(a, b, bits):
+    with workprec(2 * bits):
+        return abs(a - b) <= mpf(2) ** (16 - bits) * abs(b)
+
+
+# contiguous n = 1..12 and every canonical 4-support within span 8
+LADDER_GRID_SUPPORTS = sorted(
+    {tuple(range(n)) for n in range(1, 13)}
+    | {(0,) + rest for rest in itertools.combinations(range(1, 9), 3)}
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    y=st.sampled_from(["0.04", "0.05", "0.1", "0.2", "0.3", "0.45"]),
+    offsets=st.sampled_from(LADDER_GRID_SUPPORTS),
+)
+def test_warm_ladder_matches_cold_ladder(y, offsets):
+    builder = gram_builder(y, SupportSet(offsets))
+    history, bits_used, value = cold_ladder(builder)
+    res = min_eig_adaptive(builder)
+    assert [b for b, _ in res.history] == [b for b, _ in history]
+    assert res.bits_used == bits_used
+    for (b, warm), (_, cold) in zip(res.history, history):
+        assert (warm is None) == (cold is None)
+        assert warm is None or agree(warm, cold, b)
+    assert agree(res.value, value, 2 * bits_used)
+
+
+def test_warm_start_falls_back_to_cold():
+    bits = 256
+    builder = gram_builder("0.1", SupportSet(tuple(range(6))))
+    M = builder(bits)
+    cold = min_eig(M, bits=bits)
+    lam, v = min_eig(builder(128), bits=128)
+    # a stale value: M - 2 lam (1 - 2^-20) I does not factor, so the run is cold
+    assert hp._min_eig(M, bits, None, (2 * lam, v)) == cold
+    # a start vector far from the eigenvector still converges to it
+    e0 = tuple(mpf(int(i == 0)) for i in range(6))
+    lam_w, v_w = hp._min_eig(M, bits, None, (lam, e0))
+    assert agree(lam_w, cold[0], bits)
+    # the vector is antisymmetric, so its sign is a tie; compare directions
+    with workprec(bits):
+        assert 1 - abs(mp.fdot(v_w, cold[1])) <= mpf(2) ** (16 - bits)
+
+
+def test_warm_start_on_a_wrong_eigenvector_reruns_cold():
+    # e_1 is an exact eigenvector (eigenvalue 2): the warm run stops on it
+    # at once, its confirming shift cannot factor, and the cold run decides
+    M = [[mpf(3), mpf(0), mpf(0)],
+         [mpf(0), mpf(2), mpf(0)],
+         [mpf(0), mpf(0), mpf(1)]]
+    e1 = (mpf(0), mpf(1), mpf(0))
+    assert hp._min_eig(M, 128, None, (mpf(1), e1)) == min_eig(M, bits=128)
+
+
+def test_confirm_step_skipped_only_inside_the_proven_bracket(monkeypatch):
+    # lo is the last shift whose Cholesky succeeded (0 for M itself); the
+    # confirming spectrum_above runs exactly when lo < mu (1 - 2^-20)
+    real_shifted, real_cholesky, real_above = hp._shifted, hp.hp_cholesky, hp.spectrum_above
+    state = {"pending": mpf(0), "lo": None, "confirms": 0, "confirming": False}
+
+    def shifted(M, s):
+        state["pending"] = s
+        return real_shifted(M, s)
+
+    def cholesky(M, bits=None):
+        s, state["pending"] = state["pending"], mpf(0)
+        L = real_cholesky(M, bits=bits)
+        if not state["confirming"]:
+            state["lo"] = s
+        return L
+
+    def above(M, s, bits):
+        state["confirms"] += 1
+        state["confirming"] = True
+        try:
+            return real_above(M, s, bits)
+        finally:
+            state["confirming"] = False
+
+    monkeypatch.setattr(hp, "_shifted", shifted)
+    monkeypatch.setattr(hp, "hp_cholesky", cholesky)
+    monkeypatch.setattr(hp, "spectrum_above", above)
+    skipped = confirmed = 0
+    # the cold start at 128 bits confirms for n = 9 at y = 0.04, and so do
+    # the warm starts above 128 bits for the pair at y = 0.1
+    for y, T in [("0.04", tuple(range(9))), ("0.1", (0, 1)), ("0.3", (0, 2, 3, 7)),
+                 ("0.2", (0, 1, 7, 8)), ("0.45", tuple(range(8)))]:
+        builder = gram_builder(y, SupportSet(T))
+        warm = None
+        for bits in (128, 256, 512):
+            M = builder(bits)
+            state.update(lo=None, confirms=0)
+            mu, v = hp._min_eig(M, bits, None, warm)
+            warm = (mu, v)
+            with workprec(bits):
+                shift = mu * (1 - hp.CONFIRM_MARGIN)
+            assert state["confirms"] == (1 if state["lo"] < shift else 0)
+            if state["confirms"]:
+                confirmed += 1
+            else:
+                skipped += 1
+                assert inertia_below(M, shift, 2 * bits) == 0
+    assert skipped and confirmed
+
+
+def test_warm_ladder_cholesky_count(monkeypatch):
+    # contiguous n = 12 at y = 0.12 climbs 128 -> 256 bits; the cold ladder
+    # makes 11 hp_cholesky calls, the warm one 6
+    calls = []
+    real = hp.hp_cholesky
+
+    def counted(M, bits=None):
+        calls.append(bits)
+        return real(M, bits=bits)
+
+    monkeypatch.setattr(hp, "hp_cholesky", counted)
+    res = min_eig_adaptive(gram_builder("0.12", SupportSet(tuple(range(12)))))
+    assert [b for b, _ in res.history] == [128, 256]
+    assert len(calls) == 6
+
+
 # --- exact rational machinery -----------------------------------------------
 
 
@@ -341,7 +495,7 @@ def test_default_bits_env_override(monkeypatch):
     monkeypatch.setenv("SRF_PRECISION_BITS", "512")
     assert default_bits() == 512
     monkeypatch.setenv("SRF_PRECISION_BITS", "16")
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         default_bits()
 
 

@@ -1,6 +1,7 @@
 """Brute-force l0 recovery, adversarial pairs, minimax sandwich, scaling."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from srflimits import (
     srf_scaling,
     synthesize,
 )
+from srflimits import recovery
 from srflimits.core import MeasurementVector, gram_quadform
 from srflimits.hp import cholesky_solve, hp_cholesky
 from srflimits.errors import (
@@ -190,6 +192,27 @@ def test_adversarial_pair_two_atom_structure():
     with workprec(256):
         expect = sigma / (pair.eps2k * mp.sqrt(2))
         assert abs(abs(pair.x1.values[0]) - expect) < mpf("1e-40")
+
+
+@pytest.mark.parametrize("nudge", [-200, 200])
+@pytest.mark.parametrize("y", ["0.1", "0.2"])
+def test_adversarial_pair_tie_goes_to_lower_index(monkeypatch, y, nudge):
+    # the two-atom least vector is (1, -1)/sqrt 2 up to rounding, which may
+    # make either magnitude the larger; scaling v_1 by 1 -/+ 2^-200 plays
+    # both, and the tie still puts x1 on atom 0
+    real = recovery.epsilon
+
+    def nudged(*args, **kwargs):
+        res = real(*args, **kwargs)
+        v = res.eig.vector
+        with workprec(512):
+            w = (v[0], v[1] * (1 + mp.sign(nudge) * mpf(2) ** -abs(nudge)))
+        return replace(res, eig=replace(res.eig, vector=w))
+
+    monkeypatch.setattr(recovery, "epsilon", nudged)
+    pair = adversarial_pair(SystemParams.from_y(y), 1, mpf("1e-4"))
+    assert pair.threshold_tie
+    assert pair.x1.support.offsets == (0,) and pair.x0.support.offsets == (1,)
 
 
 def test_adversarial_pair_strict_tie_mode():

@@ -170,6 +170,32 @@ def test_contiguity_triples_small_y():
     assert not res.monotonicity_violations
 
 
+@pytest.mark.parametrize("y,size,span", [("0.05", 3, 10), ("0.2", 4, 8), ("0.45", 3, 7)])
+def test_contiguity_table_shares_one_value_per_reflection_pair(y, size, span):
+    p = SystemParams.from_y(y)
+    res = contiguity_scan(p, size, span)
+    values = dict(res.table)
+    assert len(values) == res.supports_checked == len(list(canonical_supports(size, span)))
+    for T, val in values.items():
+        assert val._mpf_ == values[T.reflected().canonical()]._mpf_
+        eig = min_eig_for_support(p, T)
+        with workprec(4 * eig.bits_used):
+            assert abs(val - sigma_min(p, T)) <= mpf(2) ** (16 - 2 * eig.bits_used) * val
+    # ties within a pair are ordered by offsets
+    for (Ta, va), (Tb, vb) in zip(res.table, res.table[1:]):
+        assert va < vb or (va == vb and Ta.offsets < Tb.offsets)
+
+
+def test_reflection_representatives_one_per_pair():
+    for size, span in [(1, 0), (2, 5), (3, 6), (4, 9)]:
+        every = list(canonical_supports(size, span))
+        mirror = {T: T.reflected().canonical() for T in every}
+        reps = list(spectral.reflection_representatives(size, span))
+        assert reps == [T for T in every if T in reps]  # lexicographic order
+        assert set(reps) | {mirror[T] for T in reps} == set(every)
+        assert all(T.offsets <= mirror[T].offsets for T in reps)
+
+
 def test_monotone_pair_example():
     p = SystemParams.from_y("0.05")
     tight = sigma_min(p, SupportSet.of(0, 1, 2))
@@ -247,12 +273,12 @@ def test_rayleigh_quotient_never_beats_lambda_min():
 
 
 def test_parallel_scan_matches_serial():
-    # 66 supports: above the 64 at which _scan forks
+    # 120 supports, 64 reflection pairs evaluated: the 64 at which _scan forks
     p = SystemParams.from_y("0.2")
-    serial = contiguity_scan(p, 3, 12, workers=1)
-    forked = contiguity_scan(p, 3, 12, workers=2)
+    serial = contiguity_scan(p, 3, 16, workers=1)
+    forked = contiguity_scan(p, 3, 16, workers=2)
     assert serial == forked
-    assert serial.supports_checked == 66
+    assert serial.supports_checked == 120
 
 
 @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
@@ -289,7 +315,7 @@ def stand_in_pool(monkeypatch):
 def test_pool_capped_at_cpu_count(stand_in_pool, monkeypatch):
     monkeypatch.setattr(spectral.os, "cpu_count", lambda: 3)
     p = SystemParams.from_y("0.2")
-    assert contiguity_scan(p, 3, 12, workers=10 ** 6).supports_checked == 66
+    assert contiguity_scan(p, 3, 16, workers=10 ** 6).supports_checked == 120
     assert stand_in_pool["workers"] == [3]
     # below POOL_MIN_SUPPORTS the scan stays serial and asks for no pool
     assert contiguity_scan(p, 2, 5, workers=10 ** 6).holds

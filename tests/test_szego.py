@@ -553,7 +553,7 @@ def test_bound_suite_clean_run():
 
 def test_bound_suite_rejects_thin_sampling():
     p = SystemParams.from_y("0.1")
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         bound_suite(p, 2, samples=10)
 
 
