@@ -67,10 +67,6 @@ class EnumerationBudgetError(SRFError):
     """Support enumeration would exceed the configured combinatorial budget."""
 
 
-class TruncationError(PrecisionError):
-    """Laurent-series truncation too shallow for the requested extraction."""
-
-
 class InfeasibleError(SRFError):
     """No support within the cardinality cap explains the data at tolerance."""
 

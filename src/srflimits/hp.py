@@ -176,8 +176,8 @@ def min_eig(M, bits=None, max_steps=None):
     fallback alone: it halves (lo, hi) at least every second step, and
     from (0, mu) it needs at most about bits halvings to reach an
     eigenvalue that factors (above about 2^-bits ||M||) and bits more to
-    reach the relative stop. The entry of largest magnitude of the vector
-    is positive.
+    reach the relative stop. The lowest-index entry of the vector whose
+    magnitude is within 2^-(bits/2) of the largest is positive.
     """
     return _min_eig(M, default_bits() if bits is None else bits, max_steps, None)
 
@@ -236,8 +236,11 @@ def _min_eig(M, bits, max_steps, warm):
                 return _min_eig(M, bits, max_steps, None)
             raise NotPositiveDefiniteError(
                 None, f"M - mu (1 - 2^-20) I does not factor at {bits} bits")
-        pivot = max(range(n), key=lambda k: abs(v[k]))
-        if v[pivot] < 0:
+        # magnitudes within 2^-(bits/2) of the largest are tied (they are,
+        # exactly, for the antisymmetric vector of a symmetric support), and
+        # the lowest index among them is made positive
+        top = max(abs(x) for x in v) - mpf(2) ** (-bits // 2)
+        if next(x for x in v if abs(x) >= top) < 0:
             v = [-x for x in v]
     return mu, tuple(v)
 

@@ -33,7 +33,6 @@ from .errors import (
     KernelDegeneracyError,
     OnArcError,
     PoleError,
-    TruncationError,
 )
 from .hp import default_bits, hp_cholesky
 
@@ -371,170 +370,44 @@ def szego_reproduce(params: SystemParams, n, z, bits=None):
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series and Faber polynomials
+# Faber polynomials by their exact recurrence
+#
+# phi is rational, so the Faber generating function (Curtiss, "Faber
+# polynomials and the Faber series", Amer. Math. Monthly 78, 1971)
+#     phi'(w)/(phi(w) - z) = sum_n F_n(z) w^(-n-1)
+#                          = c (w^2 + 2cw + 1)/((w + c)(c w^2 + (1 - z) w - c z))
+# has a cubic denominator in w, and matching powers of w gives the four-term
+# recurrence that faber_poly runs.
 
 
-_CLEAN_EVERYWHERE = -(10 ** 9)
-
-
-class LaurentSeries:
-    """Truncated Laurent series at infinity with tracked tail bookkeeping.
-
-    Coefficients run from ``top_degree`` down to ``low_degree``.
-    ``tail_bound`` estimates the l1 mass of everything below the stored
-    range (0 means the series is complete: all lower coefficients vanish).
-    Degrees below ``dirty_below`` may have been polluted by unknown tail
-    terms during truncated convolutions and must not be read.
-    """
-
-    __slots__ = ("top_degree", "coefficients", "low_degree", "tail_bound", "dirty_below")
-
-    def __init__(self, top_degree, coefficients, tail_bound=mpf(0), dirty_below=None):
-        self.top_degree = int(top_degree)
-        self.coefficients = tuple(coefficients)
-        self.low_degree = self.top_degree - len(self.coefficients) + 1
-        self.tail_bound = mpf(tail_bound)
-        if dirty_below is None:
-            dirty_below = _CLEAN_EVERYWHERE if self.tail_bound == 0 else self.low_degree
-        self.dirty_below = int(dirty_below)
-
-    def coefficient(self, degree):
-        if degree < self.dirty_below:
-            raise TruncationError(f"coefficient at degree {degree} is below the clean range")
-        if degree > self.top_degree or degree < self.low_degree:
-            return mpf(0)
-        return self.coefficients[self.top_degree - degree]
-
-    def _stored_l1(self):
-        return sum(abs(a) for a in self.coefficients)
-
-    def __add__(self, other):
-        top = max(self.top_degree, other.top_degree)
-        low = min(self.low_degree, other.low_degree)
-        dirty = max(self.dirty_below, other.dirty_below)
-        low = max(low, dirty)
-        coeffs = [self.coefficient(d) + other.coefficient(d)
-                  for d in range(top, low - 1, -1)]
-        return LaurentSeries(top, coeffs,
-                             tail_bound=self.tail_bound + other.tail_bound,
-                             dirty_below=dirty)
-
-    def mul(self, other, floor=None):
-        """Product truncated at degree ``floor`` (defaults to the deeper low)."""
-        if floor is None:
-            floor = max(self.low_degree, other.low_degree)
-        top = self.top_degree + other.top_degree
-        size = top - floor + 1
-        out = [mpf(0)] * size
-        discarded = mpf(0)
-        for i, a in enumerate(self.coefficients):
-            da = self.top_degree - i
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                d = da + (other.top_degree - j)
-                prod = a * b
-                if d >= floor:
-                    out[top - d] += prod
-                else:
-                    discarded += abs(prod)
-        tail = (self.tail_bound * (other._stored_l1() + other.tail_bound)
-                + other.tail_bound * self._stored_l1() + discarded)
-        dirty = max(self.dirty_below + other.top_degree,
-                    other.dirty_below + self.top_degree, _CLEAN_EVERYWHERE)
-        return LaurentSeries(top, out, tail_bound=tail, dirty_below=dirty)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def pow_int(self, n, floor=None):
-        if n < 0:
-            raise DomainError("only nonnegative integer powers are supported")
-        if floor is None:
-            floor = self.low_degree
-        result = LaurentSeries(0, [mpf(1)] + [mpf(0)] * max(0, -floor), tail_bound=mpf(0))
-        for _ in range(n):
-            result = result.mul(self, floor=floor)
-        return result
-
-    def polynomial_part(self):
-        """Coefficients of degrees 0..top, ascending."""
-        if self.dirty_below > 0:
-            raise TruncationError(
-                "truncation too shallow: pollution reached the polynomial part"
-            )
-        if self.low_degree > 0 and self.tail_bound > 0:
-            raise TruncationError(
-                "nonzero coefficients below the stored range were discarded"
-            )
-        return tuple(self.coefficient(d) for d in range(0, self.top_degree + 1))
-
-
-def phi_laurent(c, depth, bits=None) -> LaurentSeries:
-    """Laurent series of phi(w) at infinity: c w + (1-c^2) + sum gamma_n w^-n.
-
-    gamma_n = c (1-c^2) (-c)^{n-1}; the coefficient of w is the capacity.
-    """
-    c = keep_real(c)
-    bits = default_bits() if bits is None else bits
-    with workprec(bits):
-        coeffs = [c, 1 - c * c]
-        g = c * (1 - c * c)
-        for k in range(1, depth + 1):
-            coeffs.append(g)
-            g = g * (-c)
-        tail = abs(g) / (1 - abs(c)) if abs(c) < 1 else mp.inf
-        return LaurentSeries(1, coeffs, tail_bound=tail)
-
-
-def inverse_map_laurent(c, depth, bits=None) -> LaurentSeries:
-    """Laurent series of Phi(z) at infinity: z/c + (c^2-1)/c + sum b_{-m} z^{-m}.
-
-    Coefficients follow by matching powers of z in the defining quadratic
-    c w^2 + (1-z) w - z c = 0:
-        b_{-1}   = -b_0 (c b_0 + 1),
-        b_{d-1}  = -((2 c b_0 + 1) b_d + c * sum_{i,j<=-1, i+j=d} b_i b_j).
-    The recurrence is exact at working precision; tail_bound extrapolates
-    the measured geometric decay of the last stored coefficients.
-    """
-    c = keep_real(c)
-    bits = default_bits() if bits is None else bits
-    with workprec(bits):
-        b = {1: 1 / c, 0: (c * c - 1) / c}
-        b[-1] = -b[0] * (c * b[0] + 1)
-        for d in range(-1, -depth, -1):
-            conv = mpf(0)
-            for i in range(d + 1, 0):
-                conv += b[i] * b[d - i]
-            b[d - 1] = -((2 * c * b[0] + 1) * b[d] + c * conv)
-        coeffs = [b[k] for k in range(1, -depth - 1, -1)]
-        last, prev = abs(b[-depth]), abs(b[-depth + 1]) if depth >= 2 else abs(b[-1])
-        ratio = last / prev if prev > 0 else mpf(0)
-        if ratio >= 1:
-            ratio = mpf("0.99")
-        tail = last * ratio / (1 - ratio)
-        return LaurentSeries(1, coeffs, tail_bound=tail)
-
-
-def faber_poly(params: SystemParams, n, truncation=None, bits=None):
-    """Faber polynomial of degree n: the polynomial part of Phi(z)^n.
+def faber_poly(params: SystemParams, n, bits=None):
+    """Faber polynomial F_n of the arc: the polynomial part of Phi(z)^n.
 
     Returned as ascending real coefficients; the leading one is c^{-n}.
-    ``truncation`` counts the retained tail terms of the Phi series and
-    must allow at least n + 10 of them.
+    Built from F_0 = 1 (and F_m = 0 for m < 0) by the exact recurrence of
+    the rational exterior map (Curtiss 1971, see above)
+        c F_m = r_m - (1 + c^2 - z) F_{m-1} - c (1 - 2z) F_{m-2} + c^2 z F_{m-3},
+    r_1 = 2c^2, r_2 = c and r_m = 0 otherwise, at ``bits`` precision.
     """
     bits = params.bits if bits is None else bits
     n = as_count(n, "Faber degree")
-    if truncation is None:
-        truncation = n + 16
-    if truncation < n + 10:
-        raise TruncationError(f"truncation {truncation} < n + 10 tail terms")
+    c = params.c
     with workprec(bits):
-        if n == 0:
-            return (mpf(1),)
-        base = inverse_map_laurent(params.c, truncation, bits=bits)
-        power = base.pow_int(n, floor=-truncation)
-        return power.polynomial_part()
+        c2 = c * c
+        r = {1: 2 * c2, 2: c}
+        F = [[mpf(1)]]  # F[m] holds the m + 1 coefficients of F_m
+
+        def at(m, i):
+            """Coefficient of z^i in F_m, zero outside the stored range."""
+            return F[m][i] if m >= 0 and 0 <= i <= m else 0
+
+        for m in range(1, n + 1):
+            F.append([(r.get(m, 0) * (i == 0)
+                       - (1 + c2) * at(m - 1, i) + at(m - 1, i - 1)
+                       - c * at(m - 2, i) + 2 * c * at(m - 2, i - 1)
+                       + c2 * at(m - 3, i - 1)) / c
+                      for i in range(m + 1)])
+        return tuple(F[n])
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +527,19 @@ def bound_suite(params: SystemParams, n_max, samples=200, seed=0, polys=100,
     and once overall:
       (e) the elementary envelope for |Phi'(z)|.
     Individual section failures are captured, never aborting the suite.
+    An n_max whose upper bracket 4 (1+2y)^2 c^{2 n_max} lies below 2^-bits
+    is refused with DomainError before any section runs: no Cholesky at
+    ``bits`` can resolve k_n there.
     """
     bits = params.bits if bits is None else bits
     n_max = as_count(n_max, "n_max", 1)
     samples = as_count(samples, "samples", 100)
     polys = as_count(polys, "polys", 1)
+    with workprec(bits):
+        if 4 * (1 + 2 * params.y) ** 2 * params.c ** (2 * n_max) < mpf(2) ** -bits:
+            raise DomainError(
+                f"n_max = {n_max} is beyond what {bits} bits resolve: "
+                f"4 (1+2y)^2 c^(2 n_max) < 2^-{bits}")
     checks = []
     errors = []
     rng = np.random.default_rng(seed)

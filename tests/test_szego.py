@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
@@ -12,7 +14,6 @@ from srflimits import (
     SystemParams,
     arc_inner_product,
     bound_suite,
-    capacity,
     faber_poly,
     gram_entry,
     leading_coeffs,
@@ -27,14 +28,11 @@ from srflimits.errors import (
     DomainError,
     OnArcError,
     PoleError,
-    TruncationError,
+    SRFError,
 )
 from srflimits.szego import (
-    LaurentSeries,
     Phi_prime,
     Phi_prime_sqrt,
-    inverse_map_laurent,
-    phi_laurent,
     phi_prime,
     phi_prime_sqrt,
 )
@@ -424,55 +422,7 @@ def test_arc_inner_product_matches_sinc():
     assert abs(z2_vs_z5.imag) < mpf("1e-12")
 
 
-# --- Laurent series and Faber polynomials -----------------------------------
-
-
-def test_laurent_series_multiplication_and_pollution():
-    one_z = LaurentSeries(1, [mpf(1), mpf(1), mpf(1)])  # z + 1 + 1/z
-    sq = one_z.mul(one_z, floor=-1)
-    # (z + 1 + 1/z)^2 = z^2 + 2z + 3 + 2/z + 1/z^2: the 1/z^2 term is cut
-    assert sq.polynomial_part() == (mpf(3), mpf(2), mpf(1))
-    assert sq.coefficient(-1) == 2  # inputs were complete, so -1 is clean
-    assert sq.tail_bound >= 1  # discarded 1/z^2 mass is tracked
-    shallow = one_z.mul(one_z, floor=2)
-    with pytest.raises(TruncationError):
-        shallow.polynomial_part()
-    # an estimated tail makes everything below storage unreadable
-    capped = LaurentSeries(1, [mpf(1), mpf(1)], tail_bound=mpf("0.25"))
-    assert capped.dirty_below == capped.low_degree
-    deep = capped.mul(capped, floor=-4)
-    with pytest.raises(TruncationError):
-        deep.coefficient(deep.dirty_below - 1)
-
-
-def test_laurent_series_addition():
-    a = LaurentSeries(1, [mpf(2), mpf(0), mpf(1)])   # 2z + 1/z
-    b = LaurentSeries(0, [mpf(3), mpf(-1)])          # 3 - 1/z
-    s = a + b
-    assert s.coefficient(1) == 2
-    assert s.coefficient(0) == 3
-    assert s.coefficient(-1) == 0
-    assert s.polynomial_part() == (mpf(3), mpf(2))
-
-
-def test_phi_laurent_capacity_extraction():
-    p = SystemParams.from_y("0.37", bits=192)
-    series = phi_laurent(p.c, 12, bits=192)
-    assert series.coefficient(1) == capacity("0.37", bits=192)
-    with workprec(192):
-        assert abs(series.coefficient(0) - (1 - p.c ** 2)) < mpf(2) ** (-180)
-
-
-def test_inverse_map_laurent_matches_direct_evaluation():
-    p = SystemParams.from_y("0.2", bits=256)
-    series = inverse_map_laurent(p.c, 24, bits=256)
-    with workprec(256):
-        for zr in (mpf(40), mpf(1000)):
-            direct = Phi_map(p.c, zr, bits=256)
-            approx = sum(series.coefficient(d) * zr ** d
-                         for d in range(1, -25, -1))
-            tol = series.tail_bound * zr ** (-25) + mpf(2) ** (-200) * abs(direct)
-            assert abs(direct - approx) <= tol + zr ** (-25)
+# --- Faber polynomials -----------------------------------------------------
 
 
 def test_faber_low_degrees():
@@ -487,7 +437,7 @@ def test_faber_low_degrees():
 
 def test_faber_degree_two_against_series_oracle():
     # independent oracle: square the degree-1 polynomial and add the
-    # delta_1 correction, with the series arithmetic at doubled truncation
+    # delta_1 correction from the Laurent series of Phi
     p = SystemParams.from_y("0.1", bits=256)
     f2 = faber_poly(p, 2)
     with workprec(256):
@@ -497,45 +447,49 @@ def test_faber_degree_two_against_series_oracle():
         oracle = ((b0 * b0 + 2 * d1 / c), (2 * b0 / c), (1 / (c * c)))
         for got, want in zip(f2, oracle):
             assert abs(got - want) < mpf(2) ** (-230) * max(1, abs(want))
-    deep = faber_poly(p, 2, truncation=40)
-    for a, b in zip(f2, deep):
-        assert abs(a - b) < mpf(2) ** (-230) * max(1, abs(b))
 
 
 def test_faber_leading_coefficient():
     p = SystemParams.from_y("0.22", bits=192)
     with workprec(192):
-        for n in range(0, 9):
+        for n in range(0, 13):
             coeffs = faber_poly(p, n)
             assert len(coeffs) == n + 1
             assert abs(coeffs[-1] - p.c ** (-n)) < mpf(2) ** (-150) * p.c ** (-n)
 
 
-def test_faber_truncation_guard():
-    p = SystemParams.from_y("0.2")
-    with pytest.raises(TruncationError):
-        faber_poly(p, 5, truncation=10)
-
-
 def test_faber_normalization_at_large_w():
-    # Faber_n(phi(w)) - w^n is minus the principal part of Phi^n, so it is
-    # bounded by the l1 mass of the negative-degree coefficients (plus the
-    # tracked tail estimate) divided by |z|
+    # F_n(phi(w)) = w^n + O(1/|w|) at infinity: the error times |w| stays
+    # bounded, and the error itself keeps shrinking as |w| grows
     p = SystemParams.from_y("0.2", bits=256)
-    depth = 24
     with workprec(256):
-        w = mpf(1000)
-        z = phi_map(p.c, w)
-        base = inverse_map_laurent(p.c, depth, bits=256)
-        for n in (1, 3, 5):
-            power = base.pow_int(n, floor=-depth)
-            coeffs = power.polynomial_part()
-            val = sum(a * z ** i for i, a in enumerate(coeffs))
-            bound = sum(abs(power.coefficient(d)) * abs(z) ** d
-                        for d in range(power.dirty_below, 0))
-            bound += power.tail_bound * abs(z) ** power.dirty_below
-            assert abs(val - w ** n) <= bound
-            assert bound < mpf("0.05")  # vanishes like 1/|z| at infinity
+        for n in (1, 3, 5, 10):
+            coeffs = faber_poly(p, n)
+            errs = []
+            for w in (mpf(100), mpf(1000), mpf(10) ** 4):
+                z = phi_map(p.c, w)
+                errs.append(abs(sum(a * z ** i for i, a in enumerate(coeffs)) - w ** n))
+                assert errs[-1] * w < 1
+            assert errs[0] > errs[1] > errs[2]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    y=st.integers(min_value=1, max_value=499),
+    n=st.integers(min_value=0, max_value=12),
+    bits=st.sampled_from([128, 256]),
+)
+def test_faber_and_bound_suite_properties(y, n, bits):
+    p = SystemParams.from_y(f"0.{y:03d}", bits=bits)
+    coeffs = faber_poly(p, n)
+    assert len(coeffs) == n + 1
+    with workprec(bits):
+        assert all(isinstance(a, mpf) and mp.isfinite(a) for a in coeffs)
+        assert abs(coeffs[-1] - p.c ** (-n)) <= mpf(2) ** (16 - bits) * p.c ** (-n)
+    try:
+        bound_suite(p, n, samples=100, polys=1)
+    except SRFError:
+        pass
 
 
 # --- bound suite ------------------------------------------------------------
@@ -555,6 +509,13 @@ def test_bound_suite_rejects_thin_sampling():
     p = SystemParams.from_y("0.1")
     with pytest.raises(DomainError):
         bound_suite(p, 2, samples=10)
+
+
+def test_bound_suite_refuses_degrees_beyond_the_precision():
+    # 4 (1+2y)^2 c^(2 n_max) < 2^-bits: refused before any section runs
+    p = SystemParams.from_y("0.1")
+    with pytest.raises(DomainError, match="n_max"):
+        bound_suite(p, 10 ** 6)
 
 
 def test_growth_bound_at_constant_polynomial():
