@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
     CoefficientVector,
-    GramMatrix,
     MeasurementVector,
     SupportSet,
     SystemParams,
     build_gram,
-    capacity,
     gram_entry,
     measurement_norm,
     synthesize,

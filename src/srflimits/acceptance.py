@@ -32,7 +32,6 @@ from .szego import (
     arc_inner_product,
     bound_suite,
     faber_arc_max,
-    faber_poly,
     leading_coeffs,
     phi_map,
     szego_reproduce,
@@ -118,7 +117,7 @@ def criterion_3_lower_ratio_stable() -> CriterionOutcome:
                 G = build_gram(params, SupportSet(tuple(range(n + 1))), bits=bits)
                 try:
                     # cold on purpose: the two precisions must stay independent
-                    lam = min_eig(G.as_lists(), bits=bits)[0]
+                    lam = min_eig(G, bits=bits)[0]
                 except NotPositiveDefiniteError:
                     return _outcome("criterion_3_lower_ratio_stable", False,
                                     f"lambda_min <= 0 at y={ys} n={n} bits={bits}", t0)
@@ -237,7 +236,7 @@ def criterion_6_minimax_sandwich() -> CriterionOutcome:
                             f"in-pipeline check failed at k={k}", t0)
         # independent recomputation: bisected eps_2k and direct error norms
         G = build_gram(params, rep.pair.T_star, bits=512)
-        lam = _lambda_min_bisect(G.as_lists(), 512)
+        lam = _lambda_min_bisect(G, 512)
         with workprec(512):
             eps_indep = mp.sqrt(lam)
             agree = abs(eps_indep - rep.pair.eps2k) / eps_indep
@@ -254,7 +253,7 @@ def criterion_6_minimax_sandwich() -> CriterionOutcome:
             upper = 2 * sigma / eps_indep
             lower = sigma / (2 * eps_indep)
             diff = [a - b for a, b in zip(x0, x1)]
-            image = mp.sqrt(gram_quadform(G.entries, diff, bits=512))
+            image = mp.sqrt(gram_quadform(G, diff, bits=512))
             ok = (err0 <= upper and max(err0, err1) >= lower
                   and image <= sigma * (1 + mpf(10) ** (-50)))
         if not ok:
@@ -298,9 +297,7 @@ def criterion_8_faber_rotation_bound() -> CriterionOutcome:
         params = SystemParams.from_y(ys)
         with workprec(params.bits):
             bound = 2 * (1 + 2 * params.y)
-        for n in range(0, 11):
-            coeffs = faber_poly(params, n)
-            peak = faber_arc_max(params, coeffs)
+        for n, peak in enumerate(faber_arc_max(params, 10)):
             margin = (bound - peak) / bound
             if worst is None or margin < worst:
                 worst = margin
@@ -369,7 +366,7 @@ def _l0_reference(params, f, sigma, bits):
     nw = len(W)
     G = build_gram(params, W, bits=bits)
     with workprec(bits):
-        fnorm2 = gram_quadform(G.entries, f.coeffs, bits=bits) + f.rho ** 2
+        fnorm2 = gram_quadform(G, f.coeffs, bits=bits) + f.rho ** 2
         guard = mpf(2) ** (-bits // 2) * (1 + fnorm2)
         best = None  # (sparsity, support, residual)
         for s in range(0, nw + 1):
@@ -377,10 +374,10 @@ def _l0_reference(params, f, sigma, bits):
                 if s == 0:
                     resid2 = fnorm2
                 else:
-                    sub = [[G.entries[i][j] for j in idx] for i in idx]
+                    sub = [[G[i][j] for j in idx] for i in idx]
                     b = []
                     for i in idx:
-                        b.append(sum(G.entries[i][j] * f.coeffs[j] for j in range(nw)))
+                        b.append(sum(G[i][j] * f.coeffs[j] for j in range(nw)))
                     L = hp_cholesky(sub, bits=bits)
                     x = cholesky_solve(L, b, bits=bits)
                     # residual evaluated directly as ||f - A x|| in window space
@@ -388,7 +385,7 @@ def _l0_reference(params, f, sigma, bits):
                     for pos, i in enumerate(idx):
                         diff[i] -= x[pos]
                     # f - Ax has window coefficients coeffs - embed(x)
-                    resid2 = gram_quadform(G.entries, diff, bits=bits) + f.rho ** 2
+                    resid2 = gram_quadform(G, diff, bits=bits) + f.rho ** 2
                 if resid2 <= sigma * sigma + guard:
                     best = (s, idx)
                     return best

@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per operation, JSON/CSV reports.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or domain
-error, 3 computational error (precision cap, infeasibility, budget).
+error (an unwritable --output path included), 3 computational error
+(precision cap, infeasibility, budget).
 Diagnostics go to stderr; the report is the only thing on stdout.
 """
 
@@ -183,9 +184,9 @@ def _parse_complex(text, bits):
 def _run_gram(args, bits, params):
     T = SupportSet.from_text(args.support)
     G = build_gram(params, T, bits=bits)
-    rows = [[reports.enc_real(v, bits) for v in row] for row in G.entries]
+    rows = [[reports.enc_real(v, bits) for v in row] for row in G]
     table = [{"tau_i": ti, "tau_j": tj,
-              "entry": reports.enc_real(G.entries[i][j], bits)}
+              "entry": reports.enc_real(G[i][j], bits)}
              for i, ti in enumerate(T.offsets)
              for j, tj in enumerate(T.offsets)]
     return ({"support": list(T.offsets), "entries": rows, "table": table},
@@ -433,8 +434,12 @@ def run_cli(argv=None) -> int:
                                   bits=bits)
     payload = report.to_json() if args.format == "json" else report.to_csv()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(payload)
     print(f"[{args.subcommand}] status={report.status} "

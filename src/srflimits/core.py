@@ -5,6 +5,10 @@ products have the closed form sinc(pi y (j2 - j1)), so every Gram matrix,
 measurement norm, and residual in this package is computed exactly in
 coefficient space; no function-space discretization is ever performed.
 Quadrature of the defining integral survives only as a test oracle.
+
+A Gram matrix is a tuple of row tuples of mpf entries, as ``build_gram``
+returns it; every consumer (``hp`` and the scans, solvers and checks built
+on it) only indexes it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ def _to_mpf(value, bits):
         if isinstance(value, Fraction):
             return mpf(value.numerator) / mpf(value.denominator)
         if isinstance(value, str) and "/" in value:
-            num, den = value.split("/", 1)
-            return mpf(num.strip()) / mpf(den.strip())
+            num, den = (mpf(part.strip()) for part in value.split("/", 1))
+            if den == 0:
+                raise DomainError(f"zero denominator in {value!r}")
+            return num / den
         return mpf(value)
 
 
@@ -117,18 +123,6 @@ class SystemParams:
         with workprec(bits):
             return cls.from_y(1 / sv, bits=bits)
 
-    def at_bits(self, bits) -> "SystemParams":
-        """Same dyadic y, derived quantities recomputed at a new precision."""
-        return self if bits == self.bits else SystemParams(self.y, bits)
-
-
-def capacity(y, bits=None) -> mpf:
-    """Capacity (transfinite diameter) of the arc: sin(pi*y/2).
-
-    Equals the leading Laurent coefficient of the exterior conformal map.
-    """
-    return SystemParams.from_y(y, bits).c
-
 
 @dataclass(frozen=True)
 class SupportSet:
@@ -206,25 +200,11 @@ def _sinc(y, m, bits):
         return mp.sin(x) / x
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Gram matrix of the atoms over a support; symmetric, unit diagonal,
-    positive definite, and Toeplitz for contiguous supports."""
-
-    support: SupportSet
-    entries: tuple
-    bits: int
-
-    @property
-    def size(self) -> int:
-        return len(self.support)
-
-    def as_lists(self):
-        return [list(row) for row in self.entries]
-
-
-def build_gram(params: SystemParams, support, bits=None) -> GramMatrix:
-    """Gram matrix with entry (i, j) = gram_entry(tau_j - tau_i)."""
+def build_gram(params: SystemParams, support, bits=None) -> tuple:
+    """Gram matrix of the atoms over a support, as a tuple of row tuples with
+    entry (i, j) = gram_entry(tau_j - tau_i) at ``bits``: symmetric, unit
+    diagonal, positive definite, and Toeplitz for contiguous supports. The
+    entries depend only on params.y, the offset differences and ``bits``."""
     bits = params.bits if bits is None else bits
     T = SupportSet.coerce(support)
     offs = T.offsets
@@ -234,10 +214,7 @@ def build_gram(params: SystemParams, support, bits=None) -> GramMatrix:
             d = abs(tj - ti)
             if d not in diffs:
                 diffs[d] = gram_entry(params, d, bits=bits)
-    rows = tuple(
-        tuple(diffs[abs(tj - ti)] for tj in offs) for ti in offs
-    )
-    return GramMatrix(support=T, entries=rows, bits=bits)
+    return tuple(tuple(diffs[abs(tj - ti)] for tj in offs) for ti in offs)
 
 
 def gram_quadform(entries, v, bits=None) -> mpf:
@@ -317,7 +294,7 @@ def measurement_norm(params: SystemParams, f: MeasurementVector, bits=None) -> m
     bits = params.bits if bits is None else bits
     G = build_gram(params, f.window, bits=bits)
     with workprec(bits):
-        q = gram_quadform(G.entries, f.coeffs, bits=bits)
+        q = gram_quadform(G, f.coeffs, bits=bits)
         scale = sum((v * mp.conj(v)).real for v in f.coeffs) + mpf(1)
         if q < 0:
             if abs(q) > mpf(2) ** (-bits // 2) * scale:

@@ -1,9 +1,11 @@
 """Adaptive arbitrary-precision dense linear algebra.
 
-Everything here operates on plain lists of mpmath scalars so that values
-stay immutable-by-convention and picklable. Matrices never exceed a few
-dozen rows. The pieces:
+A matrix here is any sequence of row sequences of mpmath scalars, such as
+the row tuples ``core.build_gram`` returns; nothing in this module mutates
+one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
 
+* ``cholesky_row``, the one row step of every Cholesky factor in the
+  package: ``hp_cholesky`` and the bordered factors of the l0 solver,
 * Cholesky factorization with pivot diagnostics, and its solve,
 * ``spectrum_above``: the inertia test "M - s I factors, so no eigenvalue
   lies at or below s", shared by min_eig's confirming step and the prune
@@ -70,8 +72,33 @@ def _check_square_symmetric(M):
     return n
 
 
+def cholesky_row(L, cross, diag):
+    """Row d = len(L) of a Cholesky factor, at the ambient precision.
+
+    ``L`` holds rows 0..d-1 of the factor (row i has at least i + 1
+    entries), ``cross`` the matrix entries M[d][0..d-1] and ``diag`` M[d][d].
+    Returns the d + 1 entries l with l_i = (M[d][i] - sum_{k<i} l_k L[i][k])
+    / L[i][i] and l_d = sqrt(M[d][d] - sum_{k<d} l_k^2); raises
+    NotPositiveDefiniteError(d) when the pivot under the root is not
+    positive.
+    """
+    row = []
+    for i, (s, Li) in enumerate(zip(cross, L)):
+        for k in range(i):
+            s -= row[k] * Li[k]
+        row.append(s / Li[i])
+    s = diag
+    for x in row:
+        s -= x * x
+    if s <= 0:
+        raise NotPositiveDefiniteError(len(row))
+    row.append(mp.sqrt(s))
+    return row
+
+
 def hp_cholesky(M, bits=None):
-    """Lower-triangular L with L L^T = M, computed at ``bits`` precision.
+    """Lower-triangular L with L L^T = M, computed at ``bits`` precision,
+    as n lists of n entries (zeros above the diagonal).
 
     Raises NotPositiveDefiniteError with the first failing pivot index,
     which signals either a genuine singularity or insufficient precision.
@@ -79,20 +106,10 @@ def hp_cholesky(M, bits=None):
     bits = default_bits() if bits is None else bits
     n = _check_square_symmetric(M)
     with workprec(bits):
-        L = [[mpf(0)] * n for _ in range(n)]
-        for j in range(n):
-            s = M[j][j]
-            for k in range(j):
-                s -= L[j][k] * L[j][k]
-            if s <= 0:
-                raise NotPositiveDefiniteError(j)
-            L[j][j] = mp.sqrt(s)
-            for i in range(j + 1, n):
-                s = M[i][j]
-                for k in range(j):
-                    s -= L[i][k] * L[j][k]
-                L[i][j] = s / L[j][j]
-    return L
+        L = []
+        for j, row in enumerate(M):
+            L.append(cholesky_row(L, row[:j], row[j]))
+    return [row + [mpf(0)] * (n - j - 1) for j, row in enumerate(L)]
 
 
 def cholesky_solve(L, b, bits=None):

@@ -28,11 +28,10 @@ from .core import (
 from .errors import (
     DomainError,
     InfeasibleError,
-    NotPositiveDefiniteError,
     PrecisionError,
     ThresholdTieError,
 )
-from .hp import back_substitute
+from .hp import back_substitute, cholesky_row
 from .spectral import CONTIGUOUS, epsilon, loglog_fit
 
 DEFAULT_WINDOW_CAP = 16
@@ -74,14 +73,14 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
     bits = params.bits if bits is None else bits
     G = build_gram(params, window, bits=bits)
     with workprec(bits):
-        base = gram_quadform(G.entries, f.coeffs, bits=bits)
+        base = gram_quadform(G, f.coeffs, bits=bits)
         fnorm2 = base + f.rho * f.rho
         guard = mpf(2) ** (-bits // 2) * (1 + fnorm2)
         target = sigma * sigma + guard
-        b_window = [mp.fdot(row, f.coeffs) for row in G.entries]  # G_W coeffs
+        b_window = [mp.fdot(row, f.coeffs) for row in G]  # G_W coeffs
         examined = 0
         for s in range(0, k_cap + 1):
-            for idx, L, z, proj in _factored_supports(G.entries, b_window, s):
+            for idx, L, z, proj in _factored_supports(G, b_window, s):
                 examined += 1
                 if fnorm2 - proj > target:
                     continue
@@ -113,10 +112,10 @@ def _factored_supports(G, b, s):
     z solves L z = b[idx], and proj = ||z||^2 = b* G_idx^-1 b.
 
     Consecutive subsets share prefixes, so each prefix is factored once and
-    a subset costs one bordered row of L and one entry of z. The rows and
-    entries are those of hp_cholesky and cholesky_solve, operation for
-    operation. L and z are the walk's own lists, valid only until the next
-    item is drawn. Runs at the ambient precision.
+    a subset costs one bordered row of L, built by hp.cholesky_row as every
+    row of hp_cholesky is, and one entry of z, the forward substitution of
+    cholesky_solve. L and z are the walk's own lists, valid only until the
+    next item is drawn. Runs at the ambient precision.
     """
     n = len(G)
     idx, L, z, projs = [], [], [], [mpf(0)]
@@ -127,18 +126,7 @@ def _factored_supports(G, b, s):
             yield tuple(idx), L, z, projs[-1]
             return
         for j in range(start, n - s + depth + 1):
-            row = []
-            for i, p in enumerate(idx):
-                acc = G[j][p]
-                for m in range(i):
-                    acc -= row[m] * L[i][m]
-                row.append(acc / L[i][i])
-            acc = G[j][j]
-            for x in row:
-                acc -= x * x
-            if acc <= 0:
-                raise NotPositiveDefiniteError(depth)
-            row.append(mp.sqrt(acc))
+            row = cholesky_row(L, [G[j][p] for p in idx], G[j][j])
             acc = b[j]
             for m in range(depth):
                 acc -= row[m] * z[m]
@@ -222,7 +210,7 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
         if abs(gap - scale) > mpf(2) ** (-bits // 3) * scale:
             raise PrecisionError("||x0 - x1|| drifted from sigma/eps_2k")
         G = build_gram(params, T, bits=2 * bits)
-        image = mp.sqrt(gram_quadform(G.entries, diff, bits=2 * bits))
+        image = mp.sqrt(gram_quadform(G, diff, bits=2 * bits))
         if image > sigma * (1 + mpf(2) ** (-bits // 3)):
             raise PrecisionError("||A (x0 - x1)|| exceeded sigma")
     return AdversarialPair(x0=x0, x1=x1, T_star=T, eps2k=eps2k, sigma=sigma,

@@ -64,9 +64,7 @@ POOL_CHUNK = 256
 def min_eig_for_support(params: SystemParams, T) -> MinEigResult:
     """Precision-ladder smallest eigenvalue of the Gram matrix over T."""
     T = SupportSet.coerce(T)
-    return min_eig_adaptive(
-        lambda bits: build_gram(params.at_bits(bits), T, bits=bits).as_lists()
-    )
+    return min_eig_adaptive(lambda bits: build_gram(params, T, bits=bits))
 
 
 def _evaluate(params, T):
@@ -125,8 +123,10 @@ def reflection_representatives(k, span_max):
 def _span(span_max, k):
     """span_max as a count, refused when None or below k - 1 (no size-k
     canonical support fits)."""
-    span = None if span_max is None else as_count(span_max, "span_max")
-    if span is None or span < k - 1:
+    if span_max is None:
+        raise SpanTooSmallError("an exhaustive scan requires span_max, and none was given")
+    span = as_count(span_max, "span_max")
+    if span < k - 1:
         raise SpanTooSmallError(f"an exhaustive scan of size {k} requires span_max >= {k - 1}")
     return span
 
@@ -186,11 +186,10 @@ def _least(params, supports):
     values as an unpruned scan.
     """
     bits = LADDER_START_BITS
-    at_start = params.at_bits(bits)
     best_val, best_T, best_eig = None, None, None
     for T in supports:
         if best_eig is not None and _cannot_win(
-                build_gram(at_start, T, bits=bits).as_lists(), best_eig.value, bits):
+                build_gram(params, T, bits=bits), best_eig.value, bits):
             continue
         val, eig = _evaluate(params, T)
         if best_val is None or val < best_val:

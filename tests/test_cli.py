@@ -1,5 +1,6 @@
 """CLI surface: report round trips, determinism, duality, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,7 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mpf, workprec
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf, workprec
 
 import srflimits
 from srflimits import SystemParams, reports
@@ -181,6 +184,37 @@ def test_output_file(tmp_path, capsys):
     assert data["results"]["sigma_min"]["dec"].startswith("0.1279388796")
 
 
+def test_unwritable_output_exit_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code = run_cli(["gram", "--y", "0.1", "--support", "0,1", "--output", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert not target.exists()
+
+
+def test_exhaustive_spark_without_span_names_the_missing_span(capsys):
+    code = run_cli(["spark", "--y", "0.1", "--eps", "0.5", "--mode", "exhaustive"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "requires span_max, and none was given" in err
+    assert ">=" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--y", "0.1", "--n", "12"],
+    ["bounds", "--y", "0.05", "--n", "10"],
+])
+def test_bounds_faber_peaks_hold_at_small_y(argv, capsys):
+    # float64 sums of Faber coefficients up to c^-n used to read
+    # 2.4098 > 2.4 and 4.236 > 2.2 here
+    code, out = run(argv, capsys)
+    assert code == 0
+    checks = [c for c in json.loads(out)["checks"] if c["name"].startswith("faber_arc_max")]
+    assert len(checks) == int(argv[-1]) + 1
+    assert all(c["satisfied"] for c in checks)
+
+
 def test_selftest_plumbing(monkeypatch, capsys):
     # wire the subcommand through a stubbed suite; the real criteria run
     # (and are asserted) in test_acceptance.py
@@ -214,6 +248,8 @@ def test_malformed_values_exit_two(capsys):
     code, _ = run(["gram", "--y", "0.1", "--support", "0,banana"], capsys)
     assert code == 2
     code, _ = run(["szego", "--y", "0.1", "--z", "not-a-number"], capsys)
+    assert code == 2
+    code, _ = run(["smin", "--y", "1/0", "--support", "0,1"], capsys)
     assert code == 2
 
 
@@ -275,6 +311,55 @@ def test_minimax_bounds_use_sigma_at_report_bits(capsys):
 def test_bad_count_exit_two(argv, capsys):
     code, out = run(argv, capsys)
     assert code == 2 and out == ""
+
+
+def _numbers(node):
+    """Every decimal string of a report: the dec, re and im fields."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("dec", "re", "im"):
+                yield value
+            else:
+                yield from _numbers(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _numbers(value)
+
+
+_Y_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "0.5", "-0.1", "1/3", "1/0", "0.1.2"]),
+    st.integers(min_value=1, max_value=499).map(lambda v: f"0.{v:03d}"),
+)
+_OFFSETS = st.lists(st.integers(min_value=-10, max_value=10), max_size=6)
+_SUPPORT = st.one_of(_OFFSETS, _OFFSETS.map(lambda offs: sorted(set(offs))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["gram", "smin", "epsilon", "szego"]),
+    y=_Y_TEXT,
+    support=_SUPPORT,
+    z=st.sampled_from(["3", "inf", "1", "nan", "-2+0.5j", "0.99"]),
+)
+def test_cli_exit_codes_property(command, y, support, z):
+    # every run ends in a documented exit code, never an exception, and a
+    # run that passes reports only finite numbers
+    argv = [command, f"--y={y}", "--precision-bits=128"]
+    if command == "epsilon":
+        argv.append(f"--k={max(len(support), 1)}")
+    elif command == "szego":
+        argv.append(f"--z={z}")
+    else:
+        argv.append("--support=" + ",".join(map(str, support)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        values = list(_numbers(json.loads(out.getvalue())))
+        assert values
+        with workprec(160):
+            assert all(mp.isfinite(mpf(v)) for v in values)
 
 
 def test_readme_cli_examples_parse():

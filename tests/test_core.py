@@ -19,7 +19,6 @@ from srflimits import (
     SystemParams,
     arc_inner_product,
     build_gram,
-    capacity,
     gram_entry,
     measurement_norm,
     synthesize,
@@ -44,14 +43,14 @@ def taylor_sin(x, bits):
 
 
 def test_capacity_one_third_is_half():
-    val = capacity(Fraction(1, 3), bits=256)
+    val = SystemParams.from_y(Fraction(1, 3), bits=256).c
     assert abs(val - mpf("0.5")) < mpf(2) ** (-250)
 
 
 def test_capacity_matches_taylor_sine_oracle():
     # frozen from the oracle below at 256 bits
     frozen = lit("0.156434465040230869010105319467166892313899892")
-    val = capacity("0.1", bits=256)
+    val = SystemParams.from_y("0.1", bits=256).c
     assert abs(val - frozen) < mpf("1e-44")
     with workprec(288):
         oracle = taylor_sin(mp.pi * mpf("0.1") / 2, 288)
@@ -61,14 +60,14 @@ def test_capacity_matches_taylor_sine_oracle():
 def test_capacity_small_y_limit():
     with workprec(256):
         y = mpf("1e-8")
-        ratio = capacity(y) / (mp.pi * y / 2)
+        ratio = SystemParams.from_y(y).c / (mp.pi * y / 2)
         assert abs(ratio - 1) < mpf("1e-15")
 
 
 @pytest.mark.parametrize("bad", ["0", "0.5", "0.6", "-0.1", "1"])
 def test_capacity_domain(bad):
     with pytest.raises(DomainError):
-        capacity(bad)
+        SystemParams.from_y(bad)
 
 
 # --- system params ----------------------------------------------------------
@@ -86,14 +85,6 @@ def test_params_from_srf_matches_from_y():
     a = SystemParams.from_srf(8, bits=192)
     b = SystemParams.from_y(Fraction(1, 8), bits=192)
     assert a.y == b.y and a.c == b.c
-
-
-def test_params_at_bits_keeps_y():
-    p = SystemParams.from_y("0.1", bits=128)
-    q = p.at_bits(512)
-    assert q.y == p.y and q.bits == 512
-    with workprec(512):
-        assert abs(q.c - mp.sin(mp.pi * p.y / 2)) < mpf(2) ** (-500)
 
 
 def test_params_rejects_out_of_range():
@@ -178,23 +169,23 @@ def test_gram_entry_against_quadrature_oracle():
 def test_build_gram_singleton():
     p = SystemParams.from_y("0.2")
     G = build_gram(p, SupportSet.of(5))
-    assert G.entries == ((mpf(1),),)
+    assert G == ((mpf(1),),)
 
 
 def test_build_gram_pair_and_translation():
     p = SystemParams.from_y("0.1", bits=256)
     G = build_gram(p, SupportSet.of(0, 1))
-    assert G.entries[0][0] == 1 and G.entries[1][1] == 1
-    assert G.entries[0][1] == G.entries[1][0] == gram_entry(p, 1)
+    assert G[0][0] == 1 and G[1][1] == 1
+    assert G[0][1] == G[1][0] == gram_entry(p, 1)
     A = build_gram(p, SupportSet.of(0, 1, 2))
     B = build_gram(p, SupportSet.of(7, 8, 9))
-    assert A.entries == B.entries
+    assert A == B
 
 
 def test_build_gram_is_positive_definite():
     p = SystemParams.from_y("0.15", bits=256)
     G = build_gram(p, SupportSet(tuple(range(6))))
-    hp.hp_cholesky(G.as_lists(), bits=256)  # must not raise
+    hp.hp_cholesky(G, bits=256)  # must not raise
 
 
 def test_gram_spectrum_translation_reflection_invariant():
@@ -206,7 +197,7 @@ def test_gram_spectrum_translation_reflection_invariant():
     n = len(T)
     dets = []
     for S in (T, T.translated(3), T.reflected()):
-        G = build_gram(p, S, bits=256).as_lists()
+        G = build_gram(p, S, bits=256)
         row = []
         for s in range(n + 1):
             with workprec(256):
@@ -282,7 +273,7 @@ def test_measurement_norm_identity():
 
     G = build_gram(p, W, bits=256)
     with workprec(256):
-        direct = mp.sqrt(gram_quadform(G.entries, f.coeffs, bits=256)
+        direct = mp.sqrt(gram_quadform(G, f.coeffs, bits=256)
                          + f.rho ** 2)
     assert abs(measurement_norm(p, f) - direct) < mpf(2) ** (-240)
 

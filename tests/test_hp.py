@@ -115,8 +115,8 @@ def test_eigen_diagonal_matrix():
 def test_eigen_2x2_closed_form():
     p = SystemParams.from_y("0.1", bits=256)
     G = build_gram(p, SupportSet.of(0, 1), bits=256)
-    lam, v = min_eig(G.as_lists(), bits=256)
-    g = G.entries[0][1]
+    lam, v = min_eig(G, bits=256)
+    g = G[0][1]
     with workprec(256):
         assert abs(lam - (1 - g)) < mpf(2) ** (-240)
         assert abs(abs(v[0]) - 1 / mp.sqrt(2)) < mpf(2) ** (-120)
@@ -144,8 +144,8 @@ def test_eigen_prolate_matches_bisection_oracle():
     # polynomial bisection at 512 bits
     p = SystemParams.from_y("0.1", bits=512)
     G = build_gram(p, SupportSet(tuple(range(5))), bits=512)
-    lam, _ = min_eig(G.as_lists(), bits=512)
-    oracle = _lambda_min_bisect(G.as_lists(), 512)
+    lam, _ = min_eig(G, bits=512)
+    oracle = _lambda_min_bisect(G, 512)
     with workprec(512):
         assert lam > 0
         assert lam <= 16 * p.c ** 8
@@ -157,7 +157,7 @@ def test_cholesky_eigen_determinant_consistency():
     # factorization breaks down just above it
     bits = 256
     p = SystemParams.from_y("0.2", bits=bits)
-    G = build_gram(p, SupportSet(tuple(range(5))), bits=bits).as_lists()
+    G = build_gram(p, SupportSet(tuple(range(5))), bits=bits)
     lam, _ = min_eig(G, bits=bits)
     rel = mpf(2) ** (-100)
     with workprec(bits):
@@ -181,7 +181,7 @@ def test_min_eig_symmetric_support_finds_symmetric_eigenvector():
     # alternating-sign start vector
     bits = 256
     p = SystemParams.from_y("0.3", bits=bits)
-    G = build_gram(p, SupportSet.of(0, 1, 7, 8), bits=bits).as_lists()
+    G = build_gram(p, SupportSet.of(0, 1, 7, 8), bits=bits)
     lam, v = min_eig(G, bits=bits)
     with workprec(bits):
         assert abs(v[0] - v[3]) < mpf(2) ** (-100)
@@ -200,11 +200,11 @@ def test_ladder_value_passes_inertia_on_random_supports(rest, y):
     T = SupportSet((0,) + tuple(sorted(rest)))
     p = SystemParams.from_y(repr(y))
     res = min_eig_adaptive(
-        lambda bits: build_gram(p.at_bits(bits), T, bits=bits).as_lists()
+        lambda bits: build_gram(p, T, bits=bits)
     )
     # the value comes from level 2 * bits_used; check at twice that
     check_bits = 4 * res.bits_used
-    G = build_gram(p.at_bits(check_bits), T, bits=check_bits).as_lists()
+    G = build_gram(p, T, bits=check_bits)
     with workprec(check_bits):
         lo, hi = res.value * (1 - mpf("1e-6")), res.value * (1 + mpf("1e-6"))
     assert inertia_below(G, lo, check_bits) == 0
@@ -224,7 +224,7 @@ def test_ladder_trivial_matrix_stops_at_first_level():
 def test_ladder_2x2_forced_eigenvector():
     p = SystemParams.from_y("0.1")
     res = min_eig_adaptive(
-        lambda bits: build_gram(p.at_bits(bits), SupportSet.of(0, 1), bits=bits).as_lists()
+        lambda bits: build_gram(p, SupportSet.of(0, 1), bits=bits)
     )
     with workprec(256):
         assert abs(res.value - lit("0.01636835691653403265251213")) < lit("1e-24")
@@ -238,7 +238,7 @@ def test_ladder_tiny_eigenvalue_magnitude():
     # inside (0, 16 c^12]
     p = SystemParams.from_y("0.05")
     res = min_eig_adaptive(
-        lambda bits: build_gram(p.at_bits(bits), SupportSet(tuple(range(7))), bits=bits).as_lists()
+        lambda bits: build_gram(p, SupportSet(tuple(range(7))), bits=bits)
     )
     assert 0 < res.value <= 16 * p.c ** 12
     assert abs(res.value - lit("9.0715022895199882e-17")) < lit("1e-24")
@@ -248,7 +248,7 @@ def test_ladder_tiny_eigenvalue_magnitude():
 def test_ladder_history_contracts():
     p = SystemParams.from_y("0.08")
     res = min_eig_adaptive(
-        lambda bits: build_gram(p.at_bits(bits), SupportSet(tuple(range(5))), bits=bits).as_lists(),
+        lambda bits: build_gram(p, SupportSet(tuple(range(5))), bits=bits),
         reltol=mpf("1e-40"),
     )
     vals = [v for _, v in res.history]
@@ -265,7 +265,7 @@ def test_ladder_cap_error():
     p = SystemParams.from_y("0.1")
     with pytest.raises(PrecisionCapError):
         min_eig_adaptive(
-            lambda bits: build_gram(p.at_bits(bits), SupportSet.of(0, 1), bits=bits).as_lists(),
+            lambda bits: build_gram(p, SupportSet.of(0, 1), bits=bits),
             reltol=mpf(0),
             cap_bits=512,
         )
@@ -293,7 +293,7 @@ def cold_ladder(builder):
 
 def gram_builder(y, T):
     p = SystemParams.from_y(y)
-    return lambda bits: build_gram(p.at_bits(bits), T, bits=bits).as_lists()
+    return lambda bits: build_gram(p, T, bits=bits)
 
 
 def agree(a, b, bits):

@@ -81,7 +81,7 @@ def test_l0_residual_identity():
         diff = list(f.coeffs)
         for t, v in zip(res.support, res.estimate.values):
             diff[W.index_of(t)] -= v
-        direct = mp.sqrt(gram_quadform(G.entries, diff, bits=256) + f.rho ** 2)
+        direct = mp.sqrt(gram_quadform(G, diff, bits=256) + f.rho ** 2)
         assert abs(direct - res.residual) <= mpf("1e-12") * max(res.residual, mpf(1))
 
 
@@ -135,14 +135,14 @@ def per_support_l0(p, f, sigma, k_cap, bits):
     or None in place of the first three when nothing is feasible."""
     G = build_gram(p, f.window, bits=bits)
     with workprec(bits):
-        fnorm2 = gram_quadform(G.entries, f.coeffs, bits=bits) + f.rho * f.rho
+        fnorm2 = gram_quadform(G, f.coeffs, bits=bits) + f.rho * f.rho
         target = sigma * sigma + mpf(2) ** (-bits // 2) * (1 + fnorm2)
-        b_window = [mp.fdot(row, f.coeffs) for row in G.entries]
+        b_window = [mp.fdot(row, f.coeffs) for row in G]
         examined = 0
         for s in range(k_cap + 1):
             for idx in itertools.combinations(range(len(f.window)), s):
                 examined += 1
-                sub = [[G.entries[i][j] for j in idx] for i in idx]
+                sub = [[G[i][j] for j in idx] for i in idx]
                 b = [b_window[i] for i in idx]
                 x = cholesky_solve(hp_cholesky(sub, bits=bits), b, bits=bits) if s else []
                 resid2 = fnorm2 - sum((mp.conj(bi) * xi).real for bi, xi in zip(b, x))
@@ -230,7 +230,7 @@ def test_adversarial_pair_indistinguishability():
     with workprec(512):
         diff = [a - b for a, b in zip(pair.x0.embed(pair.T_star),
                                       pair.x1.embed(pair.T_star))]
-        image = mp.sqrt(gram_quadform(G.entries, diff, bits=512))
+        image = mp.sqrt(gram_quadform(G, diff, bits=512))
         assert image <= sigma * (1 + mpf("1e-50"))
         gap = mp.sqrt(sum((d * mp.conj(d)).real for d in diff))
         assert abs(gap * pair.eps2k / sigma - 1) < mpf("1e-10")

@@ -264,11 +264,11 @@ def test_rayleigh_quotient_never_beats_lambda_min():
             c = [mpc(a, b) for a, b in
                  zip(rng.standard_normal(4), rng.standard_normal(4))]
             num = sum((x * mp.conj(x)).real for x in c)
-            den = gram_quadform(G.entries, c, bits=256)
+            den = gram_quadform(G, c, bits=256)
             assert num / den <= bound * (1 + mpf("1e-30"))
         v = res.vector
         num = sum((x * mp.conj(x)).real for x in v)
-        den = gram_quadform(G.entries, v, bits=256)
+        den = gram_quadform(G, v, bits=256)
         assert abs(num / den - bound) <= mpf("1e-10") * bound
 
 
@@ -375,7 +375,7 @@ def test_prune_never_skips_a_reflection_tie():
     p = SystemParams.from_y("0.2")
     first, second = SupportSet.of(0, 1, 3), SupportSet.of(0, 2, 3)
     lam = min_eig_for_support(p, first).value
-    G = build_gram(p.at_bits(128), second, bits=128).as_lists()
+    G = build_gram(p, second, bits=128)
     assert not spectral._cannot_win(G, lam, 128)
     for order in ([first, second], [second, first]):
         val, T, _ = spectral._least(p, order)
@@ -385,7 +385,7 @@ def test_prune_never_skips_a_reflection_tie():
 def test_prune_guard_refuses_below_rounding_floor():
     # G - lam I plainly factors, but lam 2^-20 is under the 3 2^-120 floor
     p = SystemParams.from_y("0.2")
-    G = build_gram(p.at_bits(128), SupportSet.of(0, 4, 9), bits=128).as_lists()
+    G = build_gram(p, SupportSet.of(0, 4, 9), bits=128)
     assert spectrum_above(G, mpf(2) ** -100, 128)
     assert not spectral._cannot_win(G, mpf(2) ** -100, 128)
     assert spectral._cannot_win(G, mpf(2) ** -60, 128)

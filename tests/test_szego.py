@@ -31,8 +31,6 @@ from srflimits.errors import (
     SRFError,
 )
 from srflimits.szego import (
-    Phi_prime,
-    Phi_prime_sqrt,
     phi_prime,
     phi_prime_sqrt,
 )
@@ -101,7 +99,7 @@ def test_inverse_map_rejects_arc_points():
 
 
 def test_phi_prime_sqrt_is_analytic_branch():
-    # squares back to phi' and matches 1/Phi_prime_sqrt composition
+    # squares back to phi', and 1/q(Phi(z)) squares back to 1/phi'(Phi(z))
     p = SystemParams.from_y("0.3", bits=192)
     rng = np.random.default_rng(9)
     with workprec(192):
@@ -111,8 +109,9 @@ def test_phi_prime_sqrt_is_analytic_branch():
             q = phi_prime_sqrt(p.c, w)
             assert abs(q * q - phi_prime(p.c, w)) < mpf(2) ** (-150) * abs(q * q)
             z = phi_map(p.c, w)
-            s = Phi_prime_sqrt(p.c, z, bits=192)
-            assert abs(s * s - Phi_prime(p.c, z, bits=192)) < mpf(2) ** (-120) * abs(s * s)
+            W = Phi_map(p.c, z, bits=192)
+            s = 1 / phi_prime_sqrt(p.c, W)
+            assert abs(s * s - 1 / phi_prime(p.c, W)) < mpf(2) ** (-120) * abs(s * s)
 
 
 # --- Szego kernel -----------------------------------------------------------
@@ -140,7 +139,7 @@ def test_kernel_extremal_identity():
     with workprec(192):
         for z in (mpf(3), mpc(1, 2), mpc(-2, "0.7")):
             lhs = szego_kernel(p, z, None) / szego_kernel(p, None, None)
-            rhs = mp.sqrt(p.c) * Phi_prime_sqrt(p.c, z, bits=192)
+            rhs = mp.sqrt(p.c) / phi_prime_sqrt(p.c, Phi_map(p.c, z, bits=192))
             assert abs(lhs - rhs) < mpf(2) ** (-150) * abs(rhs)
 
 
@@ -473,6 +472,30 @@ def test_faber_normalization_at_large_w():
             assert errs[0] > errs[1] > errs[2]
 
 
+def test_faber_arc_peaks_match_a_256_bit_horner_evaluation():
+    # the float64 recurrence on values against faber_poly's coefficients
+    # summed by Horner at 256 bits, on every 250th sample point and the
+    # endpoints; y = 0.01 and 0.05 are where float64 sums of the
+    # coefficients (up to c^-12 = 5e21 at y = 0.01) used to lose every digit
+    step = 250
+    for y in ("0.01", "0.05", "0.1", "0.45"):
+        p = SystemParams.from_y(y, bits=256)
+        vals = szego._np_faber_arc(p, 12)
+        theta = np.linspace(-np.pi * float(p.y), np.pi * float(p.y), szego.ARC_SAMPLES)
+        sub = list(range(0, szego.ARC_SAMPLES, step)) + [szego.ARC_SAMPLES - 1]
+        peaks = szego.faber_arc_max(p, 12)
+        assert len(peaks) == 13
+        with workprec(256):
+            zs = [mp.expj(mpf(float(theta[k]))) for k in sub]
+            bound = 2 * (1 + 2 * p.y)
+            for n in range(13):
+                coeffs = faber_poly(p, n)
+                horner = [abs(szego._poly_eval(coeffs, z)) for z in zs]
+                assert max(abs(h - mpf(float(vals[n, k]))) for h, k in zip(horner, sub)) < 1e-10
+                assert peaks[n] == mpf(float(vals[n].max())) + szego.FABER_CUSHION
+                assert max(horner) <= peaks[n] <= bound
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     y=st.integers(min_value=1, max_value=499),
@@ -524,6 +547,6 @@ def test_growth_bound_at_constant_polynomial():
     with workprec(192):
         z = mpf(2)
         w = Phi_map(p.c, z, bits=192)
-        rhs = (p.arc_length / mp.pi) * abs(Phi_prime(p.c, z, bits=192)) \
+        rhs = (p.arc_length / mp.pi) * abs(1 / phi_prime(p.c, w)) \
             * abs(w) ** 2 / (abs(w) ** 2 - 1)
         assert rhs >= 1
