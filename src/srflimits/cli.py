@@ -33,7 +33,8 @@ from .spectral import (
     contiguity_scan,
     eps_spark,
     epsilon,
-    sigma_min,
+    sigma_enclosure,
+    sigma_min_eig,
     smally_exponent,
     verify_srf_bounds,
 )
@@ -43,6 +44,10 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_COMPUTATIONAL = 3
+
+# argparse reads a value that starts with "-" and is not a plain number as
+# an option; the "=" form keeps it a value
+SUPPORT_HELP = "comma-separated offsets; write a leading negative one as --support=-3,5"
 
 
 def _add_common(p, needs_y=True):
@@ -88,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", help="Gram matrix over a support")
     _add_common(p)
-    p.add_argument("--support", required=True, help="comma-separated offsets")
+    p.add_argument("--support", required=True, help=SUPPORT_HELP)
 
     p = sub.add_parser("smin", help="smallest singular value over a support")
     _add_common(p)
-    p.add_argument("--support", required=True)
+    p.add_argument("--support", required=True, help=SUPPORT_HELP)
 
     p = sub.add_parser("epsilon", help="lower restricted isometry constant")
     _add_common(p)
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymptote", help="small-y decay exponent of lambda_min")
     _add_common(p, needs_y=False)
-    p.add_argument("--support", required=True)
+    p.add_argument("--support", required=True, help=SUPPORT_HELP)
     p.add_argument("--y-grid", required=True, help="comma-separated y values")
 
     p = sub.add_parser("szego", help="kernel and conformal map point queries")
@@ -133,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--window", required=True)
     p.add_argument("--coeffs", required=True,
-                   help="semicolon-separated complex coefficients over the window")
+                   help="semicolon-separated complex coefficients over the window; "
+                        'write a leading minus as --coeffs="-1;0"')
     p.add_argument("--rho", default="0")
     p.add_argument("--sigma", required=True)
     p.add_argument("--k-cap", type=int, required=True)
@@ -195,10 +201,11 @@ def _run_gram(args, bits, params):
 
 def _run_smin(args, bits, params):
     T = SupportSet.from_text(args.support)
-    val = sigma_min(params, T)
+    val, eig = sigma_min_eig(params, T)
     return ({"support": list(T.offsets),
-             "sigma_min": reports.enc_real(val, bits)}, [], [],
-            {"support": list(T.offsets)})
+             "sigma_min": reports.enc_real(val, bits),
+             "sigma_min_enclosure": reports.enc_enclosure(*sigma_enclosure(eig), bits)},
+            [], [], {"support": list(T.offsets)})
 
 
 def _run_epsilon(args, bits, params):
@@ -206,6 +213,7 @@ def _run_epsilon(args, bits, params):
     results = {
         "k": res.k,
         "epsilon": reports.enc_real(res.value, bits),
+        "epsilon_enclosure": reports.enc_enclosure(*sigma_enclosure(res.eig), bits),
         "attaining_support": list(res.attaining_support.offsets),
         "mode": res.mode,
         "span_searched": res.span_searched,

@@ -8,7 +8,9 @@ Quadrature of the defining integral survives only as a test oracle.
 
 A Gram matrix is a tuple of row tuples of mpf entries, as ``build_gram``
 returns it; every consumer (``hp`` and the scans, solvers and checks built
-on it) only indexes it.
+on it) only indexes it. ``gram_radius`` bounds how far those rounded
+entries lie from the exact Gram matrix of the stored y, from an interval
+sinc of each offset difference.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import iv, mp, mpc, mpf, workprec
 
 from .errors import DomainError, PrecisionError, SupportError
-from .hp import default_bits
+from .hp import default_bits, iv_ends, iv_workprec
 
 
 def _to_mpf(value, bits):
@@ -198,6 +200,38 @@ def _sinc(y, m, bits):
     with workprec(bits):
         x = mp.pi * y * m
         return mp.sin(x) / x
+
+
+def _sinc_error_exponent(y, m, bits):
+    """An integer e with |_sinc(y, m, bits) - sinc(pi*y*m)| <= 2^e, m > 0:
+    the interval sinc (mpmath.iv) at bits + 16 contains the exact value,
+    and _sinc's value lies within the larger distance to its two ends."""
+    with iv_workprec(bits + 16):
+        x = iv.pi * y * m
+        return max(mp.mag(end) for end in iv_ends(iv.sin(x) / x - _sinc(y, m, bits)))
+
+
+@lru_cache(maxsize=64)
+def _sinc_error_exponents(y, bits):
+    """The cache of _sinc_error_exponent for one (y, bits), keyed by m and
+    filled by gram_radius as it meets each offset difference."""
+    return {}
+
+
+def gram_radius(params: SystemParams, support, bits=None) -> mpf:
+    """An upper bound on ||build_gram(params, support, bits) - G||_2, G the
+    exact Gram matrix of the stored params.y: n 2^e, with e the largest
+    _sinc_error_exponent over the support's offset differences, bounds the
+    Frobenius norm of the entry errors (the diagonal is exactly 1)."""
+    bits = params.bits if bits is None else bits
+    offs = SupportSet.coerce(support).offsets
+    known = _sinc_error_exponents(params.y, bits)
+    exponents = []
+    for m in {tj - ti for i, ti in enumerate(offs) for tj in offs[i + 1:]}:
+        if m not in known:
+            known[m] = _sinc_error_exponent(params.y, m, bits)
+        exponents.append(known[m])
+    return mp.ldexp(len(offs), max(exponents)) if exponents else mpf(0)
 
 
 def build_gram(params: SystemParams, support, bits=None) -> tuple:

@@ -7,19 +7,21 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
 * ``cholesky_row``, the one row step of every Cholesky factor in the
   package: ``hp_cholesky`` and the bordered factors of the l0 solver,
 * Cholesky factorization with pivot diagnostics, and its solve,
-* ``spectrum_above``: the inertia test "M - s I factors, so no eigenvalue
-  lies at or below s", shared by min_eig's confirming step and the prune
-  of the exhaustive eps_k scan,
+* ``spectrum_above``, the inertia test "M - s I factors", and
+  ``factored_floor``, what a Cholesky of M - s I that factored proves:
+  lambda_min(M) > s less its backward error (Higham, Sec. 10.1; Rump,
+  BIT 46, 2006). min_eig's enclosure and the prune of the exhaustive
+  eps_k scan both rest on it,
 * ``min_eig``: the smallest eigenpair of a positive definite matrix by
-  Cholesky-based shifted inverse iteration, with no eigenvalue below
-  mu (1 - 2^-20) proven either by the last shift that factored or by
-  spectrum_above. It makes no relative-accuracy
-  claim for tiny eigenvalues: at ``bits`` the value is good to about
-  n 2^-bits ||M|| absolute, which for the unit-diagonal Gram matrices
-  here is 2^-bits times their condition number relative,
-* a precision ladder that doubles the mantissa until the smallest
-  eigenvalue stabilizes, each level starting inverse iteration from the
-  eigenpair of the level below; it, not the kernel, certifies accuracy,
+  Cholesky-based shifted inverse iteration. Its last factored shift, at
+  least mu (1 - 2^-20), gives a proven lower bound on lambda_min, and the
+  Rayleigh quotient of its vector, with its rounding, a proven upper
+  bound,
+* a precision ladder that doubles the mantissa from 128 bits and stops at
+  the first level whose enclosure [lo, hi] of lambda_min, widened by the
+  builder's bound on its own rounding, is narrower than ``reltol`` lo;
+  each level starts inverse iteration from the eigenpair of the level
+  below,
 * exact rational Hilbert/Vandermonde machinery for the rank-one limiting
   pencil of the small-bandwidth asymptotics.
 """
@@ -27,11 +29,13 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from mpmath import mp, mpf, workprec
+from mpmath import iv, mp, mpf, workprec
 
 from .errors import (
     ConvergenceError,
@@ -146,23 +150,93 @@ def _shifted(M, s):
             for i, row in enumerate(M)]
 
 
-def rounding_floor(M, bits):
-    """n 2^(8-bits) max_i M_ii: the absolute accuracy that min_eig assumes
-    at ``bits``, and the least margin a shifted Cholesky can resolve."""
-    with workprec(bits):
-        return len(M) * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(len(M)))
+@contextmanager
+def iv_workprec(bits):
+    """mpmath.iv at ``bits`` inside the block (iv has no workprec)."""
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def iv_ends(x):
+    """(lower, upper) end of an mpmath.iv interval as exact mpf values;
+    call it inside iv_workprec, whose precision the ends carry."""
+    with workprec(iv.prec):
+        return mpf(x.a), mpf(x.b)
+
+
+@lru_cache(maxsize=256)
+def _rounding_factors(n, bits):
+    """Upper bounds, from mpmath.iv, on the constant factors of min_eig's
+    enclosure for n rows at u = 2^-bits, with gamma_k = k u / (1 - k u):
+
+    * (g / (1 - g) + u)(1 + 2u), g = gamma_(n+1): factored_floor's slack
+      per unit of the trace, which fsum rounds once;
+    * g (2 + g) n / (1 - g) and 1 + g, g = gamma_n: the Rayleigh ceiling's.
+    """
+    with iv_workprec(bits):
+        u = iv.mpf(2) ** -bits
+        g1 = (n + 1) * u / (1 - (n + 1) * u)
+        g = n * u / (1 - n * u)
+        factors = ((g1 / (1 - g1) + u) * (1 + 2 * u), g * (2 + g) * n / (1 - g), 1 + g)
+        return tuple(iv_ends(f)[1] for f in factors)
 
 
 def spectrum_above(M, s, bits):
-    """True when M - s*I factors at ``bits``. By Sylvester's law of inertia
-    no eigenvalue of M then lies at or below s, up to rounding_floor(M, bits).
-    False means only that this precision proves nothing."""
+    """True when M - s*I factors at ``bits``; factored_floor(M, s, bits) is
+    then a proven lower bound on lambda_min(M). False means only that this
+    precision proves nothing."""
     with workprec(bits):
         try:
             hp_cholesky(_shifted(M, s), bits=bits)
         except NotPositiveDefiniteError:
             return False
     return True
+
+
+def factored_floor(M, s, bits, radius=0):
+    """A proven lower bound on lambda_min(M + E) for every symmetric E with
+    ||E||_2 <= ``radius``, given that hp_cholesky of M - s I factored at
+    ``bits``: s - (g / (1 - g) + u) tr(A) - radius, where A is M - s I as
+    stored at ``bits``, u = 2^-bits and g = gamma_(n+1).
+
+    The computed factor R has R^T R = A + dA with |dA| <= g |R^T| |R|
+    (Higham, Accuracy and Stability, Sec. 10.1). Column i of R has squared
+    norm at most a_ii / (1 - g), so ||dA||_2 <= g / (1 - g) tr(A), and R^T R
+    is positive definite: lambda_min(A) > -||dA||_2 (Rump, BIT 46, 2006).
+    The rounding of the shift into A's diagonal adds at most u tr(A), and
+    Weyl's inequality the radius. Every step rounds toward a lower bound.
+    """
+    n = len(M)
+    with workprec(bits):
+        trace = mp.fsum(M[i][i] - s for i in range(n))
+        slack = mp.fmul(_rounding_factors(n, bits)[0], trace, rounding="c")
+        return mp.fsub(mp.fsub(s, slack, rounding="f"), radius, rounding="f")
+
+
+def _rayleigh_ceiling(M, v, mu, bits, radius):
+    """A proven upper bound on lambda_min(M + E), ||E||_2 <= ``radius``, from
+    mu = v^T (M v) as min_eig computes it with fdot at ``bits``.
+
+    The exact Rayleigh quotient q / w, q = v^T M v and w = v^T v, is at
+    least lambda_min(M). Each n-term dot product rounds by at most
+    g = gamma_n times its sum of magnitudes, so the computed w_c is within
+    g w of w, and mu within g (2 + g) |v|^T |M| |v| <= g (2 + g) n
+    max|M_ij| w of q. Hence q / w <= max(mu + c max|M_ij| w_c, 0) (1 + g)
+    / w_c with c = g (2 + g) n / (1 - g). Every step rounds up.
+    """
+    n = len(M)
+    _, c, one_plus_g = _rounding_factors(n, bits)
+    with workprec(bits):
+        w = mp.fdot(v, v)
+        largest = max(abs(x) for row in M for x in row)
+        q = mp.fadd(mu, mp.fmul(mp.fmul(c, largest, rounding="c"), w, rounding="c"),
+                    rounding="c")
+        ceiling = mp.fdiv(mp.fmul(max(q, 0), one_plus_g, rounding="c"), w, rounding="c")
+        return mp.fadd(ceiling, radius, rounding="c")
 
 
 def min_eig(M, bits=None, max_steps=None):
@@ -196,15 +270,19 @@ def min_eig(M, bits=None, max_steps=None):
     reach the relative stop. The lowest-index entry of the vector whose
     magnitude is within 2^-(bits/2) of the largest is positive.
     """
-    return _min_eig(M, default_bits() if bits is None else bits, max_steps, None)
+    return _min_eig(M, default_bits() if bits is None else bits, max_steps, None)[:2]
 
 
-def _min_eig(M, bits, max_steps, warm):
-    """min_eig, started from ``warm`` = (mu, v), an eigenpair estimate of
-    the level below, when M - mu (1 - CONFIRM_MARGIN) I factors: that
-    shift is then a proven lo and v the start vector. With warm None, a
-    shift that does not factor, or a warm run whose confirming shift does
-    not factor, the result is that of the cold start."""
+def _min_eig(M, bits, max_steps, warm, radius=0):
+    """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
+    every symmetric E with ||E||_2 <= ``radius``: factored_floor of the
+    last shift that factored and the Rayleigh ceiling of the vector.
+
+    Started from ``warm`` = (mu, v), an eigenpair estimate of the level
+    below, when M - mu (1 - CONFIRM_MARGIN) I factors: that shift is then
+    a proven lo and v the start vector. With warm None, a shift that does
+    not factor, or a warm run whose confirming shift does not factor, the
+    result is that of the cold start."""
     max_steps = 4 * bits if max_steps is None else max_steps
     n = _check_square_symmetric(M)
     with workprec(bits):
@@ -221,7 +299,7 @@ def _min_eig(M, bits, max_steps, warm):
             # reflection-symmetric eigenvectors of a symmetric support
             v = [mpf(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
         tol = mpf(2) ** (8 - bits)
-        res_tol = rounding_floor(M, bits)
+        res_tol = n * tol * max(M[i][i] for i in range(n))
         hi = mp.inf
         failed = False
         for _ in range(max_steps):
@@ -248,47 +326,57 @@ def _min_eig(M, bits, max_steps, warm):
                 f"inverse iteration did not converge within {max_steps} steps"
             )
         confirm = mu * (1 - CONFIRM_MARGIN)
-        if lo < confirm and not spectrum_above(M, confirm, bits):
-            if warm is not None:
-                return _min_eig(M, bits, max_steps, None)
-            raise NotPositiveDefiniteError(
-                None, f"M - mu (1 - 2^-20) I does not factor at {bits} bits")
+        if lo < confirm:
+            if not spectrum_above(M, confirm, bits):
+                if warm is not None:
+                    return _min_eig(M, bits, max_steps, None, radius)
+                raise NotPositiveDefiniteError(
+                    None, f"M - mu (1 - 2^-20) I does not factor at {bits} bits")
+            lo = confirm
+        enclosure = (factored_floor(M, lo, bits, radius),
+                     _rayleigh_ceiling(M, v, mu, bits, radius))
         # magnitudes within 2^-(bits/2) of the largest are tied (they are,
         # exactly, for the antisymmetric vector of a symmetric support), and
         # the lowest index among them is made positive
         top = max(abs(x) for x in v) - mpf(2) ** (-bits // 2)
         if next(x for x in v if abs(x) >= top) < 0:
             v = [-x for x in v]
-    return mu, tuple(v)
+    return mu, tuple(v), enclosure
 
 
 @dataclass(frozen=True)
 class MinEigResult:
     """Smallest eigenvalue certified by the precision ladder.
 
-    ``bits_used`` is the lower level of the first pair of consecutive
-    precisions that agreed to the requested relative tolerance; ``value``
-    is taken from the higher (more accurate) level. ``history`` records
-    every (bits, estimate) pair the ladder visited; the estimate is None
-    at a level where the matrix did not factor (too few bits).
+    [``lo``, ``hi``] is a proven enclosure of lambda_min of the exact
+    matrix the builder rounds, with hi - lo <= reltol lo. ``bits_used`` is
+    the level that proved it, and ``value`` and ``vector`` are that
+    level's eigenpair; value is good to about n 2^-bits_used ||M||
+    absolute, and only the enclosure is a proof. ``history`` records every
+    (bits, estimate) pair the ladder visited; the estimate is None at a
+    level where the matrix did not factor (too few bits).
     """
 
     value: mpf
     vector: tuple
     bits_used: int
     history: tuple
+    lo: mpf
+    hi: mpf
 
 
 def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
                      cap_bits=LADDER_CAP_BITS) -> MinEigResult:
-    """Smallest eigenvalue of builder(bits), doubling bits from
-    LADDER_START_BITS until stable.
+    """Smallest eigenvalue of the matrix that builder(bits) rounds, doubling
+    bits from LADDER_START_BITS until its enclosure is narrow.
 
-    ``builder`` must rebuild the same mathematical matrix at any requested
-    precision. Stability means two consecutive ladder levels agree to
-    relative ``reltol`` on a positive value. A level where the matrix (or
-    min_eig's confirming shift) does not factor has too few bits: it is
-    recorded without an estimate and the ladder climbs.
+    ``builder(bits)`` returns (M, radius): the matrix rounded at ``bits``
+    and an upper bound on the spectral norm of its distance from the exact
+    matrix, the same at every level. The ladder stops at the first level
+    whose enclosure [lo, hi] (see _min_eig, widened by the radius) has
+    hi - lo <= ``reltol`` lo. A level where the matrix (or min_eig's
+    confirming shift) does not factor has too few bits: it is recorded
+    without an estimate and the ladder climbs.
 
     A level after one with an estimate (mu, v) first tries the shift
     M - mu (1 - 2^-20) I: when it factors, it is the proven lower end of
@@ -298,22 +386,25 @@ def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
     """
     reltol = mpf(reltol)
     history = []
-    prev = warm = None
+    warm = None
     bits = LADDER_START_BITS
     while bits <= cap_bits:
+        M, radius = builder(bits)
         try:
-            lam, vec = _min_eig(builder(bits), bits, None, warm)
+            lam, vec, (lo, hi) = _min_eig(M, bits, None, warm, radius)
         except NotPositiveDefiniteError:
-            lam = None
-        history.append((bits, lam))
-        if lam is not None and prev is not None and min(lam, prev) > 0:
-            if abs(lam - prev) <= reltol * abs(lam):
-                return MinEigResult(lam, vec, bits // 2, tuple(history))
-        prev = lam
-        warm = None if lam is None else (lam, vec)
+            history.append((bits, None))
+            warm = None
+        else:
+            history.append((bits, lam))
+            with workprec(bits):
+                if hi - lo <= reltol * lo:
+                    return MinEigResult(lam, vec, bits, tuple(history), lo, hi)
+            warm = (lam, vec)
         bits *= 2
     raise PrecisionCapError(
-        f"smallest eigenvalue did not stabilize to rel {reltol} within {cap_bits} bits"
+        f"no enclosure of the smallest eigenvalue narrower than rel {reltol} "
+        f"within {cap_bits} bits"
     )
 
 
@@ -364,19 +455,6 @@ def vandermonde_lastrow(offsets):
     M = [[Fraction(t) ** i for t in taus] for i in range(n + 1)]
     rhs = [Fraction(int(i == n)) for i in range(n + 1)]
     return tuple(rational_solve(M, rhs))
-
-
-def vieta_magnitudes(offsets):
-    """|m_j| = prod_{i != j} 1/|tau_i - tau_j| (cross-check for the solve)."""
-    taus = [int(t) for t in offsets]
-    out = []
-    for j, tj in enumerate(taus):
-        prod = Fraction(1)
-        for i, ti in enumerate(taus):
-            if i != j:
-                prod *= Fraction(1, abs(ti - tj))
-        out.append(prod)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -178,11 +178,18 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
     T = eps_res.attaining_support
     eig = eps_res.eig
     with workprec(max(bits, 2 * eig.bits_used)):
-        eps2k = mp.sqrt(eig.value)
-        v = eig.vector
-        # magnitudes within 2^-(bits/2) of the k-th largest are tied, and
-        # the lower indices among them go to x1, whatever the rounding says
-        tol = mpf(2) ** (-bits // 2)
+        # the ladder's vector is good to its level, bits_used; renormalized
+        # here, with eps2k its Rayleigh quotient at 2 bits, the pair meets
+        # ||x0 - x1|| = sigma/eps2k and ||A (x0 - x1)|| = sigma to working
+        # precision whatever that level was
+        norm = mp.sqrt(mp.fdot(eig.vector, eig.vector))
+        v = tuple(x / norm for x in eig.vector)
+        G = build_gram(params, T, bits=2 * bits)
+        eps2k = mp.sqrt(gram_quadform(G, v, bits=2 * bits))
+        # magnitudes within 2^-(bits_used/2) of the k-th largest are tied,
+        # and the lower indices among them go to x1, whatever the rounding
+        # says
+        tol = mpf(2) ** (-eig.bits_used // 2)
         mags = [abs(x) for x in v]
         kth = sorted(mags, reverse=True)[k - 1]
         above = [i for i in range(2 * k) if mags[i] > kth + tol]
@@ -209,7 +216,6 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
         gap = mp.sqrt(sum((d * mp.conj(d)).real for d in diff))
         if abs(gap - scale) > mpf(2) ** (-bits // 3) * scale:
             raise PrecisionError("||x0 - x1|| drifted from sigma/eps_2k")
-        G = build_gram(params, T, bits=2 * bits)
         image = mp.sqrt(gram_quadform(G, diff, bits=2 * bits))
         if image > sigma * (1 + mpf(2) ** (-bits // 3)):
             raise PrecisionError("||A (x0 - x1)|| exceeded sigma")

@@ -13,11 +13,12 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from mpmath import mp, mpf, workprec
+from mpmath import iv, mp, mpf, workprec
 
 from . import __version__
 from .checks import BoundCheck
 from .core import CoefficientVector, SupportSet
+from .hp import iv_ends, iv_workprec
 
 SCHEMA_VERSION = "1"
 
@@ -34,6 +35,15 @@ def digits_for(bits) -> int:
 def enc_real(x, bits) -> dict:
     with workprec(bits + 8):
         return {"dec": mp.nstr(mpf(x), digits_for(bits)), "bits": bits}
+
+
+def enc_enclosure(lo, hi, bits) -> dict:
+    """{"lo", "hi"} of a proven interval, each end first moved outward by
+    2^-bits relative, more than enc_real's rounding to nearest can move
+    it back inward."""
+    with iv_workprec(bits):
+        lo, hi = iv_ends(iv.mpf([lo, hi]) * (1 + iv.mpf([-1, 1]) * iv.mpf(2) ** -bits))
+    return {"lo": enc_real(lo, bits), "hi": enc_real(hi, bits)}
 
 
 def enc_complex(z, bits) -> dict:

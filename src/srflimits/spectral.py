@@ -19,10 +19,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
-from mpmath import mp, mpf, workprec
+from mpmath import iv, mp, mpf, workprec
 
 from .checks import BoundCheck, bound_check
-from .core import SupportSet, SystemParams, as_count, build_gram, keep_real, parse_grid
+from .core import (
+    SupportSet,
+    SystemParams,
+    as_count,
+    build_gram,
+    gram_radius,
+    keep_real,
+    parse_grid,
+)
 from .errors import (
     DomainError,
     EnumerationBudgetError,
@@ -33,8 +41,10 @@ from .hp import (
     CONFIRM_MARGIN,
     LADDER_START_BITS,
     MinEigResult,
+    factored_floor,
+    iv_ends,
+    iv_workprec,
     min_eig_adaptive,
-    rounding_floor,
     spectrum_above,
 )
 from .szego import leading_coeffs
@@ -47,6 +57,8 @@ __all__ = [
     "ContiguityResult",
     "SmallYResult",
     "sigma_min",
+    "sigma_min_eig",
+    "sigma_enclosure",
     "epsilon",
     "eps_spark",
     "verify_srf_bounds",
@@ -62,13 +74,16 @@ POOL_CHUNK = 256
 
 
 def min_eig_for_support(params: SystemParams, T) -> MinEigResult:
-    """Precision-ladder smallest eigenvalue of the Gram matrix over T."""
+    """Precision-ladder smallest eigenvalue of the Gram matrix over T, with
+    a proven enclosure for the Gram matrix of the stored params.y."""
     T = SupportSet.coerce(T)
-    return min_eig_adaptive(lambda bits: build_gram(params, T, bits=bits))
+    return min_eig_adaptive(
+        lambda bits: (build_gram(params, T, bits=bits), gram_radius(params, T, bits)))
 
 
-def _evaluate(params, T):
+def sigma_min_eig(params: SystemParams, T):
     """(sigma_min, ladder result) over T; a single atom has no ladder result."""
+    T = SupportSet.coerce(T)
     if len(T) == 1:
         return mpf(1), None
     eig = min_eig_for_support(params, T)
@@ -78,7 +93,16 @@ def _evaluate(params, T):
 
 def sigma_min(params: SystemParams, T) -> mpf:
     """Least singular value of the atom matrix over T: sqrt(lambda_min(G))."""
-    return _evaluate(params, SupportSet.coerce(T))[0]
+    return sigma_min_eig(params, T)[0]
+
+
+def sigma_enclosure(eig: MinEigResult | None):
+    """(lo, hi) enclosing sigma_min: the square roots of the ladder
+    result's enclosure, rounded outward; (1, 1) for a single atom (None)."""
+    if eig is None:
+        return mpf(1), mpf(1)
+    with iv_workprec(eig.bits_used):
+        return iv_ends(iv.sqrt(iv.mpf([max(eig.lo, 0), eig.hi])))
 
 
 @dataclass(frozen=True)
@@ -152,7 +176,7 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None) -> EpsilonR
     k = as_count(k, "sparsity level k", 1)
     if mode == CONTIGUOUS:
         T = SupportSet(tuple(range(k)))
-        value, eig = _evaluate(params, T)
+        value, eig = sigma_min_eig(params, T)
         return EpsilonResult(k=k, value=value, attaining_support=T, mode=CONTIGUOUS,
                              span_searched=None, eig=eig)
     if mode != EXHAUSTIVE:
@@ -164,15 +188,17 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None) -> EpsilonR
                          span_searched=span_max, eig=eig)
 
 
-def _cannot_win(G, lam_best, bits):
-    """True when G has no eigenvalue at or below lam_best, proven by one
-    Cholesky of G - lam_best (1 + CONFIRM_MARGIN) I at ``bits``. The proof
-    is trusted only when the margin lam_best CONFIRM_MARGIN exceeds the
-    rounding floor; below it, and whenever the Cholesky fails, the answer
-    is False and the support is evaluated in full."""
+def _cannot_win(params, T, lam_best, bits):
+    """True when the Gram matrix over T provably has no eigenvalue at or
+    below lam_best: G - lam_best (1 + CONFIRM_MARGIN) I factors at ``bits``,
+    and that Cholesky's factored_floor, less gram_radius, exceeds lam_best.
+    False means only that this one Cholesky proves nothing, and the support
+    is evaluated in full."""
+    G = build_gram(params, T, bits=bits)
     with workprec(bits):
-        margin = lam_best * CONFIRM_MARGIN
-        return margin > rounding_floor(G, bits) and spectrum_above(G, lam_best + margin, bits)
+        s = lam_best * (1 + CONFIRM_MARGIN)
+    return (spectrum_above(G, s, bits)
+            and factored_floor(G, s, bits, gram_radius(params, T, bits)) > lam_best)
 
 
 def _least(params, supports):
@@ -185,13 +211,12 @@ def _least(params, supports):
     full precision ladder, so the strict comparison below sees the same
     values as an unpruned scan.
     """
-    bits = LADDER_START_BITS
     best_val, best_T, best_eig = None, None, None
     for T in supports:
         if best_eig is not None and _cannot_win(
-                build_gram(params, T, bits=bits), best_eig.value, bits):
+                params, T, best_eig.value, LADDER_START_BITS):
             continue
-        val, eig = _evaluate(params, T)
+        val, eig = sigma_min_eig(params, T)
         if best_val is None or val < best_val:
             best_val, best_T, best_eig = val, T, eig
     return best_val, best_T, best_eig

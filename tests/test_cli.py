@@ -253,6 +253,38 @@ def test_malformed_values_exit_two(capsys):
     assert code == 2
 
 
+def test_smin_and_epsilon_report_a_proven_enclosure(capsys):
+    def dec(obj):
+        with workprec(obj["bits"] + 8):
+            return mpf(obj["dec"])
+
+    for argv, key in [(["smin", "--y", "0.1", "--support", "0,5"], "sigma_min"),
+                      (["epsilon", "--y", "0.2", "--k", "4"], "epsilon"),
+                      (["epsilon", "--y", "0.2", "--k", "1"], "epsilon")]:
+        code, out = run(argv, capsys)
+        res = json.loads(out)["results"]
+        box = res[key + "_enclosure"]
+        assert code == 0
+        assert dec(box["lo"]) <= dec(res[key]) <= dec(box["hi"])
+        with workprec(256):
+            assert dec(box["hi"]) - dec(box["lo"]) <= mpf("1e-6") * dec(box["lo"])
+
+
+def test_leading_dash_values_need_the_equals_form(capsys):
+    # after a space argparse reads "-3,5" and "-1;0" as options
+    code, out = run(["smin", "--y", "0.1", "--support=-3,5", "--precision-bits", "128"],
+                    capsys)
+    assert code == 0 and json.loads(out)["results"]["support"] == [-3, 5]
+    recover = ["recover", "--y", "0.1", "--window", "0,1", "--sigma", "1e-6",
+               "--k-cap", "1", "--precision-bits", "128"]
+    code, _ = run(recover + ["--coeffs=-1;0"], capsys)
+    assert code == 0
+    for argv in (["smin", "--y", "0.1", "--support", "-3,5"], recover + ["--coeffs", "-1;0"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+
+
 def test_szego_nan_point_exit_two(capsys):
     code, out = run(["szego", "--y", "0.1", "--z", "nan"], capsys)
     assert code == 2 and out == ""

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
-from conftest import lit
+from conftest import inertia_below, lit
 from srflimits import SupportSet, SystemParams, build_gram
 from srflimits.acceptance import _lambda_min_bisect
 from srflimits import hp
+from srflimits.core import gram_radius
 from srflimits.errors import (
     DomainError,
     NotPositiveDefiniteError,
@@ -25,6 +26,7 @@ from srflimits.errors import (
 from srflimits.hp import (
     LADDER_RELTOL,
     LADDER_START_BITS,
+    factored_floor,
     hilbert_matrix,
     hp_cholesky,
     min_eig,
@@ -32,7 +34,6 @@ from srflimits.hp import (
     pencil_mu,
     rational_solve,
     vandermonde_lastrow,
-    vieta_magnitudes,
 )
 
 
@@ -84,20 +85,15 @@ def test_cholesky_reconstruction_residual():
 # --- min_eig: Cholesky plus shifted inverse iteration ------------------------
 
 
-def inertia_below(M, shift, bits):
-    """Number of eigenvalues of M below ``shift``: negative LDL^T pivots."""
-    n = len(M)
-    with workprec(bits):
-        A = [[M[i][j] - (shift if i == j else 0) for j in range(n)] for i in range(n)]
-        negative = 0
-        for k in range(n):
-            d = A[k][k]
-            negative += d < 0
-            for i in range(k + 1, n):
-                f = A[i][k] / d
-                for j in range(k + 1, n):
-                    A[i][j] -= f * A[k][j]
-    return negative
+def gram_builder(y, T):
+    """A ladder builder: the Gram matrix over T at bits, and its radius."""
+    p = SystemParams.from_y(y)
+    return lambda bits: (build_gram(p, T, bits=bits), gram_radius(p, T, bits))
+
+
+def encloses(G, res, bits):
+    """lambda_min(G), by inertia at ``bits``, lies in [res.lo, res.hi]."""
+    return inertia_below(G, res.lo, bits) == 0 and inertia_below(G, res.hi, bits) == 1
 
 
 def test_eigen_diagonal_matrix():
@@ -198,34 +194,30 @@ def test_min_eig_symmetric_support_finds_symmetric_eigenvector():
 )
 def test_ladder_value_passes_inertia_on_random_supports(rest, y):
     T = SupportSet((0,) + tuple(sorted(rest)))
-    p = SystemParams.from_y(repr(y))
-    res = min_eig_adaptive(
-        lambda bits: build_gram(p, T, bits=bits)
-    )
-    # the value comes from level 2 * bits_used; check at twice that
+    res = min_eig_adaptive(gram_builder(repr(y), T))
+    # the value and the enclosure come from level bits_used; check at 4x
     check_bits = 4 * res.bits_used
-    G = build_gram(p, T, bits=check_bits)
+    G = build_gram(SystemParams.from_y(repr(y)), T, bits=check_bits)
     with workprec(check_bits):
         lo, hi = res.value * (1 - mpf("1e-6")), res.value * (1 + mpf("1e-6"))
     assert inertia_below(G, lo, check_bits) == 0
     assert inertia_below(G, hi, check_bits) == 1
+    assert encloses(G, res, check_bits)
 
 
 # --- precision ladder -------------------------------------------------------
 
 
 def test_ladder_trivial_matrix_stops_at_first_level():
-    res = min_eig_adaptive(lambda bits: [[mpf(1)]])
+    res = min_eig_adaptive(lambda bits: ([[mpf(1)]], 0))
     assert res.value == 1
     assert res.vector == (mpf(1),)
     assert res.bits_used == 128
+    assert res.lo < 1 < res.hi
 
 
 def test_ladder_2x2_forced_eigenvector():
-    p = SystemParams.from_y("0.1")
-    res = min_eig_adaptive(
-        lambda bits: build_gram(p, SupportSet.of(0, 1), bits=bits)
-    )
+    res = min_eig_adaptive(gram_builder("0.1", SupportSet.of(0, 1)))
     with workprec(256):
         assert abs(res.value - lit("0.01636835691653403265251213")) < lit("1e-24")
         assert abs(abs(res.vector[0]) - 1 / mp.sqrt(2)) < mpf("1e-30")
@@ -237,20 +229,20 @@ def test_ladder_tiny_eigenvalue_magnitude():
     # 768 bits: lambda_min for 7 contiguous atoms at y = 0.05 is 9.07e-17,
     # inside (0, 16 c^12]
     p = SystemParams.from_y("0.05")
-    res = min_eig_adaptive(
-        lambda bits: build_gram(p, SupportSet(tuple(range(7))), bits=bits)
-    )
+    T = SupportSet(tuple(range(7)))
+    res = min_eig_adaptive(gram_builder("0.05", T))
     assert 0 < res.value <= 16 * p.c ** 12
     assert abs(res.value - lit("9.0715022895199882e-17")) < lit("1e-24")
-    assert res.bits_used >= 128 and len(res.history) >= 2
+    check_bits = 4 * res.bits_used
+    assert encloses(build_gram(p, T, bits=check_bits), res, check_bits)
+    assert res.lo <= res.value <= res.hi
+    assert res.hi - res.lo <= LADDER_RELTOL * res.lo
 
 
 def test_ladder_history_contracts():
-    p = SystemParams.from_y("0.08")
-    res = min_eig_adaptive(
-        lambda bits: build_gram(p, SupportSet(tuple(range(5))), bits=bits),
-        reltol=mpf("1e-40"),
-    )
+    res = min_eig_adaptive(gram_builder("0.08", SupportSet(tuple(range(5)))),
+                           reltol=mpf("1e-40"))
+    assert res.hi - res.lo <= mpf("1e-40") * res.lo
     vals = [v for _, v in res.history]
     diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
     started = False
@@ -262,38 +254,28 @@ def test_ladder_history_contracts():
 
 
 def test_ladder_cap_error():
-    p = SystemParams.from_y("0.1")
     with pytest.raises(PrecisionCapError):
-        min_eig_adaptive(
-            lambda bits: build_gram(p, SupportSet.of(0, 1), bits=bits),
-            reltol=mpf(0),
-            cap_bits=512,
-        )
+        min_eig_adaptive(gram_builder("0.1", SupportSet.of(0, 1)),
+                         reltol=mpf(0), cap_bits=512)
 
 
 # --- the warm-started ladder ------------------------------------------------
 
 
 def cold_ladder(builder):
-    """The reference for min_eig_adaptive: the same ladder with every level
-    started cold by the public min_eig. Returns (history, bits_used, value)."""
-    history, prev, bits = [], None, LADDER_START_BITS
+    """The reference for min_eig_adaptive: the same enclosure rule with
+    every level started cold. Returns (history, bits_used, value)."""
+    history, bits = [], LADDER_START_BITS
     while True:
+        M, radius = builder(bits)
         try:
-            lam = min_eig(builder(bits), bits=bits)[0]
+            lam, _, (lo, hi) = hp._min_eig(M, bits, None, None, radius)
         except NotPositiveDefiniteError:
             lam = None
         history.append((bits, lam))
-        if lam is not None and prev is not None and min(lam, prev) > 0:
-            if abs(lam - prev) <= LADDER_RELTOL * abs(lam):
-                return history, bits // 2, lam
-        prev = lam
+        if lam is not None and hi - lo <= LADDER_RELTOL * lo:
+            return history, bits, lam
         bits *= 2
-
-
-def gram_builder(y, T):
-    p = SystemParams.from_y(y)
-    return lambda bits: build_gram(p, T, bits=bits)
 
 
 def agree(a, b, bits):
@@ -322,20 +304,24 @@ def test_warm_ladder_matches_cold_ladder(y, offsets):
     for (b, warm), (_, cold) in zip(res.history, history):
         assert (warm is None) == (cold is None)
         assert warm is None or agree(warm, cold, b)
-    assert agree(res.value, value, 2 * bits_used)
+    check_bits = 4 * bits_used
+    G = build_gram(SystemParams.from_y(y), SupportSet(offsets), bits=check_bits)
+    assert encloses(G, res, check_bits)
+    with workprec(check_bits):
+        assert res.lo <= value <= res.hi
 
 
 def test_warm_start_falls_back_to_cold():
     bits = 256
     builder = gram_builder("0.1", SupportSet(tuple(range(6))))
-    M = builder(bits)
-    cold = min_eig(M, bits=bits)
-    lam, v = min_eig(builder(128), bits=128)
+    M = builder(bits)[0]
+    cold = hp._min_eig(M, bits, None, None)
+    lam, v = min_eig(builder(128)[0], bits=128)
     # a stale value: M - 2 lam (1 - 2^-20) I does not factor, so the run is cold
     assert hp._min_eig(M, bits, None, (2 * lam, v)) == cold
     # a start vector far from the eigenvector still converges to it
     e0 = tuple(mpf(int(i == 0)) for i in range(6))
-    lam_w, v_w = hp._min_eig(M, bits, None, (lam, e0))
+    lam_w, v_w, _ = hp._min_eig(M, bits, None, (lam, e0))
     assert agree(lam_w, cold[0], bits)
     # the vector is antisymmetric, so its largest magnitudes tie; the tie
     # rule fixes the sign, and the signed vectors agree entry by entry to
@@ -351,7 +337,7 @@ def test_warm_start_on_a_wrong_eigenvector_reruns_cold():
          [mpf(0), mpf(2), mpf(0)],
          [mpf(0), mpf(0), mpf(1)]]
     e1 = (mpf(0), mpf(1), mpf(0))
-    assert hp._min_eig(M, 128, None, (mpf(1), e1)) == min_eig(M, bits=128)
+    assert hp._min_eig(M, 128, None, (mpf(1), e1)) == hp._min_eig(M, 128, None, None)
 
 
 def test_confirm_step_skipped_only_inside_the_proven_bracket(monkeypatch):
@@ -390,9 +376,9 @@ def test_confirm_step_skipped_only_inside_the_proven_bracket(monkeypatch):
         builder = gram_builder(y, SupportSet(T))
         warm = None
         for bits in (128, 256, 512):
-            M = builder(bits)
+            M = builder(bits)[0]
             state.update(lo=None, confirms=0)
-            mu, v = hp._min_eig(M, bits, None, warm)
+            mu, v, _ = hp._min_eig(M, bits, None, warm)
             warm = (mu, v)
             with workprec(bits):
                 shift = mu * (1 - hp.CONFIRM_MARGIN)
@@ -406,8 +392,8 @@ def test_confirm_step_skipped_only_inside_the_proven_bracket(monkeypatch):
 
 
 def test_warm_ladder_cholesky_count(monkeypatch):
-    # contiguous n = 12 at y = 0.12 climbs 128 -> 256 bits; the cold ladder
-    # makes 11 hp_cholesky calls, the warm one 6
+    # contiguous n = 12 at y = 0.05 climbs 128 -> 256 bits; the cold ladder
+    # makes 8 hp_cholesky calls, the warm one 6
     calls = []
     real = hp.hp_cholesky
 
@@ -416,9 +402,57 @@ def test_warm_ladder_cholesky_count(monkeypatch):
         return real(M, bits=bits)
 
     monkeypatch.setattr(hp, "hp_cholesky", counted)
-    res = min_eig_adaptive(gram_builder("0.12", SupportSet(tuple(range(12)))))
+    res = min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12)))))
     assert [b for b, _ in res.history] == [128, 256]
     assert len(calls) == 6
+
+
+# --- proven enclosures ------------------------------------------------------
+
+# contiguous n = 2..16 and the 56 canonical 4-supports within span 8
+ENCLOSURE_GRID_SUPPORTS = sorted(
+    {tuple(range(n)) for n in range(2, 17)}
+    | {(0,) + rest for rest in itertools.combinations(range(1, 9), 3)}
+)
+
+
+@pytest.mark.parametrize("y", ["0.04", "0.05", "0.1", "0.2", "0.3", "0.45"])
+def test_ladder_enclosure_contains_lambda_min_on_the_grid(y):
+    # lambda_min by inertia at 4x bits, on the Gram matrix of the same stored y
+    p = SystemParams.from_y(y)
+    for offsets in ENCLOSURE_GRID_SUPPORTS:
+        T = SupportSet(offsets)
+        res = min_eig_adaptive(gram_builder(y, T))
+        check_bits = 4 * res.bits_used
+        assert encloses(build_gram(p, T, bits=check_bits), res, check_bits), (y, offsets)
+        assert res.lo <= res.value <= res.hi
+        assert res.hi - res.lo <= LADDER_RELTOL * res.lo
+
+
+def test_factored_floor_stays_below_a_shift_that_factors_by_rounding():
+    # contiguous n = 10 at y = 0.1, 128 bits: M - s I factors for a shift s
+    # 2^-132 above lambda_min(M), inside the rounding floor; the backward
+    # error still puts the proven bound below lambda_min
+    M = build_gram(SystemParams.from_y("0.1"), SupportSet(tuple(range(10))), bits=128)
+    lam = min_eig(M, bits=512)[0]
+    with workprec(128):
+        s = lam + mpf(2) ** -132
+    assert inertia_below(M, s, 512) == 1
+    assert hp.spectrum_above(M, s, 128)
+    floor = factored_floor(M, s, 128)
+    assert inertia_below(M, floor, 512) == 0
+    # the radius of a nearby matrix moves the bound down by exactly as much
+    assert factored_floor(M, s, 128, mpf(2) ** -100) < floor - mpf(2) ** -101
+
+
+def test_ladder_levels_do_not_flip_with_the_last_digits_of_y():
+    # the contiguous support {0..12} near y = 0.05: agreement between 128-
+    # and 256-bit values landed on the 1e-6 threshold by chance here, so
+    # two of these points climbed to 512 bits and one stopped at 256
+    ladders = [min_eig_adaptive(gram_builder(y, SupportSet(tuple(range(13)))))
+               for y in ("0.05", "0.050068", "0.050499")]
+    assert {tuple(b for b, _ in res.history) for res in ladders} == {(128, 256)}
+    assert {res.bits_used for res in ladders} == {256}
 
 
 # --- exact rational machinery -----------------------------------------------
@@ -457,6 +491,19 @@ def test_vandermonde_row_sums_to_zero():
         n = len(T) - 1
         for i in range(n + 1):
             assert sum(mj * Fraction(t) ** i for mj, t in zip(m, T)) == (i == n)
+
+
+def vieta_magnitudes(offsets):
+    """|m_j| = prod_{i != j} 1/|tau_i - tau_j| (cross-check for the solve)."""
+    taus = [int(t) for t in offsets]
+    out = []
+    for j, tj in enumerate(taus):
+        prod = Fraction(1)
+        for i, ti in enumerate(taus):
+            if i != j:
+                prod *= Fraction(1, abs(ti - tj))
+        out.append(prod)
+    return tuple(out)
 
 
 def test_vandermonde_magnitudes_match_vieta():

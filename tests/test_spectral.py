@@ -17,7 +17,7 @@ from srflimits import (
     smally_exponent,
     verify_srf_bounds,
 )
-from conftest import lit
+from conftest import inertia_below, lit
 from srflimits.core import gram_quadform
 from srflimits.errors import (
     DomainError,
@@ -26,8 +26,13 @@ from srflimits.errors import (
     SpanTooSmallError,
 )
 from srflimits import spectral
-from srflimits.hp import spectrum_above
-from srflimits.spectral import canonical_supports, min_eig_for_support
+from srflimits.hp import factored_floor, spectrum_above
+from srflimits.spectral import (
+    canonical_supports,
+    min_eig_for_support,
+    sigma_enclosure,
+    sigma_min_eig,
+)
 
 
 def test_sigma_min_single_atom_is_one():
@@ -42,11 +47,16 @@ def test_sigma_min_adjacent_pair():
 
 
 def test_sigma_min_gap_five_hits_two_over_pi():
-    # sinc(1/2) = 2/pi exactly, so sigma_min = sqrt(1 - 2/pi)
+    # sinc(1/2) = 2/pi exactly, so sigma_min = sqrt(1 - 2/pi); the proven
+    # enclosure holds it, and the value, from level bits_used, is good to
+    # min_eig's n 2^-bits ||G|| on lambda_min (n = 2, ||G|| < 2)
     p = SystemParams.from_y("0.1")
-    val = sigma_min(p, SupportSet.of(0, 5))
+    val, eig = sigma_min_eig(p, SupportSet.of(0, 5))
+    lo, hi = sigma_enclosure(eig)
     with workprec(300):
-        assert abs(val - mp.sqrt(1 - 2 / mp.pi)) < mpf("1e-40")
+        exact = mp.sqrt(1 - 2 / mp.pi)
+        assert lo <= exact <= hi
+        assert abs(val ** 2 - exact ** 2) < 4 * mpf(2) ** -eig.bits_used
     assert abs(val - lit("0.6028102749890869742758995")) < lit("1e-24")
 
 
@@ -67,7 +77,10 @@ def test_epsilon_exhaustive_pair_matches_closed_form_scan():
             (mp.sqrt(1 - abs(gram_entry(p, d))), d) for d in range(1, 11)
         )
     assert res.attaining_support.offsets == (0, best[1])
-    assert abs(res.value - best[0]) < mpf("1e-40")
+    lo, hi = sigma_enclosure(res.eig)
+    with workprec(256):
+        assert lo <= best[0] <= hi
+        assert abs(res.value ** 2 - best[0] ** 2) < 4 * mpf(2) ** -res.eig.bits_used
     assert res.attaining_support.offsets == (0, 1)
 
 
@@ -178,9 +191,15 @@ def test_contiguity_table_shares_one_value_per_reflection_pair(y, size, span):
     assert len(values) == res.supports_checked == len(list(canonical_supports(size, span)))
     for T, val in values.items():
         assert val._mpf_ == values[T.reflected().canonical()]._mpf_
+        # the pair's value and T's own both lie in T's proven enclosure,
+        # which holds lambda_min by inertia at 4x bits
         eig = min_eig_for_support(p, T)
-        with workprec(4 * eig.bits_used):
-            assert abs(val - sigma_min(p, T)) <= mpf(2) ** (16 - 2 * eig.bits_used) * val
+        bits = 4 * eig.bits_used
+        G = build_gram(p, T, bits=bits)
+        assert inertia_below(G, eig.lo, bits) == 0 and inertia_below(G, eig.hi, bits) == 1
+        with workprec(bits):
+            assert eig.lo <= val ** 2 <= eig.hi
+            assert eig.lo <= sigma_min(p, T) ** 2 <= eig.hi
     # ties within a pair are ordered by offsets
     for (Ta, va), (Tb, vb) in zip(res.table, res.table[1:]):
         assert va < vb or (va == vb and Ta.offsets < Tb.offsets)
@@ -375,20 +394,24 @@ def test_prune_never_skips_a_reflection_tie():
     p = SystemParams.from_y("0.2")
     first, second = SupportSet.of(0, 1, 3), SupportSet.of(0, 2, 3)
     lam = min_eig_for_support(p, first).value
-    G = build_gram(p, second, bits=128)
-    assert not spectral._cannot_win(G, lam, 128)
+    assert not spectral._cannot_win(p, second, lam, 128)
     for order in ([first, second], [second, first]):
         val, T, _ = spectral._least(p, order)
         assert (val, T) == brute_least(p, order)
 
 
-def test_prune_guard_refuses_below_rounding_floor():
-    # G - lam I plainly factors, but lam 2^-20 is under the 3 2^-120 floor
+def test_prune_guard_refuses_within_backward_error():
+    # G - lam (1 + 2^-20) I plainly factors for lam = 2^-110, but the
+    # margin lam 2^-20 is under the Cholesky's backward error, about
+    # 4 2^-128 tr(G) = 2^-124.4, so nothing is proven; at 2^-100 it is
     p = SystemParams.from_y("0.2")
-    G = build_gram(p, SupportSet.of(0, 4, 9), bits=128)
-    assert spectrum_above(G, mpf(2) ** -100, 128)
-    assert not spectral._cannot_win(G, mpf(2) ** -100, 128)
-    assert spectral._cannot_win(G, mpf(2) ** -60, 128)
+    T = SupportSet.of(0, 4, 9)
+    G = build_gram(p, T, bits=128)
+    lam = mpf(2) ** -110
+    assert spectrum_above(G, lam * (1 + mpf(2) ** -20), 128)
+    assert factored_floor(G, lam * (1 + mpf(2) ** -20), 128) < lam
+    assert not spectral._cannot_win(p, T, lam, 128)
+    assert spectral._cannot_win(p, T, mpf(2) ** -100, 128)
 
 
 # --- small-y asymptotics ----------------------------------------------------
