@@ -228,8 +228,9 @@ def _run_spark(args, bits, params):
         "spark": res.value,
         "saturated": res.saturated,
         "threshold": reports.enc_real(res.threshold, bits),
-        "levels": [{"k": k, "epsilon": reports.enc_real(v, bits)}
-                   for k, v in res.levels],
+        "levels": [{"k": k, "epsilon": reports.enc_real(v, bits),
+                    "epsilon_enclosure": reports.enc_enclosure(*sigma_enclosure(eig), bits)}
+                   for k, v, eig in res.levels],
     }
     cfg = {"eps": args.eps, "k_max": args.k_max, "mode": args.mode, "span": args.span}
     return results, [], [], cfg
@@ -269,8 +270,9 @@ def _run_asymptote(args, bits, params_unused):
                 "both orders are reported for comparison",
         "pencil_mu": reports.enc_real(res.pencil.mu, bits) if res.pencil else None,
         "table": [{"y": reports.enc_real(y, bits),
-                   "lambda_min": reports.enc_real(lam, bits),
-                   "bits_used": b} for y, lam, b in res.table],
+                   "lambda_min": reports.enc_real(eig.value, bits),
+                   "lambda_min_enclosure": reports.enc_enclosure(eig.lo, eig.hi, bits),
+                   "bits_used": eig.bits_used} for y, eig in res.table],
     }
     return results, [], [], {"support": list(T.offsets), "y_grid": grid}
 

@@ -5,7 +5,9 @@ the row tuples ``core.build_gram`` returns; nothing in this module mutates
 one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
 
 * ``cholesky_row``, the one row step of every Cholesky factor in the
-  package: ``hp_cholesky`` and the bordered factors of the l0 solver,
+  package: ``hp_cholesky`` and the bordered factors of the l0 solver.
+  Each entry is an exact dot product on raw mpmath mantissas, rounded
+  once, then one division or square root,
 * Cholesky factorization with pivot diagnostics, and its solve,
 * ``spectrum_above``, the inertia test "M - s I factors", and
   ``factored_floor``, what a Cholesky of M - s I that factored proves:
@@ -36,6 +38,7 @@ from functools import lru_cache
 from math import factorial
 
 from mpmath import iv, mp, mpf, workprec
+from mpmath.libmp import mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sum, round_nearest
 
 from .errors import (
     ConvergenceError,
@@ -80,24 +83,38 @@ def cholesky_row(L, cross, diag):
     """Row d = len(L) of a Cholesky factor, at the ambient precision.
 
     ``L`` holds rows 0..d-1 of the factor (row i has at least i + 1
-    entries), ``cross`` the matrix entries M[d][0..d-1] and ``diag`` M[d][d].
-    Returns the d + 1 entries l with l_i = (M[d][i] - sum_{k<i} l_k L[i][k])
-    / L[i][i] and l_d = sqrt(M[d][d] - sum_{k<d} l_k^2); raises
-    NotPositiveDefiniteError(d) when the pivot under the root is not
-    positive.
+    entries), ``cross`` the matrix entries M[d][0..d-1] and ``diag`` M[d][d],
+    all mpf. Returns the d + 1 entries l with l_i = (M[d][i] - sum_{k<i}
+    l_k L[i][k]) / L[i][i] and l_d = sqrt(M[d][d] - sum_{k<d} l_k^2).
+
+    Each numerator is one exact dot product: exact products on the raw
+    mantissas, summed by mpf_sum and rounded once (it drops only partial
+    sums more than 2 prec bits below the next term). Then one rounded
+    division or square root. An entry thus carries fewer roundings than
+    the textbook loop: for A stored at the working precision the computed
+    factor meets Higham's |R^T R - A| <= gamma_(n+1) |R^T| |R| (Accuracy
+    and Stability, Thm 10.3) with gamma_3 in place of gamma_(n+1), and
+    gamma_2 for n = 1, where no sum is rounded. Raises DomainError when
+    the pivot under the root is NaN or infinite (a non-finite entry) and
+    NotPositiveDefiniteError(d) when it is not positive.
     """
-    row = []
-    for i, (s, Li) in enumerate(zip(cross, L)):
-        for k in range(i):
-            s -= row[k] * Li[k]
-        row.append(s / Li[i])
-    s = diag
-    for x in row:
-        s -= x * x
-    if s <= 0:
+    prec = mp.prec
+    row, neg = [], []  # l_k and -l_k as raw mpf tuples
+    for c, Li in zip(cross, L):
+        s = mpf_sum([c._mpf_, *map(mpf_mul, neg, [x._mpf_ for x in Li[:len(row)]])],
+                    prec, round_nearest)
+        l = mpf_div(s, Li[len(row)]._mpf_, prec, round_nearest)
+        row.append(l)
+        neg.append(mpf_neg(l))
+    pivot = mpf_sum([diag._mpf_, *map(mpf_mul, neg, row)], prec, round_nearest)
+    sign, man, exp, _ = pivot
+    if not man and exp:
+        raise DomainError(f"matrix entry is not finite (pivot {len(row)} is "
+                          f"{mp.make_mpf(pivot)})")
+    if sign or not man:
         raise NotPositiveDefiniteError(len(row))
-    row.append(mp.sqrt(s))
-    return row
+    row.append(mpf_sqrt(pivot, prec, round_nearest))
+    return [mp.make_mpf(x) for x in row]
 
 
 def hp_cholesky(M, bits=None):
@@ -204,9 +221,11 @@ def factored_floor(M, s, bits, radius=0):
     stored at ``bits``, u = 2^-bits and g = gamma_(n+1).
 
     The computed factor R has R^T R = A + dA with |dA| <= g |R^T| |R|
-    (Higham, Accuracy and Stability, Sec. 10.1). Column i of R has squared
-    norm at most a_ii / (1 - g), so ||dA||_2 <= g / (1 - g) tr(A), and R^T R
-    is positive definite: lambda_min(A) > -||dA||_2 (Rump, BIT 46, 2006).
+    (Higham, Accuracy and Stability, Sec. 10.1, Thm 10.3); cholesky_row
+    meets it with gamma_3 (gamma_2 when n = 1), at most g. Column i of R
+    has squared norm at most a_ii / (1 - g), so ||dA||_2 <= g / (1 - g)
+    tr(A), and R^T R is positive definite: lambda_min(A) > -||dA||_2
+    (Rump, BIT 46, 2006).
     The rounding of the shift into A's diagonal adds at most u tr(A), and
     Weyl's inequality the radius. Every step rounds toward a lower bound.
     """

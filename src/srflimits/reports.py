@@ -146,6 +146,8 @@ def _csv_cell(value):
             return value["dec"]
         if "re" in value:
             return f"{value['re']}+{value['im']}j"
+        if "lo" in value:
+            return f"{value['lo']['dec']};{value['hi']['dec']}"
     if isinstance(value, list):
         return ";".join(str(v) for v in value)
     return value

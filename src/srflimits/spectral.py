@@ -27,8 +27,8 @@ from .core import (
     SystemParams,
     as_count,
     build_gram,
+    finite_norm,
     gram_radius,
-    keep_real,
     parse_grid,
 )
 from .errors import (
@@ -262,21 +262,19 @@ class SparkResult:
     value: int
     saturated: bool
     threshold: mpf
-    levels: tuple  # (k, eps_k) pairs actually computed
+    levels: tuple  # (k, eps_k, eig) per level computed; eig as in EpsilonResult
 
 
 def eps_spark(params: SystemParams, eps, k_max, mode=CONTIGUOUS,
               span_max=None) -> SparkResult:
     """Largest s <= k_max such that every support of size <= s has
     sigma_min at least eps. Returns 0 when even single atoms fail."""
-    eps = keep_real(eps)
-    if not eps > 0:
-        raise DomainError("threshold eps must be positive")
+    eps = finite_norm(eps, "threshold eps", positive=True)
     k_max = as_count(k_max, "k_max", 1)
     levels = []
     for s in range(1, k_max + 1):
         res = epsilon(params, s, mode=mode, span_max=span_max)
-        levels.append((s, res.value))
+        levels.append((s, res.value, res.eig))
         if res.value < eps:
             return SparkResult(value=s - 1, saturated=False, threshold=eps,
                                levels=tuple(levels))
@@ -402,7 +400,7 @@ class SmallYResult:
     support: SupportSet
     alpha: mpf
     mu: mpf
-    table: tuple  # (y, lambda_min, bits_used)
+    table: tuple  # (y, MinEigResult) per grid point, largest y first
     pencil: object
     gram_order_alpha: int  # 2n for |T| = n+1
     claimed_alpha: int  # 2n+1
@@ -423,9 +421,10 @@ def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
         res = min_eig_for_support(params, T)
         if res.value <= 0:
             raise PrecisionError(f"lambda_min underflowed the ladder at y = {yv}")
-        rows.append((yv, res.value, res.bits_used))
-    work_bits = max(r[2] for r in rows) * 2
-    alpha, log_mu = loglog_fit([r[0] for r in rows], [r[1] for r in rows], work_bits)
+        rows.append((yv, res))
+    work_bits = max(res.bits_used for _, res in rows) * 2
+    alpha, log_mu = loglog_fit([yv for yv, _ in rows], [res.value for _, res in rows],
+                               work_bits)
     with workprec(work_bits):
         mu = mp.exp(log_mu)
     n = len(T) - 1

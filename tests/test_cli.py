@@ -239,9 +239,10 @@ def test_asymptote_csv_table(capsys):
                      "--format", "csv"], capsys)
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][0] == "y"
+    assert rows[0][:3] == ["y", "lambda_min", "lambda_min_enclosure"]
     assert len(rows) == 5
-    float(rows[1][1])
+    lo, hi = rows[1][2].split(";")
+    assert float(lo) <= float(rows[1][1]) <= float(hi)
 
 
 def test_malformed_values_exit_two(capsys):
@@ -266,6 +267,27 @@ def test_smin_and_epsilon_report_a_proven_enclosure(capsys):
         box = res[key + "_enclosure"]
         assert code == 0
         assert dec(box["lo"]) <= dec(res[key]) <= dec(box["hi"])
+        with workprec(256):
+            assert dec(box["hi"]) - dec(box["lo"]) <= mpf("1e-6") * dec(box["lo"])
+
+
+def test_spark_levels_and_asymptote_rows_report_a_proven_enclosure(capsys):
+    # their values come from the certifying level, usually 128 bits, so the
+    # 82 printed digits are not all right; the enclosure says which are
+    def dec(obj):
+        with workprec(obj["bits"] + 8):
+            return mpf(obj["dec"])
+
+    code, out = run(["spark", "--y", "0.1", "--eps", "0.1", "--k-max", "4"], capsys)
+    levels = json.loads(out)["results"]["levels"]
+    assert code == 0 and [level["k"] for level in levels] == [1, 2, 3]
+    code, out = run(["asymptote", "--support", "0,1,2",
+                     "--y-grid", "0.001,0.002,0.004,0.008"], capsys)
+    rows = json.loads(out)["results"]["table"]
+    assert code == 0 and len(rows) == 4
+    for value, box in ([(level["epsilon"], level["epsilon_enclosure"]) for level in levels]
+                       + [(row["lambda_min"], row["lambda_min_enclosure"]) for row in rows]):
+        assert dec(box["lo"]) <= dec(value) <= dec(box["hi"])
         with workprec(256):
             assert dec(box["hi"]) - dec(box["lo"]) <= mpf("1e-6") * dec(box["lo"])
 
@@ -304,6 +326,7 @@ def test_recover_nan_sigma_exit_two(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["minimax", "--y", "0.2", "--k", "1", "--sigma", "inf"],
+    ["spark", "--y", "0.1", "--eps", "inf", "--k-max", "2"],
     ["adversary", "--y", "0.2", "--k", "1", "--sigma", "inf"],
     ["recover", "--y", "0.1", "--window", "0,1,2", "--coeffs", "1;0;1",
      "--sigma", "inf", "--k-cap", "2"],
@@ -346,11 +369,12 @@ def test_bad_count_exit_two(argv, capsys):
 
 
 def _numbers(node):
-    """Every decimal string of a report: the dec, re and im fields."""
+    """Every decimal string of a report: the dec, re and im fields (re and
+    im of a coefficient vector are lists)."""
     if isinstance(node, dict):
         for key, value in node.items():
             if key in ("dec", "re", "im"):
-                yield value
+                yield from value if isinstance(value, list) else [value]
             else:
                 yield from _numbers(value)
     elif isinstance(node, list):
@@ -366,23 +390,41 @@ _OFFSETS = st.lists(st.integers(min_value=-10, max_value=10), max_size=6)
 _SUPPORT = st.one_of(_OFFSETS, _OFFSETS.map(lambda offs: sorted(set(offs))))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+_NUMBER = st.sampled_from(["0.1", "1e-6", "0.5", "1.1", "0", "-1", "nan", "inf", "1e-30", "x"])
+_Y_GRID = st.sampled_from(["0.001,0.002,0.004,0.008", "0.002,0.004,0.006,0.008,0.01",
+                           "0.001,0.002,0.004", "0.001,0.002,0.004,nan",
+                           "0.002,0.002,0.002,0.002", "0.01,0.02,0.03,0.04"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["gram", "smin", "epsilon", "szego"]),
+    command=st.sampled_from(["gram", "smin", "epsilon", "szego", "spark", "recover",
+                             "asymptote"]),
     y=_Y_TEXT,
     support=_SUPPORT,
     z=st.sampled_from(["3", "inf", "1", "nan", "-2+0.5j", "0.99"]),
+    number=_NUMBER,
+    grid=_Y_GRID,
 )
-def test_cli_exit_codes_property(command, y, support, z):
+def test_cli_exit_codes_property(command, y, support, z, number, grid):
     # every run ends in a documented exit code, never an exception, and a
     # run that passes reports only finite numbers
+    offsets = ",".join(map(str, support))
     argv = [command, f"--y={y}", "--precision-bits=128"]
     if command == "epsilon":
         argv.append(f"--k={max(len(support), 1)}")
     elif command == "szego":
         argv.append(f"--z={z}")
+    elif command == "spark":
+        argv += [f"--eps={number}", f"--k-max={min(len(support), 4)}"]
+    elif command == "recover":
+        coeffs = ";".join([z] + ["1"] * (len(support) - 1))
+        argv += [f"--window={offsets}", f"--coeffs={coeffs}",
+                 f"--sigma={number}", f"--k-cap={len(support)}"]
+    elif command == "asymptote":
+        argv = [command, f"--support={offsets}", f"--y-grid={grid}", "--precision-bits=128"]
     else:
-        argv.append("--support=" + ",".join(map(str, support)))
+        argv.append(f"--support={offsets}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)

@@ -82,6 +82,60 @@ def test_cholesky_reconstruction_residual():
         assert frob(R) <= mpf(2) ** (-bits // 2) * frob(M)
 
 
+def exact(x):
+    """The value of a finite mpf as a Fraction. From the raw (sign, man, exp,
+    bc): man_exp drops the sign and mpf() rounds to 53 bits."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("y", ["0.04", "0.1", "0.3"])
+def test_cholesky_meets_higham_backward_error_bound(y):
+    # |R^T R - A| <= gamma_(n+1) |R^T| |R| entrywise (Higham, Thm 10.3), the
+    # bound factored_floor rests on, checked exactly for A as handed to
+    # hp_cholesky: contiguous Gram matrices, unshifted and at the shift
+    # lambda_min (1 - 2^-20) that factored_floor trusts
+    p = SystemParams.from_y(y)
+    worst = 0
+    for n in (2, 5, 9, 13, 16):
+        T = SupportSet(tuple(range(n)))
+        lam = min_eig_adaptive(gram_builder(y, T)).value
+        for bits in (128, 256):
+            G = build_gram(p, T, bits=bits)
+            with workprec(bits):
+                shifted = hp._shifted(G, lam * (1 - hp.CONFIRM_MARGIN))
+            for A in (G, shifted):
+                L = hp_cholesky(A, bits=bits)
+                u = Fraction(1, 2 ** bits)
+                gamma = (n + 1) * u / (1 - (n + 1) * u)
+                R = [[exact(x) for x in row] for row in L]
+                for i in range(n):
+                    for j in range(i + 1):
+                        dot = sum(R[i][k] * R[j][k] for k in range(j + 1))
+                        bound = gamma * sum(abs(R[i][k] * R[j][k]) for k in range(j + 1))
+                        err = abs(dot - exact(A[i][j]))
+                        assert err <= bound, (n, bits, i, j)
+                        if bound:
+                            worst = max(worst, err / bound)
+    assert worst < Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)], ids=["diag0", "diag1", "off"])
+def test_non_finite_entry_is_a_domain_error(bad, where):
+    # a NaN or infinite pivot must not pass as a value, and must not read as
+    # "too few bits" (NotPositiveDefiniteError), which makes the ladder climb
+    M = [[mpf(2), mpf("0.5")], [mpf("0.5"), mpf(2)]]
+    i, j = where
+    M[i][j] = M[j][i] = bad
+    with pytest.raises(DomainError):
+        hp_cholesky(M, bits=128)
+    with pytest.raises(DomainError):
+        min_eig(M, bits=128)
+    with pytest.raises(DomainError):
+        min_eig_adaptive(lambda bits: (M, 0))
+
+
 # --- min_eig: Cholesky plus shifted inverse iteration ------------------------
 
 
