@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 
@@ -61,9 +60,8 @@ def _add_common(p, needs_y=True):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for contiguity; every other "
-                        "subcommand runs serially and ignores it")
+    p.add_argument("--threads", type=int,
+                   help="accepted and ignored: every subcommand runs in one process")
 
 
 def _params_from(args, bits) -> SystemParams:
@@ -237,8 +235,7 @@ def _run_spark(args, bits, params):
 
 
 def _run_contiguity(args, bits, params):
-    res = contiguity_scan(params, args.size, args.span, budget=args.budget,
-                          workers=args.threads)
+    res = contiguity_scan(params, args.size, args.span, budget=args.budget)
     contig_val = next(v for T, v in res.table if T.offsets == tuple(range(args.size)))
     runner_up = next((v for T, v in res.table if T.offsets != tuple(range(args.size))),
                      contig_val)
@@ -251,8 +248,7 @@ def _run_contiguity(args, bits, params):
              for T, v in res.table]
     results = {"holds": res.holds, "supports_checked": res.supports_checked,
                "table": table}
-    cfg = {"size": args.size, "span": args.span, "budget": args.budget,
-           "threads": args.threads}
+    cfg = {"size": args.size, "span": args.span, "budget": args.budget}
     return results, checks, [], cfg
 
 

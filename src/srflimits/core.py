@@ -70,12 +70,14 @@ def as_count(n, name, least=0):
 
 
 def parse_grid(values, bits, name):
-    """Grid values parsed at ``bits`` (default_bits() when None); at least
-    four are required for a fit."""
+    """Grid values parsed at ``bits`` (default_bits() when None); a fit
+    needs at least four, of which at least two are distinct."""
     bits = default_bits() if bits is None else bits
     grid = [_to_mpf(v, bits) for v in values]
     if len(grid) < 4:
         raise DomainError(f"need at least 4 {name} grid points")
+    if len(set(grid)) < 2:
+        raise DomainError(f"degenerate fit: the {name} grid has fewer than two distinct points")
     return grid
 
 

@@ -21,9 +21,7 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
   bound,
 * a precision ladder that doubles the mantissa from 128 bits and stops at
   the first level whose enclosure [lo, hi] of lambda_min, widened by the
-  builder's bound on its own rounding, is narrower than ``reltol`` lo;
-  each level starts inverse iteration from the eigenpair of the level
-  below,
+  builder's bound on its own rounding, is narrower than ``reltol`` lo,
 * exact rational Hilbert/Vandermonde machinery for the rank-one limiting
   pencil of the small-bandwidth asymptotics.
 """
@@ -289,34 +287,20 @@ def min_eig(M, bits=None, max_steps=None):
     reach the relative stop. The lowest-index entry of the vector whose
     magnitude is within 2^-(bits/2) of the largest is positive.
     """
-    return _min_eig(M, default_bits() if bits is None else bits, max_steps, None)[:2]
+    return _min_eig(M, default_bits() if bits is None else bits, max_steps)[:2]
 
 
-def _min_eig(M, bits, max_steps, warm, radius=0):
+def _min_eig(M, bits, max_steps, radius=0):
     """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
     every symmetric E with ||E||_2 <= ``radius``: factored_floor of the
-    last shift that factored and the Rayleigh ceiling of the vector.
-
-    Started from ``warm`` = (mu, v), an eigenpair estimate of the level
-    below, when M - mu (1 - CONFIRM_MARGIN) I factors: that shift is then
-    a proven lo and v the start vector. With warm None, a shift that does
-    not factor, or a warm run whose confirming shift does not factor, the
-    result is that of the cold start."""
+    last shift that factored and the Rayleigh ceiling of the vector."""
     max_steps = 4 * bits if max_steps is None else max_steps
     n = _check_square_symmetric(M)
     with workprec(bits):
-        if warm is not None:
-            try:
-                lo = warm[0] * (1 - CONFIRM_MARGIN)
-                L = hp_cholesky(_shifted(M, lo), bits=bits)
-                v = list(warm[1])
-            except NotPositiveDefiniteError:
-                warm = None
-        if warm is None:
-            L, lo = hp_cholesky(M, bits=bits), mpf(0)
-            # alternating signs, graded so that v is not orthogonal to the
-            # reflection-symmetric eigenvectors of a symmetric support
-            v = [mpf(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
+        L, lo = hp_cholesky(M, bits=bits), mpf(0)
+        # alternating signs, graded so that v is not orthogonal to the
+        # reflection-symmetric eigenvectors of a symmetric support
+        v = [mpf(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
         tol = mpf(2) ** (8 - bits)
         res_tol = n * tol * max(M[i][i] for i in range(n))
         hi = mp.inf
@@ -347,8 +331,6 @@ def _min_eig(M, bits, max_steps, warm, radius=0):
         confirm = mu * (1 - CONFIRM_MARGIN)
         if lo < confirm:
             if not spectrum_above(M, confirm, bits):
-                if warm is not None:
-                    return _min_eig(M, bits, max_steps, None, radius)
                 raise NotPositiveDefiniteError(
                     None, f"M - mu (1 - 2^-20) I does not factor at {bits} bits")
             lo = confirm
@@ -395,31 +377,23 @@ def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
     whose enclosure [lo, hi] (see _min_eig, widened by the radius) has
     hi - lo <= ``reltol`` lo. A level where the matrix (or min_eig's
     confirming shift) does not factor has too few bits: it is recorded
-    without an estimate and the ladder climbs.
-
-    A level after one with an estimate (mu, v) first tries the shift
-    M - mu (1 - 2^-20) I: when it factors, it is the proven lower end of
-    the shift bracket and v the start vector, and inverse iteration
-    usually finishes in one or two steps. Otherwise, and after a level
-    without an estimate, the level starts as min_eig does.
+    without an estimate and the ladder climbs. Every level starts as
+    min_eig does.
     """
     reltol = mpf(reltol)
     history = []
-    warm = None
     bits = LADDER_START_BITS
     while bits <= cap_bits:
         M, radius = builder(bits)
         try:
-            lam, vec, (lo, hi) = _min_eig(M, bits, None, warm, radius)
+            lam, vec, (lo, hi) = _min_eig(M, bits, None, radius)
         except NotPositiveDefiniteError:
             history.append((bits, None))
-            warm = None
         else:
             history.append((bits, lam))
             with workprec(bits):
                 if hi - lo <= reltol * lo:
                     return MinEigResult(lam, vec, bits, tuple(history), lo, hi)
-            warm = (lam, vec)
         bits *= 2
     raise PrecisionCapError(
         f"no enclosure of the smallest eigenvalue narrower than rel {reltol} "

@@ -14,8 +14,6 @@ out; contiguity scans evaluate them all.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -69,8 +67,6 @@ __all__ = [
 CONTIGUOUS = "contiguous"
 EXHAUSTIVE = "exhaustive"
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
-POOL_MIN_SUPPORTS = 64
-POOL_CHUNK = 256
 
 
 def min_eig_for_support(params: SystemParams, T) -> MinEigResult:
@@ -222,35 +218,6 @@ def _least(params, supports):
     return best_val, best_T, best_eig
 
 
-def _scan_worker(args):
-    params, offsets = args
-    T = SupportSet(offsets)
-    return offsets, sigma_min(params, T)
-
-
-def _scan(params, supports, workers):
-    """Map sigma_min over supports, preserving order; forks when asked to.
-
-    The pool, of at most os.cpu_count() workers, starts only for at least
-    POOL_MIN_SUPPORTS supports and is fed POOL_CHUNK of them at a time; the
-    serial path consumes ``supports`` one at a time. Neither lists them all.
-    """
-    supports = iter(supports)
-    workers = min(workers, os.cpu_count() or 1)
-    chunk = list(itertools.islice(supports, POOL_CHUNK)) if workers > 1 else []
-    if len(chunk) >= POOL_MIN_SUPPORTS:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            while chunk:
-                for offsets, val in pool.map(
-                    _scan_worker, [(params, T.offsets) for T in chunk], chunksize=8
-                ):
-                    yield SupportSet(offsets), val
-                chunk = list(itertools.islice(supports, POOL_CHUNK))
-        return
-    for T in itertools.chain(chunk, supports):
-        yield T, sigma_min(params, T)
-
-
 @dataclass(frozen=True)
 class SparkResult:
     """eps-spark: the largest s with eps_s >= threshold.
@@ -332,7 +299,7 @@ def _gap_vector(T: SupportSet):
 
 
 def contiguity_scan(params: SystemParams, size, span_max,
-                    budget=DEFAULT_ENUMERATION_BUDGET, workers=1) -> ContiguityResult:
+                    budget=DEFAULT_ENUMERATION_BUDGET) -> ContiguityResult:
     """Check that the contiguous support strictly minimizes sigma_min.
 
     Also verifies the stronger statement that sigma_min is monotone under
@@ -344,8 +311,7 @@ def contiguity_scan(params: SystemParams, size, span_max,
     size = as_count(size, "size", 2)
     span_max = _span(span_max, size)
     _check_budget(size, span_max, as_count(budget, "budget", 1))
-    workers = as_count(workers, "workers", 1)
-    values = dict(_scan(params, reflection_representatives(size, span_max), workers))
+    values = {T: sigma_min(params, T) for T in reflection_representatives(size, span_max)}
     entries = [(T, values[T] if T in values else values[_mirror(T)])
                for T in canonical_supports(size, span_max)]
     table = sorted(entries, key=lambda e: (e[1], e[0].offsets))
@@ -372,11 +338,9 @@ def contiguity_scan(params: SystemParams, size, span_max,
 def loglog_fit(xs, ys, bits):
     """Least-squares line log y = intercept + slope log x at ``bits``.
 
-    Returns (slope, intercept). Raises PrecisionError when the xs hold
-    fewer than two distinct points, where no line is determined.
+    Returns (slope, intercept). The xs come from core.parse_grid, which
+    refuses a grid of fewer than two distinct points.
     """
-    if len(set(xs)) < 2:
-        raise PrecisionError("degenerate fit: the grid has fewer than two distinct points")
     with workprec(bits):
         lx = [mp.log(x) for x in xs]
         ly = [mp.log(y) for y in ys]

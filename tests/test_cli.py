@@ -85,17 +85,15 @@ def test_determinism_except_timestamp(capsys):
     assert strip_timestamp(out1) == strip_timestamp(out2)
 
 
-def test_threads_echoed_only_where_a_pool_can_run(capsys):
-    argv = ["epsilon", "--y", "0.2", "--k", "3", "--mode", "exhaustive",
-            "--span", "8", "--precision-bits", "128"]
+def test_threads_accepted_and_ignored(capsys):
+    # every subcommand runs in one process; the flag stays accepted for
+    # scripts that pass it, and reports do not echo it
+    argv = ["contiguity", "--y", "0.05", "--size", "3", "--span", "10"]
     code1, out1 = run(argv + ["--threads", "1"], capsys)
     code2, out2 = run(argv + ["--threads", "2"], capsys)
     assert code1 == code2 == 0
     assert strip_timestamp(out1) == strip_timestamp(out2)
     assert "threads" not in json.loads(out1)["config"]
-    _, out = run(["contiguity", "--y", "0.05", "--size", "2", "--span", "4",
-                  "--threads", "1"], capsys)
-    assert json.loads(out)["config"]["threads"] == 1
 
 
 def test_srf_y_duality(capsys):
@@ -360,8 +358,9 @@ def test_minimax_bounds_use_sigma_at_report_bits(capsys):
      "--sigma", "1e-6", "--k-cap", "-1"],
     ["bounds", "--y", "0.1", "--n", "2", "--polys", "0"],
     ["contiguity", "--y", "0.1", "--size", "2", "--span", "4", "--budget", "-1"],
-    ["contiguity", "--y", "0.1", "--size", "2", "--span", "4", "--threads", "0"],
-    ["contiguity", "--y", "0.1", "--size", "2", "--span", "4", "--threads", "-3"],
+    # a fit grid needs at least two distinct points
+    ["asymptote", "--support", "0,1", "--y-grid", "0.001,0.001,0.001,0.001"],
+    ["scaling", "--k", "1", "--srf-grid", "8,8,8,8"],
 ])
 def test_bad_count_exit_two(argv, capsys):
     code, out = run(argv, capsys)
@@ -407,8 +406,6 @@ _Y_GRID = st.sampled_from(["0.001,0.002,0.004,0.008", "0.002,0.004,0.006,0.008,0
     grid=_Y_GRID,
 )
 def test_cli_exit_codes_property(command, y, support, z, number, grid):
-    # every run ends in a documented exit code, never an exception, and a
-    # run that passes reports only finite numbers
     offsets = ",".join(map(str, support))
     argv = [command, f"--y={y}", "--precision-bits=128"]
     if command == "epsilon":
@@ -425,6 +422,12 @@ def test_cli_exit_codes_property(command, y, support, z, number, grid):
         argv = [command, f"--support={offsets}", f"--y-grid={grid}", "--precision-bits=128"]
     else:
         argv.append(f"--support={offsets}")
+    assert_exit_code_contract(argv)
+
+
+def assert_exit_code_contract(argv):
+    """The run ends in a documented exit code, never an exception, and a
+    run that passes reports only finite numbers."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)
@@ -434,6 +437,34 @@ def test_cli_exit_codes_property(command, y, support, z, number, grid):
         assert values
         with workprec(160):
             assert all(mp.isfinite(mpf(v)) for v in values)
+
+
+_SRF_GRID = st.sampled_from(["8,12,16,24", "8,12,16,24,32", "8,12,16", "8,8,8,8",
+                             "2,4,8,16", "8,12,nan,16", "8,12,16,x"])
+_SMALL_K = st.integers(min_value=0, max_value=2)
+# sizes stay small so that no example is slow: span <= 8, k <= 2 in
+# contiguous mode, n <= 3 and polys <= 5
+_SCAN_AND_FIT_ARGV = st.one_of(
+    st.builds(lambda y, size, span: ["contiguity", f"--y={y}", f"--size={size}",
+                                     f"--span={span}"],
+              _Y_TEXT, st.integers(min_value=0, max_value=4),
+              st.integers(min_value=0, max_value=8)),
+    st.builds(lambda command, y, k, sigma: [command, f"--y={y}", f"--k={k}",
+                                            f"--sigma={sigma}"],
+              st.sampled_from(["adversary", "minimax"]), _Y_TEXT, _SMALL_K, _NUMBER),
+    st.builds(lambda k, grid: ["scaling", f"--k={k}", f"--srf-grid={grid}"],
+              _SMALL_K, _SRF_GRID),
+    st.builds(lambda y, n, polys: ["bounds", f"--y={y}", f"--n={n}", f"--polys={polys}",
+                                   "--samples=100"],
+              _Y_TEXT, st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=5)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_SCAN_AND_FIT_ARGV)
+def test_cli_exit_codes_property_scans_and_fits(argv):
+    assert_exit_code_contract(argv + ["--precision-bits=128"])
 
 
 def test_readme_cli_examples_parse():
@@ -460,7 +491,7 @@ def test_runs_in_one_process_match_fresh_processes(capsys):
                 run_cli(["epsilon", "--y", "0.1", "--k", "x"])
             assert exc.value.code == 2
             assert run(["contiguity", "--y", "0.1", "--size", "2", "--span", "4",
-                        "--threads", "0"], capsys)[0] == 2
+                        "--budget", "0"], capsys)[0] == 2
             continue
         code, out = run(argv, capsys)
         assert code == 0

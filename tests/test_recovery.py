@@ -26,7 +26,6 @@ from srflimits.hp import cholesky_solve, hp_cholesky
 from srflimits.errors import (
     DomainError,
     InfeasibleError,
-    PrecisionError,
     ThresholdTieError,
 )
 
@@ -315,5 +314,5 @@ def test_scaling_input_validation():
 
 
 def test_scaling_degenerate_grid():
-    with pytest.raises(PrecisionError):
+    with pytest.raises(DomainError, match="degenerate fit"):
         srf_scaling(1, ("3", "3", "3", "3"))
