@@ -60,7 +60,7 @@ def criterion_1_kn_bracket() -> CriterionOutcome:
     min_slack = None
     for ys in THM10_Y_GRID:
         params = SystemParams.from_y(ys, bits=512)
-        for chk in leading_coeffs(params, 12, bits=512).thm10_checks(params):
+        for chk in leading_coeffs(params, 12).thm10_checks(params):
             rel = chk.slack / abs(chk.rhs)
             if min_slack is None or rel < min_slack:
                 min_slack = rel
@@ -78,7 +78,7 @@ def criterion_2_upper_chain() -> CriterionOutcome:
     worst = None
     for ys in THM10_Y_GRID:
         params = SystemParams.from_y(ys, bits=512)
-        table = leading_coeffs(params, 12, bits=512)
+        table = leading_coeffs(params, 12)
         for n in range(0, 13):
             T = SupportSet(tuple(range(n + 1)))
             if n == 0:
@@ -230,7 +230,7 @@ def criterion_6_minimax_sandwich() -> CriterionOutcome:
     t0 = time.time()
     for k, sigma in ((1, mpf("1e-4")), (2, mpf("1e-6"))):
         params = SystemParams.from_y("0.2", bits=512)
-        rep = minimax_experiment(params, k, sigma, bits=512)
+        rep = minimax_experiment(params, k, sigma)
         if not all(c.satisfied for c in rep.checks):
             return _outcome("criterion_6_minimax_sandwich", False,
                             f"in-pipeline check failed at k={k}", t0)
@@ -279,7 +279,7 @@ def criterion_7_reproducing() -> CriterionOutcome:
         for n in range(0, 6):
             for z in points:
                 val = szego_reproduce(params, n, z)
-                ref = Phi_map(params.c, z) ** (-n)
+                ref = Phi_map(params.c, z, params.bits) ** (-n)
                 err = abs(val - ref) / abs(ref)
                 worst = max(worst, err)
                 if err > mpf("1e-8"):
@@ -360,11 +360,11 @@ def criterion_10_smally_exponent() -> CriterionOutcome:
     return _outcome("criterion_10_smally_exponent", True, "; ".join(details), t0)
 
 
-def _l0_reference(params, f, sigma, bits):
+def _l0_reference(params, f, sigma):
     """All-subsets direct-residual search: the independence oracle for l0_solve."""
-    W = f.window
+    W, bits = f.window, params.bits
     nw = len(W)
-    G = build_gram(params, W, bits=bits)
+    G = build_gram(params, W)
     with workprec(bits):
         fnorm2 = gram_quadform(G, f.coeffs, bits=bits) + f.rho ** 2
         guard = mpf(2) ** (-bits // 2) * (1 + fnorm2)
@@ -404,8 +404,8 @@ def criterion_11_oracle_equivalence() -> CriterionOutcome:
     for m in sorted(set(int(v) for v in rng.integers(-20, 21, 12))):
         f = [mpf(0)] * (abs(m) + 1)
         f[abs(m)] = mpf(1)
-        quad = arc_inner_product(f, [mpf(1)], params, bits=128)
-        closed = gram_entry(params, m, bits=128)
+        quad = arc_inner_product(f, [mpf(1)], params)
+        closed = gram_entry(params, m)
         with workprec(128):
             err = abs(quad.real - closed) / max(abs(closed), mpf("1e-3"))
         if err > mpf("1e-12"):
@@ -426,7 +426,7 @@ def criterion_11_oracle_equivalence() -> CriterionOutcome:
         f = synthesize(params, x_true, window)
         sigma = mpf("1e-12")
         res = l0_solve(params, f, sigma, k_cap=8)
-        ref = _l0_reference(params, f, sigma, params.bits)
+        ref = _l0_reference(params, f, sigma)
         ref_support = tuple(window.offsets[i] for i in ref[1])
         if res.sparsity != ref[0] or res.support.offsets != ref_support:
             return _outcome("criterion_11_oracle_equivalence", False,

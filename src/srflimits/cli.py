@@ -26,7 +26,7 @@ from .core import (
     measurement_norm,
 )
 from .errors import DomainError, SRFError
-from .hp import MAX_BITS, MIN_BITS, default_bits
+from .hp import MAX_BITS, MIN_BITS, check_bits, default_bits
 from .recovery import adversarial_pair, l0_solve, minimax_experiment, srf_scaling
 from .spectral import (
     contiguity_scan,
@@ -70,13 +70,10 @@ def _params_from(args, bits) -> SystemParams:
     return SystemParams.from_srf(args.srf, bits=bits)
 
 
-def _echo_params(params: SystemParams, bits) -> dict:
-    return {
-        "y": reports.enc_real(params.y, bits),
-        "srf": reports.enc_real(params.srf, bits),
-        "capacity": reports.enc_real(params.c, bits),
-        "arc_length": reports.enc_real(params.arc_length, bits),
-    }
+def _echo_params(params: SystemParams) -> dict:
+    fields = {"y": params.y, "srf": params.srf, "capacity": params.c,
+              "arc_length": params.arc_length}
+    return {key: reports.enc_real(value, params.bits) for key, value in fields.items()}
 
 
 # built once per process: parsing leaves the parser unchanged
@@ -187,7 +184,7 @@ def _parse_complex(text, bits):
 
 def _run_gram(args, bits, params):
     T = SupportSet.from_text(args.support)
-    G = build_gram(params, T, bits=bits)
+    G = build_gram(params, T)
     rows = [[reports.enc_real(v, bits) for v in row] for row in G]
     table = [{"tau_i": ti, "tau_j": tj,
               "entry": reports.enc_real(G[i][j], bits)}
@@ -277,7 +274,7 @@ def _run_szego(args, bits, params):
     z = _parse_complex(args.z, bits)
     zeta = _parse_complex(args.zeta, bits)
     results = {"kernel": None, "Phi_z": None}
-    kval = szego_kernel(params, zeta, z, bits=bits)
+    kval = szego_kernel(params, zeta, z)
     results["kernel"] = reports.enc_complex(kval, bits)
     if mp.isinf(z):
         results["Phi_z"] = "inf"
@@ -293,7 +290,7 @@ def _run_szego(args, bits, params):
 
 def _run_bounds(args, bits, params):
     suite = bound_suite(params, args.n, samples=args.samples, seed=args.seed,
-                        polys=args.polys, bits=bits)
+                        polys=args.polys)
     decay = verify_srf_bounds(params, args.n)
     checks = list(suite.checks) + list(decay.checks)
     results = {
@@ -312,7 +309,7 @@ def _run_recover(args, bits, params):
     coeffs = [_parse_complex(c.strip(), bits)
               for c in args.coeffs.split(";") if c.strip()]
     f = MeasurementVector(window=W, coeffs=coeffs, rho=_to_mpf(args.rho, bits))
-    res = l0_solve(params, f, _to_mpf(args.sigma, bits), args.k_cap, bits=bits)
+    res = l0_solve(params, f, _to_mpf(args.sigma, bits), args.k_cap)
     results = {
         "sparsity": res.sparsity,
         "support": list(res.support.offsets) if res.support else [],
@@ -320,7 +317,7 @@ def _run_recover(args, bits, params):
         if res.estimate else None,
         "residual": reports.enc_real(res.residual, bits),
         "supports_examined": res.supports_examined,
-        "measurement_norm": reports.enc_real(measurement_norm(params, f, bits=bits), bits),
+        "measurement_norm": reports.enc_real(measurement_norm(params, f), bits),
     }
     cfg = {"window": list(W.offsets), "sigma": args.sigma, "k_cap": args.k_cap}
     return results, [], [], cfg
@@ -329,7 +326,7 @@ def _run_recover(args, bits, params):
 def _run_adversary(args, bits, params):
     pair = adversarial_pair(params, args.k, _to_mpf(args.sigma, bits),
                             mode=args.mode, span_max=args.span,
-                            strict_ties=args.strict_ties, bits=bits)
+                            strict_ties=args.strict_ties)
     results = {
         "T_star": list(pair.T_star.offsets),
         "eps_2k": reports.enc_real(pair.eps2k, bits),
@@ -344,7 +341,7 @@ def _run_adversary(args, bits, params):
 
 def _run_minimax(args, bits, params):
     rep = minimax_experiment(params, args.k, _to_mpf(args.sigma, bits),
-                             mode=args.mode, span_max=args.span, bits=bits)
+                             mode=args.mode, span_max=args.span)
     results = {
         "err_x0": reports.enc_real(rep.err_x0, bits),
         "err_x1": reports.enc_real(rep.err_x1, bits),
@@ -412,13 +409,10 @@ _NO_PARAMS = {"asymptote", "scaling", "selftest"}
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    bits = args.precision_bits if args.precision_bits is not None else default_bits()
-    if not MIN_BITS <= bits <= MAX_BITS:
-        print(f"error: precision bits must lie in [{MIN_BITS}, {MAX_BITS}]",
-              file=sys.stderr)
-        return EXIT_USAGE
     t0 = time.time()
     try:
+        bits = (default_bits() if args.precision_bits is None
+                else check_bits(args.precision_bits, "--precision-bits"))
         params = None
         if args.subcommand not in _NO_PARAMS:
             params = _params_from(args, bits)
@@ -434,7 +428,7 @@ def run_cli(argv=None) -> int:
     config = {"precision_bits": bits, "format": args.format}
     config.update(cfg_extra)
     if params is not None:
-        config.update(_echo_params(params, bits))
+        config.update(_echo_params(params))
     report = reports.build_report(args.subcommand, config, results,
                                   checks=checks, errors=errors, seed=args.seed,
                                   bits=bits)

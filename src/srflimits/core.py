@@ -11,6 +11,10 @@ returns it; every consumer (``hp`` and the scans, solvers and checks built
 on it) only indexes it. ``gram_radius`` bounds how far those rounded
 entries lie from the exact Gram matrix of the stored y, from an interval
 sinc of each offset difference.
+
+``SystemParams.bits``, checked once when the params are made, is the
+precision of every function that takes params; only the Gram builders
+take another ``bits``, for the precision ladder.
 """
 
 from __future__ import annotations
@@ -22,20 +26,24 @@ from functools import lru_cache
 from mpmath import iv, mp, mpc, mpf, workprec
 
 from .errors import DomainError, PrecisionError, SupportError
-from .hp import default_bits, iv_ends, iv_workprec
+from .hp import check_bits, default_bits, iv_ends, iv_workprec
 
 
 def _to_mpf(value, bits):
-    """Parse a real parameter at the given precision (str keeps all digits)."""
+    """Parse a real parameter at the given precision (str keeps all digits);
+    text that spells no number is a DomainError."""
     with workprec(bits):
         if isinstance(value, Fraction):
             return mpf(value.numerator) / mpf(value.denominator)
-        if isinstance(value, str) and "/" in value:
+        try:
+            if not (isinstance(value, str) and "/" in value):
+                return mpf(value)
             num, den = (mpf(part.strip()) for part in value.split("/", 1))
-            if den == 0:
-                raise DomainError(f"zero denominator in {value!r}")
-            return num / den
-        return mpf(value)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"cannot parse {value!r} as a real number") from exc
+        if den == 0:
+            raise DomainError(f"zero denominator in {value!r}")
+        return num / den
 
 
 _MPF_ZERO = mpf(0)._mpf_
@@ -70,9 +78,8 @@ def as_count(n, name, least=0):
 
 
 def parse_grid(values, bits, name):
-    """Grid values parsed at ``bits`` (default_bits() when None); a fit
-    needs at least four, of which at least two are distinct."""
-    bits = default_bits() if bits is None else bits
+    """Grid values parsed at ``bits``; a fit needs at least four, of which
+    at least two are distinct."""
     grid = [_to_mpf(v, bits) for v in values]
     if len(grid) < 4:
         raise DomainError(f"need at least 4 {name} grid points")
@@ -95,8 +102,8 @@ class SystemParams:
     """Normalized problem: band fraction y in (0, 1/2), srf = 1/y,
     capacity c = sin(pi*y/2), arc length L = 2*pi*y, all at ``bits``.
 
-    Constructed from (y, bits); the range check and the derived fields
-    live here only.
+    Constructed from (y, bits); the range checks of both (hp.check_bits
+    for bits) and the derived fields live here only.
     """
 
     y: mpf
@@ -106,6 +113,7 @@ class SystemParams:
     bits: int
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", check_bits(self.bits))
         if not 0 < self.y < mpf("0.5"):
             raise DomainError(f"band fraction y must lie in (0, 1/2), got {self.y}")
         with workprec(self.bits):
@@ -115,12 +123,12 @@ class SystemParams:
 
     @classmethod
     def from_y(cls, y, bits=None) -> "SystemParams":
-        bits = default_bits() if bits is None else bits
+        bits = default_bits() if bits is None else check_bits(bits)
         return cls(_to_mpf(y, bits), bits)
 
     @classmethod
     def from_srf(cls, srf, bits=None) -> "SystemParams":
-        bits = default_bits() if bits is None else bits
+        bits = default_bits() if bits is None else check_bits(bits)
         sv = _to_mpf(srf, bits)
         if not sv > 2:
             raise DomainError(f"srf must exceed 2 (so that y = 1/srf < 1/2), got {sv}")
@@ -204,6 +212,7 @@ def _sinc(y, m, bits):
         return mp.sin(x) / x
 
 
+@lru_cache(maxsize=4096)
 def _sinc_error_exponent(y, m, bits):
     """An integer e with |_sinc(y, m, bits) - sinc(pi*y*m)| <= 2^e, m > 0:
     the interval sinc (mpmath.iv) at bits + 16 contains the exact value,
@@ -213,13 +222,6 @@ def _sinc_error_exponent(y, m, bits):
         return max(mp.mag(end) for end in iv_ends(iv.sin(x) / x - _sinc(y, m, bits)))
 
 
-@lru_cache(maxsize=64)
-def _sinc_error_exponents(y, bits):
-    """The cache of _sinc_error_exponent for one (y, bits), keyed by m and
-    filled by gram_radius as it meets each offset difference."""
-    return {}
-
-
 def gram_radius(params: SystemParams, support, bits=None) -> mpf:
     """An upper bound on ||build_gram(params, support, bits) - G||_2, G the
     exact Gram matrix of the stored params.y: n 2^e, with e the largest
@@ -227,12 +229,8 @@ def gram_radius(params: SystemParams, support, bits=None) -> mpf:
     Frobenius norm of the entry errors (the diagonal is exactly 1)."""
     bits = params.bits if bits is None else bits
     offs = SupportSet.coerce(support).offsets
-    known = _sinc_error_exponents(params.y, bits)
-    exponents = []
-    for m in {tj - ti for i, ti in enumerate(offs) for tj in offs[i + 1:]}:
-        if m not in known:
-            known[m] = _sinc_error_exponent(params.y, m, bits)
-        exponents.append(known[m])
+    exponents = [_sinc_error_exponent(params.y, m, bits)
+                 for m in {tj - ti for i, ti in enumerate(offs) for tj in offs[i + 1:]}]
     return mp.ldexp(len(offs), max(exponents)) if exponents else mpf(0)
 
 
@@ -253,9 +251,8 @@ def build_gram(params: SystemParams, support, bits=None) -> tuple:
     return tuple(tuple(diffs[abs(tj - ti)] for tj in offs) for ti in offs)
 
 
-def gram_quadform(entries, v, bits=None) -> mpf:
+def gram_quadform(entries, v, bits) -> mpf:
     """Real quadratic form v* G v for a real symmetric G and complex v."""
-    bits = default_bits() if bits is None else bits
     n = len(v)
     with workprec(bits):
         total = mpf(0)
@@ -321,14 +318,14 @@ def synthesize(params: SystemParams, x: CoefficientVector, window) -> Measuremen
     return MeasurementVector(window=W, coeffs=x.embed(W), rho=mpf(0))
 
 
-def measurement_norm(params: SystemParams, f: MeasurementVector, bits=None) -> mpf:
-    """sqrt(coeffs* G_W coeffs + rho^2).
+def measurement_norm(params: SystemParams, f: MeasurementVector) -> mpf:
+    """sqrt(coeffs* G_W coeffs + rho^2) at params.bits.
 
     Raises PrecisionError if the quadratic form evaluates negative beyond
-    the rounding tolerance of the requested precision.
+    the rounding tolerance of that precision.
     """
-    bits = params.bits if bits is None else bits
-    G = build_gram(params, f.window, bits=bits)
+    bits = params.bits
+    G = build_gram(params, f.window)
     with workprec(bits):
         q = gram_quadform(G, f.coeffs, bits=bits)
         scale = sum((v * mp.conj(v)).real for v in f.coeffs) + mpf(1)

@@ -19,9 +19,10 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
   least mu (1 - 2^-20), gives a proven lower bound on lambda_min, and the
   Rayleigh quotient of its vector, with its rounding, a proven upper
   bound,
-* a precision ladder that doubles the mantissa from 128 bits and stops at
-  the first level whose enclosure [lo, hi] of lambda_min, widened by the
-  builder's bound on its own rounding, is narrower than ``reltol`` lo,
+* a precision ladder that doubles the mantissa from LADDER_START_BITS and
+  stops at the first level whose enclosure [lo, hi] of lambda_min, widened
+  by the builder's bound on its own rounding, is narrower than
+  LADDER_RELTOL lo,
 * exact rational Hilbert/Vandermonde machinery for the rank-one limiting
   pencil of the small-bandwidth asymptotics.
 """
@@ -52,21 +53,29 @@ MAX_BITS = 8192
 LADDER_START_BITS = 128
 LADDER_CAP_BITS = 8192
 LADDER_RELTOL = mpf("1e-6")
+# min_eig gives up after this many inverse-iteration steps per bit
+MIN_EIG_STEPS_PER_BIT = 4
 CONFIRM_MARGIN = mpf(2) ** -20
+
+
+def check_bits(bits, name="bits") -> int:
+    """``bits``, an integral number or a string spelling one, as an int in
+    [MIN_BITS, MAX_BITS]; anything else is a DomainError, never truncated."""
+    try:
+        value = int(bits)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if (value is None or (value != bits and not isinstance(bits, str))
+            or not MIN_BITS <= value <= MAX_BITS):
+        raise DomainError(f"{name} must be an integer in [{MIN_BITS}, {MAX_BITS}], "
+                          f"got {bits!r}")
+    return value
 
 
 def default_bits() -> int:
     """Mantissa budget in bits: SRF_PRECISION_BITS if set, else 256."""
     raw = os.environ.get(ENV_PRECISION)
-    if raw is None:
-        return 256
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise DomainError(f"{ENV_PRECISION} must be an integer, got {raw!r}")
-    if not MIN_BITS <= bits <= MAX_BITS:
-        raise DomainError(f"{ENV_PRECISION} must lie in [{MIN_BITS}, {MAX_BITS}]")
-    return bits
+    return 256 if raw is None else check_bits(raw, ENV_PRECISION)
 
 
 def _check_square_symmetric(M):
@@ -115,14 +124,13 @@ def cholesky_row(L, cross, diag):
     return [mp.make_mpf(x) for x in row]
 
 
-def hp_cholesky(M, bits=None):
+def hp_cholesky(M, bits):
     """Lower-triangular L with L L^T = M, computed at ``bits`` precision,
     as n lists of n entries (zeros above the diagonal).
 
     Raises NotPositiveDefiniteError with the first failing pivot index,
     which signals either a genuine singularity or insufficient precision.
     """
-    bits = default_bits() if bits is None else bits
     n = _check_square_symmetric(M)
     with workprec(bits):
         L = []
@@ -131,9 +139,8 @@ def hp_cholesky(M, bits=None):
     return [row + [mpf(0)] * (n - j - 1) for j, row in enumerate(L)]
 
 
-def cholesky_solve(L, b, bits=None):
+def cholesky_solve(L, b, bits):
     """Solve (L L^T) x = b by forward/back substitution. b may be complex."""
-    bits = default_bits() if bits is None else bits
     n = len(L)
     with workprec(bits):
         y = list(b)
@@ -145,9 +152,8 @@ def cholesky_solve(L, b, bits=None):
     return back_substitute(L, y, bits=bits)
 
 
-def back_substitute(L, y, bits=None):
+def back_substitute(L, y, bits):
     """Solve L^T x = y (the second half of cholesky_solve)."""
-    bits = default_bits() if bits is None else bits
     n = len(L)
     with workprec(bits):
         x = list(y)
@@ -256,7 +262,7 @@ def _rayleigh_ceiling(M, v, mu, bits, radius):
         return mp.fadd(ceiling, radius, rounding="c")
 
 
-def min_eig(M, bits=None, max_steps=None):
+def min_eig(M, bits):
     """Smallest eigenpair (value, unit vector) of a symmetric positive
     definite M, at ``bits`` precision.
 
@@ -280,21 +286,21 @@ def min_eig(M, bits=None, max_steps=None):
 
     Raises NotPositiveDefiniteError when M or the confirming shift does
     not factor at this precision (too few bits), and ConvergenceError
-    after ``max_steps`` steps. The default, 4 * bits, covers the midpoint
-    fallback alone: it halves (lo, hi) at least every second step, and
-    from (0, mu) it needs at most about bits halvings to reach an
-    eigenvalue that factors (above about 2^-bits ||M||) and bits more to
-    reach the relative stop. The lowest-index entry of the vector whose
+    after MIN_EIG_STEPS_PER_BIT * bits steps. Four steps per bit cover the
+    midpoint fallback alone: it halves (lo, hi) at least every second
+    step, and from (0, mu) it needs at most about bits halvings to reach
+    an eigenvalue that factors (above about 2^-bits ||M||) and bits more
+    to reach the relative stop. The lowest-index entry of the vector whose
     magnitude is within 2^-(bits/2) of the largest is positive.
     """
-    return _min_eig(M, default_bits() if bits is None else bits, max_steps)[:2]
+    return _min_eig(M, bits)[:2]
 
 
-def _min_eig(M, bits, max_steps, radius=0):
+def _min_eig(M, bits, radius=0):
     """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
     every symmetric E with ||E||_2 <= ``radius``: factored_floor of the
     last shift that factored and the Rayleigh ceiling of the vector."""
-    max_steps = 4 * bits if max_steps is None else max_steps
+    max_steps = MIN_EIG_STEPS_PER_BIT * bits
     n = _check_square_symmetric(M)
     with workprec(bits):
         L, lo = hp_cholesky(M, bits=bits), mpf(0)
@@ -350,9 +356,9 @@ class MinEigResult:
     """Smallest eigenvalue certified by the precision ladder.
 
     [``lo``, ``hi``] is a proven enclosure of lambda_min of the exact
-    matrix the builder rounds, with hi - lo <= reltol lo. ``bits_used`` is
-    the level that proved it, and ``value`` and ``vector`` are that
-    level's eigenpair; value is good to about n 2^-bits_used ||M||
+    matrix the builder rounds, with hi - lo <= LADDER_RELTOL lo.
+    ``bits_used`` is the level that proved it, and ``value`` and ``vector``
+    are that level's eigenpair; value is good to about n 2^-bits_used ||M||
     absolute, and only the enclosure is a proof. ``history`` records every
     (bits, estimate) pair the ladder visited; the estimate is None at a
     level where the matrix did not factor (too few bits).
@@ -366,8 +372,7 @@ class MinEigResult:
     hi: mpf
 
 
-def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
-                     cap_bits=LADDER_CAP_BITS) -> MinEigResult:
+def min_eig_adaptive(builder) -> MinEigResult:
     """Smallest eigenvalue of the matrix that builder(bits) rounds, doubling
     bits from LADDER_START_BITS until its enclosure is narrow.
 
@@ -375,29 +380,28 @@ def min_eig_adaptive(builder, reltol=LADDER_RELTOL,
     and an upper bound on the spectral norm of its distance from the exact
     matrix, the same at every level. The ladder stops at the first level
     whose enclosure [lo, hi] (see _min_eig, widened by the radius) has
-    hi - lo <= ``reltol`` lo. A level where the matrix (or min_eig's
+    hi - lo <= LADDER_RELTOL lo. A level where the matrix (or min_eig's
     confirming shift) does not factor has too few bits: it is recorded
     without an estimate and the ladder climbs. Every level starts as
-    min_eig does.
+    min_eig does. Raises PrecisionCapError past LADDER_CAP_BITS.
     """
-    reltol = mpf(reltol)
     history = []
     bits = LADDER_START_BITS
-    while bits <= cap_bits:
+    while bits <= LADDER_CAP_BITS:
         M, radius = builder(bits)
         try:
-            lam, vec, (lo, hi) = _min_eig(M, bits, None, radius)
+            lam, vec, (lo, hi) = _min_eig(M, bits, radius)
         except NotPositiveDefiniteError:
             history.append((bits, None))
         else:
             history.append((bits, lam))
             with workprec(bits):
-                if hi - lo <= reltol * lo:
+                if hi - lo <= LADDER_RELTOL * lo:
                     return MinEigResult(lam, vec, bits, tuple(history), lo, hi)
         bits *= 2
     raise PrecisionCapError(
-        f"no enclosure of the smallest eigenvalue narrower than rel {reltol} "
-        f"within {cap_bits} bits"
+        f"no enclosure of the smallest eigenvalue narrower than rel {LADDER_RELTOL} "
+        f"within {LADDER_CAP_BITS} bits"
     )
 
 
@@ -468,9 +472,8 @@ class PencilData:
     bits: int
 
 
-def pencil_mu(offsets, bits=None) -> PencilData:
+def pencil_mu(offsets, bits) -> PencilData:
     """Unique finite generalized eigenvalue of the limiting pencil."""
-    bits = default_bits() if bits is None else bits
     taus = sorted(int(t) for t in offsets)
     if len(taus) < 2:
         raise DomainError("pencil requires at least two offsets")

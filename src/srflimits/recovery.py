@@ -31,7 +31,7 @@ from .errors import (
     PrecisionError,
     ThresholdTieError,
 )
-from .hp import back_substitute, cholesky_row
+from .hp import back_substitute, check_bits, cholesky_row, default_bits
 from .spectral import CONTIGUOUS, epsilon, loglog_fit
 
 DEFAULT_WINDOW_CAP = 16
@@ -51,8 +51,7 @@ class RecoveryResult:
     supports_examined: int
 
 
-def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
-             bits=None) -> RecoveryResult:
+def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap) -> RecoveryResult:
     """Sparsest explanation of f within residual tolerance sigma.
 
     Supports are enumerated by increasing cardinality, lexicographic
@@ -70,8 +69,8 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap,
         raise DomainError(
             f"window size {nw} exceeds the enumeration cap {DEFAULT_WINDOW_CAP}"
         )
-    bits = params.bits if bits is None else bits
-    G = build_gram(params, window, bits=bits)
+    bits = params.bits
+    G = build_gram(params, window)
     with workprec(bits):
         base = gram_quadform(G, f.coeffs, bits=bits)
         fnorm2 = base + f.rho * f.rho
@@ -164,7 +163,7 @@ class AdversarialPair:
 
 
 def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
-                     span_max=None, strict_ties=False, bits=None) -> AdversarialPair:
+                     span_max=None, strict_ties=False) -> AdversarialPair:
     """Construct the indistinguishable pair realizing the minimax lower bound.
 
     A tie between the k-th and (k+1)-th magnitudes of the least singular
@@ -173,7 +172,7 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
     """
     k = as_count(k, "k", 1)
     sigma = finite_norm(sigma, "sigma", positive=True)
-    bits = params.bits if bits is None else bits
+    bits = params.bits
     eps_res = epsilon(params, 2 * k, mode=mode, span_max=span_max)
     T = eps_res.attaining_support
     eig = eps_res.eig
@@ -237,19 +236,17 @@ class MinimaxReport:
 
 
 def minimax_experiment(params: SystemParams, k, sigma, mode=CONTIGUOUS,
-                       span_max=None, bits=None) -> MinimaxReport:
+                       span_max=None) -> MinimaxReport:
     """Run the estimator on adversarial data and verify both sandwich sides.
 
     Upper side: ||xhat - x0|| <= 2 sigma / eps_2k (any (P0) minimizer).
     Lower side: max(||xhat - x0||, ||xhat - x1||) >= sigma / (2 eps_2k).
     """
     sigma = finite_norm(sigma, "sigma", positive=True)
-    bits = params.bits if bits is None else bits
-    pair = adversarial_pair(params, k, sigma, mode=mode, span_max=span_max,
-                            bits=bits)
+    pair = adversarial_pair(params, k, sigma, mode=mode, span_max=span_max)
     f = synthesize(params, pair.x0, pair.T_star)
-    rec = l0_solve(params, f, sigma, k_cap=k, bits=bits)
-    with workprec(2 * bits):
+    rec = l0_solve(params, f, sigma, k_cap=k)
+    with workprec(2 * params.bits):
         est = rec.estimate.embed(pair.T_star) if rec.estimate is not None \
             else tuple(mpc(0) for _ in pair.T_star)
         e0 = [a - b for a, b in zip(est, pair.x0.embed(pair.T_star))]
@@ -277,8 +274,10 @@ class ScalingResult:
 
 
 def srf_scaling(k, srf_grid, bits=None) -> ScalingResult:
-    """Fit log eps_2k = intercept + slope * log SRF over the grid."""
+    """Fit log eps_2k = intercept + slope * log SRF over the grid, at
+    ``bits``, or hp.default_bits when None."""
     k = as_count(k, "k", 1)
+    bits = default_bits() if bits is None else check_bits(bits)
     grid = parse_grid(srf_grid, bits, "SRF")
     if any(not s > 2 for s in grid):
         raise DomainError("every SRF must exceed 2")

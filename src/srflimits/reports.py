@@ -1,7 +1,7 @@
 """Machine-readable reports: lossless JSON and plottable CSV.
 
 High-precision numbers are serialized as decimal strings annotated with
-their mantisssa budget in bits, never as binary floating point; values in
+their mantissa budget in bits, never as binary floating point; values in
 this package span 1e-40 to 1e+3 and reports must round-trip.
 """
 

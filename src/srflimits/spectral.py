@@ -39,10 +39,13 @@ from .hp import (
     CONFIRM_MARGIN,
     LADDER_START_BITS,
     MinEigResult,
+    check_bits,
+    default_bits,
     factored_floor,
     iv_ends,
     iv_workprec,
     min_eig_adaptive,
+    pencil_mu,
     spectrum_above,
 )
 from .szego import leading_coeffs
@@ -264,7 +267,7 @@ def verify_srf_bounds(params: SystemParams, n_max) -> SrfBoundsResult:
     """Certify eps_{n+1} <= k_n^{-1} <= 4 c^n for n = 1..n_max and record
     the ratio eps_{n+1} / (c/4)^n, with eps in contiguous mode."""
     n_max = as_count(n_max, "n_max", 1)
-    table = leading_coeffs(params, n_max, bits=params.bits)
+    table = leading_coeffs(params, n_max)
     checks = []
     ratios = []
     min_ratio = None
@@ -371,10 +374,10 @@ class SmallYResult:
 
 
 def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
-    """Fit the decay exponent of lambda_min(G_T(y)) on a small-y grid."""
-    from .hp import pencil_mu
-
+    """Fit the decay exponent of lambda_min(G_T(y)) on a small-y grid, at
+    ``bits``, or hp.default_bits when None."""
     T = SupportSet.coerce(T)
+    bits = default_bits() if bits is None else check_bits(bits)
     ys = parse_grid(y_grid, bits, "y")
     if any(not 0 < v <= mpf("0.02") for v in ys):
         raise DomainError("y grid must lie in (0, 0.02]")

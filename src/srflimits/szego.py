@@ -15,6 +15,9 @@ q(w) = sqrt(c) * w * sqrt(1 + 2c/w + 1/w^2) / (w + c),
 a branch of sqrt(phi') that is analytic on |w| > 1 because
 1 + 2c u + u^2 never meets the negative real axis for |u| < 1. Then
 sqrt(Phi'(z)) = 1 / q(Phi(z)), positive at infinity.
+
+What takes params runs at params.bits (``leading_coeffs`` and the
+``arc_inner_product`` oracle also take another ``bits``).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import (
     OnArcError,
     PoleError,
 )
-from .hp import default_bits, hp_cholesky
+from .hp import hp_cholesky
 
 ON_ARC_TOL = mpf("1e-12")
 KERNEL_DEGENERACY_TOL = mpf("1e-30")
@@ -79,14 +82,13 @@ def phi_prime(c, w):
     return c * (w * w + 2 * c * w + 1) / ((w + c) * (w + c))
 
 
-def Phi_map(c, z, bits=None):
+def Phi_map(c, z, bits):
     """Inverse map: the root of c w^2 + (1-z) w - z c = 0 with |w| > 1.
 
     Raises OnArcError when both candidate roots have modulus within
     1 +- 1e-12, i.e. z is numerically on the arc.
     """
     c = keep_real(c)
-    bits = default_bits() if bits is None else bits
     with workprec(bits):
         z = keep_complex(z)
         disc = mp.sqrt((1 - z) ** 2 + 4 * c * c * z)
@@ -121,7 +123,7 @@ def _sqrt_phi_prime_at(c, point, bits):
     return 1 / phi_prime_sqrt(c, w), w
 
 
-def szego_kernel(params: SystemParams, zeta, z, bits=None):
+def szego_kernel(params: SystemParams, zeta, z):
     """Reproducing kernel of the Hardy space of the arc exterior.
 
     K(zeta, z) = (L/pi) sqrt(Phi'(zeta)) conj(sqrt(Phi'(z)))
@@ -129,7 +131,7 @@ def szego_kernel(params: SystemParams, zeta, z, bits=None):
     Either argument may be infinite (None, 'inf', or an mpmath inf);
     K(inf, inf) = L/(pi c).
     """
-    bits = params.bits if bits is None else bits
+    bits = params.bits
     c, L = params.c, params.arc_length
     for point in (zeta, z):
         if not _is_inf(point) and not mp.isfinite(keep_complex(point)):
@@ -192,8 +194,8 @@ def legendre_nodes(n, bits):
     return result
 
 
-def integrate_doubling(level, bits=None):
-    """Node-doubling loop over an n-point quadrature rule.
+def integrate_doubling(level, bits):
+    """Node-doubling loop over an n-point quadrature rule, at ``bits``.
 
     ``level(n)`` returns the approximation of the integral by the rule of
     order n (n nodes, or n panels for a trapezoid rule) and the largest
@@ -205,7 +207,6 @@ def integrate_doubling(level, bits=None):
     ConvergenceError past QUAD_NODE_CAP. The constants are read at call
     time.
     """
-    bits = default_bits() if bits is None else bits
     with workprec(bits):
         n = QUAD_START_NODES
         prev, peak = level(n)
@@ -313,7 +314,7 @@ class _NodeTable:
 _node_table = functools.lru_cache(maxsize=8)(_NodeTable)
 
 
-def szego_reproduce(params: SystemParams, n, z, bits=None):
+def szego_reproduce(params: SystemParams, n, z):
     """Reproduce F(z) = Phi(z)^{-n} from its boundary trace via the kernel.
 
     Evaluates the reproducing integral over the slit boundary (the arc
@@ -331,7 +332,7 @@ def szego_reproduce(params: SystemParams, n, z, bits=None):
     same bits; a reproduction then costs one complex division and one
     small power per node.
     """
-    bits = params.bits if bits is None else bits
+    bits = params.bits
     c, L = params.c, params.arc_length
     n = as_count(n, "n")
     z = keep_complex(z)
@@ -372,19 +373,18 @@ def szego_reproduce(params: SystemParams, n, z, bits=None):
 # recurrence that faber_poly runs.
 
 
-def faber_poly(params: SystemParams, n, bits=None):
+def faber_poly(params: SystemParams, n):
     """Faber polynomial F_n of the arc: the polynomial part of Phi(z)^n.
 
     Returned as ascending real coefficients; the leading one is c^{-n}.
     Built from F_0 = 1 (and F_m = 0 for m < 0) by the exact recurrence of
     the rational exterior map (Curtiss 1971, see above)
         c F_m = r_m - (1 + c^2 - z) F_{m-1} - c (1 - 2z) F_{m-2} + c^2 z F_{m-3},
-    r_1 = 2c^2, r_2 = c and r_m = 0 otherwise, at ``bits`` precision.
+    r_1 = 2c^2, r_2 = c and r_m = 0 otherwise, at params.bits.
     """
-    bits = params.bits if bits is None else bits
     n = as_count(n, "Faber degree")
     c = params.c
-    with workprec(bits):
+    with workprec(params.bits):
         c2 = c * c
         r = {1: 2 * c2, 2: c}
         F = [[mpf(1)]]  # F[m] holds the m + 1 coefficients of F_m
@@ -517,8 +517,8 @@ def _unit_arc_polys(params, degree, count, rng):
     return C / norms[:, None]
 
 
-def bound_suite(params: SystemParams, n_max, samples=200, seed=0, polys=100,
-                bits=None) -> BoundSuiteResult:
+def bound_suite(params: SystemParams, n_max, samples=200, seed=0,
+                polys=100) -> BoundSuiteResult:
     """Certify the explicit arc inequalities on sampled points.
 
     Emits, per degree n <= n_max:
@@ -531,11 +531,11 @@ def bound_suite(params: SystemParams, n_max, samples=200, seed=0, polys=100,
     and once overall:
       (e) the elementary envelope for |Phi'(z)|.
     Individual section failures are captured, never aborting the suite.
-    An n_max whose upper bracket 4 (1+2y)^2 c^{2 n_max} lies below 2^-bits
-    is refused with DomainError before any section runs: no Cholesky at
-    ``bits`` can resolve k_n there.
+    An n_max whose upper bracket 4 (1+2y)^2 c^{2 n_max} lies below 2^-bits,
+    bits = params.bits, is refused with DomainError before any section
+    runs: no Cholesky at those bits can resolve k_n there.
     """
-    bits = params.bits if bits is None else bits
+    bits = params.bits
     n_max = as_count(n_max, "n_max", 1)
     samples = as_count(samples, "samples", 100)
     polys = as_count(polys, "polys", 1)
@@ -553,7 +553,7 @@ def bound_suite(params: SystemParams, n_max, samples=200, seed=0, polys=100,
     L = float(params.arc_length)
 
     try:
-        table = leading_coeffs(params, n_max, bits=bits)
+        table = leading_coeffs(params, n_max)
         checks.extend(table.thm10_checks(params))
         with workprec(bits):
             for n, k in enumerate(table.k_values):

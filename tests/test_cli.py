@@ -53,6 +53,14 @@ def test_bad_precision_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "16", "1.5", "8193"])
+def test_bad_precision_env_exit_two(value, monkeypatch, capsys):
+    monkeypatch.setenv("SRF_PRECISION_BITS", value)
+    assert run_cli(["gram", "--y", "0.1", "--support", "0,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "SRF_PRECISION_BITS" in err
+
+
 def test_infeasible_exit_three(capsys):
     code, _ = run(["recover", "--y", "0.1", "--window", "0,1",
                    "--coeffs", "0;0", "--rho", "0.5", "--sigma", "0.1",
@@ -467,8 +475,9 @@ def test_cli_exit_codes_property_scans_and_fits(argv):
     assert_exit_code_contract(argv + ["--precision-bits=128"])
 
 
-def test_readme_cli_examples_parse():
-    # catches documentation drift when flags change; computes nothing
+def test_readme_cli_examples_run(capsys):
+    # catches documentation drift: every README example but selftest runs
+    # and passes (selftest is the acceptance suite, run on its own)
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```", 2)[1]
     lines = [shlex.split(line) for line in block.splitlines() if line.startswith("srf ")]
@@ -476,6 +485,8 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in lines:
         assert parser.parse_args(argv[1:]).subcommand == argv[1]
+        if argv[1] != "selftest":
+            assert run(argv[1:], capsys)[0] == 0, argv
 
 
 def test_runs_in_one_process_match_fresh_processes(capsys):

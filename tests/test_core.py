@@ -92,6 +92,15 @@ def test_params_rejects_out_of_range():
         SystemParams.from_y("0.5")
     with pytest.raises(DomainError):
         SystemParams.from_srf(2)
+    # a bit count outside [MIN_BITS, MAX_BITS], or not an integer, is
+    # refused before anything is parsed at it (at bits = 0, "0.1" rounds to 1/8)
+    for bits in (0, -5, 1.5, 63, 8193):
+        for make in (lambda: SystemParams.from_y("0.1", bits=bits),
+                     lambda: SystemParams.from_srf(10, bits=bits),
+                     lambda: SystemParams(mpf("0.1"), bits)):
+            with pytest.raises(DomainError):
+                make()
+    assert SystemParams.from_y("0.1", bits=256.0).bits == 256
 
 
 # --- support sets -----------------------------------------------------------

@@ -292,9 +292,9 @@ def test_ladder_tiny_eigenvalue_magnitude():
     assert res.hi - res.lo <= LADDER_RELTOL * res.lo
 
 
-def test_ladder_history_contracts():
-    res = min_eig_adaptive(gram_builder("0.08", SupportSet(tuple(range(5)))),
-                           reltol=mpf("1e-70"))
+def test_ladder_history_contracts(monkeypatch):
+    monkeypatch.setattr(hp, "LADDER_RELTOL", mpf("1e-70"))
+    res = min_eig_adaptive(gram_builder("0.08", SupportSet(tuple(range(5)))))
     assert res.hi - res.lo <= mpf("1e-70") * res.lo
     vals = [v for _, v in res.history]
     diffs = [abs(a - b) for a, b in zip(vals, vals[1:])]
@@ -306,10 +306,11 @@ def test_ladder_history_contracts():
     assert started and len(res.history) >= 3
 
 
-def test_ladder_cap_error():
+def test_ladder_cap_error(monkeypatch):
+    monkeypatch.setattr(hp, "LADDER_RELTOL", mpf(0))
+    monkeypatch.setattr(hp, "LADDER_CAP_BITS", 512)
     with pytest.raises(PrecisionCapError):
-        min_eig_adaptive(gram_builder("0.1", SupportSet.of(0, 1)),
-                         reltol=mpf(0), cap_bits=512)
+        min_eig_adaptive(gram_builder("0.1", SupportSet.of(0, 1)))
 
 
 # --- every ladder level is a min_eig run -----------------------------------
@@ -534,7 +535,7 @@ def test_pencil_examples():
 
 def test_pencil_mu_always_positive():
     for T in [(0, 1), (0, 2, 7), (0, 1, 2, 3), (0, 4, 5, 11, 13)]:
-        assert pencil_mu(T).mu > 0
+        assert pencil_mu(T, bits=256).mu > 0
 
 
 def test_default_bits_env_override(monkeypatch):
@@ -549,12 +550,13 @@ def test_default_bits_env_override(monkeypatch):
         default_bits()
 
 
-def test_min_eig_iteration_cap():
+def test_min_eig_iteration_cap(monkeypatch):
     from srflimits.errors import ConvergenceError
 
+    monkeypatch.setattr(hp, "MIN_EIG_STEPS_PER_BIT", 0)
     M = [[mpf(1), mpf("0.5")], [mpf("0.5"), mpf(1)]]
     with pytest.raises(ConvergenceError):
-        min_eig(M, bits=128, max_steps=0)
+        min_eig(M, bits=128)
 
 
 @pytest.mark.parametrize("e", [32, 64, 82, 100, 112])

@@ -1,8 +1,12 @@
 """Restricted isometry constants, eps-spark, contiguity, small-y decay."""
 
+from fractions import Fraction
+
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
 from srflimits import (
@@ -32,6 +36,36 @@ from srflimits.spectral import (
     sigma_enclosure,
     sigma_min_eig,
 )
+
+
+# y inside and outside (0, 1/2), as decimal strings and as fractions
+_Y = st.one_of(
+    st.integers(min_value=1, max_value=499).map(lambda v: f"0.{v:03d}"),
+    st.builds(Fraction, st.integers(min_value=1, max_value=19),
+              st.integers(min_value=40, max_value=80)),
+    st.sampled_from(["0", "0.5", "-0.1", "0.7", "nan", "inf", "1/0", "x",
+                     Fraction(1, 2), Fraction(-1, 3), Fraction(3, 4)]),
+)
+# bit counts in and out of [MIN_BITS, MAX_BITS], and non-integral ones
+_BITS = st.one_of(st.integers(min_value=64, max_value=1024),
+                  st.integers(min_value=-8, max_value=9000),
+                  st.floats(min_value=-10, max_value=9000).filter(lambda b: b != int(b)))
+_ATOMS = st.lists(st.integers(min_value=-6, max_value=6), max_size=3)
+_SUPPORT = st.one_of(st.lists(st.integers(min_value=-6, max_value=6), min_size=1,
+                              max_size=3, unique=True).map(sorted), _ATOMS)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(y=_Y, bits=_BITS, offsets=_SUPPORT)
+def test_library_entry_points_property(y, bits, offsets):
+    # every draw gives a finite sigma_min inside its enclosure, or a DomainError
+    try:
+        params = SystemParams.from_y(y, bits=bits)
+        value, eig = sigma_min_eig(params, offsets)
+    except DomainError:
+        return
+    lo, hi = sigma_enclosure(eig)
+    assert mp.isfinite(value) and 0 < lo <= value <= hi
 
 
 def test_sigma_min_single_atom_is_one():
