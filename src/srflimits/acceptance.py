@@ -26,7 +26,7 @@ from .core import (
 from .errors import NotPositiveDefiniteError, PrecisionError
 from .hp import cholesky_solve, hp_cholesky, min_eig
 from .recovery import l0_solve, minimax_experiment
-from .spectral import contiguity_scan, min_eig_for_support, smally_exponent
+from .spectral import contiguity_scan, smally_exponent, verify_srf_bounds
 from .szego import (
     Phi_map,
     arc_inner_product,
@@ -73,32 +73,21 @@ def criterion_1_kn_bracket() -> CriterionOutcome:
 
 
 def criterion_2_upper_chain() -> CriterionOutcome:
-    """sigma_min(A_{0..n}) <= k_n^{-1} <= 4 c^n on the same grid."""
+    """sigma_min(A_{0..n}) <= k_n^{-1} <= 4 c^n on the same grid, n = 1..12,
+    as verify_srf_bounds checks it (criterion 1 covers n = 0: k_0 = 1)."""
     t0 = time.time()
     worst = None
     for ys in THM10_Y_GRID:
         params = SystemParams.from_y(ys, bits=512)
-        table = leading_coeffs(params, 12)
-        for n in range(0, 13):
-            T = SupportSet(tuple(range(n + 1)))
-            if n == 0:
-                smin = mpf(1)
-            else:
-                res = min_eig_for_support(params, T)
-                with workprec(2 * res.bits_used):
-                    smin = mp.sqrt(res.value)
-            with workprec(512):
-                kn_inv = 1 / table.k_values[n]
-                cap = 4 * params.c ** n
-                if not (smin <= kn_inv and kn_inv <= cap):
-                    return _outcome(
-                        "criterion_2_upper_chain", False,
-                        f"chain broken at y={ys} n={n}: "
-                        f"{mp.nstr(smin, 8)} <= {mp.nstr(kn_inv, 8)} <= {mp.nstr(cap, 8)}",
-                        t0)
-                gap = (kn_inv - smin) / kn_inv
-                if n >= 1 and (worst is None or gap < worst):
-                    worst = gap
+        for chk in verify_srf_bounds(params, 12).checks:
+            if not chk.satisfied:
+                return _outcome("criterion_2_upper_chain", False,
+                                f"chain broken at y={ys}: {chk.name} "
+                                f"{mp.nstr(chk.lhs, 8)} > {mp.nstr(chk.rhs, 8)}", t0)
+            if chk.name.startswith("eps_le_kn_inv"):
+                with workprec(512):
+                    gap = chk.slack / chk.rhs
+                worst = gap if worst is None else min(worst, gap)
     return _outcome("criterion_2_upper_chain", True,
                     f"chain exact on grid; tightest relative gap "
                     f"{mp.nstr(worst, 3)}", t0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .core import keep_real
 
@@ -13,7 +13,9 @@ from .core import keep_real
 class BoundCheck:
     """Outcome of a single inequality lhs <= rhs.
 
-    ``slack`` is rhs - lhs; the check is satisfied exactly when slack >= 0.
+    ``slack`` is rhs - lhs, formed exactly, so neither it nor the verdict
+    depends on the working precision; the check is satisfied exactly when
+    slack >= 0.
     """
 
     name: str
@@ -25,5 +27,5 @@ class BoundCheck:
 
 def bound_check(name, lhs, rhs) -> BoundCheck:
     lhs, rhs = keep_real(lhs), keep_real(rhs)
-    slack = rhs - lhs
+    slack = mp.fsub(rhs, lhs, exact=True)
     return BoundCheck(name=name, lhs=lhs, rhs=rhs, satisfied=bool(slack >= 0), slack=slack)

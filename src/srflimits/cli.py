@@ -4,6 +4,11 @@ Exit codes: 0 all checks passed, 1 some check failed, 2 usage or domain
 error (an unwritable --output path included), 3 computational error
 (precision cap, infeasibility, budget).
 Diagnostics go to stderr; the report is the only thing on stdout.
+
+Each ``_run_*`` handler takes (args, params) and returns plain library
+values, computing any number it derives at the run's bits; ``reports``
+encodes every number, so no handler rounds one. asymptote, scaling and
+selftest have no params and read the resolved ``args.precision_bits``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .core import (
     measurement_norm,
 )
 from .errors import DomainError, SRFError
-from .hp import MAX_BITS, MIN_BITS, check_bits, default_bits
+from .hp import MAX_BITS, MIN_BITS, Enclosure, check_bits, default_bits
 from .recovery import adversarial_pair, l0_solve, minimax_experiment, srf_scaling
 from .spectral import (
     contiguity_scan,
@@ -64,16 +69,13 @@ def _add_common(p, needs_y=True):
                    help="accepted and ignored: every subcommand runs in one process")
 
 
-def _params_from(args, bits) -> SystemParams:
+def _params_from(args, bits) -> SystemParams | None:
+    """The run's params; None for the subcommands without --y/--srf."""
     if getattr(args, "y", None) is not None:
         return SystemParams.from_y(args.y, bits=bits)
-    return SystemParams.from_srf(args.srf, bits=bits)
-
-
-def _echo_params(params: SystemParams) -> dict:
-    fields = {"y": params.y, "srf": params.srf, "capacity": params.c,
-              "arc_length": params.arc_length}
-    return {key: reports.enc_real(value, params.bits) for key, value in fields.items()}
+    if getattr(args, "srf", None) is not None:
+        return SystemParams.from_srf(args.srf, bits=bits)
+    return None
 
 
 # built once per process: parsing leaves the parser unchanged
@@ -179,59 +181,53 @@ def _parse_complex(text, bits):
     return value
 
 
-# --- subcommand handlers: return (results, checks, errors, config_extra) ---
+# --- subcommand handlers: (args, params) -> (results, checks, errors, config_extra) ---
 
 
-def _run_gram(args, bits, params):
+def _run_gram(args, params):
     T = SupportSet.from_text(args.support)
     G = build_gram(params, T)
-    rows = [[reports.enc_real(v, bits) for v in row] for row in G]
-    table = [{"tau_i": ti, "tau_j": tj,
-              "entry": reports.enc_real(G[i][j], bits)}
+    table = [{"tau_i": ti, "tau_j": tj, "entry": G[i][j]}
              for i, ti in enumerate(T.offsets)
              for j, tj in enumerate(T.offsets)]
-    return ({"support": list(T.offsets), "entries": rows, "table": table},
-            [], [], {"support": list(T.offsets)})
+    return {"support": T, "entries": G, "table": table}, [], [], {"support": T}
 
 
-def _run_smin(args, bits, params):
+def _run_smin(args, params):
     T = SupportSet.from_text(args.support)
     val, eig = sigma_min_eig(params, T)
-    return ({"support": list(T.offsets),
-             "sigma_min": reports.enc_real(val, bits),
-             "sigma_min_enclosure": reports.enc_enclosure(*sigma_enclosure(eig), bits)},
-            [], [], {"support": list(T.offsets)})
+    return ({"support": T, "sigma_min": val, "sigma_min_enclosure": sigma_enclosure(eig)},
+            [], [], {"support": T})
 
 
-def _run_epsilon(args, bits, params):
+def _run_epsilon(args, params):
     res = epsilon(params, args.k, mode=args.mode, span_max=args.span)
     results = {
         "k": res.k,
-        "epsilon": reports.enc_real(res.value, bits),
-        "epsilon_enclosure": reports.enc_enclosure(*sigma_enclosure(res.eig), bits),
-        "attaining_support": list(res.attaining_support.offsets),
+        "epsilon": res.value,
+        "epsilon_enclosure": sigma_enclosure(res.eig),
+        "attaining_support": res.attaining_support,
         "mode": res.mode,
         "span_searched": res.span_searched,
     }
     return results, [], [], {"k": args.k, "mode": args.mode, "span": args.span}
 
 
-def _run_spark(args, bits, params):
-    res = eps_spark(params, _to_mpf(args.eps, bits), args.k_max, mode=args.mode,
+def _run_spark(args, params):
+    res = eps_spark(params, _to_mpf(args.eps, params.bits), args.k_max, mode=args.mode,
                     span_max=args.span)
     results = {
         "spark": res.value,
         "saturated": res.saturated,
-        "threshold": reports.enc_real(res.threshold, bits),
-        "levels": [{"k": k, "epsilon": reports.enc_real(v, bits),
-                    "epsilon_enclosure": reports.enc_enclosure(*sigma_enclosure(eig), bits)}
+        "threshold": res.threshold,
+        "levels": [{"k": k, "epsilon": v, "epsilon_enclosure": sigma_enclosure(eig)}
                    for k, v, eig in res.levels],
     }
     cfg = {"eps": args.eps, "k_max": args.k_max, "mode": args.mode, "span": args.span}
     return results, [], [], cfg
 
 
-def _run_contiguity(args, bits, params):
+def _run_contiguity(args, params):
     res = contiguity_scan(params, args.size, args.span, budget=args.budget)
     contig_val = next(v for T, v in res.table if T.offsets == tuple(range(args.size)))
     runner_up = next((v for T, v in res.table if T.offsets != tuple(range(args.size))),
@@ -241,138 +237,127 @@ def _run_contiguity(args, bits, params):
         bound_check("contiguous_strictly_below_runner_up", contig_val, runner_up),
         bound_check("monotonicity_violations", len(res.monotonicity_violations), 0),
     ]
-    table = [{"support": list(T.offsets), "sigma_min": reports.enc_real(v, bits)}
-             for T, v in res.table]
     results = {"holds": res.holds, "supports_checked": res.supports_checked,
-               "table": table}
+               "table": [{"support": T, "sigma_min": v} for T, v in res.table]}
     cfg = {"size": args.size, "span": args.span, "budget": args.budget}
     return results, checks, [], cfg
 
 
-def _run_asymptote(args, bits, params_unused):
+def _run_asymptote(args, params_unused):
     T = SupportSet.from_text(args.support)
     grid = [g.strip() for g in args.y_grid.split(",") if g.strip()]
-    res = smally_exponent(T, grid, bits=bits)
+    res = smally_exponent(T, grid, bits=args.precision_bits)
     results = {
-        "support": list(T.offsets),
-        "alpha": reports.enc_real(res.alpha, bits),
-        "mu_fit": reports.enc_real(res.mu, bits),
+        "support": T,
+        "alpha": res.alpha,
+        "mu_fit": res.mu,
         "gram_order_alpha": res.gram_order_alpha,
         "claimed_alpha": res.claimed_alpha,
         "note": "fitted exponent tracks 2n, not the claimed 2n+1; "
                 "both orders are reported for comparison",
-        "pencil_mu": reports.enc_real(res.pencil.mu, bits) if res.pencil else None,
-        "table": [{"y": reports.enc_real(y, bits),
-                   "lambda_min": reports.enc_real(eig.value, bits),
-                   "lambda_min_enclosure": reports.enc_enclosure(eig.lo, eig.hi, bits),
+        "pencil_mu": res.pencil.mu if res.pencil else None,
+        "table": [{"y": y, "lambda_min": eig.value,
+                   "lambda_min_enclosure": Enclosure(eig.lo, eig.hi),
                    "bits_used": eig.bits_used} for y, eig in res.table],
     }
-    return results, [], [], {"support": list(T.offsets), "y_grid": grid}
+    return results, [], [], {"support": T, "y_grid": grid}
 
 
-def _run_szego(args, bits, params):
-    z = _parse_complex(args.z, bits)
-    zeta = _parse_complex(args.zeta, bits)
-    results = {"kernel": None, "Phi_z": None}
-    kval = szego_kernel(params, zeta, z)
-    results["kernel"] = reports.enc_complex(kval, bits)
-    if mp.isinf(z):
-        results["Phi_z"] = "inf"
-    else:
-        w = Phi_map(params.c, z, bits=bits)
-        with workprec(bits):
-            roundtrip = abs(phi_map(params.c, w) - mp.mpc(z))
-        results["Phi_z"] = reports.enc_complex(w, bits)
-        results["abs_Phi_z"] = reports.enc_real(abs(w), bits)
-        results["phi_roundtrip_error"] = reports.enc_real(roundtrip, bits)
+def _run_szego(args, params):
+    z = _parse_complex(args.z, params.bits)
+    zeta = _parse_complex(args.zeta, params.bits)
+    with workprec(params.bits):
+        # K(inf, inf) is real; the report keeps the kernel complex
+        results = {"kernel": mp.mpc(szego_kernel(params, zeta, z)), "Phi_z": "inf"}
+        if not mp.isinf(z):
+            w = Phi_map(params.c, z, bits=params.bits)
+            results.update(Phi_z=w, abs_Phi_z=abs(w),
+                           phi_roundtrip_error=abs(phi_map(params.c, w) - mp.mpc(z)))
     return results, [], [], {"z": args.z, "zeta": args.zeta}
 
 
-def _run_bounds(args, bits, params):
+def _run_bounds(args, params):
     suite = bound_suite(params, args.n, samples=args.samples, seed=args.seed,
                         polys=args.polys)
     decay = verify_srf_bounds(params, args.n)
-    checks = list(suite.checks) + list(decay.checks)
     results = {
-        "min_lower_ratio": reports.enc_real(decay.min_lower_ratio, bits),
-        "lower_ratios": [{"n": n, "ratio": reports.enc_real(r, bits)}
-                         for n, r in decay.ratios],
+        "min_lower_ratio": decay.min_lower_ratio,
+        "lower_ratios": [{"n": n, "ratio": r} for n, r in decay.ratios],
         "samples": suite.samples,
         "polys": suite.polys,
     }
     cfg = {"n": args.n, "samples": args.samples, "polys": args.polys}
-    return results, checks, list(suite.errors), cfg
+    return results, suite.checks + decay.checks, suite.errors, cfg
 
 
-def _run_recover(args, bits, params):
+def _run_recover(args, params):
     W = SupportSet.from_text(args.window)
-    coeffs = [_parse_complex(c.strip(), bits)
+    coeffs = [_parse_complex(c.strip(), params.bits)
               for c in args.coeffs.split(";") if c.strip()]
-    f = MeasurementVector(window=W, coeffs=coeffs, rho=_to_mpf(args.rho, bits))
-    res = l0_solve(params, f, _to_mpf(args.sigma, bits), args.k_cap)
+    f = MeasurementVector(window=W, coeffs=coeffs, rho=_to_mpf(args.rho, params.bits))
+    res = l0_solve(params, f, _to_mpf(args.sigma, params.bits), args.k_cap)
     results = {
         "sparsity": res.sparsity,
-        "support": list(res.support.offsets) if res.support else [],
-        "estimate": reports.enc_coeff_vector(res.estimate, bits)
-        if res.estimate else None,
-        "residual": reports.enc_real(res.residual, bits),
+        "support": res.support or [],
+        "estimate": res.estimate,
+        "residual": res.residual,
         "supports_examined": res.supports_examined,
-        "measurement_norm": reports.enc_real(measurement_norm(params, f), bits),
+        "measurement_norm": measurement_norm(params, f),
     }
-    cfg = {"window": list(W.offsets), "sigma": args.sigma, "k_cap": args.k_cap}
-    return results, [], [], cfg
+    return results, [], [], {"window": W, "sigma": args.sigma, "k_cap": args.k_cap}
 
 
-def _run_adversary(args, bits, params):
-    pair = adversarial_pair(params, args.k, _to_mpf(args.sigma, bits),
+def _run_adversary(args, params):
+    pair = adversarial_pair(params, args.k, _to_mpf(args.sigma, params.bits),
                             mode=args.mode, span_max=args.span,
                             strict_ties=args.strict_ties)
+    with workprec(params.bits):
+        separation = pair.sigma / pair.eps2k
     results = {
-        "T_star": list(pair.T_star.offsets),
-        "eps_2k": reports.enc_real(pair.eps2k, bits),
-        "x0": reports.enc_coeff_vector(pair.x0, bits),
-        "x1": reports.enc_coeff_vector(pair.x1, bits),
+        "T_star": pair.T_star,
+        "eps_2k": pair.eps2k,
+        "x0": pair.x0,
+        "x1": pair.x1,
         "threshold_tie": pair.threshold_tie,
-        "separation": reports.enc_real(pair.sigma / pair.eps2k, bits),
+        "separation": separation,
     }
     cfg = {"k": args.k, "sigma": args.sigma, "mode": args.mode, "span": args.span}
     return results, [], [], cfg
 
 
-def _run_minimax(args, bits, params):
-    rep = minimax_experiment(params, args.k, _to_mpf(args.sigma, bits),
+def _run_minimax(args, params):
+    rep = minimax_experiment(params, args.k, _to_mpf(args.sigma, params.bits),
                              mode=args.mode, span_max=args.span)
     results = {
-        "err_x0": reports.enc_real(rep.err_x0, bits),
-        "err_x1": reports.enc_real(rep.err_x1, bits),
-        "upper_bound": reports.enc_real(rep.upper_bound, bits),
-        "lower_bound": reports.enc_real(rep.lower_bound, bits),
-        "eps_2k": reports.enc_real(rep.pair.eps2k, bits),
+        "err_x0": rep.err_x0,
+        "err_x1": rep.err_x1,
+        "upper_bound": rep.upper_bound,
+        "lower_bound": rep.lower_bound,
+        "eps_2k": rep.pair.eps2k,
         "recovered_sparsity": rep.recovery.sparsity,
     }
     cfg = {"k": args.k, "sigma": args.sigma, "mode": args.mode, "span": args.span}
-    return results, list(rep.checks), [], cfg
+    return results, rep.checks, [], cfg
 
 
-def _run_scaling(args, bits, params_unused):
+def _run_scaling(args, params_unused):
     grid = [g.strip() for g in args.srf_grid.split(",") if g.strip()]
-    res = srf_scaling(args.k, grid, bits=bits)
+    res = srf_scaling(args.k, grid, bits=args.precision_bits)
     expected = -(2 * args.k - 1)
-    checks = [bound_check("slope_matches_sparsity_exponent",
-                          abs(res.slope - expected), mpf("0.15"))]
+    with workprec(args.precision_bits):
+        misfit = abs(res.slope - expected)
     results = {
         "k": res.k,
-        "slope": reports.enc_real(res.slope, bits),
-        "intercept": reports.enc_real(res.intercept, bits),
+        "slope": res.slope,
+        "intercept": res.intercept,
         "expected_slope": expected,
-        "table": [{"srf": reports.enc_real(s, bits),
-                   "y": reports.enc_real(y, bits),
-                   "eps_2k": reports.enc_real(e, bits)} for s, y, e in res.table],
+        "table": [{"srf": s, "y": y, "eps_2k": e} for s, y, e in res.table],
     }
+    checks = [bound_check("slope_matches_sparsity_exponent", misfit, mpf("0.15"))]
     return results, checks, [], {"k": args.k, "srf_grid": grid}
 
 
-def _run_selftest(args, bits, params_unused):
+def _run_selftest(args, params_unused):
     from .acceptance import run_all
 
     outcomes = run_all()
@@ -403,21 +388,17 @@ _HANDLERS = {
     "selftest": _run_selftest,
 }
 
-_NO_PARAMS = {"asymptote", "scaling", "selftest"}
-
 
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.time()
     try:
-        bits = (default_bits() if args.precision_bits is None
-                else check_bits(args.precision_bits, "--precision-bits"))
-        params = None
-        if args.subcommand not in _NO_PARAMS:
-            params = _params_from(args, bits)
-        results, checks, errors, cfg_extra = _HANDLERS[args.subcommand](
-            args, bits, params)
+        bits = args.precision_bits = (
+            default_bits() if args.precision_bits is None
+            else check_bits(args.precision_bits, "--precision-bits"))
+        params = _params_from(args, bits)
+        results, checks, errors, cfg_extra = _HANDLERS[args.subcommand](args, params)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -425,13 +406,12 @@ def run_cli(argv=None) -> int:
         print(f"computational error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATIONAL
 
-    config = {"precision_bits": bits, "format": args.format}
-    config.update(cfg_extra)
+    config = {"precision_bits": bits, "format": args.format, **cfg_extra}
     if params is not None:
-        config.update(_echo_params(params))
-    report = reports.build_report(args.subcommand, config, results,
-                                  checks=checks, errors=errors, seed=args.seed,
-                                  bits=bits)
+        config.update(y=params.y, srf=params.srf, capacity=params.c,
+                      arc_length=params.arc_length)
+    report = reports.build_report(args.subcommand, config, results, bits,
+                                  checks=checks, errors=errors, seed=args.seed)
     payload = report.to_json() if args.format == "json" else report.to_csv()
     if args.output:
         try:

@@ -161,7 +161,14 @@ class SupportSet:
 
     @classmethod
     def from_text(cls, text) -> "SupportSet":
-        return cls(tuple(int(p) for p in text.split(",") if p.strip() != ""))
+        """Comma-separated integer offsets; any other part is a SupportError."""
+        offsets = []
+        for part in filter(None, (p.strip() for p in text.split(","))):
+            try:
+                offsets.append(int(part))
+            except ValueError as exc:
+                raise SupportError(f"support offset {part!r} is not an integer") from exc
+        return cls(tuple(offsets))
 
     def __len__(self):
         return len(self.offsets)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from mpmath import iv, mp, mpf, workprec
 from mpmath.libmp import mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sum, round_nearest
@@ -182,11 +183,18 @@ def iv_workprec(bits):
         iv.prec = saved
 
 
-def iv_ends(x):
+class Enclosure(NamedTuple):
+    """A proven interval [lo, hi]; reports encode it rounded outward."""
+
+    lo: mpf
+    hi: mpf
+
+
+def iv_ends(x) -> Enclosure:
     """(lower, upper) end of an mpmath.iv interval as exact mpf values;
     call it inside iv_workprec, whose precision the ends carry."""
     with workprec(iv.prec):
-        return mpf(x.a), mpf(x.b)
+        return Enclosure(mpf(x.a), mpf(x.b))
 
 
 @lru_cache(maxsize=256)

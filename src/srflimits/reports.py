@@ -2,7 +2,11 @@
 
 High-precision numbers are serialized as decimal strings annotated with
 their mantissa budget in bits, never as binary floating point; values in
-this package span 1e-40 to 1e+3 and reports must round-trip.
+this package span 1e-40 to 1e+3 and reports must round-trip. This module
+owns that format: ``build_report`` takes the plain values a computation
+returns (mpf, mpc, proven enclosures, supports, coefficient vectors,
+checks, and containers of them) and ``encode`` writes every number at the
+run's bits, so callers never round or format a number themselves.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from mpmath import iv, mp, mpf, workprec
+from mpmath import iv, mp, mpc, mpf, workprec
 
 from . import __version__
 from .checks import BoundCheck
 from .core import CoefficientVector, SupportSet
-from .hp import iv_ends, iv_workprec
+from .hp import Enclosure, iv_ends, iv_workprec
 
 SCHEMA_VERSION = "1"
 
@@ -53,15 +57,11 @@ def enc_complex(z, bits) -> dict:
         return {"re": mp.nstr(z.real, d), "im": mp.nstr(z.imag, d), "bits": bits}
 
 
-def enc_support(T: SupportSet) -> list:
-    return list(T.offsets)
-
-
 def enc_coeff_vector(x: CoefficientVector, bits) -> dict:
     d = digits_for(bits)
     with workprec(bits + 8):
         return {
-            "support": enc_support(x.support),
+            "support": list(x.support.offsets),
             "re": [mp.nstr(v.real, d) for v in x.values],
             "im": [mp.nstr(v.imag, d) for v in x.values],
             "bits": bits,
@@ -76,6 +76,29 @@ def enc_check(check: BoundCheck, bits) -> dict:
         "slack": enc_real(check.slack, bits),
         "satisfied": check.satisfied,
     }
+
+
+def encode(value, bits):
+    """The report form of ``value`` at ``bits``: numbers, enclosures,
+    coefficient vectors and checks by their enc_* function, a support as
+    its offsets list, containers item by item, anything else unchanged."""
+    if isinstance(value, mpf):
+        return enc_real(value, bits)
+    if isinstance(value, mpc):
+        return enc_complex(value, bits)
+    if isinstance(value, Enclosure):
+        return enc_enclosure(value.lo, value.hi, bits)
+    if isinstance(value, CoefficientVector):
+        return enc_coeff_vector(value, bits)
+    if isinstance(value, SupportSet):
+        return list(value.offsets)
+    if isinstance(value, BoundCheck):
+        return enc_check(value, bits)
+    if isinstance(value, dict):
+        return {key: encode(item, bits) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode(item, bits) for item in value]
+    return value
 
 
 @dataclass
@@ -97,22 +120,8 @@ class Report:
     schema_version: str = SCHEMA_VERSION
     tool_version: str = __version__
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "subcommand": self.subcommand,
-            "timestamp": self.timestamp,
-            "seed": self.seed,
-            "config": self.config,
-            "results": self.results,
-            "checks": self.checks,
-            "errors": self.errors,
-            "status": self.status,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         """One row per check with columns name,lhs,rhs,slack,satisfied;
@@ -153,10 +162,11 @@ def _csv_cell(value):
     return value
 
 
-def build_report(subcommand, config, results, checks=(), errors=(), seed=0,
-                 bits=256, timestamp=None) -> Report:
-    encoded = [enc_check(c, bits) if isinstance(c, BoundCheck) else c
-               for c in checks]
+def build_report(subcommand, config, results, bits, checks=(), errors=(), seed=0,
+                 timestamp=None) -> Report:
+    """A report whose config, results and checks are ``encode``d at ``bits``;
+    ``errors`` are (where, message) pairs."""
+    encoded = encode(checks, bits)
     errs = [{"where": w, "message": m} for (w, m) in errors]
     if any(not c["satisfied"] for c in encoded):
         status = STATUS_FAIL
@@ -166,22 +176,10 @@ def build_report(subcommand, config, results, checks=(), errors=(), seed=0,
         status = STATUS_PASS
     ts = timestamp if timestamp is not None else \
         datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return Report(subcommand=subcommand, config=config, results=results,
-                  checks=encoded, errors=errs, status=status, seed=seed,
-                  timestamp=ts)
+    return Report(subcommand=subcommand, config=encode(config, bits),
+                  results=encode(results, bits), checks=encoded, errors=errs,
+                  status=status, seed=seed, timestamp=ts)
 
 
 def from_json(text) -> Report:
-    data = json.loads(text)
-    return Report(
-        subcommand=data["subcommand"],
-        config=data["config"],
-        results=data["results"],
-        checks=data["checks"],
-        errors=data["errors"],
-        status=data["status"],
-        seed=data["seed"],
-        timestamp=data["timestamp"],
-        schema_version=data["schema_version"],
-        tool_version=data["tool_version"],
-    )
+    return Report(**json.loads(text))

@@ -38,6 +38,7 @@ from .errors import (
 from .hp import (
     CONFIRM_MARGIN,
     LADDER_START_BITS,
+    Enclosure,
     MinEigResult,
     check_bits,
     default_bits,
@@ -95,11 +96,11 @@ def sigma_min(params: SystemParams, T) -> mpf:
     return sigma_min_eig(params, T)[0]
 
 
-def sigma_enclosure(eig: MinEigResult | None):
-    """(lo, hi) enclosing sigma_min: the square roots of the ladder
+def sigma_enclosure(eig: MinEigResult | None) -> Enclosure:
+    """Enclosure (lo, hi) of sigma_min: the square roots of the ladder
     result's enclosure, rounded outward; (1, 1) for a single atom (None)."""
     if eig is None:
-        return mpf(1), mpf(1)
+        return Enclosure(mpf(1), mpf(1))
     with iv_workprec(eig.bits_used):
         return iv_ends(iv.sqrt(iv.mpf([max(eig.lo, 0), eig.hi])))
 

@@ -9,15 +9,19 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
 import srflimits
-from srflimits import SystemParams, reports
+from srflimits import CoefficientVector, SupportSet, SystemParams, cli, reports
+from srflimits.checks import bound_check
 from srflimits.cli import build_parser, run_cli
+from srflimits.errors import DomainError, SRFError
+from srflimits.hp import Enclosure
 
 
 def run(argv, capsys):
@@ -40,6 +44,24 @@ def test_gram_json_exit_zero(capsys):
     assert data["schema_version"] == "1"
     assert data["results"]["entries"][0][0]["dec"] == "1.0"
     assert data["results"]["entries"][0][1]["bits"] == 128
+
+
+def test_encode_writes_every_value_at_the_report_bits():
+    bits = 128
+    T = SupportSet.of(0, 2)
+    x = CoefficientVector(T, (1, 2j))
+    check = bound_check("one_le_two", 1, 2)
+    box = Enclosure(mpf(1), mpf(2))
+    value = {"pair": (mpf(1), [mpc(1, 2)]), "support": T, "x": x, "box": box,
+             "check": check, "n": 3, "text": "0.1", "none": None}
+    assert reports.encode(value, bits) == {
+        "pair": [reports.enc_real(1, bits), [reports.enc_complex(mpc(1, 2), bits)]],
+        "support": [0, 2],
+        "x": reports.enc_coeff_vector(x, bits),
+        "box": reports.enc_enclosure(1, 2, bits),
+        "check": reports.enc_check(check, bits),
+        "n": 3, "text": "0.1", "none": None,
+    }
 
 
 def test_domain_error_exit_two(capsys):
@@ -254,6 +276,8 @@ def test_asymptote_csv_table(capsys):
 def test_malformed_values_exit_two(capsys):
     code, _ = run(["gram", "--y", "0.1", "--support", "0,banana"], capsys)
     assert code == 2
+    code, _ = run(["smin", "--y", "0.1", "--support", "0,x"], capsys)
+    assert code == 2
     code, _ = run(["szego", "--y", "0.1", "--z", "not-a-number"], capsys)
     assert code == 2
     code, _ = run(["smin", "--y", "1/0", "--support", "0,1"], capsys)
@@ -434,17 +458,32 @@ def test_cli_exit_codes_property(command, y, support, z, number, grid):
 
 
 def assert_exit_code_contract(argv):
-    """The run ends in a documented exit code, never an exception, and a
-    run that passes reports only finite numbers."""
+    """The run ends in a documented exit code, never an exception; a run
+    that reports (exit 0 or 1) reports only finite numbers, and an error
+    exit is the handler's error: 2 a DomainError, 3 any other SRFError."""
+    raised = []
+    handler = cli._HANDLERS[argv[0]]
+
+    def spy(*args):
+        try:
+            return handler(*args)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(cli._HANDLERS, {argv[0]: spy}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)
     assert code in (0, 1, 2, 3)
-    if code == 0:
+    if code in (0, 1):
         values = list(_numbers(json.loads(out.getvalue())))
         assert values
         with workprec(160):
             assert all(mp.isfinite(mpf(v)) for v in values)
+    elif raised:
+        assert code == (2 if isinstance(raised[0], DomainError) else 3), raised[0]
+        assert isinstance(raised[0], SRFError), raised[0]
 
 
 _SRF_GRID = st.sampled_from(["8,12,16,24", "8,12,16,24,32", "8,12,16", "8,8,8,8",
@@ -475,18 +514,103 @@ def test_cli_exit_codes_property_scans_and_fits(argv):
     assert_exit_code_contract(argv + ["--precision-bits=128"])
 
 
-def test_readme_cli_examples_run(capsys):
-    # catches documentation drift: every README example but selftest runs
-    # and passes (selftest is the acceptance suite, run on its own)
+# exhaustive scans stay small (span <= 6, k <= 3), and a missing span is
+# its own case; test_huge_exhaustive_span_is_refused_up_front covers the rest
+_EXHAUSTIVE_ARGV = st.builds(
+    lambda command, y, k, span, number: (
+        [command, f"--y={y}", "--mode=exhaustive"]
+        + ([f"--eps={number}", f"--k-max={k}"] if command == "spark" else [f"--k={k}"])
+        + ([f"--sigma={number}"] if command in ("adversary", "minimax") else [])
+        + ([] if span is None else [f"--span={span}"])),
+    st.sampled_from(["epsilon", "spark", "adversary", "minimax"]),
+    st.sampled_from(["0.05", "0.1", "0.2", "0.3"]),
+    st.integers(min_value=0, max_value=3),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    _NUMBER,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_EXHAUSTIVE_ARGV)
+def test_cli_exit_codes_property_exhaustive(argv):
+    assert_exit_code_contract(argv + ["--precision-bits=128"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["epsilon", "--k", "3"],
+    ["spark", "--eps", "0.1", "--k-max", "3"],
+    ["adversary", "--k", "2", "--sigma", "1e-6"],
+    ["minimax", "--k", "2", "--sigma", "1e-6"],
+])
+def test_huge_exhaustive_span_is_refused_up_front(argv, monkeypatch, capsys):
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a Gram matrix was built before the budget check")
+
+    monkeypatch.setattr("srflimits.spectral.build_gram", no_gram)
+    code = run_cli(argv + ["--y", "0.1", "--mode", "exhaustive", "--span", "10000000"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "exceed the enumeration budget" in err
+
+
+def _readme_examples():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## CLI", 1)[1].split("```", 2)[1]
-    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("srf ")]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("srf ")]
+
+
+@pytest.fixture(scope="module")
+def readme_reports():
+    """(argv, exit code, report text) of every README example but selftest,
+    the acceptance suite, which runs on its own."""
+    runs = []
+    for argv in _readme_examples():
+        if argv[1] != "selftest":
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run_cli(argv[1:])
+            runs.append((argv, code, out.getvalue()))
+    return runs
+
+
+def test_readme_cli_examples_run(readme_reports):
+    # catches documentation drift: every README example parses, and every
+    # one but selftest runs and passes
+    lines = _readme_examples()
     assert len(lines) >= 10
     parser = build_parser()
     for argv in lines:
         assert parser.parse_args(argv[1:]).subcommand == argv[1]
-        if argv[1] != "selftest":
-            assert run(argv[1:], capsys)[0] == 0, argv
+    for argv, code, _ in readme_reports:
+        assert code == 0, argv
+
+
+def test_readme_reports_derive_numbers_at_their_bits(readme_reports):
+    # a check's slack, adversary's separation and szego's abs_Phi_z are
+    # derived from other reported numbers; each must be good to the run's
+    # bits, not to the 53 bits of mpmath's default context
+    derived = []
+    for argv, _, out in readme_reports:
+        report = json.loads(out)
+        bits = report["config"]["precision_bits"]
+        res = report["results"]
+        with workprec(bits + 8):
+            def dec(obj):
+                return mpf(obj["dec"])
+
+            for c in report["checks"]:
+                lhs, rhs = dec(c["lhs"]), dec(c["rhs"])
+                derived.append((bits, dec(c["slack"]), rhs - lhs, max(abs(lhs), abs(rhs))))
+            if "separation" in res:
+                ratio = mpf(report["config"]["sigma"]) / dec(res["eps_2k"])
+                derived.append((bits, dec(res["separation"]), ratio, ratio))
+            if "abs_Phi_z" in res:
+                w = mp.mpc(res["Phi_z"]["re"], res["Phi_z"]["im"])
+                derived.append((bits, dec(res["abs_Phi_z"]), abs(w), abs(w)))
+    assert len(derived) > 50
+    for bits, reported, recomputed, scale in derived:
+        with workprec(bits + 8):
+            assert abs(reported - recomputed) <= mpf(2) ** (8 - bits) * scale
 
 
 def test_runs_in_one_process_match_fresh_processes(capsys):

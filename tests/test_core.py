@@ -131,6 +131,13 @@ def test_support_canonical_and_reflect():
     assert T.span == 6
 
 
+def test_support_from_text_refuses_non_integers():
+    assert SupportSet.from_text(" -3, 5,") == SupportSet((-3, 5))
+    for text in ("0,x", "0,1.5", "0,1e3"):
+        with pytest.raises(SupportError, match="not an integer"):
+            SupportSet.from_text(text)
+
+
 # --- gram entries -----------------------------------------------------------
 
 
