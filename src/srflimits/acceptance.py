@@ -144,19 +144,20 @@ def criterion_4_contiguity() -> CriterionOutcome:
 
 
 def criterion_5_srf_scaling() -> CriterionOutcome:
-    """Slope of log eps_2k vs log SRF equals -(2k-1) within 0.15, k = 1..3."""
+    """srf_scaling's check for k = 1..3: the slope of log eps_2k vs log SRF
+    equals -(2k-1) within recovery.SCALING_TOLERANCE."""
     from .recovery import srf_scaling
 
     t0 = time.time()
     details = []
     for k in (1, 2, 3):
         res = srf_scaling(k, ("8", "12", "16", "24", "32"))
-        dev = abs(res.slope + (2 * k - 1))
+        check, = res.checks
         details.append(f"k={k}: {mp.nstr(res.slope, 6)}")
-        if not dev <= mpf("0.15"):
+        if not check.satisfied:
             return _outcome("criterion_5_srf_scaling", False,
                             f"slope {mp.nstr(res.slope, 6)} off target "
-                            f"{-(2 * k - 1)} by {mp.nstr(dev, 3)}", t0)
+                            f"{res.expected_slope} by {mp.nstr(check.lhs, 3)}", t0)
     return _outcome("criterion_5_srf_scaling", True, "; ".join(details), t0)
 
 

@@ -5,9 +5,10 @@ error (an unwritable --output path included), 3 computational error
 (precision cap, infeasibility, budget).
 Diagnostics go to stderr; the report is the only thing on stdout.
 
-Each ``_run_*`` handler takes (args, params) and returns plain library
-values, computing any number it derives at the run's bits; ``reports``
-encodes every number, so no handler rounds one. asymptote, scaling and
+Each ``_run_*`` handler takes (args, params), parses its arguments and
+maps the library's results, deriving any number at the run's bits; the
+library owns every check and default (selftest maps each criterion to a
+check), and ``reports`` encodes every number. asymptote, scaling and
 selftest have no params and read the resolved ``args.precision_bits``.
 """
 
@@ -18,7 +19,7 @@ import functools
 import sys
 import time
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, workprec
 
 from . import reports
 from .checks import bound_check
@@ -28,12 +29,13 @@ from .core import (
     SystemParams,
     _to_mpf,
     build_gram,
-    measurement_norm,
 )
 from .errors import DomainError, SRFError
-from .hp import MAX_BITS, MIN_BITS, Enclosure, check_bits, default_bits
+from .hp import DEFAULT_BITS, MAX_BITS, MIN_BITS, Enclosure, resolve_bits
 from .recovery import adversarial_pair, l0_solve, minimax_experiment, srf_scaling
 from .spectral import (
+    CONTIGUOUS,
+    EXHAUSTIVE,
     contiguity_scan,
     eps_spark,
     epsilon,
@@ -42,7 +44,7 @@ from .spectral import (
     smally_exponent,
     verify_srf_bounds,
 )
-from .szego import Phi_map, bound_suite, phi_map, szego_kernel
+from .szego import DEFAULT_POLYS, DEFAULT_SAMPLES, Phi_map, bound_suite, phi_map, szego_kernel
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -61,12 +63,17 @@ def _add_common(p, needs_y=True):
         g.add_argument("--srf", help="superresolution factor (> 2); y = 1/srf")
     p.add_argument("--precision-bits", type=int, default=None,
                    help=f"mantissa bits in [{MIN_BITS}, {MAX_BITS}] "
-                        "(default: SRF_PRECISION_BITS or 256)")
+                        f"(default: SRF_PRECISION_BITS or {DEFAULT_BITS})")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="report path (default stdout)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int,
                    help="accepted and ignored: every subcommand runs in one process")
+
+
+def _add_scan(p):
+    p.add_argument("--mode", choices=(CONTIGUOUS, EXHAUSTIVE), default=CONTIGUOUS)
+    p.add_argument("--span", type=int, default=None)
 
 
 def _params_from(args, bits) -> SystemParams | None:
@@ -99,21 +106,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epsilon", help="lower restricted isometry constant")
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("contiguous", "exhaustive"), default="contiguous")
-    p.add_argument("--span", type=int, default=None)
+    _add_scan(p)
 
     p = sub.add_parser("spark", help="eps-spark at a threshold")
     _add_common(p)
     p.add_argument("--eps", required=True)
     p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--mode", choices=("contiguous", "exhaustive"), default="contiguous")
-    p.add_argument("--span", type=int, default=None)
+    _add_scan(p)
 
     p = sub.add_parser("contiguity", help="exhaustively test the contiguous minimizer")
     _add_common(p)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--span", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10 ** 6)
 
     p = sub.add_parser("asymptote", help="small-y decay exponent of lambda_min")
     _add_common(p, needs_y=False)
@@ -128,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="bound suite and singular-value decay checks")
     _add_common(p)
     p.add_argument("--n", type=int, required=True, help="max polynomial degree")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--polys", type=int, default=100)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--polys", type=int, default=DEFAULT_POLYS)
 
     p = sub.add_parser("recover", help="brute-force l0 recovery")
     _add_common(p)
@@ -145,16 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sigma", required=True)
-    p.add_argument("--mode", choices=("contiguous", "exhaustive"), default="contiguous")
-    p.add_argument("--span", type=int, default=None)
+    _add_scan(p)
     p.add_argument("--strict-ties", action="store_true")
 
     p = sub.add_parser("minimax", help="minimax sandwich experiment")
     _add_common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sigma", required=True)
-    p.add_argument("--mode", choices=("contiguous", "exhaustive"), default="contiguous")
-    p.add_argument("--span", type=int, default=None)
+    _add_scan(p)
 
     p = sub.add_parser("scaling", help="log-log SRF scaling of eps_2k")
     _add_common(p, needs_y=False)
@@ -228,19 +230,10 @@ def _run_spark(args, params):
 
 
 def _run_contiguity(args, params):
-    res = contiguity_scan(params, args.size, args.span, budget=args.budget)
-    contig_val = next(v for T, v in res.table if T.offsets == tuple(range(args.size)))
-    runner_up = next((v for T, v in res.table if T.offsets != tuple(range(args.size))),
-                     contig_val)
-    checks = [
-        bound_check("contiguous_attains_minimum", contig_val, res.table[0][1]),
-        bound_check("contiguous_strictly_below_runner_up", contig_val, runner_up),
-        bound_check("monotonicity_violations", len(res.monotonicity_violations), 0),
-    ]
+    res = contiguity_scan(params, args.size, args.span)
     results = {"holds": res.holds, "supports_checked": res.supports_checked,
                "table": [{"support": T, "sigma_min": v} for T, v in res.table]}
-    cfg = {"size": args.size, "span": args.span, "budget": args.budget}
-    return results, checks, [], cfg
+    return results, res.checks, [], {"size": args.size, "span": args.span}
 
 
 def _run_asymptote(args, params_unused):
@@ -302,7 +295,7 @@ def _run_recover(args, params):
         "estimate": res.estimate,
         "residual": res.residual,
         "supports_examined": res.supports_examined,
-        "measurement_norm": measurement_norm(params, f),
+        "measurement_norm": res.measurement_norm,
     }
     return results, [], [], {"window": W, "sigma": args.sigma, "k_cap": args.k_cap}
 
@@ -343,18 +336,14 @@ def _run_minimax(args, params):
 def _run_scaling(args, params_unused):
     grid = [g.strip() for g in args.srf_grid.split(",") if g.strip()]
     res = srf_scaling(args.k, grid, bits=args.precision_bits)
-    expected = -(2 * args.k - 1)
-    with workprec(args.precision_bits):
-        misfit = abs(res.slope - expected)
     results = {
         "k": res.k,
         "slope": res.slope,
         "intercept": res.intercept,
-        "expected_slope": expected,
+        "expected_slope": res.expected_slope,
         "table": [{"srf": s, "y": y, "eps_2k": e} for s, y, e in res.table],
     }
-    checks = [bound_check("slope_matches_sparsity_exponent", misfit, mpf("0.15"))]
-    return results, checks, [], {"k": args.k, "srf_grid": grid}
+    return results, res.checks, [], {"k": args.k, "srf_grid": grid}
 
 
 def _run_selftest(args, params_unused):
@@ -394,9 +383,7 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.time()
     try:
-        bits = args.precision_bits = (
-            default_bits() if args.precision_bits is None
-            else check_bits(args.precision_bits, "--precision-bits"))
+        bits = args.precision_bits = resolve_bits(args.precision_bits, "--precision-bits")
         params = _params_from(args, bits)
         results, checks, errors, cfg_extra = _HANDLERS[args.subcommand](args, params)
     except (DomainError, ValueError) as exc:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from mpmath import iv, mp, mpc, mpf, workprec
 
 from .errors import DomainError, PrecisionError, SupportError
-from .hp import check_bits, default_bits, iv_ends, iv_workprec
+from .hp import check_bits, iv_ends, iv_workprec, resolve_bits
 
 
 def _to_mpf(value, bits):
@@ -123,12 +123,12 @@ class SystemParams:
 
     @classmethod
     def from_y(cls, y, bits=None) -> "SystemParams":
-        bits = default_bits() if bits is None else check_bits(bits)
+        bits = resolve_bits(bits)
         return cls(_to_mpf(y, bits), bits)
 
     @classmethod
     def from_srf(cls, srf, bits=None) -> "SystemParams":
-        bits = default_bits() if bits is None else check_bits(bits)
+        bits = resolve_bits(bits)
         sv = _to_mpf(srf, bits)
         if not sv > 2:
             raise DomainError(f"srf must exceed 2 (so that y = 1/srf < 1/2), got {sv}")
@@ -326,15 +326,15 @@ def synthesize(params: SystemParams, x: CoefficientVector, window) -> Measuremen
 
 
 def measurement_norm(params: SystemParams, f: MeasurementVector) -> mpf:
-    """sqrt(coeffs* G_W coeffs + rho^2) at params.bits.
-
-    Raises PrecisionError if the quadratic form evaluates negative beyond
-    the rounding tolerance of that precision.
-    """
-    bits = params.bits
+    """sqrt(coeffs* G_W coeffs + rho^2) at params.bits; see norm_from_quadform."""
     G = build_gram(params, f.window)
+    return norm_from_quadform(f, gram_quadform(G, f.coeffs, bits=params.bits), params.bits)
+
+
+def norm_from_quadform(f: MeasurementVector, q, bits) -> mpf:
+    """sqrt(q + rho^2) at ``bits`` for q = coeffs* G_W coeffs formed there; a
+    q negative beyond rounding is a PrecisionError, one within it counts as 0."""
     with workprec(bits):
-        q = gram_quadform(G, f.coeffs, bits=bits)
         scale = sum((v * mp.conj(v)).real for v in f.coeffs) + mpf(1)
         if q < 0:
             if abs(q) > mpf(2) ** (-bits // 2) * scale:

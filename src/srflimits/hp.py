@@ -51,8 +51,8 @@ from .errors import (
 ENV_PRECISION = "SRF_PRECISION_BITS"
 MIN_BITS = 64
 MAX_BITS = 8192
+DEFAULT_BITS = 256
 LADDER_START_BITS = 128
-LADDER_CAP_BITS = 8192
 LADDER_RELTOL = mpf("1e-6")
 # min_eig gives up after this many inverse-iteration steps per bit
 MIN_EIG_STEPS_PER_BIT = 4
@@ -74,9 +74,14 @@ def check_bits(bits, name="bits") -> int:
 
 
 def default_bits() -> int:
-    """Mantissa budget in bits: SRF_PRECISION_BITS if set, else 256."""
+    """Mantissa budget in bits: SRF_PRECISION_BITS if set, else DEFAULT_BITS."""
     raw = os.environ.get(ENV_PRECISION)
-    return 256 if raw is None else check_bits(raw, ENV_PRECISION)
+    return DEFAULT_BITS if raw is None else check_bits(raw, ENV_PRECISION)
+
+
+def resolve_bits(bits, name="bits") -> int:
+    """``bits`` checked by check_bits, or default_bits() when None."""
+    return default_bits() if bits is None else check_bits(bits, name)
 
 
 def _check_square_symmetric(M):
@@ -391,11 +396,11 @@ def min_eig_adaptive(builder) -> MinEigResult:
     hi - lo <= LADDER_RELTOL lo. A level where the matrix (or min_eig's
     confirming shift) does not factor has too few bits: it is recorded
     without an estimate and the ladder climbs. Every level starts as
-    min_eig does. Raises PrecisionCapError past LADDER_CAP_BITS.
+    min_eig does. Raises PrecisionCapError past MAX_BITS.
     """
     history = []
     bits = LADDER_START_BITS
-    while bits <= LADDER_CAP_BITS:
+    while bits <= MAX_BITS:
         M, radius = builder(bits)
         try:
             lam, vec, (lo, hi) = _min_eig(M, bits, radius)
@@ -409,7 +414,7 @@ def min_eig_adaptive(builder) -> MinEigResult:
         bits *= 2
     raise PrecisionCapError(
         f"no enclosure of the smallest eigenvalue narrower than rel {LADDER_RELTOL} "
-        f"within {LADDER_CAP_BITS} bits"
+        f"within {MAX_BITS} bits"
     )
 
 

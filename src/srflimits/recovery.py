@@ -1,4 +1,4 @@
-"""Brute-force l0 recovery and the minimax sandwich experiments.
+"""Brute-force l0 recovery, minimax sandwich experiments and SRF scaling.
 
 (P0) is solved by exhaustive support enumeration only. No heuristic
 solver is included on purpose: the window is finite and small, and the
@@ -18,10 +18,12 @@ from .core import (
     MeasurementVector,
     SupportSet,
     SystemParams,
+    _to_mpf,
     as_count,
     build_gram,
     finite_norm,
     gram_quadform,
+    norm_from_quadform,
     parse_grid,
     synthesize,
 )
@@ -31,10 +33,11 @@ from .errors import (
     PrecisionError,
     ThresholdTieError,
 )
-from .hp import back_substitute, check_bits, cholesky_row, default_bits
+from .hp import back_substitute, cholesky_row, resolve_bits
 from .spectral import CONTIGUOUS, epsilon, loglog_fit
 
 DEFAULT_WINDOW_CAP = 16
+SCALING_TOLERANCE = "0.15"  # largest |slope + 2k - 1| accepted, parsed at the run's bits
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,7 @@ class RecoveryResult:
     """Minimizer of (P0) over the window at tolerance sigma.
 
     ``support``/``estimate`` are None for the zero (0-sparse) explanation.
+    ``measurement_norm`` is ||f||, as core.measurement_norm gives it.
     """
 
     estimate: CoefficientVector | None
@@ -49,6 +53,7 @@ class RecoveryResult:
     sparsity: int
     residual: mpf
     supports_examined: int
+    measurement_norm: mpf
 
 
 def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap) -> RecoveryResult:
@@ -74,6 +79,7 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap) -> Recove
     with workprec(bits):
         base = gram_quadform(G, f.coeffs, bits=bits)
         fnorm2 = base + f.rho * f.rho
+        norm = norm_from_quadform(f, base, bits)
         guard = mpf(2) ** (-bits // 2) * (1 + fnorm2)
         target = sigma * sigma + guard
         b_window = [mp.fdot(row, f.coeffs) for row in G]  # G_W coeffs
@@ -85,7 +91,7 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap) -> Recove
                     continue
                 if s == 0:
                     residual = mp.sqrt(fnorm2) if fnorm2 > 0 else mpf(0)
-                    return RecoveryResult(None, None, 0, residual, examined)
+                    return RecoveryResult(None, None, 0, residual, examined, norm)
                 x = back_substitute(L, z, bits=bits)
                 # report ||f||^2 - Re b* x from the coefficients the estimate
                 # carries, not the running ||z||^2 that decided feasibility
@@ -94,7 +100,7 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap) -> Recove
                 residual = mp.sqrt(resid2) if resid2 > 0 else mpf(0)
                 T = SupportSet(tuple(window.offsets[i] for i in idx))
                 est = CoefficientVector(support=T, values=tuple(x))
-                return RecoveryResult(est, T, s, residual, examined)
+                return RecoveryResult(est, T, s, residual, examined, norm)
     if f.rho > sigma:
         raise InfeasibleError(
             f"rho = {f.rho} exceeds sigma = {sigma}: no support can explain f"
@@ -265,19 +271,22 @@ def minimax_experiment(params: SystemParams, k, sigma, mode=CONTIGUOUS,
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Log-log fit of eps_2k against SRF; slope should be near -(2k-1)."""
+    """Log-log fit of eps_2k against SRF, and its check that the slope is
+    within SCALING_TOLERANCE of expected_slope = -(2k-1)."""
 
     k: int
     slope: mpf
     intercept: mpf
+    expected_slope: int
     table: tuple  # (srf, y, eps_2k)
+    checks: tuple
 
 
 def srf_scaling(k, srf_grid, bits=None) -> ScalingResult:
     """Fit log eps_2k = intercept + slope * log SRF over the grid, at
     ``bits``, or hp.default_bits when None."""
     k = as_count(k, "k", 1)
-    bits = default_bits() if bits is None else check_bits(bits)
+    bits = resolve_bits(bits)
     grid = parse_grid(srf_grid, bits, "SRF")
     if any(not s > 2 for s in grid):
         raise DomainError("every SRF must exceed 2")
@@ -286,5 +295,10 @@ def srf_scaling(k, srf_grid, bits=None) -> ScalingResult:
         params = SystemParams.from_srf(srf, bits=bits)
         val = epsilon(params, 2 * k, mode=CONTIGUOUS).value
         rows.append((srf, params.y, val))
-    slope, intercept = loglog_fit([r[0] for r in rows], [r[2] for r in rows], 512)
-    return ScalingResult(k=k, slope=slope, intercept=intercept, table=tuple(rows))
+    slope, intercept = loglog_fit([r[0] for r in rows], [r[2] for r in rows], bits)
+    expected = -(2 * k - 1)
+    misfit = abs(mp.fsub(slope, expected, prec=bits))
+    check = bound_check("slope_matches_sparsity_exponent", misfit,
+                        _to_mpf(SCALING_TOLERANCE, bits))
+    return ScalingResult(k=k, slope=slope, intercept=intercept, expected_slope=expected,
+                         table=tuple(rows), checks=(check,))

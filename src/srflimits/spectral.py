@@ -5,6 +5,7 @@ The minimum over all supports of a given size is not computable on an
 infinite grid, so every result is labeled with its mode: 'contiguous'
 invokes the contiguous-minimizer property, 'exhaustive' enumerates all
 canonical supports (tau_0 = 0) up to a stated span and is exact within it.
+Every scan refuses more than DEFAULT_ENUMERATION_BUDGET supports up front.
 Both kinds of scan evaluate one support of each reflection pair, which
 shares its spectrum with the other. The exhaustive eps_k scan runs the
 precision ladder only on supports that one shifted Cholesky cannot rule
@@ -40,13 +41,12 @@ from .hp import (
     LADDER_START_BITS,
     Enclosure,
     MinEigResult,
-    check_bits,
-    default_bits,
     factored_floor,
     iv_ends,
     iv_workprec,
     min_eig_adaptive,
     pencil_mu,
+    resolve_bits,
     spectrum_above,
 )
 from .szego import leading_coeffs
@@ -145,23 +145,19 @@ def reflection_representatives(k, span_max):
 
 
 def _span(span_max, k):
-    """span_max as a count, refused when None or below k - 1 (no size-k
-    canonical support fits)."""
+    """span_max as a count, refused when None, below k - 1 (no size-k
+    canonical support fits) or over DEFAULT_ENUMERATION_BUDGET supports."""
     if span_max is None:
         raise SpanTooSmallError("an exhaustive scan requires span_max, and none was given")
     span = as_count(span_max, "span_max")
     if span < k - 1:
         raise SpanTooSmallError(f"an exhaustive scan of size {k} requires span_max >= {k - 1}")
-    return span
-
-
-def _check_budget(k, span_max, budget):
-    """Refuse an exhaustive scan of more than ``budget`` canonical supports."""
-    count = comb(span_max, k - 1)
-    if count > budget:
+    count = comb(span, k - 1)
+    if count > DEFAULT_ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"{count} supports exceed the enumeration budget {budget}"
+            f"{count} supports exceed the enumeration budget {DEFAULT_ENUMERATION_BUDGET}"
         )
+    return span
 
 
 def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None) -> EpsilonResult:
@@ -182,7 +178,6 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None) -> EpsilonR
     if mode != EXHAUSTIVE:
         raise DomainError(f"unknown mode {mode!r}")
     span_max = _span(span_max, k)
-    _check_budget(k, span_max, DEFAULT_ENUMERATION_BUDGET)
     value, T, eig = _least(params, reflection_representatives(k, span_max))
     return EpsilonResult(k=k, value=value, attaining_support=T, mode=EXHAUSTIVE,
                          span_searched=span_max, eig=eig)
@@ -290,20 +285,18 @@ def verify_srf_bounds(params: SystemParams, n_max) -> SrfBoundsResult:
 
 @dataclass(frozen=True)
 class ContiguityResult:
-    """Outcome of an exhaustive scan at fixed support size."""
+    """Outcome of an exhaustive scan at fixed support size. ``checks``: the
+    contiguous sigma_min against the least and, non-strictly, the runner-up
+    (``holds`` needs a strict gap); the monotonicity violations against 0."""
 
     holds: bool
     table: tuple  # (SupportSet, sigma_min) sorted ascending by sigma_min
     monotonicity_violations: tuple
     supports_checked: int
+    checks: tuple
 
 
-def _gap_vector(T: SupportSet):
-    return tuple(b - a for a, b in zip(T.offsets, T.offsets[1:]))
-
-
-def contiguity_scan(params: SystemParams, size, span_max,
-                    budget=DEFAULT_ENUMERATION_BUDGET) -> ContiguityResult:
+def contiguity_scan(params: SystemParams, size, span_max) -> ContiguityResult:
     """Check that the contiguous support strictly minimizes sigma_min.
 
     Also verifies the stronger statement that sigma_min is monotone under
@@ -314,38 +307,37 @@ def contiguity_scan(params: SystemParams, size, span_max,
     """
     size = as_count(size, "size", 2)
     span_max = _span(span_max, size)
-    _check_budget(size, span_max, as_count(budget, "budget", 1))
     values = {T: sigma_min(params, T) for T in reflection_representatives(size, span_max)}
     entries = [(T, values[T] if T in values else values[_mirror(T)])
                for T in canonical_supports(size, span_max)]
     table = sorted(entries, key=lambda e: (e[1], e[0].offsets))
     contiguous = SupportSet(tuple(range(size)))
-    holds = table[0][0] == contiguous and (
-        len(table) == 1 or table[1][1] > table[0][1]
+    contig_val = values[contiguous]
+    runner_up = next((v for T, v in table if T != contiguous), contig_val)
+    holds = len(table) == 1 or contig_val < runner_up
+    # each ordered pair (wide, tight): wide's gaps dominate tight's
+    gaps = [(T, tuple(b - a for a, b in zip(T, T[1:])), val) for T, val in entries]
+    violations = [(Tt.offsets, Tw.offsets, vt, vw)
+                  for (Tw, gw, vw), (Tt, gt, vt) in itertools.permutations(gaps, 2)
+                  if gw != gt and all(x >= y for x, y in zip(gw, gt)) and not vw > vt]
+    checks = (
+        bound_check("contiguous_attains_minimum", contig_val, table[0][1]),
+        bound_check("contiguous_strictly_below_runner_up", contig_val, runner_up),
+        bound_check("monotonicity_violations", len(violations), 0),
     )
-    violations = []
-    gaps = [(T, _gap_vector(T), val) for T, val in entries]
-    for (Ta, ga, va), (Tb, gb, vb) in itertools.combinations(gaps, 2):
-        if all(x >= y for x, y in zip(ga, gb)) and ga != gb:
-            wide, tight, vw, vt = Ta, Tb, va, vb
-        elif all(y >= x for x, y in zip(ga, gb)) and ga != gb:
-            wide, tight, vw, vt = Tb, Ta, vb, va
-        else:
-            continue
-        if not vw > vt:
-            violations.append((tight.offsets, wide.offsets, vt, vw))
     return ContiguityResult(holds=holds, table=tuple(table),
                             monotonicity_violations=tuple(violations),
-                            supports_checked=len(entries))
+                            supports_checked=len(entries), checks=checks)
 
 
 def loglog_fit(xs, ys, bits):
-    """Least-squares line log y = intercept + slope log x at ``bits``.
-
-    Returns (slope, intercept). The xs come from core.parse_grid, which
-    refuses a grid of fewer than two distinct points.
+    """Least-squares line log y = intercept + slope log x for a run at
+    ``bits``, fitted at 2 * bits: the normal equations cancel, and the
+    doubled bits keep the fit good to the run's. Returns (slope,
+    intercept); the xs come from core.parse_grid, which refuses a grid of
+    fewer than two distinct points.
     """
-    with workprec(bits):
+    with workprec(2 * bits):
         lx = [mp.log(x) for x in xs]
         ly = [mp.log(y) for y in ys]
         n = len(lx)
@@ -378,7 +370,7 @@ def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
     """Fit the decay exponent of lambda_min(G_T(y)) on a small-y grid, at
     ``bits``, or hp.default_bits when None."""
     T = SupportSet.coerce(T)
-    bits = default_bits() if bits is None else check_bits(bits)
+    bits = resolve_bits(bits)
     ys = parse_grid(y_grid, bits, "y")
     if any(not 0 < v <= mpf("0.02") for v in ys):
         raise DomainError("y grid must lie in (0, 0.02]")
@@ -390,10 +382,8 @@ def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
         if res.value <= 0:
             raise PrecisionError(f"lambda_min underflowed the ladder at y = {yv}")
         rows.append((yv, res))
-    work_bits = max(res.bits_used for _, res in rows) * 2
-    alpha, log_mu = loglog_fit([yv for yv, _ in rows], [res.value for _, res in rows],
-                               work_bits)
-    with workprec(work_bits):
+    alpha, log_mu = loglog_fit([yv for yv, _ in rows], [res.value for _, res in rows], bits)
+    with workprec(2 * bits):
         mu = mp.exp(log_mu)
     n = len(T) - 1
     pencil = pencil_mu(T.offsets, bits=bits) if n >= 1 else None

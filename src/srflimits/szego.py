@@ -45,6 +45,8 @@ QUAD_REL_TARGET = mpf("1e-13")
 QUAD_START_NODES = 16
 QUAD_NODE_CAP = 2 ** 16
 ARC_SAMPLES = 10 ** 4
+DEFAULT_SAMPLES = 200  # bound_suite's sampled points per degree
+DEFAULT_POLYS = 100  # and random polynomials per degree
 # float64 rounding cushion on the sampled Faber peaks: 2^-30 = 9.3e-10, over
 # 10^4 times the worst deviation of the float64 recurrence from a 256-bit
 # evaluation measured at every sample point (5.6e-14, y in [0.01, 0.45], n <= 12)
@@ -517,8 +519,8 @@ def _unit_arc_polys(params, degree, count, rng):
     return C / norms[:, None]
 
 
-def bound_suite(params: SystemParams, n_max, samples=200, seed=0,
-                polys=100) -> BoundSuiteResult:
+def bound_suite(params: SystemParams, n_max, samples=DEFAULT_SAMPLES, seed=0,
+                polys=DEFAULT_POLYS) -> BoundSuiteResult:
     """Certify the explicit arc inequalities on sampled points.
 
     Emits, per degree n <= n_max:

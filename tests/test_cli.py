@@ -142,6 +142,10 @@ def test_scaling_cli_slope(capsys):
     slope = float(data["results"]["slope"]["dec"])
     assert abs(slope + 3) < 0.15
     assert data["results"]["expected_slope"] == -3
+    # the tolerance is parsed at the run's bits, not at 53
+    (check,) = data["checks"]
+    with workprec(200):
+        assert abs(mpf(check["rhs"]["dec"]) - mpf("0.15")) <= mpf(2) ** (8 - 192)
 
 
 def test_contiguity_cli_checks(capsys):
@@ -152,6 +156,32 @@ def test_contiguity_cli_checks(capsys):
     names = [c["name"] for c in data["checks"]]
     assert "contiguous_attains_minimum" in names
     assert all(c["satisfied"] for c in data["checks"])
+    # the report's checks are the library's, as built by the scan
+    res = srflimits.contiguity_scan(SystemParams.from_y("0.05"), 2, 6)
+    assert data["checks"] == reports.encode(res.checks, 256)
+
+
+def test_recover_builds_the_window_gram_once(monkeypatch, capsys):
+    # the report's measurement_norm comes from the Gram matrix l0_solve
+    # already built, and equals core.measurement_norm bit for bit
+    from srflimits import core, recovery
+
+    calls = []
+    build_gram = core.build_gram
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_gram(*args, **kwargs)
+
+    for module in (core, recovery, cli):
+        monkeypatch.setattr(module, "build_gram", counting)
+    code, out = run(["recover", "--y", "0.1", "--window", "0,1,2,3",
+                     "--coeffs", "1;0;2-1j;0", "--sigma", "1e-6", "--k-cap", "3"], capsys)
+    assert code == 0 and len(calls) == 1
+    f = srflimits.MeasurementVector(window=SupportSet.of(0, 1, 2, 3),
+                                    coeffs=(1, 0, mpc(2, -1), 0), rho=0)
+    norm = srflimits.measurement_norm(SystemParams.from_y("0.1"), f)
+    assert json.loads(out)["results"]["measurement_norm"] == reports.encode(norm, 256)
 
 
 def test_csv_output_parses(capsys):
@@ -389,7 +419,7 @@ def test_minimax_bounds_use_sigma_at_report_bits(capsys):
     ["recover", "--y", "0.1", "--window", "0,1,2", "--coeffs", "1;0;1",
      "--sigma", "1e-6", "--k-cap", "-1"],
     ["bounds", "--y", "0.1", "--n", "2", "--polys", "0"],
-    ["contiguity", "--y", "0.1", "--size", "2", "--span", "4", "--budget", "-1"],
+    ["contiguity", "--y", "0.1", "--size", "1", "--span", "4"],
     # a fit grid needs at least two distinct points
     ["asymptote", "--support", "0,1", "--y-grid", "0.001,0.001,0.001,0.001"],
     ["scaling", "--k", "1", "--srf-grid", "8,8,8,8"],
@@ -537,17 +567,18 @@ def test_cli_exit_codes_property_exhaustive(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["epsilon", "--k", "3"],
-    ["spark", "--eps", "0.1", "--k-max", "3"],
-    ["adversary", "--k", "2", "--sigma", "1e-6"],
-    ["minimax", "--k", "2", "--sigma", "1e-6"],
+    ["epsilon", "--k", "3", "--mode", "exhaustive"],
+    ["spark", "--eps", "0.1", "--k-max", "3", "--mode", "exhaustive"],
+    ["adversary", "--k", "2", "--sigma", "1e-6", "--mode", "exhaustive"],
+    ["minimax", "--k", "2", "--sigma", "1e-6", "--mode", "exhaustive"],
+    ["contiguity", "--size", "3"],
 ])
 def test_huge_exhaustive_span_is_refused_up_front(argv, monkeypatch, capsys):
     def no_gram(*args, **kwargs):
         raise AssertionError("a Gram matrix was built before the budget check")
 
     monkeypatch.setattr("srflimits.spectral.build_gram", no_gram)
-    code = run_cli(argv + ["--y", "0.1", "--mode", "exhaustive", "--span", "10000000"])
+    code = run_cli(argv + ["--y", "0.1", "--span", "10000000"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert "exceed the enumeration budget" in err
@@ -625,8 +656,8 @@ def test_runs_in_one_process_match_fresh_processes(capsys):
             with pytest.raises(SystemExit) as exc:
                 run_cli(["epsilon", "--y", "0.1", "--k", "x"])
             assert exc.value.code == 2
-            assert run(["contiguity", "--y", "0.1", "--size", "2", "--span", "4",
-                        "--budget", "0"], capsys)[0] == 2
+            assert run(["contiguity", "--y", "0.1", "--size", "3",
+                        "--span", "10000000"], capsys)[0] == 3
             continue
         code, out = run(argv, capsys)
         assert code == 0

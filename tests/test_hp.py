@@ -308,7 +308,7 @@ def test_ladder_history_contracts(monkeypatch):
 
 def test_ladder_cap_error(monkeypatch):
     monkeypatch.setattr(hp, "LADDER_RELTOL", mpf(0))
-    monkeypatch.setattr(hp, "LADDER_CAP_BITS", 512)
+    monkeypatch.setattr(hp, "MAX_BITS", 512)
     with pytest.raises(PrecisionCapError):
         min_eig_adaptive(gram_builder("0.1", SupportSet.of(0, 1)))
 

@@ -255,13 +255,17 @@ def test_monotone_pair_example():
     assert tight < wide
 
 
-def test_contiguity_budget_guard():
+def test_contiguity_budget_guard(monkeypatch):
+    # the scan shares the exhaustive budget: C(200, 3) = 1313400 supports of
+    # size 4, and 10**6 + 1 of size 2, are refused before any support runs
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a support was evaluated")
+
+    monkeypatch.setattr(spectral, "sigma_min", evaluated)
     p = SystemParams.from_y("0.1")
-    with pytest.raises(EnumerationBudgetError):
-        contiguity_scan(p, 4, 40, budget=100)
-    for budget in (-1, 0, 2.5):
-        with pytest.raises(DomainError):
-            contiguity_scan(p, 2, 4, budget=budget)
+    for size, span in ((4, 200), (2, 10 ** 6 + 1)):
+        with pytest.raises(EnumerationBudgetError):
+            contiguity_scan(p, size, span)
 
 
 def test_exhaustive_budget_guard_before_any_support(monkeypatch):
