@@ -350,14 +350,12 @@ def _run_selftest(args, params_unused):
     from .acceptance import run_all
 
     outcomes = run_all()
-    checks = []
-    details = []
     for out in outcomes:
-        checks.append(bound_check(out.name, 0 if out.passed else 1, 0))
-        details.append({"name": out.name, "passed": out.passed,
-                        "detail": out.detail, "seconds": round(out.seconds, 2)})
         print(f"{out.name}: {'PASS' if out.passed else 'FAIL'} — {out.detail}",
               file=sys.stderr)
+    checks = [bound_check(out.name, 0 if out.passed else 1, 0) for out in outcomes]
+    details = [{"name": out.name, "passed": out.passed, "detail": out.detail,
+                "seconds": round(out.seconds, 2)} for out in outcomes]
     return {"criteria": details}, checks, [], {}
 
 

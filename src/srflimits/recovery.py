@@ -18,7 +18,6 @@ from .core import (
     MeasurementVector,
     SupportSet,
     SystemParams,
-    _to_mpf,
     as_count,
     build_gram,
     finite_norm,
@@ -297,8 +296,8 @@ def srf_scaling(k, srf_grid, bits=None) -> ScalingResult:
         rows.append((srf, params.y, val))
     slope, intercept = loglog_fit([r[0] for r in rows], [r[2] for r in rows], bits)
     expected = -(2 * k - 1)
-    misfit = abs(mp.fsub(slope, expected, prec=bits))
-    check = bound_check("slope_matches_sparsity_exponent", misfit,
-                        _to_mpf(SCALING_TOLERANCE, bits))
+    with workprec(bits):
+        check = bound_check("slope_matches_sparsity_exponent", abs(slope - expected),
+                            mpf(SCALING_TOLERANCE))
     return ScalingResult(k=k, slope=slope, intercept=intercept, expected_slope=expected,
                          table=tuple(rows), checks=(check,))

@@ -266,7 +266,6 @@ def verify_srf_bounds(params: SystemParams, n_max) -> SrfBoundsResult:
     table = leading_coeffs(params, n_max)
     checks = []
     ratios = []
-    min_ratio = None
     with workprec(params.bits):
         for n in range(1, n_max + 1):
             eps_n1 = epsilon(params, n + 1).value
@@ -277,10 +276,8 @@ def verify_srf_bounds(params: SystemParams, n_max) -> SrfBoundsResult:
             r = eps_n1 / (params.c / 4) ** n
             ratios.append((n, r))
             checks.append(bound_check(f"lower_ratio_positive[n={n}]", 0, r))
-            if min_ratio is None or r < min_ratio:
-                min_ratio = r
     return SrfBoundsResult(checks=tuple(checks), ratios=tuple(ratios),
-                           min_lower_ratio=min_ratio)
+                           min_lower_ratio=min(r for _, r in ratios))
 
 
 @dataclass(frozen=True)
@@ -315,11 +312,18 @@ def contiguity_scan(params: SystemParams, size, span_max) -> ContiguityResult:
     contig_val = values[contiguous]
     runner_up = next((v for T, v in table if T != contiguous), contig_val)
     holds = len(table) == 1 or contig_val < runner_up
-    # each ordered pair (wide, tight): wide's gaps dominate tight's
-    gaps = [(T, tuple(b - a for a, b in zip(T, T[1:])), val) for T, val in entries]
-    violations = [(Tt.offsets, Tw.offsets, vt, vw)
-                  for (Tw, gw, vw), (Tt, gt, vt) in itertools.permutations(gaps, 2)
-                  if gw != gt and all(x >= y for x, y in zip(gw, gt)) and not vw > vt]
+    violations = []
+    gaps = [(T, tuple(b - a for a, b in zip(T.offsets, T.offsets[1:])), val)
+            for T, val in entries]
+    for (Ta, ga, va), (Tb, gb, vb) in itertools.combinations(gaps, 2):
+        if all(x >= y for x, y in zip(ga, gb)) and ga != gb:
+            wide, tight, vw, vt = Ta, Tb, va, vb
+        elif all(y >= x for x, y in zip(ga, gb)) and ga != gb:
+            wide, tight, vw, vt = Tb, Ta, vb, va
+        else:
+            continue
+        if not vw > vt:
+            violations.append((tight.offsets, wide.offsets, vt, vw))
     checks = (
         bound_check("contiguous_attains_minimum", contig_val, table[0][1]),
         bound_check("contiguous_strictly_below_runner_up", contig_val, runner_up),
@@ -374,9 +378,8 @@ def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
     ys = parse_grid(y_grid, bits, "y")
     if any(not 0 < v <= mpf("0.02") for v in ys):
         raise DomainError("y grid must lie in (0, 0.02]")
-    ys = sorted(ys, reverse=True)
     rows = []
-    for yv in ys:
+    for yv in sorted(ys, reverse=True):
         params = SystemParams.from_y(yv, bits=bits)
         res = min_eig_for_support(params, T)
         if res.value <= 0:

@@ -146,6 +146,9 @@ def test_scaling_cli_slope(capsys):
     (check,) = data["checks"]
     with workprec(200):
         assert abs(mpf(check["rhs"]["dec"]) - mpf("0.15")) <= mpf(2) ** (8 - 192)
+        # and the misfit |slope + 3| is formed at the run's bits as well
+        misfit = abs(mpf(data["results"]["slope"]["dec"]) + 3)
+        assert abs(mpf(check["lhs"]["dec"]) - misfit) <= mpf(2) ** (8 - 192)
 
 
 def test_contiguity_cli_checks(capsys):
