@@ -19,10 +19,18 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
   least mu (1 - 2^-20), gives a proven lower bound on lambda_min, and the
   Rayleigh quotient of its vector, with its rounding, a proven upper
   bound,
+* ``tridiagonal_min_vector``: the least eigenvector of a symmetric
+  tridiagonal matrix, by a float Sturm-count bisection and O(n) shifted
+  inverse-iteration steps, and ``_certify``, which turns a candidate
+  least eigenvector of M into the same kind of enclosure with one
+  Cholesky, at the Krylov-Weinstein shift mu - ||M v - mu v|| less a
+  rounding guard,
 * a precision ladder that doubles the mantissa from LADDER_START_BITS and
   stops at the first level whose enclosure [lo, hi] of lambda_min, widened
   by the builder's bound on its own rounding, is narrower than
-  LADDER_RELTOL lo,
+  LADDER_RELTOL lo. A level certifies the builder's candidate vector when
+  it hands one over (spectral does, on contiguous supports), and runs
+  min_eig's iteration otherwise or when that Cholesky fails,
 * exact rational Hilbert/Vandermonde machinery for the rank-one limiting
   pencil of the small-bandwidth asymptotics.
 """
@@ -309,6 +317,23 @@ def min_eig(M, bits):
     return _min_eig(M, bits)[:2]
 
 
+def _rayleigh(M, v):
+    """(mu, ||M v - mu v||) for a unit v, at the ambient precision."""
+    Mv = [mp.fdot(row, v) for row in M]
+    mu = mp.fdot(v, Mv)
+    r = [a - mu * b for a, b in zip(Mv, v)]
+    return mu, mp.sqrt(mp.fdot(r, r))
+
+
+def _sign_fixed(v, bits):
+    """v or -v, whichever makes positive the lowest-index entry whose
+    magnitude is within 2^-(bits/2) of the largest. Such magnitudes are
+    tied (they are, exactly, for the antisymmetric vector of a symmetric
+    support), so rounding cannot pick the sign."""
+    top = max(abs(x) for x in v) - mpf(2) ** (-bits // 2)
+    return tuple(-x for x in v) if next(x for x in v if abs(x) >= top) < 0 else tuple(v)
+
+
 def _min_eig(M, bits, radius=0):
     """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
     every symmetric E with ||E||_2 <= ``radius``: factored_floor of the
@@ -328,10 +353,7 @@ def _min_eig(M, bits, radius=0):
             x = cholesky_solve(L, v, bits=bits)
             norm = mp.sqrt(mp.fdot(x, x))
             v = [xi / norm for xi in x]
-            Mv = [mp.fdot(row, v) for row in M]
-            mu = mp.fdot(v, Mv)
-            r = [a - mu * b for a, b in zip(Mv, v)]
-            res = mp.sqrt(mp.fdot(r, r))
+            mu, res = _rayleigh(M, v)
             if res <= res_tol or mu - lo <= tol * mu:
                 break
             hi = min(hi, mu)
@@ -355,13 +377,119 @@ def _min_eig(M, bits, radius=0):
             lo = confirm
         enclosure = (factored_floor(M, lo, bits, radius),
                      _rayleigh_ceiling(M, v, mu, bits, radius))
-        # magnitudes within 2^-(bits/2) of the largest are tied (they are,
-        # exactly, for the antisymmetric vector of a symmetric support), and
-        # the lowest index among them is made positive
-        top = max(abs(x) for x in v) - mpf(2) ** (-bits // 2)
-        if next(x for x in v if abs(x) >= top) < 0:
-            v = [-x for x in v]
-    return mu, tuple(v), enclosure
+        return mu, _sign_fixed(v, bits), enclosure
+
+
+def _certify(M, v, bits, radius=0):
+    """(mu, v, (lo, hi)) as _min_eig returns them, from a candidate least
+    eigenvector v of M and one Cholesky.
+
+    mu is v's Rayleigh quotient and res its residual norm at ``bits``, for
+    v normalized there. The Krylov-Weinstein bound puts an eigenvalue
+    within res of mu, so when v is close to the least eigenvector,
+    M - s I factors at the shift s = mu - res - n 2^(8-bits) max_i M_ii;
+    the guard, the residual stop of _min_eig, covers the rounding of mu,
+    res and of the Cholesky itself. lo is factored_floor of s and hi the
+    Rayleigh ceiling of v; the sign of v follows min_eig's rule. Raises
+    NotPositiveDefiniteError when M - s I does not factor: then v is not
+    the least eigenvector (or these bits cannot tell), and nothing is
+    proven.
+    """
+    n = _check_square_symmetric(M)
+    with workprec(bits):
+        norm = mp.sqrt(mp.fdot(v, v))
+        v = [x / norm for x in v]
+        mu, res = _rayleigh(M, v)
+        s = mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
+        if not spectrum_above(M, s, bits):
+            raise NotPositiveDefiniteError(
+                None, f"the candidate's shift mu - res does not factor at {bits} bits")
+        enclosure = (factored_floor(M, s, bits, radius),
+                     _rayleigh_ceiling(M, v, mu, bits, radius))
+        return mu, _sign_fixed(v, bits), enclosure
+
+
+def _sturm_count(diag, off2, x):
+    """Eigenvalues below x of the symmetric tridiagonal matrix with float
+    diagonal ``diag`` and squared off-diagonal ``off2``: the negative
+    pivots of the LDL^T factorization of T - x I (Sylvester's law of
+    inertia). A zero pivot counts as a tiny negative one."""
+    count, q = 0, 1.0
+    for d, e2 in zip(diag, (0.0, *off2)):
+        q = (d - x - e2 / q) or -1e-300
+        count += q < 0
+    return count
+
+
+def _tridiagonal_solve(diag, off, s, v, tiny):
+    """x with (T - s I) x = v for the symmetric tridiagonal T with diagonal
+    ``diag`` and off-diagonal ``off``, by LDL^T without pivoting, at the
+    ambient precision; a zero pivot is replaced by ``tiny``."""
+    n = len(diag)
+    piv, mult, x = [diag[0] - s or tiny], [], [v[0]]
+    for i in range(1, n):
+        m = off[i - 1] / piv[-1]
+        mult.append(m)
+        piv.append(diag[i] - s - m * off[i - 1] or tiny)
+        x.append(v[i] - m * x[-1])
+    x[-1] /= piv[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = x[i] / piv[i] - mult[i] * x[i + 1]
+    return x
+
+
+def tridiagonal_min_vector(diag, off, bits):
+    """A unit eigenvector, at ``bits``, of the smallest eigenvalue of the
+    symmetric tridiagonal matrix T with diagonal ``diag`` and off-diagonal
+    ``off`` (mpf values), for an eigenvalue well separated from the next.
+
+    A float Sturm-count bisection from a Gershgorin interval places the
+    eigenvalue to 2^-45 ||T||, and two float inverse-iteration steps, one
+    bracket width below it, from min_eig's graded start, give a vector to
+    about float precision. Shifted inverse iteration at ``bits`` then
+    refines it, O(n) a step: each step's shift is theta - res - tol, theta
+    the Rayleigh quotient, res the residual norm and tol = n 2^(8-bits)
+    ||T||. That shift stays below the eigenvalue, so T - sI stays positive
+    definite, and each step squares the error relative to the gap (the
+    eigenvalues of Slepian's T are about 1 apart). Once res <= tol, T's
+    rounding level, one more step makes the vector good to working
+    precision. Gives up after ``bits`` steps and returns the last vector;
+    whoever uses it must check it (hp._certify does).
+    """
+    n = len(diag)
+    if n == 1:
+        return (mpf(1),)
+    fd, fe = [float(d) for d in diag], [float(e) for e in off]
+    spread = 2 * max(map(abs, fe))
+    scale = max(map(abs, fd)) + spread
+    lo, hi = min(fd) - spread, max(fd) + spread
+    off2 = [e * e for e in fe]
+    while hi - lo > 2.0 ** -45 * scale:
+        mid = (lo + hi) / 2
+        if _sturm_count(fd, off2, mid):
+            hi = mid
+        else:
+            lo = mid
+    v = [(1 - 2 * (i % 2)) * (1 + i / (2 * n)) for i in range(n)]
+    for _ in range(2):
+        x = _tridiagonal_solve(fd, fe, 2 * lo - hi, v, 2.0 ** -45 * scale)
+        norm = sum(t * t for t in x) ** 0.5
+        v = [t / norm for t in x]
+    with workprec(bits):
+        tol = n * mpf(2) ** (8 - bits) * scale
+        v = [mpf(t) for t in v]
+        for _ in range(bits):
+            Tv = [diag[i] * v[i] + (off[i - 1] * v[i - 1] if i else 0)
+                  + (off[i] * v[i + 1] if i < n - 1 else 0) for i in range(n)]
+            theta = mp.fdot(v, Tv)
+            r = [a - theta * b for a, b in zip(Tv, v)]
+            res = mp.sqrt(mp.fdot(r, r))
+            x = _tridiagonal_solve(diag, off, theta - res - tol, v, tol)
+            norm = mp.sqrt(mp.fdot(x, x))
+            v = [xi / norm for xi in x]
+            if res <= tol:
+                break
+        return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -374,7 +502,7 @@ class MinEigResult:
     are that level's eigenpair; value is good to about n 2^-bits_used ||M||
     absolute, and only the enclosure is a proof. ``history`` records every
     (bits, estimate) pair the ladder visited; the estimate is None at a
-    level where the matrix did not factor (too few bits).
+    level where no Cholesky factored (too few bits).
     """
 
     value: mpf
@@ -389,21 +517,23 @@ def min_eig_adaptive(builder) -> MinEigResult:
     """Smallest eigenvalue of the matrix that builder(bits) rounds, doubling
     bits from LADDER_START_BITS until its enclosure is narrow.
 
-    ``builder(bits)`` returns (M, radius): the matrix rounded at ``bits``
-    and an upper bound on the spectral norm of its distance from the exact
-    matrix, the same at every level. The ladder stops at the first level
-    whose enclosure [lo, hi] (see _min_eig, widened by the radius) has
-    hi - lo <= LADDER_RELTOL lo. A level where the matrix (or min_eig's
-    confirming shift) does not factor has too few bits: it is recorded
-    without an estimate and the ladder climbs. Every level starts as
-    min_eig does. Raises PrecisionCapError past MAX_BITS.
+    ``builder(bits)`` returns (M, radius, candidate): the matrix rounded at
+    ``bits``, an upper bound on the spectral norm of its distance from the
+    exact matrix, the same at every level, and a candidate least
+    eigenvector at ``bits`` or None. A level with a candidate certifies it
+    with one Cholesky (_certify); a level without one, or whose candidate's
+    Cholesky fails, runs _min_eig, as min_eig does. The ladder stops at the
+    first level whose enclosure [lo, hi], widened by the radius, has
+    hi - lo <= LADDER_RELTOL lo. A level where no Cholesky factors has too
+    few bits: it is recorded without an estimate and the ladder climbs.
+    Raises PrecisionCapError past MAX_BITS.
     """
     history = []
     bits = LADDER_START_BITS
     while bits <= MAX_BITS:
-        M, radius = builder(bits)
+        M, radius, candidate = builder(bits)
         try:
-            lam, vec, (lo, hi) = _min_eig(M, bits, radius)
+            lam, vec, (lo, hi) = _level(M, bits, radius, candidate)
         except NotPositiveDefiniteError:
             history.append((bits, None))
         else:
@@ -416,6 +546,17 @@ def min_eig_adaptive(builder) -> MinEigResult:
         f"no enclosure of the smallest eigenvalue narrower than rel {LADDER_RELTOL} "
         f"within {MAX_BITS} bits"
     )
+
+
+def _level(M, bits, radius, candidate):
+    """One ladder level: the candidate certified by _certify, or _min_eig
+    when there is none or its Cholesky fails."""
+    if candidate is not None:
+        try:
+            return _certify(M, candidate, bits, radius)
+        except NotPositiveDefiniteError:
+            pass
+    return _min_eig(M, bits, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ Both kinds of scan evaluate one support of each reflection pair, which
 shares its spectrum with the other. The exhaustive eps_k scan runs the
 precision ladder only on supports that one shifted Cholesky cannot rule
 out; contiguity scans evaluate them all.
+
+On a contiguous support, the case of every contiguous-mode eps_k, of
+verify_srf_bounds and of the first support of every exhaustive scan, the
+Gram matrix commutes with Slepian's tridiagonal, whose least eigenvalue
+lies at least 1 below the next. Its least eigenvector costs O(n) a step
+to find, and the ladder certifies it with one Cholesky a level
+(min_eig_for_support).
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .hp import (
     pencil_mu,
     resolve_bits,
     spectrum_above,
+    tridiagonal_min_vector,
 )
 from .szego import leading_coeffs
 
@@ -75,10 +83,43 @@ DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 
 def min_eig_for_support(params: SystemParams, T) -> MinEigResult:
     """Precision-ladder smallest eigenvalue of the Gram matrix over T, with
-    a proven enclosure for the Gram matrix of the stored params.y."""
+    a proven enclosure for the Gram matrix of the stored params.y.
+
+    On a contiguous support each level hands the ladder the least
+    eigenvector of Slepian's tridiagonal (_slepian_vector), which
+    hp.min_eig_adaptive certifies with one Cholesky; a gapped support, or
+    a level where that Cholesky fails, runs the general kernel.
+    """
     T = SupportSet.coerce(T)
+    contiguous = T.span == len(T) - 1
     return min_eig_adaptive(
-        lambda bits: (build_gram(params, T, bits=bits), gram_radius(params, T, bits)))
+        lambda bits: (build_gram(params, T, bits=bits), gram_radius(params, T, bits),
+                      _slepian_vector(params, len(T), bits) if contiguous else None))
+
+
+def _slepian_tridiagonal(params: SystemParams, n, bits):
+    """(diagonal, off-diagonal) at ``bits`` of Slepian's tridiagonal T for
+    n contiguous atoms, 0-indexed: T_ii = ((n-1)/2 - i)^2 cos(pi y) and
+    T_i,i+1 = (i+1)(n-1-i)/2.
+
+    T commutes with the Gram matrix of n contiguous atoms (the prolate
+    matrix with W = y/2; Slepian, BSTJ 57(5), 1978; Grunbaum 1981). Its
+    eigenvalues are simple, its two smallest at least 1 apart wherever
+    measured (n <= 129), and its least eigenvector, so well conditioned,
+    is the Gram matrix's lambda_min eigenvector however small lambda_min
+    is.
+    """
+    with workprec(bits):
+        c = mp.cos(mp.pi * params.y)
+        half = mpf(n - 1) / 2
+        return ([(half - i) ** 2 * c for i in range(n)],
+                [mpf((i + 1) * (n - 1 - i)) / 2 for i in range(n - 1)])
+
+
+def _slepian_vector(params: SystemParams, n, bits):
+    """The least eigenvector of _slepian_tridiagonal at ``bits``: the
+    candidate the ladder certifies on a contiguous support."""
+    return tridiagonal_min_vector(*_slepian_tridiagonal(params, n, bits), bits)
 
 
 def sigma_min_eig(params: SystemParams, T):
@@ -130,9 +171,10 @@ def canonical_supports(k, span_max):
         yield SupportSet((0,) + rest)
 
 
-def _mirror(T: SupportSet) -> SupportSet:
-    """The canonical support of T's reflection, whose Gram spectrum is T's."""
-    return T.reflected().canonical()
+def _mirror(offsets) -> tuple:
+    """The offsets of the canonical support of a canonical support's
+    reflection, whose Gram spectrum is the support's own."""
+    return tuple(offsets[-1] - t for t in reversed(offsets))
 
 
 def reflection_representatives(k, span_max):
@@ -140,7 +182,7 @@ def reflection_representatives(k, span_max):
     order, that are lexicographically no later than their reflection: one
     support from each reflection pair."""
     for T in canonical_supports(k, span_max):
-        if T.offsets <= _mirror(T).offsets:
+        if T.offsets <= _mirror(T.offsets):
             yield T
 
 
@@ -304,12 +346,14 @@ def contiguity_scan(params: SystemParams, size, span_max) -> ContiguityResult:
     """
     size = as_count(size, "size", 2)
     span_max = _span(span_max, size)
-    values = {T: sigma_min(params, T) for T in reflection_representatives(size, span_max)}
-    entries = [(T, values[T] if T in values else values[_mirror(T)])
+    values = {T.offsets: sigma_min(params, T)
+              for T in reflection_representatives(size, span_max)}
+    entries = [(T, values[T.offsets] if T.offsets in values
+                else values[_mirror(T.offsets)])
                for T in canonical_supports(size, span_max)]
     table = sorted(entries, key=lambda e: (e[1], e[0].offsets))
     contiguous = SupportSet(tuple(range(size)))
-    contig_val = values[contiguous]
+    contig_val = values[contiguous.offsets]
     runner_up = next((v for T, v in table if T != contiguous), contig_val)
     holds = len(table) == 1 or contig_val < runner_up
     violations = []

@@ -132,16 +132,17 @@ def test_non_finite_entry_is_a_domain_error(bad, where):
     with pytest.raises(DomainError):
         min_eig(M, bits=128)
     with pytest.raises(DomainError):
-        min_eig_adaptive(lambda bits: (M, 0))
+        min_eig_adaptive(lambda bits: (M, 0, None))
 
 
 # --- min_eig: Cholesky plus shifted inverse iteration ------------------------
 
 
 def gram_builder(y, T):
-    """A ladder builder: the Gram matrix over T at bits, and its radius."""
+    """A ladder builder: the Gram matrix over T at bits, its radius, and no
+    candidate vector, so that every level runs the general kernel."""
     p = SystemParams.from_y(y)
-    return lambda bits: (build_gram(p, T, bits=bits), gram_radius(p, T, bits))
+    return lambda bits: (build_gram(p, T, bits=bits), gram_radius(p, T, bits), None)
 
 
 def encloses(G, res, bits):
@@ -262,7 +263,7 @@ def test_ladder_value_passes_inertia_on_random_supports(rest, y):
 
 
 def test_ladder_trivial_matrix_stops_at_first_level():
-    res = min_eig_adaptive(lambda bits: ([[mpf(1)]], 0))
+    res = min_eig_adaptive(lambda bits: ([[mpf(1)]], 0, None))
     assert res.value == 1
     assert res.vector == (mpf(1),)
     assert res.bits_used == 128

@@ -28,8 +28,9 @@ from srflimits.errors import (
     EnumerationBudgetError,
     SpanTooSmallError,
 )
-from srflimits import spectral
-from srflimits.hp import factored_floor, spectrum_above
+from srflimits import hp, spectral
+from srflimits.core import gram_radius
+from srflimits.hp import LADDER_RELTOL, factored_floor, spectrum_above
 from srflimits.spectral import (
     canonical_supports,
     min_eig_for_support,
@@ -422,3 +423,118 @@ def test_smally_grid_validation():
         with pytest.raises(DomainError):
             smally_exponent(SupportSet.of(0, 1), ("0.001", "0.002", "0.004", bad))
 
+
+
+# --- contiguous supports: Slepian's commuting tridiagonal --------------------
+
+SLEPIAN_YS = ["0.001", "0.01", "0.04", "0.05", "0.1", "0.2", "0.3", "0.45"]
+
+
+def _dense_tridiagonal(diag, off):
+    n = len(diag)
+    return [[diag[i] if i == j else off[min(i, j)] if abs(i - j) == 1 else mpf(0)
+             for j in range(n)] for i in range(n)]
+
+
+def _tridiagonal_below(diag, off, x):
+    """Eigenvalues below x of the tridiagonal T: negative LDL^T pivots."""
+    count, q = 0, mpf(1)
+    for d, e in zip(diag, [0, *off]):
+        q = d - x - e * e / q
+        count += q < 0
+    return count
+
+
+def _residual(M, v):
+    """(Rayleigh quotient, residual norm) of v at the ambient precision."""
+    Mv = [mp.fdot(row, v) for row in M]
+    mu = mp.fdot(v, Mv) / mp.fdot(v, v)
+    return mu, mp.sqrt(mp.fsum((a - mu * b) ** 2 for a, b in zip(Mv, v)) / mp.fdot(v, v))
+
+
+@pytest.mark.parametrize("y", SLEPIAN_YS)
+def test_slepian_vector_is_the_least_gram_eigenvector(y):
+    # for n = 2..24 contiguous atoms: the ladder's enclosure holds
+    # lambda_min by inertia at 4x bits_used; T's least eigenvector, at those
+    # bits, is the lambda_min eigenvector of the Gram matrix there; and the
+    # returned vector's sign follows min_eig's rule
+    p = SystemParams.from_y(y)
+    for n in range(2, 25):
+        res = min_eig_for_support(p, range(n))
+        bits = 4 * res.bits_used
+        G = build_gram(p, range(n), bits=bits)
+        assert inertia_below(G, res.lo, bits) == 0 and inertia_below(G, res.hi, bits) == 1
+        assert res.hi - res.lo <= LADDER_RELTOL * res.lo
+        diag, off = spectral._slepian_tridiagonal(p, n, bits)
+        v = spectral._slepian_vector(p, n, bits)
+        with workprec(bits):
+            # v is T's least eigenvector: a tiny residual, and one eigenvalue
+            # of T below theta + 3/4 (T's eigenvalues are at least 1 apart)
+            T = _dense_tridiagonal(diag, off)
+            theta, t_res = _residual(T, v)
+            assert t_res <= mpf(2) ** (-bits // 2)
+            assert _tridiagonal_below(diag, off, theta + mpf(3) / 4) == 1
+            # and G's lambda_min eigenvector: its Rayleigh quotient lies in the
+            # enclosure, and by Davis-Kahan its angle to that eigenvector is at
+            # most its residual over the gap to lambda_2 >= 2 hi
+            mu, g_res = _residual(G, v)
+            assert res.lo <= mu <= res.hi
+            assert inertia_below(G, 2 * res.hi, bits) == 1
+            assert g_res <= mpf(2) ** -res.bits_used * (2 * res.hi - mu)
+        with workprec(res.bits_used):
+            top = max(abs(x) for x in res.vector) - mpf(2) ** (-res.bits_used // 2)
+            assert next(x for x in res.vector if abs(x) >= top) > 0, (y, n)
+
+
+@pytest.mark.parametrize("y", ["0.01", "0.1", "0.45"])
+def test_slepian_tridiagonal_commutes_with_the_gram_matrix(y):
+    p = SystemParams.from_y(y)
+    for n in (2, 7, 13, 24):
+        G = build_gram(p, range(n), bits=256)
+        T = _dense_tridiagonal(*spectral._slepian_tridiagonal(p, n, 256))
+        with workprec(256):
+            GT = [[mp.fdot(row, col) for col in zip(*T)] for row in G]
+            TG = [[mp.fdot(row, col) for col in zip(*G)] for row in T]
+            assert max(abs(a - b) for ra, rb in zip(GT, TG) for a, b in zip(ra, rb)) \
+                <= n ** 3 * mpf(2) ** -240
+
+
+def _second_vector(params, n, bits):
+    """T's eigenvector of its second-smallest eigenvalue, from mpmath's
+    Jacobi solver: an exact eigenvector of the Gram matrix, for lambda_2."""
+    diag, off = spectral._slepian_tridiagonal(params, n, bits)
+    with workprec(bits):
+        E, Q = mp.eigsy(mp.matrix(_dense_tridiagonal(diag, off)))
+        k = sorted(range(n), key=lambda i: E[i])[1]
+        return tuple(Q[i, k] for i in range(n))
+
+
+@pytest.mark.parametrize("y,n", [("0.1", 5), ("0.3", 8), ("0.04", 13)])
+def test_wrong_candidate_falls_back_to_the_general_kernel(monkeypatch, y, n):
+    # the certifying Cholesky of a wrong eigenvector fails at every level,
+    # and the ladder returns what the general kernel alone returns, with no
+    # cap error (n = 13 at y = 0.04 fails to factor at 128 bits)
+    p = SystemParams.from_y(y)
+    general = hp.min_eig_adaptive(
+        lambda bits: (build_gram(p, range(n), bits=bits), gram_radius(p, range(n), bits), None))
+    monkeypatch.setattr(spectral, "_slepian_vector", _second_vector)
+    assert min_eig_for_support(p, range(n)) == general
+
+
+@pytest.mark.parametrize("base", [40000, 120000, 300000])
+def test_contiguous_ladder_makes_one_cholesky_per_level(monkeypatch, base):
+    # the spectra benchmark's supports {0..n}, n = 4, 8, 12, on its y ranges
+    # [base, base + 500) millionths: one hp_cholesky per ladder level, at
+    # that level's bits, and the same levels for every y
+    calls = []
+    real = hp.hp_cholesky
+    monkeypatch.setattr(hp, "hp_cholesky",
+                        lambda M, bits=None: calls.append(bits) or real(M, bits=bits))
+    for n in (4, 8, 12):
+        levels = set()
+        for micro in (*range(base, base + 500, 71), base + 499):
+            calls.clear()
+            res = min_eig_for_support(SystemParams.from_y(f"0.{micro:06d}"), range(n + 1))
+            assert calls == [bits for bits, _ in res.history], (n, micro)
+            levels.add(tuple(calls))
+        assert len(levels) == 1, (n, levels)
