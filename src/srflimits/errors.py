@@ -60,7 +60,7 @@ class ConvergenceError(SRFError):
 
 
 class SingularSystemError(DomainError):
-    """Exact linear solve met a zero pivot (duplicate Vandermonde nodes)."""
+    """A singular exact system: duplicate Vandermonde nodes."""
 
 
 class EnumerationBudgetError(SRFError):

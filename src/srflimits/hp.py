@@ -12,27 +12,28 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
 * ``spectrum_above``, the inertia test "M - s I factors", and
   ``factored_floor``, what a Cholesky of M - s I that factored proves:
   lambda_min(M) > s less its backward error (Higham, Sec. 10.1; Rump,
-  BIT 46, 2006). min_eig's enclosure and the prune of the exhaustive
+  BIT 46, 2006). _certify's enclosure and the prune of the exhaustive
   eps_k scan both rest on it,
+* ``_certify``, the one proof of a lambda_min enclosure: a candidate
+  least eigenvector v of M, one Cholesky at the Krylov-Weinstein shift
+  s = mu - ||M v - mu v|| less a rounding guard, factored_floor of s as
+  the lower bound and the Rayleigh quotient mu of v, with its rounding,
+  as the upper bound,
 * ``min_eig``: the smallest eigenpair of a positive definite matrix by
-  Cholesky-based shifted inverse iteration. Its last factored shift, at
-  least mu (1 - 2^-20), gives a proven lower bound on lambda_min, and the
-  Rayleigh quotient of its vector, with its rounding, a proven upper
-  bound,
+  Cholesky-based shifted inverse iteration, whose last vector _certify
+  proves,
 * ``tridiagonal_min_vector``: the least eigenvector of a symmetric
   tridiagonal matrix, by a float Sturm-count bisection and O(n) shifted
-  inverse-iteration steps, and ``_certify``, which turns a candidate
-  least eigenvector of M into the same kind of enclosure with one
-  Cholesky, at the Krylov-Weinstein shift mu - ||M v - mu v|| less a
-  rounding guard,
+  inverse-iteration steps, a candidate for _certify,
 * a precision ladder that doubles the mantissa from LADDER_START_BITS and
   stops at the first level whose enclosure [lo, hi] of lambda_min, widened
   by the builder's bound on its own rounding, is narrower than
   LADDER_RELTOL lo. A level certifies the builder's candidate vector when
   it hands one over (spectral does, on contiguous supports), and runs
   min_eig's iteration otherwise or when that Cholesky fails,
-* exact rational Hilbert/Vandermonde machinery for the rank-one limiting
-  pencil of the small-bandwidth asymptotics.
+* the closed forms of the inverse Hilbert matrix and of the last row of
+  the inverse Vandermonde matrix, exact rationals, for the rank-one
+  limiting pencil of the small-bandwidth asymptotics.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from mpmath import iv, mp, mpf, workprec
@@ -64,7 +65,6 @@ LADDER_START_BITS = 128
 LADDER_RELTOL = mpf("1e-6")
 # min_eig gives up after this many inverse-iteration steps per bit
 MIN_EIG_STEPS_PER_BIT = 4
-CONFIRM_MARGIN = mpf(2) ** -20
 
 
 def check_bits(bits, name="bits") -> int:
@@ -299,15 +299,15 @@ def min_eig(M, bits):
     when the residual reaches n 2^(8-bits) max_i M_ii or when
     mu - lo <= 2^(8-bits) mu.
 
-    Before returning, M - mu (1 - 2^-20) I must be known to factor: by
-    Sylvester's law of inertia no eigenvalue lies below that shift, so mu
-    is the smallest eigenvalue to 2^-20 relative, not a larger one. When
-    the last shift that factored, lo, is already at least mu (1 - 2^-20),
-    its Cholesky proved this; otherwise one more Cholesky confirms it.
+    The last vector is then certified as any candidate is (_certify):
+    M - s I must factor at its Krylov-Weinstein shift s = mu - ||M v -
+    mu v|| - n 2^(8-bits) max_i M_ii. By Sylvester's law of inertia no
+    eigenvalue lies below s, so mu is within its residual and that guard
+    of the smallest eigenvalue, not of a larger one.
 
-    Raises NotPositiveDefiniteError when M or the confirming shift does
-    not factor at this precision (too few bits), and ConvergenceError
-    after MIN_EIG_STEPS_PER_BIT * bits steps. Four steps per bit cover the
+    Raises NotPositiveDefiniteError when M or that shift does not factor
+    at this precision (too few bits), and ConvergenceError after
+    MIN_EIG_STEPS_PER_BIT * bits steps. Four steps per bit cover the
     midpoint fallback alone: it halves (lo, hi) at least every second
     step, and from (0, mu) it needs at most about bits halvings to reach
     an eigenvalue that factors (above about 2^-bits ||M||) and bits more
@@ -317,12 +317,16 @@ def min_eig(M, bits):
     return _min_eig(M, bits)[:2]
 
 
-def _rayleigh(M, v):
-    """(mu, ||M v - mu v||) for a unit v, at the ambient precision."""
-    Mv = [mp.fdot(row, v) for row in M]
-    mu = mp.fdot(v, Mv)
-    r = [a - mu * b for a, b in zip(Mv, v)]
-    return mu, mp.sqrt(mp.fdot(r, r))
+def _unit_rayleigh(M, x, bits):
+    """(v, mu, res) at ``bits``: the unit vector v = x / ||x||, its Rayleigh
+    quotient mu and its residual norm ||M v - mu v||."""
+    with workprec(bits):
+        norm = mp.sqrt(mp.fdot(x, x))
+        v = [t / norm for t in x]
+        Mv = [mp.fdot(row, v) for row in M]
+        mu = mp.fdot(v, Mv)
+        r = [a - mu * b for a, b in zip(Mv, v)]
+        return v, mu, mp.sqrt(mp.fdot(r, r))
 
 
 def _sign_fixed(v, bits):
@@ -336,8 +340,8 @@ def _sign_fixed(v, bits):
 
 def _min_eig(M, bits, radius=0):
     """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
-    every symmetric E with ||E||_2 <= ``radius``: factored_floor of the
-    last shift that factored and the Rayleigh ceiling of the vector."""
+    every symmetric E with ||E||_2 <= ``radius``: _certify of the
+    iteration's last vector."""
     max_steps = MIN_EIG_STEPS_PER_BIT * bits
     n = _check_square_symmetric(M)
     with workprec(bits):
@@ -350,12 +354,9 @@ def _min_eig(M, bits, radius=0):
         hi = mp.inf
         failed = False
         for _ in range(max_steps):
-            x = cholesky_solve(L, v, bits=bits)
-            norm = mp.sqrt(mp.fdot(x, x))
-            v = [xi / norm for xi in x]
-            mu, res = _rayleigh(M, v)
+            v, mu, res = _unit_rayleigh(M, cholesky_solve(L, v, bits=bits), bits)
             if res <= res_tol or mu - lo <= tol * mu:
-                break
+                return _certify(M, (v, mu, res), bits, radius)
             hi = min(hi, mu)
             s = mu - res
             if failed or not lo < s < hi:
@@ -365,41 +366,28 @@ def _min_eig(M, bits, radius=0):
                 lo, failed = s, False
             except NotPositiveDefiniteError:
                 hi, failed = s, True
-        else:
-            raise ConvergenceError(
-                f"inverse iteration did not converge within {max_steps} steps"
-            )
-        confirm = mu * (1 - CONFIRM_MARGIN)
-        if lo < confirm:
-            if not spectrum_above(M, confirm, bits):
-                raise NotPositiveDefiniteError(
-                    None, f"M - mu (1 - 2^-20) I does not factor at {bits} bits")
-            lo = confirm
-        enclosure = (factored_floor(M, lo, bits, radius),
-                     _rayleigh_ceiling(M, v, mu, bits, radius))
-        return mu, _sign_fixed(v, bits), enclosure
+        raise ConvergenceError(
+            f"inverse iteration did not converge within {max_steps} steps"
+        )
 
 
-def _certify(M, v, bits, radius=0):
-    """(mu, v, (lo, hi)) as _min_eig returns them, from a candidate least
-    eigenvector v of M and one Cholesky.
+def _certify(M, rayleigh, bits, radius=0):
+    """(mu, v, (lo, hi)) as _min_eig returns them, from ``rayleigh`` = (v,
+    mu, res), _unit_rayleigh at ``bits`` of a candidate least eigenvector
+    of M, and one Cholesky. Every lambda_min enclosure is proven here.
 
-    mu is v's Rayleigh quotient and res its residual norm at ``bits``, for
-    v normalized there. The Krylov-Weinstein bound puts an eigenvalue
-    within res of mu, so when v is close to the least eigenvector,
-    M - s I factors at the shift s = mu - res - n 2^(8-bits) max_i M_ii;
-    the guard, the residual stop of _min_eig, covers the rounding of mu,
-    res and of the Cholesky itself. lo is factored_floor of s and hi the
-    Rayleigh ceiling of v; the sign of v follows min_eig's rule. Raises
-    NotPositiveDefiniteError when M - s I does not factor: then v is not
-    the least eigenvector (or these bits cannot tell), and nothing is
-    proven.
+    The Krylov-Weinstein bound puts an eigenvalue within res of mu, so
+    when v is close to the least eigenvector, M - s I factors at the shift
+    s = mu - res - n 2^(8-bits) max_i M_ii; the guard, the residual stop
+    of _min_eig, covers the rounding of mu, res and of the Cholesky
+    itself. lo is factored_floor of s and hi the Rayleigh ceiling of v;
+    the sign of v follows min_eig's rule. Raises NotPositiveDefiniteError
+    when M - s I does not factor: then v is not the least eigenvector (or
+    these bits cannot tell), and nothing is proven.
     """
     n = _check_square_symmetric(M)
+    v, mu, res = rayleigh
     with workprec(bits):
-        norm = mp.sqrt(mp.fdot(v, v))
-        v = [x / norm for x in v]
-        mu, res = _rayleigh(M, v)
         s = mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
         if not spectrum_above(M, s, bits):
             raise NotPositiveDefiniteError(
@@ -522,7 +510,8 @@ def min_eig_adaptive(builder) -> MinEigResult:
     exact matrix, the same at every level, and a candidate least
     eigenvector at ``bits`` or None. A level with a candidate certifies it
     with one Cholesky (_certify); a level without one, or whose candidate's
-    Cholesky fails, runs _min_eig, as min_eig does. The ladder stops at the
+    Cholesky fails, runs _min_eig, as min_eig does, which certifies its
+    iteration's last vector the same way. The ladder stops at the
     first level whose enclosure [lo, hi], widened by the radius, has
     hi - lo <= LADDER_RELTOL lo. A level where no Cholesky factors has too
     few bits: it is recorded without an estimate and the ladder climbs.
@@ -553,7 +542,7 @@ def _level(M, bits, radius, candidate):
     when there is none or its Cholesky fails."""
     if candidate is not None:
         try:
-            return _certify(M, candidate, bits, radius)
+            return _certify(M, _unit_rayleigh(M, candidate, bits), bits, radius)
         except NotPositiveDefiniteError:
             pass
     return _min_eig(M, bits, radius)
@@ -570,42 +559,28 @@ def hilbert_matrix(n):
     return [[Fraction(1, i + j + 1) for j in range(n + 1)] for i in range(n + 1)]
 
 
-def rational_solve(M, b):
-    """Exact solution of M x = b over the rationals (partial pivoting)."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(M, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise SingularSystemError("singular system (duplicate nodes?)")
-        A[col], A[piv] = A[piv], A[col]
-        for r in range(col + 1, n):
-            if A[r][col] != 0:
-                f = A[r][col] / A[col][col]
-                A[r] = [a - f * b_ for a, b_ in zip(A[r], A[col])]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = A[i][n] - sum(A[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = s / A[i][i]
-    return x
+def hilbert_inverse(n):
+    """The inverse of hilbert_matrix(n), an integer matrix, from its closed
+    form: with N = n + 1, (H^-1)_ij = (-1)^(i+j) (i+j+1) C(N+i, N-j-1)
+    C(N+j, N-i-1) C(i+j, i)^2 (Choi, Amer. Math. Monthly 90, 1983)."""
+    N = n + 1
+    return [[(-1) ** (i + j) * (i + j + 1) * comb(N + i, N - j - 1)
+             * comb(N + j, N - i - 1) * comb(i + j, i) ** 2
+             for j in range(N)] for i in range(N)]
 
 
 def vandermonde_lastrow(offsets):
-    """Last row m of the inverse Vandermonde on integer nodes tau_j.
-
-    m solves sum_j m_j tau_j^i = delta_{i,n} for i = 0..n. The solve is
-    exact over the rationals; magnitudes agree with the product formula
-    |m_j| = prod_{i != j} 1/|tau_i - tau_j|.
+    """Last row m of the inverse Vandermonde on integer nodes tau_j:
+    the m with sum_j m_j tau_j^i = delta_{i,n} for i = 0..n, exactly
+    m_j = prod_{i != j} 1/(tau_j - tau_i), the weights of the n-th divided
+    difference.
     """
     taus = [int(t) for t in offsets]
     if not taus:
         raise DomainError("need at least one node")
     if len(set(taus)) != len(taus):
         raise SingularSystemError("duplicate nodes make the Vandermonde singular")
-    n = len(taus) - 1
-    M = [[Fraction(t) ** i for t in taus] for i in range(n + 1)]
-    rhs = [Fraction(int(i == n)) for i in range(n + 1)]
-    return tuple(rational_solve(M, rhs))
+    return tuple(Fraction(1, prod(tj - ti for ti in taus if ti != tj)) for tj in taus)
 
 
 @dataclass(frozen=True)
@@ -634,7 +609,8 @@ def pencil_mu(offsets, bits) -> PencilData:
     n = len(taus) - 1
     H = hilbert_matrix(n)
     m = vandermonde_lastrow(taus)
-    qf = sum(a * b for a, b in zip(m, rational_solve(H, m)))
+    qf = sum(mi * hij * mj
+             for mi, row in zip(m, hilbert_inverse(n)) for hij, mj in zip(row, m))
     with workprec(bits):
         c_n = (2 * mp.pi) ** (2 * n) / mpf(factorial(n)) ** 2
         mu = 1 / (c_n * mpf(qf.numerator) / mpf(qf.denominator))

@@ -44,7 +44,6 @@ from .errors import (
     SpanTooSmallError,
 )
 from .hp import (
-    CONFIRM_MARGIN,
     LADDER_START_BITS,
     Enclosure,
     MinEigResult,
@@ -79,6 +78,8 @@ __all__ = [
 CONTIGUOUS = "contiguous"
 EXHAUSTIVE = "exhaustive"
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
+# the exhaustive prune factors G - lam_best (1 + CONFIRM_MARGIN) I
+CONFIRM_MARGIN = mpf(2) ** -20
 
 
 def min_eig_for_support(params: SystemParams, T) -> MinEigResult:
@@ -164,9 +165,6 @@ class EpsilonResult:
 
 def canonical_supports(k, span_max):
     """All supports tau_0 = 0 < ... < tau_{k-1} <= span_max, lexicographic."""
-    if k == 1:
-        yield SupportSet.of(0)
-        return
     for rest in itertools.combinations(range(1, span_max + 1), k - 1):
         yield SupportSet((0,) + rest)
 
@@ -335,12 +333,35 @@ class ContiguityResult:
     checks: tuple
 
 
+def _monotonicity_violations(entries):
+    """The pairs (tight, wide, v_tight, v_wide) of supports in ``entries``,
+    (SupportSet, value) over every canonical support of one size within
+    one span, where wide's gap vector is tight's plus one in a single
+    coordinate and not v_wide > v_tight.
+
+    Any pair whose gap vectors are componentwise ordered is a chain of
+    such covering pairs inside the span, and > is transitive, so this is
+    empty exactly when every dominating pair has the larger value: the
+    all-pairs test at a cost linear in the supports times the size.
+    """
+    by_gaps = {tuple(b - a for a, b in zip(T.offsets, T.offsets[1:])): (T, val)
+               for T, val in entries}
+    violations = []
+    for gaps, (tight, vt) in by_gaps.items():
+        for i in range(len(gaps)):
+            wider = by_gaps.get(gaps[:i] + (gaps[i] + 1,) + gaps[i + 1:])
+            if wider is not None and not wider[1] > vt:
+                violations.append((tight.offsets, wider[0].offsets, vt, wider[1]))
+    return violations
+
+
 def contiguity_scan(params: SystemParams, size, span_max) -> ContiguityResult:
     """Check that the contiguous support strictly minimizes sigma_min.
 
     Also verifies the stronger statement that sigma_min is monotone under
     componentwise domination of the pairwise offset differences
-    (equivalently, of the consecutive gap vectors). sigma_min is evaluated
+    (equivalently, of the consecutive gap vectors), through the covering
+    pairs of _monotonicity_violations. sigma_min is evaluated
     once per reflection pair, and both supports of the pair carry that
     value, so ties within a pair are ordered by offsets.
     """
@@ -356,18 +377,7 @@ def contiguity_scan(params: SystemParams, size, span_max) -> ContiguityResult:
     contig_val = values[contiguous.offsets]
     runner_up = next((v for T, v in table if T != contiguous), contig_val)
     holds = len(table) == 1 or contig_val < runner_up
-    violations = []
-    gaps = [(T, tuple(b - a for a, b in zip(T.offsets, T.offsets[1:])), val)
-            for T, val in entries]
-    for (Ta, ga, va), (Tb, gb, vb) in itertools.combinations(gaps, 2):
-        if all(x >= y for x, y in zip(ga, gb)) and ga != gb:
-            wide, tight, vw, vt = Ta, Tb, va, vb
-        elif all(y >= x for x, y in zip(ga, gb)) and ga != gb:
-            wide, tight, vw, vt = Tb, Ta, vb, va
-        else:
-            continue
-        if not vw > vt:
-            violations.append((tight.offsets, wide.offsets, vt, vw))
+    violations = _monotonicity_violations(entries)
     checks = (
         bound_check("contiguous_attains_minimum", contig_val, table[0][1]),
         bound_check("contiguous_strictly_below_runner_up", contig_val, runner_up),

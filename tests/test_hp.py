@@ -26,12 +26,12 @@ from srflimits.errors import (
 from srflimits.hp import (
     LADDER_RELTOL,
     factored_floor,
+    hilbert_inverse,
     hilbert_matrix,
     hp_cholesky,
     min_eig,
     min_eig_adaptive,
     pencil_mu,
-    rational_solve,
     vandermonde_lastrow,
 )
 
@@ -92,8 +92,8 @@ def exact(x):
 def test_cholesky_meets_higham_backward_error_bound(y):
     # |R^T R - A| <= gamma_(n+1) |R^T| |R| entrywise (Higham, Thm 10.3), the
     # bound factored_floor rests on, checked exactly for A as handed to
-    # hp_cholesky: contiguous Gram matrices, unshifted and at the shift
-    # lambda_min (1 - 2^-20) that factored_floor trusts
+    # hp_cholesky: contiguous Gram matrices, unshifted and at a shift just
+    # below lambda_min, such as factored_floor trusts
     p = SystemParams.from_y(y)
     worst = 0
     for n in (2, 5, 9, 13, 16):
@@ -102,7 +102,7 @@ def test_cholesky_meets_higham_backward_error_bound(y):
         for bits in (128, 256):
             G = build_gram(p, T, bits=bits)
             with workprec(bits):
-                shifted = hp._shifted(G, lam * (1 - hp.CONFIRM_MARGIN))
+                shifted = hp._shifted(G, lam * (1 - mpf(2) ** -20))
             for A in (G, shifted):
                 L = hp_cholesky(A, bits=bits)
                 u = Fraction(1, 2 ** bits)
@@ -346,57 +346,67 @@ def test_ladder_levels_are_min_eig_runs(y, offsets):
     assert (lam, v) == (res.value, res.vector)
 
 
-def test_confirm_step_skipped_only_inside_the_proven_bracket(monkeypatch):
-    # lo is the last shift whose Cholesky succeeded (0 for M itself); the
-    # confirming spectrum_above runs exactly when lo < mu (1 - 2^-20)
-    real_shifted, real_cholesky, real_above = hp._shifted, hp.hp_cholesky, hp.spectrum_above
-    state = {"pending": mpf(0), "lo": None, "confirms": 0, "confirming": False}
-
-    def shifted(M, s):
-        state["pending"] = s
-        return real_shifted(M, s)
+def test_every_enclosure_is_one_krylov_weinstein_cholesky(monkeypatch):
+    # every general-kernel run, a ladder level or min_eig, proves its
+    # enclosure as _certify proves a candidate's: after the iteration,
+    # exactly one spectrum_above, at s = mu - res - n 2^(8-bits) max M_ii
+    # of the last vector, and lo is factored_floor of that s
+    real_cholesky, real_above, real_rayleigh = (
+        hp.hp_cholesky, hp.spectrum_above, hp._unit_rayleigh)
+    events = []
 
     def cholesky(M, bits=None):
-        s, state["pending"] = state["pending"], mpf(0)
-        L = real_cholesky(M, bits=bits)
-        if not state["confirming"]:
-            state["lo"] = s
-        return L
+        events.append(("cholesky",))
+        return real_cholesky(M, bits=bits)
 
     def above(M, s, bits):
-        state["confirms"] += 1
-        state["confirming"] = True
-        try:
-            return real_above(M, s, bits)
-        finally:
-            state["confirming"] = False
+        factors = real_above(M, s, bits)
+        events.append(("above", s, factors))
+        return factors
 
-    monkeypatch.setattr(hp, "_shifted", shifted)
+    def rayleigh(M, x, bits):
+        out = real_rayleigh(M, x, bits)
+        events.append(("rayleigh", out))
+        return out
+
     monkeypatch.setattr(hp, "hp_cholesky", cholesky)
     monkeypatch.setattr(hp, "spectrum_above", above)
-    skipped = confirmed = 0
-    # only the 128-bit run for n = 9 at y = 0.04 confirms
-    for y, T in [("0.04", tuple(range(9))), ("0.1", (0, 1)), ("0.3", (0, 2, 3, 7)),
-                 ("0.2", (0, 1, 7, 8)), ("0.45", tuple(range(8)))]:
+    monkeypatch.setattr(hp, "_unit_rayleigh", rayleigh)
+
+    def kw_shift(M, bits):
+        """The shift of the one spectrum_above since events was cleared,
+        which must be the last event and factor, checked against the
+        Krylov-Weinstein shift of the last vector."""
+        aboves = [e for e in events if e[0] == "above"]
+        assert len(aboves) == 1 and events[-1] is aboves[0]
+        _, s, factors = aboves[0]
+        _, mu, res = [e for e in events if e[0] == "rayleigh"][-1][1]
+        with workprec(bits):
+            guard = len(M) * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(len(M)))
+            assert factors and s == mu - res - guard
+        return s
+
+    for y, T in [("0.1", (0, 5)), ("0.1", (0, 8)), ("0.04", (0, 1, 4)),
+                 ("0.3", (0, 2, 3, 7)), ("0.2", (0, 1, 7, 8)), ("0.1", (0, 2, 5, 6, 9))]:
         builder = gram_builder(y, SupportSet(T))
+        res = min_eig_adaptive(builder)
         for bits in (128, 256, 512):
-            M = builder(bits)[0]
-            state.update(lo=None, confirms=0)
-            mu = min_eig(M, bits=bits)[0]
-            with workprec(bits):
-                shift = mu * (1 - hp.CONFIRM_MARGIN)
-            assert state["confirms"] == (1 if state["lo"] < shift else 0)
-            if state["confirms"]:
-                confirmed += 1
-            else:
-                skipped += 1
-                assert inertia_below(M, shift, 2 * bits) == 0
-    assert skipped and confirmed
+            M, radius, _ = builder(bits)
+            events.clear()
+            mu, v, (lo, hi) = hp._min_eig(M, bits, radius)
+            assert lo == factored_floor(M, kw_shift(M, bits), bits, radius)
+            if bits == res.bits_used:  # the ladder's certifying level
+                assert (mu, v, lo, hi) == (res.value, res.vector, res.lo, res.hi)
+    for bits, M in [(192, random_spd(6, 192, seed=3)), (128, random_spd(4, 128, seed=5))]:
+        events.clear()
+        min_eig(M, bits=bits)
+        kw_shift(M, bits)
 
 
 def test_ladder_cholesky_count(monkeypatch):
-    # contiguous n = 12 at y = 0.05 climbs 128 -> 256 bits in 8 hp_cholesky
-    # calls
+    # contiguous n = 12 at y = 0.05, run by the general kernel, climbs
+    # 128 -> 256 bits in 9 hp_cholesky calls: each level factors G, its
+    # shifts and, once, the certifying Krylov-Weinstein shift
     calls = []
     real = hp.hp_cholesky
 
@@ -407,7 +417,7 @@ def test_ladder_cholesky_count(monkeypatch):
     monkeypatch.setattr(hp, "hp_cholesky", counted)
     res = min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12)))))
     assert [b for b, _ in res.history] == [128, 256]
-    assert len(calls) == 8
+    assert len(calls) == 9
 
 
 # --- proven enclosures ------------------------------------------------------
@@ -430,6 +440,17 @@ def test_ladder_enclosure_contains_lambda_min_on_the_grid(y):
         assert encloses(build_gram(p, T, bits=check_bits), res, check_bits), (y, offsets)
         assert res.lo <= res.value <= res.hi
         assert res.hi - res.lo <= LADDER_RELTOL * res.lo
+
+
+@pytest.mark.parametrize("y", ["0.1", "0.3"])
+@pytest.mark.parametrize("offsets", [(0, 5), (0, 8), (0, 2, 5, 6, 9)])
+def test_gapped_enclosure_is_as_narrow_as_the_guard(y, offsets):
+    # the Krylov-Weinstein shift of a converged vector sits the residual
+    # stop n 2^(8-bits) (max G_ii = 1) and the residual below mu, so the
+    # width is a few guards, not wherever the iteration's shifts landed
+    res = min_eig_adaptive(gram_builder(y, SupportSet(offsets)))
+    with workprec(res.bits_used):
+        assert res.hi - res.lo <= 4 * len(offsets) * mpf(2) ** (8 - res.bits_used)
 
 
 def test_factored_floor_stays_below_a_shift_that_factors_by_rounding():
@@ -468,17 +489,13 @@ def test_hilbert_entries():
 
 
 def test_hilbert_inverse_exact():
-    # columns of H^-1 as exact solves H x = e_j
-    H = hilbert_matrix(2)
-    cols = [rational_solve(H, [Fraction(int(i == j)) for i in range(3)]) for j in range(3)]
-    Hinv = [[cols[j][i] for j in range(3)] for i in range(3)]
-    assert Hinv == [[Fraction(9), Fraction(-36), Fraction(30)],
-                    [Fraction(-36), Fraction(192), Fraction(-180)],
-                    [Fraction(30), Fraction(-180), Fraction(180)]]
-    n = 3
-    ident = [[sum(H[i][k] * Hinv[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)]
-    assert ident == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    # the closed form, and H H^-1 = I exactly
+    assert hilbert_inverse(2) == [[9, -36, 30], [-36, 192, -180], [30, -180, 180]]
+    for n in range(9):
+        H, Hinv = hilbert_matrix(n), hilbert_inverse(n)
+        ident = [[sum(H[i][k] * Hinv[k][j] for k in range(n + 1)) for j in range(n + 1)]
+                 for i in range(n + 1)]
+        assert ident == [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
 
 
 def test_vandermonde_lastrow_examples():
@@ -497,7 +514,7 @@ def test_vandermonde_row_sums_to_zero():
 
 
 def vieta_magnitudes(offsets):
-    """|m_j| = prod_{i != j} 1/|tau_i - tau_j| (cross-check for the solve)."""
+    """|m_j| = prod_{i != j} 1/|tau_i - tau_j| (cross-check for the row)."""
     taus = [int(t) for t in offsets]
     out = []
     for j, tj in enumerate(taus):

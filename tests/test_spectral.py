@@ -1,5 +1,7 @@
 """Restricted isometry constants, eps-spark, contiguity, small-y decay."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -247,6 +249,39 @@ def test_reflection_representatives_one_per_pair():
         assert reps == [T for T in every if T in reps]  # lexicographic order
         assert set(reps) | {mirror[T] for T in reps} == set(every)
         assert all(T.offsets <= mirror[T].offsets for T in reps)
+
+
+def _all_pairs_violations(entries):
+    """The quadratic reference: every pair whose gap vectors are
+    componentwise ordered and whose wider support is not strictly larger."""
+    gaps = [(tuple(b - a for a, b in zip(T.offsets, T.offsets[1:])), v) for T, v in entries]
+    return [(ga, gb) for (ga, va), (gb, vb) in itertools.permutations(gaps, 2)
+            if ga != gb and all(x <= y for x, y in zip(ga, gb)) and not vb > va]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_covering_pairs_flag_exactly_what_all_pairs_flag(seed):
+    # seeded value tables over every canonical support: monotone ones (a
+    # positive weighting of the gaps), and ones with planted violations: a
+    # tie or an inversion between a dominating pair, near or far apart
+    rng = random.Random(seed)
+    size, span = rng.choice([(2, 9), (3, 8), (4, 9), (5, 9)])
+    supports = list(canonical_supports(size, span))
+    weights = [rng.randint(1, 5) for _ in range(size - 1)]
+    values = {T: mpf(sum(w * (b - a) for w, a, b in zip(weights, T.offsets, T.offsets[1:])))
+              for T in supports}
+    if seed % 4:
+        tight, wide = rng.sample(supports, 2)
+        gt, gw = (tuple(b - a for a, b in zip(T.offsets, T.offsets[1:])) for T in (tight, wide))
+        if not all(x <= y for x, y in zip(gt, gw)):
+            tight = SupportSet(tuple(range(size)))  # dominated by every support
+        values[wide] = values[tight] - rng.choice([0, 1, mpf("1e-30")])
+    entries = list(values.items())
+    rng.shuffle(entries)
+    assert bool(spectral._monotonicity_violations(entries)) == bool(
+        _all_pairs_violations(entries))
+    if seed % 4 == 0:
+        assert not spectral._monotonicity_violations(entries)
 
 
 def test_monotone_pair_example():
