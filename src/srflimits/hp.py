@@ -21,7 +21,10 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
   as the upper bound,
 * ``min_eig``: the smallest eigenpair of a positive definite matrix by
   Cholesky-based shifted inverse iteration, whose last vector _certify
-  proves,
+  proves. It starts from the least eigenvector in double precision
+  (``_float_start``: pure-Python float Cholesky and shifted inverse
+  iteration) and the shift below it, and from a graded alternating-sign
+  vector with lo = 0 when floats cannot resolve lambda_min,
 * ``tridiagonal_min_vector``: the least eigenvector of a symmetric
   tridiagonal matrix, by a float Sturm-count bisection and O(n) shifted
   inverse-iteration steps, a candidate for _certify,
@@ -30,7 +33,9 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
   by the builder's bound on its own rounding, is narrower than
   LADDER_RELTOL lo. A level certifies the builder's candidate vector when
   it hands one over (spectral does, on contiguous supports), and runs
-  min_eig's iteration otherwise or when that Cholesky fails,
+  min_eig's iteration otherwise or when that Cholesky fails. A candidate
+  whose certifying shift is not positive cannot stop the ladder, and its
+  level climbs without a Cholesky,
 * the closed forms of the inverse Hilbert matrix and of the last row of
   the inverse Vandermonde matrix, exact rationals, for the rank-one
   limiting pencil of the small-bandwidth asymptotics.
@@ -43,7 +48,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from itertools import chain
+from math import comb, factorial, fsum, isfinite, prod, sqrt
+from operator import mul
 from typing import NamedTuple
 
 from mpmath import iv, mp, mpf, workprec
@@ -65,6 +72,8 @@ LADDER_START_BITS = 128
 LADDER_RELTOL = mpf("1e-6")
 # min_eig gives up after this many inverse-iteration steps per bit
 MIN_EIG_STEPS_PER_BIT = 4
+# _float_start gives up after this many float inverse-iteration steps
+FLOAT_START_STEPS = 16
 
 
 def check_bits(bits, name="bits") -> int:
@@ -287,9 +296,14 @@ def min_eig(M, bits):
     """Smallest eigenpair (value, unit vector) of a symmetric positive
     definite M, at ``bits`` precision.
 
-    Inverse iteration on a Cholesky factor of M - lo*I, from a graded
-    alternating-sign start vector. ``lo`` is a proven lower bound on the
-    smallest eigenvalue (M - lo*I factors); ``hi`` is an upper bound (the
+    Inverse iteration on a Cholesky factor of M - lo*I. It starts from
+    the least eigenvector of M in double precision and lo the shift below
+    its eigenvalue that _float_start returns, when M - lo*I factors at
+    ``bits``; otherwise (floats cannot resolve lambda_min, an entry
+    overflows them, or that shift does not factor) from a graded
+    alternating-sign vector with lo = 0. A float start leaves about two
+    steps on a well-separated lambda_min. ``lo`` is a proven lower bound
+    on the smallest eigenvalue (M - lo*I factors); ``hi`` is an upper bound (the
     Rayleigh quotient mu, or a shift that failed to factor). After each
     step the next shift is s = mu - ||M v - mu v||, or the midpoint of
     (lo, hi) when s falls outside it or the last shift failed; M - s*I
@@ -338,17 +352,89 @@ def _sign_fixed(v, bits):
     return tuple(-x for x in v) if next(x for x in v if abs(x) >= top) < 0 else tuple(v)
 
 
+def _graded(n, one):
+    """The start vector of every inverse iteration here, in the arithmetic
+    of ``one`` (1.0 or mpf(1)): alternating signs, graded so that it is not
+    orthogonal to the reflection-symmetric eigenvectors of a symmetric
+    support."""
+    return [(1 - 2 * (i % 2)) * (1 + one * i / (2 * n)) for i in range(n)]
+
+
+def _float_cholesky(A, s):
+    """Rows of the Cholesky factor of A - s I in float, or None when a
+    pivot is not positive."""
+    L = []
+    for j, row in enumerate(A):
+        l = []
+        for i, Li in enumerate(L):
+            l.append((row[i] - sum(map(mul, l, Li))) / Li[-1])
+        pivot = row[j] - s - sum(t * t for t in l)
+        if not pivot > 0:
+            return None
+        l.append(sqrt(pivot))
+        L.append(l)
+    return L
+
+
+def _float_start(M):
+    """A start for _min_eig from double precision: (v, s), a unit least
+    eigenvector of the float image A of M and a shift s > 0 below its
+    eigenvalue, or None when floats do not resolve it.
+
+    Shifted inverse iteration on A from _graded's vector: each step
+    factors A - s I, solves, and raises s to mu - 2 res, mu the Rayleigh
+    quotient and res the residual norm, and it stops once res <= n 2^-44
+    max_i A_ii, a few hundred float roundings. Gives up (None) when an
+    entry of A is not finite, when a Cholesky fails (lambda_min below float
+    resolution, as for an ill-conditioned contiguous Gram matrix), when s
+    stays 0 or after FLOAT_START_STEPS steps. The pair is only a guess:
+    _min_eig checks the shift with a Cholesky at its bits, and _certify
+    proves whatever the iteration ends on.
+    """
+    n = len(M)
+    A = [[float(x) for x in row] for row in M]
+    if not all(map(isfinite, chain.from_iterable(A))):
+        return None
+    tol = n * 2.0 ** -44 * max(A[i][i] for i in range(n))
+    v, s = _graded(n, 1.0), 0.0
+    for _ in range(FLOAT_START_STEPS):
+        L = _float_cholesky(A, s)
+        if L is None:
+            return None
+        x = []
+        for Li, t in zip(L, v):
+            x.append((t - sum(map(mul, Li, x))) / Li[-1])
+        for i in range(n - 1, -1, -1):
+            x[i] = (x[i] - sum(L[k][i] * x[k] for k in range(i + 1, n))) / L[i][i]
+        norm = sqrt(fsum(t * t for t in x))
+        v = [t / norm for t in x]
+        Av = [fsum(map(mul, row, v)) for row in A]
+        mu = fsum(map(mul, v, Av))
+        res = sqrt(fsum((a - mu * b) ** 2 for a, b in zip(Av, v)))
+        s = max(s, mu - 2 * res)
+        if res <= tol:
+            return (v, s) if s > 0 else None
+    return None
+
+
 def _min_eig(M, bits, radius=0):
     """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
     every symmetric E with ||E||_2 <= ``radius``: _certify of the
-    iteration's last vector."""
+    iteration's last vector. The start is _float_start's vector and shift
+    when that shift factors at ``bits``, else the graded vector and lo = 0;
+    either way only the start moves, never what _certify proves."""
     max_steps = MIN_EIG_STEPS_PER_BIT * bits
     n = _check_square_symmetric(M)
     with workprec(bits):
-        L, lo = hp_cholesky(M, bits=bits), mpf(0)
-        # alternating signs, graded so that v is not orthogonal to the
-        # reflection-symmetric eigenvectors of a symmetric support
-        v = [mpf(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
+        start, L = _float_start(M), None
+        if start is not None:
+            v, lo = [mpf(t) for t in start[0]], mpf(start[1])
+            try:
+                L = hp_cholesky(_shifted(M, lo), bits=bits)
+            except NotPositiveDefiniteError:
+                pass
+        if L is None:
+            L, lo, v = hp_cholesky(M, bits=bits), mpf(0), _graded(n, mpf(1))
         tol = mpf(2) ** (8 - bits)
         res_tol = n * tol * max(M[i][i] for i in range(n))
         hi = mp.inf
@@ -385,16 +471,23 @@ def _certify(M, rayleigh, bits, radius=0):
     when M - s I does not factor: then v is not the least eigenvector (or
     these bits cannot tell), and nothing is proven.
     """
-    n = _check_square_symmetric(M)
-    v, mu, res = rayleigh
+    v, mu, _ = rayleigh
+    s = _kw_shift(M, rayleigh, bits)
     with workprec(bits):
-        s = mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
         if not spectrum_above(M, s, bits):
             raise NotPositiveDefiniteError(
                 None, f"the candidate's shift mu - res does not factor at {bits} bits")
         enclosure = (factored_floor(M, s, bits, radius),
                      _rayleigh_ceiling(M, v, mu, bits, radius))
         return mu, _sign_fixed(v, bits), enclosure
+
+
+def _kw_shift(M, rayleigh, bits):
+    """_certify's shift mu - res - n 2^(8-bits) max_i M_ii at ``bits``."""
+    n = _check_square_symmetric(M)
+    _, mu, res = rayleigh
+    with workprec(bits):
+        return mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
 
 
 def _sturm_count(diag, off2, x):
@@ -458,7 +551,7 @@ def tridiagonal_min_vector(diag, off, bits):
             hi = mid
         else:
             lo = mid
-    v = [(1 - 2 * (i % 2)) * (1 + i / (2 * n)) for i in range(n)]
+    v = _graded(n, 1.0)
     for _ in range(2):
         x = _tridiagonal_solve(fd, fe, 2 * lo - hi, v, 2.0 ** -45 * scale)
         norm = sum(t * t for t in x) ** 0.5
@@ -490,7 +583,9 @@ class MinEigResult:
     are that level's eigenpair; value is good to about n 2^-bits_used ||M||
     absolute, and only the enclosure is a proof. ``history`` records every
     (bits, estimate) pair the ladder visited; the estimate is None at a
-    level where no Cholesky factored (too few bits).
+    level where no Cholesky factored (too few bits). A level skipped
+    because its candidate's Krylov-Weinstein shift is not positive runs no
+    Cholesky and still records the candidate's Rayleigh quotient.
     """
 
     value: mpf
@@ -509,9 +604,10 @@ def min_eig_adaptive(builder) -> MinEigResult:
     ``bits``, an upper bound on the spectral norm of its distance from the
     exact matrix, the same at every level, and a candidate least
     eigenvector at ``bits`` or None. A level with a candidate certifies it
-    with one Cholesky (_certify); a level without one, or whose candidate's
-    Cholesky fails, runs _min_eig, as min_eig does, which certifies its
-    iteration's last vector the same way. The ladder stops at the
+    with one Cholesky (_certify), or none when its shift is not positive
+    (_level); a level without one, or whose candidate's Cholesky fails,
+    runs _min_eig, as min_eig does, which certifies its iteration's last
+    vector the same way. The ladder stops at the
     first level whose enclosure [lo, hi], widened by the radius, has
     hi - lo <= LADDER_RELTOL lo. A level where no Cholesky factors has too
     few bits: it is recorded without an estimate and the ladder climbs.
@@ -522,14 +618,16 @@ def min_eig_adaptive(builder) -> MinEigResult:
     while bits <= MAX_BITS:
         M, radius, candidate = builder(bits)
         try:
-            lam, vec, (lo, hi) = _level(M, bits, radius, candidate)
+            lam, vec, enclosure = _level(M, bits, radius, candidate)
         except NotPositiveDefiniteError:
             history.append((bits, None))
         else:
             history.append((bits, lam))
-            with workprec(bits):
-                if hi - lo <= LADDER_RELTOL * lo:
-                    return MinEigResult(lam, vec, bits, tuple(history), lo, hi)
+            if enclosure is not None:
+                lo, hi = enclosure
+                with workprec(bits):
+                    if hi - lo <= LADDER_RELTOL * lo:
+                        return MinEigResult(lam, vec, bits, tuple(history), lo, hi)
         bits *= 2
     raise PrecisionCapError(
         f"no enclosure of the smallest eigenvalue narrower than rel {LADDER_RELTOL} "
@@ -539,10 +637,22 @@ def min_eig_adaptive(builder) -> MinEigResult:
 
 def _level(M, bits, radius, candidate):
     """One ladder level: the candidate certified by _certify, or _min_eig
-    when there is none or its Cholesky fails."""
+    when there is none or its Cholesky fails.
+
+    A candidate whose Krylov-Weinstein shift s is not positive gives (mu,
+    v, None) and no Cholesky runs, as on a contiguous matrix whose
+    lambda_min lies below the level's rounding guard. The ladder stops
+    only on lo > 0, and neither path can prove that here: when M - s I
+    factors, _certify's lo is below s, and when it does not, M has an
+    eigenvalue within that Cholesky's rounding of s, so _min_eig can prove
+    no positive lo either."""
     if candidate is not None:
+        rayleigh = _unit_rayleigh(M, candidate, bits)
+        if _kw_shift(M, rayleigh, bits) <= 0:
+            v, mu, _ = rayleigh
+            return mu, v, None
         try:
-            return _certify(M, _unit_rayleigh(M, candidate, bits), bits, radius)
+            return _certify(M, rayleigh, bits, radius)
         except NotPositiveDefiniteError:
             pass
     return _min_eig(M, bits, radius)

@@ -17,6 +17,7 @@ from srflimits import SupportSet, SystemParams, build_gram
 from srflimits.acceptance import _lambda_min_bisect
 from srflimits import hp
 from srflimits.core import gram_radius
+from srflimits.spectral import reflection_representatives
 from srflimits.errors import (
     DomainError,
     NotPositiveDefiniteError,
@@ -418,6 +419,54 @@ def test_ladder_cholesky_count(monkeypatch):
     res = min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12)))))
     assert [b for b, _ in res.history] == [128, 256]
     assert len(calls) == 9
+
+
+# --- the float start ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("size,span", [(3, 9), (4, 7)])
+def test_float_start_certifies_gapped_supports_in_two_steps(monkeypatch, size, span):
+    # the gapped supports `srf contiguity --y 0.1` scans: from the float
+    # vector and its shift, two inverse-iteration steps (one cholesky_solve
+    # each) and at most four hp_cholesky (the shifted start, one shift and
+    # the certifying one), where the graded start takes five or six steps
+    counts = dict.fromkeys(["hp_cholesky", "cholesky_solve"], 0)
+    for name in counts:
+        def counted(*args, real=getattr(hp, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(hp, name, counted)
+    p = SystemParams.from_y("0.1")
+    gapped = [T for T in reflection_representatives(size, span) if T.span > size - 1]
+    assert len(gapped) == {3: 19, 4: 21}[size]
+    for T in gapped:
+        counts.update(hp_cholesky=0, cholesky_solve=0)
+        hp._min_eig(build_gram(p, T, bits=128), 128, gram_radius(p, T, 128))
+        assert counts["cholesky_solve"] <= 2 and counts["hp_cholesky"] <= 4, (T, counts)
+
+
+def _near_double(bits):
+    with workprec(bits):
+        g = mpf(2) ** -256
+        return [[mpf(1), -g], [-g, mpf(1)]]
+
+
+@pytest.mark.parametrize("run", [
+    # contiguous {0..11} at y = 0.05: lambda_min is below float resolution,
+    # so the float Cholesky fails (test_ladder_cholesky_count counts it)
+    lambda: min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12))))),
+    # an entry that overflows float
+    lambda: hp._min_eig([[mpf("1e400"), mpf(1)], [mpf(1), mpf(2)]], 128),
+    # a pair 2^-256 apart: floats see a double eigenvalue, and the float
+    # shift does not factor at 512 bits
+    lambda: hp._min_eig(_near_double(512), 512),
+], ids=["ill-conditioned", "overflow", "near-double"])
+def test_float_start_falls_back_to_the_graded_start(monkeypatch, run):
+    # where the float start gives up, the kernel runs exactly as from the
+    # graded start with lo = 0
+    result = run()
+    monkeypatch.setattr(hp, "_float_start", lambda M: None)
+    assert run() == result
 
 
 # --- proven enclosures ------------------------------------------------------

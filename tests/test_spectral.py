@@ -556,11 +556,21 @@ def test_wrong_candidate_falls_back_to_the_general_kernel(monkeypatch, y, n):
     assert min_eig_for_support(p, range(n)) == general
 
 
+def _positive_kw_shift(params, n, bits):
+    """Whether the Slepian candidate's Krylov-Weinstein shift at ``bits``,
+    for n contiguous atoms, is positive: a level that can certify."""
+    M = build_gram(params, range(n), bits=bits)
+    rayleigh = hp._unit_rayleigh(M, spectral._slepian_vector(params, n, bits), bits)
+    return hp._kw_shift(M, rayleigh, bits) > 0
+
+
 @pytest.mark.parametrize("base", [40000, 120000, 300000])
 def test_contiguous_ladder_makes_one_cholesky_per_level(monkeypatch, base):
     # the spectra benchmark's supports {0..n}, n = 4, 8, 12, on its y ranges
-    # [base, base + 500) millionths: one hp_cholesky per ladder level, at
-    # that level's bits, and the same levels for every y
+    # [base, base + 500) millionths: the same levels for every y, and one
+    # hp_cholesky, at its bits, per level that can certify; a level whose
+    # Krylov-Weinstein shift is not positive makes none (n = 12 below
+    # y = 0.0403 at 128 bits)
     calls = []
     real = hp.hp_cholesky
     monkeypatch.setattr(hp, "hp_cholesky",
@@ -569,7 +579,28 @@ def test_contiguous_ladder_makes_one_cholesky_per_level(monkeypatch, base):
         levels = set()
         for micro in (*range(base, base + 500, 71), base + 499):
             calls.clear()
-            res = min_eig_for_support(SystemParams.from_y(f"0.{micro:06d}"), range(n + 1))
-            assert calls == [bits for bits, _ in res.history], (n, micro)
-            levels.add(tuple(calls))
+            p = SystemParams.from_y(f"0.{micro:06d}")
+            res = min_eig_for_support(p, range(n + 1))
+            made = list(calls)
+            assert made == [bits for bits, _ in res.history
+                            if _positive_kw_shift(p, n + 1, bits)], (n, micro)
+            assert made[-1] == res.bits_used
+            levels.add(tuple(bits for bits, _ in res.history))
         assert len(levels) == 1, (n, levels)
+
+
+def test_level_below_the_rounding_guard_makes_no_cholesky(monkeypatch):
+    # {0..12} at y = 0.0401: at 128 bits the Slepian candidate's Rayleigh
+    # quotient, 8.7e-36, lies below the guard 13 * 2^-120 = 9.8e-36, so its
+    # Krylov-Weinstein shift is negative. The level records that quotient,
+    # as its Cholesky at that shift did, and climbs without one
+    calls = []
+    real = hp.hp_cholesky
+    monkeypatch.setattr(hp, "hp_cholesky",
+                        lambda M, bits=None: calls.append(bits) or real(M, bits=bits))
+    p = SystemParams.from_y("0.0401")
+    res = min_eig_for_support(p, range(13))
+    assert calls == [256] and res.bits_used == 256
+    M = build_gram(p, range(13), bits=128)
+    _, mu, _ = hp._unit_rayleigh(M, spectral._slepian_vector(p, 13, 128), 128)
+    assert res.history[0] == (128, mu) and len(res.history) == 2
