@@ -2,7 +2,8 @@
 
 A matrix here is any sequence of row sequences of mpmath scalars, such as
 the row tuples ``core.build_gram`` returns; nothing in this module mutates
-one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
+one, it only indexes. Most have a few rows; contiguous ladders have been
+run to 129. The pieces:
 
 * ``cholesky_row``, the one row step of every Cholesky factor in the
   package: ``hp_cholesky`` and the bordered factors of the l0 solver.
@@ -22,12 +23,13 @@ one, it only indexes. Matrices never exceed a few dozen rows. The pieces:
 * ``min_eig``: the smallest eigenpair of a positive definite matrix by
   Cholesky-based shifted inverse iteration, whose last vector _certify
   proves. It starts from the least eigenvector in double precision
-  (``_float_start``: pure-Python float Cholesky and shifted inverse
-  iteration) and the shift below it, and from a graded alternating-sign
-  vector with lo = 0 when floats cannot resolve lambda_min,
+  (``_float_start``: numpy's LAPACK ``eigh``) and the shift below it, and
+  from a graded alternating-sign vector with lo = 0 when floats cannot
+  resolve lambda_min,
 * ``tridiagonal_min_vector``: the least eigenvector of a symmetric
-  tridiagonal matrix, by a float Sturm-count bisection and O(n) shifted
-  inverse-iteration steps, a candidate for _certify,
+  tridiagonal matrix, from ``eigh`` of its float image and O(n) shifted
+  inverse-iteration steps at the working precision, a candidate for
+  _certify,
 * a precision ladder that doubles the mantissa from LADDER_START_BITS and
   stops at the first level whose enclosure [lo, hi] of lambda_min, widened
   by the builder's bound on its own rounding, is narrower than
@@ -48,11 +50,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import comb, factorial, fsum, isfinite, prod, sqrt
-from operator import mul
+from math import comb, factorial, prod
 from typing import NamedTuple
 
+import numpy as np
 from mpmath import iv, mp, mpf, workprec
 from mpmath.libmp import mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sum, round_nearest
 
@@ -72,8 +73,6 @@ LADDER_START_BITS = 128
 LADDER_RELTOL = mpf("1e-6")
 # min_eig gives up after this many inverse-iteration steps per bit
 MIN_EIG_STEPS_PER_BIT = 4
-# _float_start gives up after this many float inverse-iteration steps
-FLOAT_START_STEPS = 16
 
 
 def check_bits(bits, name="bits") -> int:
@@ -296,22 +295,22 @@ def min_eig(M, bits):
     """Smallest eigenpair (value, unit vector) of a symmetric positive
     definite M, at ``bits`` precision.
 
-    Inverse iteration on a Cholesky factor of M - lo*I. It starts from
-    the least eigenvector of M in double precision and lo the shift below
-    its eigenvalue that _float_start returns, when M - lo*I factors at
-    ``bits``; otherwise (floats cannot resolve lambda_min, an entry
-    overflows them, or that shift does not factor) from a graded
-    alternating-sign vector with lo = 0. A float start leaves about two
-    steps on a well-separated lambda_min. ``lo`` is a proven lower bound
-    on the smallest eigenvalue (M - lo*I factors); ``hi`` is an upper bound (the
-    Rayleigh quotient mu, or a shift that failed to factor). After each
-    step the next shift is s = mu - ||M v - mu v||, or the midpoint of
-    (lo, hi) when s falls outside it or the last shift failed; M - s*I
-    then factors (lo = s) or not (hi = s). Near the eigenvalue each step
-    about doubles the correct digits; the midpoint bounds what a poor
-    start vector or a nearly double eigenvalue costs. The iteration stops
-    when the residual reaches n 2^(8-bits) max_i M_ii or when
-    mu - lo <= 2^(8-bits) mu.
+    Inverse iteration on a Cholesky factor of M - lo*I. It starts from the
+    least eigenvector of M in double precision (LAPACK's eigh) and lo the
+    shift below its eigenvalue that _float_start returns, when M - lo*I
+    factors at ``bits``; otherwise (floats cannot resolve lambda_min, an
+    entry overflows them, eigh fails, or that shift does not factor) from
+    a graded alternating-sign vector with lo = 0. A float start leaves
+    about two steps on a well-separated lambda_min. ``lo`` is a proven
+    lower bound on the smallest eigenvalue (M - lo*I factors); ``hi`` is
+    an upper bound (the Rayleigh quotient mu, or a shift that failed to
+    factor). After each step the next shift is s = mu - ||M v - mu v||, or
+    the midpoint of (lo, hi) when s falls outside it or the last shift
+    failed; M - s*I then factors (lo = s) or not (hi = s). Near the
+    eigenvalue each step about doubles the correct digits; the midpoint
+    bounds what a poor start vector or a nearly double eigenvalue costs.
+    The iteration stops when the residual reaches n 2^(8-bits) max_i M_ii
+    or when mu - lo <= 2^(8-bits) mu.
 
     The last vector is then certified as any candidate is (_certify):
     M - s I must factor at its Krylov-Weinstein shift s = mu - ||M v -
@@ -352,69 +351,36 @@ def _sign_fixed(v, bits):
     return tuple(-x for x in v) if next(x for x in v if abs(x) >= top) < 0 else tuple(v)
 
 
-def _graded(n, one):
-    """The start vector of every inverse iteration here, in the arithmetic
-    of ``one`` (1.0 or mpf(1)): alternating signs, graded so that it is not
-    orthogonal to the reflection-symmetric eigenvectors of a symmetric
-    support."""
-    return [(1 - 2 * (i % 2)) * (1 + one * i / (2 * n)) for i in range(n)]
-
-
-def _float_cholesky(A, s):
-    """Rows of the Cholesky factor of A - s I in float, or None when a
-    pivot is not positive."""
-    L = []
-    for j, row in enumerate(A):
-        l = []
-        for i, Li in enumerate(L):
-            l.append((row[i] - sum(map(mul, l, Li))) / Li[-1])
-        pivot = row[j] - s - sum(t * t for t in l)
-        if not pivot > 0:
-            return None
-        l.append(sqrt(pivot))
-        L.append(l)
-    return L
+def _graded(n):
+    """The start vector of _min_eig's mpf fallback: alternating signs,
+    graded so that it is not orthogonal to the reflection-symmetric
+    eigenvectors of a symmetric support."""
+    return [(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
 
 
 def _float_start(M):
     """A start for _min_eig from double precision: (v, s), a unit least
-    eigenvector of the float image A of M and a shift s > 0 below its
-    eigenvalue, or None when floats do not resolve it.
+    eigenvector of the float image A of M from LAPACK's symmetric
+    eigensolver (np.linalg.eigh) and the shift s = mu - 2 ||A v - mu v||
+    below its eigenvalue, mu the Rayleigh quotient of v.
 
-    Shifted inverse iteration on A from _graded's vector: each step
-    factors A - s I, solves, and raises s to mu - 2 res, mu the Rayleigh
-    quotient and res the residual norm, and it stops once res <= n 2^-44
-    max_i A_ii, a few hundred float roundings. Gives up (None) when an
-    entry of A is not finite, when a Cholesky fails (lambda_min below float
-    resolution, as for an ill-conditioned contiguous Gram matrix), when s
-    stays 0 or after FLOAT_START_STEPS steps. The pair is only a guess:
+    None when an entry of A is not finite, when eigh raises LinAlgError or
+    when s <= 0 (lambda_min below float resolution, as for an
+    ill-conditioned contiguous Gram matrix). The pair is only a guess:
     _min_eig checks the shift with a Cholesky at its bits, and _certify
     proves whatever the iteration ends on.
     """
-    n = len(M)
-    A = [[float(x) for x in row] for row in M]
-    if not all(map(isfinite, chain.from_iterable(A))):
+    A = np.array(M, dtype=float)
+    if not np.isfinite(A).all():
         return None
-    tol = n * 2.0 ** -44 * max(A[i][i] for i in range(n))
-    v, s = _graded(n, 1.0), 0.0
-    for _ in range(FLOAT_START_STEPS):
-        L = _float_cholesky(A, s)
-        if L is None:
-            return None
-        x = []
-        for Li, t in zip(L, v):
-            x.append((t - sum(map(mul, Li, x))) / Li[-1])
-        for i in range(n - 1, -1, -1):
-            x[i] = (x[i] - sum(L[k][i] * x[k] for k in range(i + 1, n))) / L[i][i]
-        norm = sqrt(fsum(t * t for t in x))
-        v = [t / norm for t in x]
-        Av = [fsum(map(mul, row, v)) for row in A]
-        mu = fsum(map(mul, v, Av))
-        res = sqrt(fsum((a - mu * b) ** 2 for a, b in zip(Av, v)))
-        s = max(s, mu - 2 * res)
-        if res <= tol:
-            return (v, s) if s > 0 else None
-    return None
+    try:
+        v = np.linalg.eigh(A)[1][:, 0]
+    except np.linalg.LinAlgError:
+        return None
+    Av = A @ v
+    mu = v @ Av
+    s = mu - 2 * np.linalg.norm(Av - mu * v)
+    return (v.tolist(), float(s)) if s > 0 else None
 
 
 def _min_eig(M, bits, radius=0):
@@ -434,7 +400,7 @@ def _min_eig(M, bits, radius=0):
             except NotPositiveDefiniteError:
                 pass
         if L is None:
-            L, lo, v = hp_cholesky(M, bits=bits), mpf(0), _graded(n, mpf(1))
+            L, lo, v = hp_cholesky(M, bits=bits), mpf(0), _graded(n)
         tol = mpf(2) ** (8 - bits)
         res_tol = n * tol * max(M[i][i] for i in range(n))
         hi = mp.inf
@@ -490,18 +456,6 @@ def _kw_shift(M, rayleigh, bits):
         return mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
 
 
-def _sturm_count(diag, off2, x):
-    """Eigenvalues below x of the symmetric tridiagonal matrix with float
-    diagonal ``diag`` and squared off-diagonal ``off2``: the negative
-    pivots of the LDL^T factorization of T - x I (Sylvester's law of
-    inertia). A zero pivot counts as a tiny negative one."""
-    count, q = 0, 1.0
-    for d, e2 in zip(diag, (0.0, *off2)):
-        q = (d - x - e2 / q) or -1e-300
-        count += q < 0
-    return count
-
-
 def _tridiagonal_solve(diag, off, s, v, tiny):
     """x with (T - s I) x = v for the symmetric tridiagonal T with diagonal
     ``diag`` and off-diagonal ``off``, by LDL^T without pivoting, at the
@@ -524,41 +478,27 @@ def tridiagonal_min_vector(diag, off, bits):
     symmetric tridiagonal matrix T with diagonal ``diag`` and off-diagonal
     ``off`` (mpf values), for an eigenvalue well separated from the next.
 
-    A float Sturm-count bisection from a Gershgorin interval places the
-    eigenvalue to 2^-45 ||T||, and two float inverse-iteration steps, one
-    bracket width below it, from min_eig's graded start, give a vector to
-    about float precision. Shifted inverse iteration at ``bits`` then
-    refines it, O(n) a step: each step's shift is theta - res - tol, theta
-    the Rayleigh quotient, res the residual norm and tol = n 2^(8-bits)
-    ||T||. That shift stays below the eigenvalue, so T - sI stays positive
-    definite, and each step squares the error relative to the gap (the
-    eigenvalues of Slepian's T are about 1 apart). Once res <= tol, T's
-    rounding level, one more step makes the vector good to working
-    precision. Gives up after ``bits`` steps and returns the last vector;
-    whoever uses it must check it (hp._certify does).
+    LAPACK's eigh of the dense float image of T gives the vector to about
+    float precision, relative to the gap. Shifted inverse iteration at
+    ``bits`` then refines it, O(n) a step: each step's shift is theta -
+    res - tol, theta the Rayleigh quotient, res the residual norm and tol
+    = n 2^(8-bits) ||T||. That shift stays below the eigenvalue, so T - sI
+    stays positive definite, and each step squares the error relative to
+    the gap (the eigenvalues of Slepian's T are about 1 apart). Once res
+    <= tol, T's rounding level, one more step makes the vector good to
+    working precision. Gives up after ``bits`` steps and returns the last
+    vector; whoever uses it must check it (hp._certify does).
     """
     n = len(diag)
     if n == 1:
         return (mpf(1),)
     fd, fe = [float(d) for d in diag], [float(e) for e in off]
-    spread = 2 * max(map(abs, fe))
-    scale = max(map(abs, fd)) + spread
-    lo, hi = min(fd) - spread, max(fd) + spread
-    off2 = [e * e for e in fe]
-    while hi - lo > 2.0 ** -45 * scale:
-        mid = (lo + hi) / 2
-        if _sturm_count(fd, off2, mid):
-            hi = mid
-        else:
-            lo = mid
-    v = _graded(n, 1.0)
-    for _ in range(2):
-        x = _tridiagonal_solve(fd, fe, 2 * lo - hi, v, 2.0 ** -45 * scale)
-        norm = sum(t * t for t in x) ** 0.5
-        v = [t / norm for t in x]
+    scale = max(map(abs, fd)) + 2 * max(map(abs, fe))
+    # eigh reads only the lower triangle
+    v = np.linalg.eigh(np.diag(fd) + np.diag(fe, -1))[1][:, 0]
     with workprec(bits):
         tol = n * mpf(2) ** (8 - bits) * scale
-        v = [mpf(t) for t in v]
+        v = [mpf(t) for t in v.tolist()]
         for _ in range(bits):
             Tv = [diag[i] * v[i] + (off[i - 1] * v[i - 1] if i else 0)
                   + (off[i] * v[i + 1] if i < n - 1 else 0) for i in range(n)]

@@ -430,8 +430,9 @@ def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
     T = SupportSet.coerce(T)
     bits = resolve_bits(bits)
     ys = parse_grid(y_grid, bits, "y")
-    if any(not 0 < v <= mpf("0.02") for v in ys):
-        raise DomainError("y grid must lie in (0, 0.02]")
+    with workprec(bits):
+        if any(not 0 < v <= mpf("0.02") for v in ys):
+            raise DomainError("y grid must lie in (0, 0.02]")
     rows = []
     for yv in sorted(ys, reverse=True):
         params = SystemParams.from_y(yv, bits=bits)

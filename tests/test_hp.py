@@ -406,8 +406,9 @@ def test_every_enclosure_is_one_krylov_weinstein_cholesky(monkeypatch):
 
 def test_ladder_cholesky_count(monkeypatch):
     # contiguous n = 12 at y = 0.05, run by the general kernel, climbs
-    # 128 -> 256 bits in 9 hp_cholesky calls: each level factors G, its
-    # shifts and, once, the certifying Krylov-Weinstein shift
+    # 128 -> 256 bits in 9 hp_cholesky calls: lambda_min is below float
+    # resolution, so the float start's shift is not positive and each level
+    # factors G, its shifts and, once, the certifying Krylov-Weinstein shift
     calls = []
     real = hp.hp_cholesky
 
@@ -453,7 +454,8 @@ def _near_double(bits):
 
 @pytest.mark.parametrize("run", [
     # contiguous {0..11} at y = 0.05: lambda_min is below float resolution,
-    # so the float Cholesky fails (test_ladder_cholesky_count counts it)
+    # so the float shift mu - 2 res is not positive (test_ladder_cholesky_count
+    # counts the run)
     lambda: min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12))))),
     # an entry that overflows float
     lambda: hp._min_eig([[mpf("1e400"), mpf(1)], [mpf(1), mpf(2)]], 128),
@@ -467,6 +469,19 @@ def test_float_start_falls_back_to_the_graded_start(monkeypatch, run):
     result = run()
     monkeypatch.setattr(hp, "_float_start", lambda M: None)
     assert run() == result
+
+
+def test_eigh_failure_falls_back_to_the_graded_start(monkeypatch):
+    # a LinAlgError from LAPACK is a float start that gives up, not an error
+    M = build_gram(SystemParams.from_y("0.1"), SupportSet((0, 2, 5, 6, 9)), bits=128)
+
+    def fails(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(hp.np.linalg, "eigh", fails)
+    result = hp._min_eig(M, 128)
+    monkeypatch.setattr(hp, "_float_start", lambda M: None)
+    assert hp._min_eig(M, 128) == result
 
 
 # --- proven enclosures ------------------------------------------------------

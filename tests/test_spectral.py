@@ -457,6 +457,10 @@ def test_smally_grid_validation():
     for bad in ("nan", "inf", "0"):
         with pytest.raises(DomainError):
             smally_exponent(SupportSet.of(0, 1), ("0.001", "0.002", "0.004", bad))
+    # above 0.02 at the run's 256 bits, equal to it at mpmath's 53-bit default
+    with pytest.raises(DomainError, match="0.02"):
+        smally_exponent(SupportSet.of(0, 1),
+                        ("0.001", "0.002", "0.004", "0.0200000000000000001"), bits=256)
 
 
 
@@ -532,6 +536,27 @@ def test_slepian_tridiagonal_commutes_with_the_gram_matrix(y):
             TG = [[mp.fdot(row, col) for col in zip(*G)] for row in T]
             assert max(abs(a - b) for ra, rb in zip(GT, TG) for a, b in zip(ra, rb)) \
                 <= n ** 3 * mpf(2) ** -240
+
+
+@pytest.mark.parametrize("bits,steps", [(128, 3), (512, 5)])
+def test_tridiagonal_refinement_steps_from_the_float_start(monkeypatch, bits, steps):
+    # from the double-precision eigenvector, inverse iteration at ``bits``
+    # reaches T's rounding level and takes its one last step within
+    # ``steps`` mpf solves, for every size up to the largest measured
+    real = hp._tridiagonal_solve
+    solves = []
+
+    def counted(diag, off, s, v, tiny):
+        solves.append(isinstance(s, mpf))
+        return real(diag, off, s, v, tiny)
+
+    monkeypatch.setattr(hp, "_tridiagonal_solve", counted)
+    for y in ("0.04", "0.12", "0.3"):
+        p = SystemParams.from_y(y)
+        for n in (5, 13, 65, 129):
+            solves.clear()
+            hp.tridiagonal_min_vector(*spectral._slepian_tridiagonal(p, n, bits), bits)
+            assert 0 < sum(solves) <= steps, (y, n, solves)
 
 
 def _second_vector(params, n, bits):
