@@ -20,11 +20,9 @@ from .core import (  # noqa: F401
 )
 from .hp import (  # noqa: F401
     default_bits,
-    hilbert_matrix,
     hp_cholesky,
     min_eig,
     min_eig_adaptive,
-    pencil_mu,
     vandermonde_lastrow,
 )
 from .recovery import (  # noqa: F401

@@ -245,10 +245,7 @@ def _run_asymptote(args, params_unused):
         "alpha": res.alpha,
         "mu_fit": res.mu,
         "gram_order_alpha": res.gram_order_alpha,
-        "claimed_alpha": res.claimed_alpha,
-        "note": "fitted exponent tracks 2n, not the claimed 2n+1; "
-                "both orders are reported for comparison",
-        "pencil_mu": res.pencil.mu if res.pencil else None,
+        "limit": res.limit,
         "table": [{"y": y, "lambda_min": eig.value,
                    "lambda_min_enclosure": Enclosure(eig.lo, eig.hi),
                    "bits_used": eig.bits_used} for y, eig in res.table],

@@ -38,9 +38,9 @@ run to 129. The pieces:
   min_eig's iteration otherwise or when that Cholesky fails. A candidate
   whose certifying shift is not positive cannot stop the ladder, and its
   level climbs without a Cholesky,
-* the closed forms of the inverse Hilbert matrix and of the last row of
-  the inverse Vandermonde matrix, exact rationals, for the rank-one
-  limiting pencil of the small-bandwidth asymptotics.
+* ``vandermonde_lastrow``, the last row of the inverse Vandermonde matrix
+  on integer nodes in closed form, exact rationals: the weights of the
+  small-y limit of lambda_min (spectral.smally_limit).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -100,7 +100,7 @@ def resolve_bits(bits, name="bits") -> int:
     return default_bits() if bits is None else check_bits(bits, name)
 
 
-def _check_square_symmetric(M):
+def _check_square(M):
     n = len(M)
     for row in M:
         if len(row) != n:
@@ -153,7 +153,7 @@ def hp_cholesky(M, bits):
     Raises NotPositiveDefiniteError with the first failing pivot index,
     which signals either a genuine singularity or insufficient precision.
     """
-    n = _check_square_symmetric(M)
+    n = _check_square(M)
     with workprec(bits):
         L = []
         for j, row in enumerate(M):
@@ -390,7 +390,7 @@ def _min_eig(M, bits, radius=0):
     when that shift factors at ``bits``, else the graded vector and lo = 0;
     either way only the start moves, never what _certify proves."""
     max_steps = MIN_EIG_STEPS_PER_BIT * bits
-    n = _check_square_symmetric(M)
+    n = _check_square(M)
     with workprec(bits):
         start, L = _float_start(M), None
         if start is not None:
@@ -450,7 +450,7 @@ def _certify(M, rayleigh, bits, radius=0):
 
 def _kw_shift(M, rayleigh, bits):
     """_certify's shift mu - res - n 2^(8-bits) max_i M_ii at ``bits``."""
-    n = _check_square_symmetric(M)
+    n = _check_square(M)
     _, mu, res = rayleigh
     with workprec(bits):
         return mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
@@ -602,23 +602,6 @@ def _level(M, bits, radius, candidate):
 # exact rational auxiliaries
 
 
-def hilbert_matrix(n):
-    """(n+1)x(n+1) Hilbert matrix H[i][j] = 1/(i+j+1), exact Fractions."""
-    if n < 0:
-        raise DomainError("hilbert_matrix requires n >= 0")
-    return [[Fraction(1, i + j + 1) for j in range(n + 1)] for i in range(n + 1)]
-
-
-def hilbert_inverse(n):
-    """The inverse of hilbert_matrix(n), an integer matrix, from its closed
-    form: with N = n + 1, (H^-1)_ij = (-1)^(i+j) (i+j+1) C(N+i, N-j-1)
-    C(N+j, N-i-1) C(i+j, i)^2 (Choi, Amer. Math. Monthly 90, 1983)."""
-    N = n + 1
-    return [[(-1) ** (i + j) * (i + j + 1) * comb(N + i, N - j - 1)
-             * comb(N + j, N - i - 1) * comb(i + j, i) ** 2
-             for j in range(N)] for i in range(N)]
-
-
 def vandermonde_lastrow(offsets):
     """Last row m of the inverse Vandermonde on integer nodes tau_j:
     the m with sum_j m_j tau_j^i = delta_{i,n} for i = 0..n, exactly
@@ -631,45 +614,3 @@ def vandermonde_lastrow(offsets):
     if len(set(taus)) != len(taus):
         raise SingularSystemError("duplicate nodes make the Vandermonde singular")
     return tuple(Fraction(1, prod(tj - ti for ti in taus if ti != tj)) for tj in taus)
-
-
-@dataclass(frozen=True)
-class PencilData:
-    """Ingredients of the rank-one limiting pencil H_n - mu * c_n m m^T.
-
-    ``quad_form`` = m^T H_n^{-1} m is kept as an exact Fraction; ``c_n`` =
-    (2 pi)^{2n} / (n!)^2 and ``mu`` = 1/(c_n * quad_form) are mpf values at
-    the stated precision.
-    """
-
-    n: int
-    hilbert: tuple
-    m: tuple
-    quad_form: Fraction
-    c_n: mpf
-    mu: mpf
-    bits: int
-
-
-def pencil_mu(offsets, bits) -> PencilData:
-    """Unique finite generalized eigenvalue of the limiting pencil."""
-    taus = sorted(int(t) for t in offsets)
-    if len(taus) < 2:
-        raise DomainError("pencil requires at least two offsets")
-    n = len(taus) - 1
-    H = hilbert_matrix(n)
-    m = vandermonde_lastrow(taus)
-    qf = sum(mi * hij * mj
-             for mi, row in zip(m, hilbert_inverse(n)) for hij, mj in zip(row, m))
-    with workprec(bits):
-        c_n = (2 * mp.pi) ** (2 * n) / mpf(factorial(n)) ** 2
-        mu = 1 / (c_n * mpf(qf.numerator) / mpf(qf.denominator))
-    return PencilData(
-        n=n,
-        hilbert=tuple(tuple(row) for row in H),
-        m=m,
-        quad_form=qf,
-        c_n=c_n,
-        mu=mu,
-        bits=bits,
-    )

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 from mpmath import iv, mp, mpf, workprec
 
@@ -47,14 +48,15 @@ from .hp import (
     LADDER_START_BITS,
     Enclosure,
     MinEigResult,
+    check_bits,
     factored_floor,
     iv_ends,
     iv_workprec,
     min_eig_adaptive,
-    pencil_mu,
     resolve_bits,
     spectrum_above,
     tridiagonal_min_vector,
+    vandermonde_lastrow,
 )
 from .szego import leading_coeffs
 
@@ -73,6 +75,7 @@ __all__ = [
     "verify_srf_bounds",
     "contiguity_scan",
     "smally_exponent",
+    "smally_limit",
 ]
 
 CONTIGUOUS = "contiguous"
@@ -406,22 +409,46 @@ def loglog_fit(xs, ys, bits):
         return slope, (sl - slope * sx) / n
 
 
+def smally_limit(T, bits) -> mpf:
+    """C_T = lim_{y -> 0} lambda_min(G_T(y)) / y^(2n) for a support T of
+    n + 1 atoms, rounded once at ``bits``:
+
+        C_T = (2 pi)^(2n) / ((n!)^2 (2n+1) C(2n, n)^2 ||m||^2),
+
+    m = hp.vandermonde_lastrow(T), the weights of the n-th divided
+    difference on T. G_T(y) = A_y^* A_y with (A_y x)(xi) = sum_j x_j
+    e^(2 pi i y t_j xi) on [-1/2, 1/2]. Expand the atoms in Taylor series:
+    to leading order the least eigenvector is m / ||m||, which annihilates
+    every moment of degree below n, and its O(y) corrections can add any
+    polynomial of lower degree. What is left of ||A_y x||^2 is (2 pi y)^(2n)
+    / ((n!)^2 ||m||^2) times the squared L^2[-1/2, 1/2] distance of xi^n
+    from those polynomials, (n!)^4 / ((2n)!^2 (2n+1)), the squared norm of
+    the scaled monic Legendre polynomial. So C_T = 1 for a single atom and
+    pi^2/6 for {0, 1}, where lambda_min = 1 - sinc(pi y).
+    """
+    T, bits = SupportSet.coerce(T), check_bits(bits)
+    n = len(T) - 1
+    q = Fraction(1, factorial(n) ** 2 * (2 * n + 1) * comb(2 * n, n) ** 2) / sum(
+        w * w for w in vandermonde_lastrow(T.offsets))
+    with workprec(bits + 32):
+        scale = (2 * mp.pi) ** (2 * n)
+    return mp.fdiv(mp.fmul(scale, q.numerator, exact=True), q.denominator, prec=bits)
+
+
 @dataclass(frozen=True)
 class SmallYResult:
     """Least-squares fit of log lambda_min = log mu + alpha log y.
 
-    ``pencil`` carries the limiting rank-one pencil data for comparison;
-    the fitted exponent is reported next to both 2n (the exact two-atom
-    order) and 2n+1 (the claimed order), never asserted against either.
+    Reported next to the exact order 2n and the closed-form constant
+    ``limit`` = smally_limit(support); criterion 10 compares mu with it.
     """
 
     support: SupportSet
     alpha: mpf
     mu: mpf
     table: tuple  # (y, MinEigResult) per grid point, largest y first
-    pencil: object
     gram_order_alpha: int  # 2n for |T| = n+1
-    claimed_alpha: int  # 2n+1
+    limit: mpf
 
 
 def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
@@ -443,8 +470,5 @@ def smally_exponent(T, y_grid, bits=None) -> SmallYResult:
     alpha, log_mu = loglog_fit([yv for yv, _ in rows], [res.value for _, res in rows], bits)
     with workprec(2 * bits):
         mu = mp.exp(log_mu)
-    n = len(T) - 1
-    pencil = pencil_mu(T.offsets, bits=bits) if n >= 1 else None
     return SmallYResult(support=T, alpha=alpha, mu=mu, table=tuple(rows),
-                        pencil=pencil, gram_order_alpha=2 * n,
-                        claimed_alpha=2 * n + 1)
+                        gram_order_alpha=2 * (len(T) - 1), limit=smally_limit(T, bits))

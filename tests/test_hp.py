@@ -1,6 +1,6 @@
 """High-precision linear algebra: Cholesky, the smallest-eigenpair kernel,
-the precision ladder, and the exact rational Hilbert/Vandermonde/pencil
-machinery."""
+the precision ladder, the independent inertia oracle, and the exact
+Vandermonde row."""
 
 import itertools
 
@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
-from conftest import inertia_below, lit
+from conftest import lit
 from srflimits import SupportSet, SystemParams, build_gram
-from srflimits.acceptance import _lambda_min_bisect
+from srflimits.acceptance import _lambda_min_bisect, inertia_below
 from srflimits import hp
 from srflimits.core import gram_radius
-from srflimits.spectral import reflection_representatives
+from srflimits.spectral import min_eig_for_support, reflection_representatives
 from srflimits.errors import (
     DomainError,
     NotPositiveDefiniteError,
@@ -27,12 +27,9 @@ from srflimits.errors import (
 from srflimits.hp import (
     LADDER_RELTOL,
     factored_floor,
-    hilbert_inverse,
-    hilbert_matrix,
     hp_cholesky,
     min_eig,
     min_eig_adaptive,
-    pencil_mu,
     vandermonde_lastrow,
 )
 
@@ -201,6 +198,26 @@ def test_eigen_prolate_matches_bisection_oracle():
         assert lam > 0
         assert lam <= 16 * p.c ** 8
         assert abs(lam - oracle) <= lit("1e-60") * oracle
+
+
+@pytest.mark.parametrize("offsets", [(0, 2, 5, 8), (0, 3, 5, 8), (0, 3, 6, 8)])
+def test_bisection_oracle_judges_supports_wider_than_one_over_y(offsets):
+    # at y = 0.45 these spans pass 1/y and lambda_2 < 2 lambda_1, where a
+    # determinant bisection that grows its bracket from below cannot start
+    p = SystemParams.from_y("0.45", bits=512)
+    T = SupportSet(offsets)
+    res = min_eig_for_support(p, T)
+    assert res.lo <= _lambda_min_bisect(build_gram(p, T, bits=512), 512) <= res.hi
+
+
+def test_inertia_counts_a_zero_pivot_as_not_above():
+    # M - I = [[0, .5], [.5, 0]] has a zero first pivot; M's eigenvalues
+    # are 1/2 and 3/2
+    M = [[mpf(1), mpf("0.5")], [mpf("0.5"), mpf(1)]]
+    assert inertia_below(M, 1, 256) == 1
+    assert inertia_below(M, mpf("0.5"), 256) == 1
+    assert inertia_below(M, mpf("0.25"), 256) == 0
+    assert inertia_below([[mpf(2), 0], [0, mpf(2)]], 2, 256) == 2
 
 
 def test_cholesky_eigen_determinant_consistency():
@@ -543,23 +560,7 @@ def test_ladder_levels_do_not_flip_with_the_last_digits_of_y():
     assert {res.bits_used for res in ladders} == {256}
 
 
-# --- exact rational machinery -----------------------------------------------
-
-
-def test_hilbert_entries():
-    H = hilbert_matrix(2)
-    assert H[0][0] == 1
-    assert H[1][2] == Fraction(1, 4)
-
-
-def test_hilbert_inverse_exact():
-    # the closed form, and H H^-1 = I exactly
-    assert hilbert_inverse(2) == [[9, -36, 30], [-36, 192, -180], [30, -180, 180]]
-    for n in range(9):
-        H, Hinv = hilbert_matrix(n), hilbert_inverse(n)
-        ident = [[sum(H[i][k] * Hinv[k][j] for k in range(n + 1)) for j in range(n + 1)]
-                 for i in range(n + 1)]
-        assert ident == [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+# --- exact Vandermonde row --------------------------------------------------
 
 
 def test_vandermonde_lastrow_examples():
@@ -600,24 +601,6 @@ def test_vandermonde_magnitudes_match_vieta():
 def test_vandermonde_duplicate_nodes_rejected():
     with pytest.raises(SingularSystemError):
         vandermonde_lastrow((0, 0, 1))
-
-
-def test_pencil_examples():
-    d = pencil_mu((0, 1), bits=256)
-    assert d.quad_form == 28
-    with workprec(256):
-        assert abs(d.c_n - 4 * mp.pi ** 2) < mpf(2) ** (-240)
-        assert abs(d.mu - lit("0.0009046534253780158164632095")) < lit("1e-24")
-
-    d = pencil_mu((0, 1, 2), bits=256)
-    assert d.quad_form == Fraction(1881, 4)
-    with workprec(256):
-        assert abs(d.mu - lit("5.457725813229311636976493e-6")) < lit("1e-27")
-
-
-def test_pencil_mu_always_positive():
-    for T in [(0, 1), (0, 2, 7), (0, 1, 2, 3), (0, 4, 5, 11, 13)]:
-        assert pencil_mu(T, bits=256).mu > 0
 
 
 def test_default_bits_env_override(monkeypatch):

@@ -23,7 +23,8 @@ from srflimits import (
     smally_exponent,
     verify_srf_bounds,
 )
-from conftest import inertia_below, lit
+from conftest import lit
+from srflimits.acceptance import inertia_below
 from srflimits.core import gram_quadform
 from srflimits.errors import (
     DomainError,
@@ -38,6 +39,7 @@ from srflimits.spectral import (
     min_eig_for_support,
     sigma_enclosure,
     sigma_min_eig,
+    smally_limit,
 )
 
 
@@ -436,15 +438,46 @@ def test_smally_two_atoms_matches_exact_expansion():
     with workprec(128):
         assert abs(res.alpha - 2) < mpf("0.001")
         assert abs(res.mu - mp.pi ** 2 / 6) < mpf("0.01")
-    assert res.pencil is not None and res.pencil.mu > 0
-    assert res.gram_order_alpha == 2 and res.claimed_alpha == 3
+    assert res.gram_order_alpha == 2 and res.limit == smally_limit((0, 1), 256)
 
 
 def test_smally_three_atoms_quartic():
     res = smally_exponent(SupportSet.of(0, 1, 2),
                           ("0.001", "0.002", "0.004", "0.006", "0.008"))
     assert abs(res.alpha - 4) < mpf("0.01")
-    assert res.alpha > 0 and res.mu > 0
+    assert res.gram_order_alpha == 4
+    with workprec(128):
+        assert abs(res.mu / res.limit - 1) < mpf("0.001")
+
+
+def test_smally_limit_examples():
+    for bits in (64, 256, 1024):
+        # a single atom has lambda_min = 1; {0, 1} has 1 - sinc(pi y)
+        assert smally_limit((0,), bits) == 1
+        with workprec(bits + 32):
+            target = mp.pi ** 2 / 6
+            assert abs(smally_limit((0, 1), bits) - target) <= mpf(2) ** (8 - bits)
+        # depends on the gaps only, and a reflection has the same spectrum
+        assert smally_limit((3, 5, 8), bits) == smally_limit((0, 2, 5), bits) \
+            == smally_limit((0, 3, 5), bits)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(rest=st.sets(st.integers(min_value=1, max_value=12), min_size=1, max_size=4))
+def test_ladder_approaches_smally_limit(rest):
+    # lambda_min / y^(2n) -> C_T with a relative gap O(y^2): within 1e-5 at
+    # y = 1e-4 (7.1e-7 at most over every support of size 2..5 within span
+    # 12) and at least 50 times smaller than at y = 1e-3 (90 at least)
+    T = SupportSet((0,) + tuple(sorted(rest)))
+    limit = smally_limit(T, 256)
+    gaps = []
+    for y in ("1e-3", "1e-4"):
+        p = SystemParams.from_y(y)
+        with workprec(256):
+            gaps.append(abs(min_eig_for_support(p, T).value / p.y ** (2 * len(rest))
+                            / limit - 1))
+    assert gaps[1] <= mpf("1e-5")
+    assert 50 * gaps[1] <= gaps[0]
 
 
 def test_smally_grid_validation():
