@@ -1,9 +1,11 @@
 """Acceptance suite: every exit criterion of the toolkit, one function each.
 
-Each criterion returns a CriterionOutcome with a pass flag and a short
-human-readable detail line. ``run_all`` executes them in order; the CLI
-``selftest`` subcommand and the pytest acceptance module both call into
-this module so that CI and the command line agree by construction.
+Each criterion returns (passed, detail): a pass flag and a short
+human-readable detail line. ``run`` turns one criterion into a
+CriterionOutcome named after its function and timed around the call, and
+``run_all`` runs every criterion in order; the CLI ``selftest`` subcommand
+and the pytest acceptance module both call into this module so that CI
+and the command line agree by construction.
 """
 
 from __future__ import annotations
@@ -46,17 +48,20 @@ class CriterionOutcome:
     seconds: float
 
 
-def _outcome(name, passed, detail, t0) -> CriterionOutcome:
-    return CriterionOutcome(name=name, passed=bool(passed), detail=detail,
-                            seconds=time.time() - t0)
+def run(criterion) -> CriterionOutcome:
+    """Run one criterion; the outcome is named after its function and
+    timed by one clock around the call."""
+    t0 = time.perf_counter()
+    passed, detail = criterion()
+    return CriterionOutcome(criterion.__name__, bool(passed), detail,
+                            time.perf_counter() - t0)
 
 
 THM10_Y_GRID = ("0.05", "0.1", "0.25", "0.4")
 
 
-def criterion_1_kn_bracket() -> CriterionOutcome:
+def criterion_1_kn_bracket() -> tuple[bool, str]:
     """Two-sided bracket on k_n^{-2} with positive slack, n <= 12, 512 bits."""
-    t0 = time.time()
     min_slack = None
     for ys in THM10_Y_GRID:
         params = SystemParams.from_y(ys, bits=512)
@@ -65,38 +70,32 @@ def criterion_1_kn_bracket() -> CriterionOutcome:
             if min_slack is None or rel < min_slack:
                 min_slack = rel
             if not chk.slack > 0:
-                return _outcome("criterion_1_kn_bracket", False,
-                                f"nonpositive slack in {chk.name} at y={ys}", t0)
-    return _outcome("criterion_1_kn_bracket", True,
-                    f"bracket holds for 4 y-values, n<=12; min relative slack "
-                    f"{mp.nstr(min_slack, 3)}", t0)
+                return False, f"nonpositive slack in {chk.name} at y={ys}"
+    return (True, f"bracket holds for 4 y-values, n<=12; min relative slack "
+            f"{mp.nstr(min_slack, 3)}")
 
 
-def criterion_2_upper_chain() -> CriterionOutcome:
+def criterion_2_upper_chain() -> tuple[bool, str]:
     """sigma_min(A_{0..n}) <= k_n^{-1} <= 4 c^n on the same grid, n = 1..12,
     as verify_srf_bounds checks it (criterion 1 covers n = 0: k_0 = 1)."""
-    t0 = time.time()
     worst = None
     for ys in THM10_Y_GRID:
         params = SystemParams.from_y(ys, bits=512)
         for chk in verify_srf_bounds(params, 12).checks:
             if not chk.satisfied:
-                return _outcome("criterion_2_upper_chain", False,
-                                f"chain broken at y={ys}: {chk.name} "
-                                f"{mp.nstr(chk.lhs, 8)} > {mp.nstr(chk.rhs, 8)}", t0)
+                return (False, f"chain broken at y={ys}: {chk.name} "
+                        f"{mp.nstr(chk.lhs, 8)} > {mp.nstr(chk.rhs, 8)}")
             if chk.name.startswith("eps_le_kn_inv"):
                 with workprec(512):
                     gap = chk.slack / chk.rhs
                 worst = gap if worst is None else min(worst, gap)
-    return _outcome("criterion_2_upper_chain", True,
-                    f"chain exact on grid; tightest relative gap "
-                    f"{mp.nstr(worst, 3)}", t0)
+    return (True, f"chain exact on grid; tightest relative gap "
+            f"{mp.nstr(worst, 3)}")
 
 
-def criterion_3_lower_ratio_stable() -> CriterionOutcome:
+def criterion_3_lower_ratio_stable() -> tuple[bool, str]:
     """min over n <= 10, y <= 0.3 of eps_{n+1}/(c/4)^n: positive and stable
     to 1e-6 relative between 512 and 1024 bits."""
-    t0 = time.time()
     mins = []
     for bits in (512, 1024):
         min_ratio = None
@@ -108,8 +107,7 @@ def criterion_3_lower_ratio_stable() -> CriterionOutcome:
                     # cold on purpose: the two precisions must stay independent
                     lam = min_eig(G, bits=bits)[0]
                 except NotPositiveDefiniteError:
-                    return _outcome("criterion_3_lower_ratio_stable", False,
-                                    f"lambda_min <= 0 at y={ys} n={n} bits={bits}", t0)
+                    return False, f"lambda_min <= 0 at y={ys} n={n} bits={bits}"
                 with workprec(bits):
                     ratio = mp.sqrt(lam) / (params.c / 4) ** n
                 if min_ratio is None or ratio < min_ratio:
@@ -118,47 +116,40 @@ def criterion_3_lower_ratio_stable() -> CriterionOutcome:
     with workprec(160):
         drift = abs(mins[0] - mins[1]) / mins[1]
     passed = mins[1] > 0 and drift <= mpf("1e-6")
-    return _outcome("criterion_3_lower_ratio_stable", passed,
-                    f"min ratio {mp.nstr(mins[1], 10)}, drift across precisions "
-                    f"{mp.nstr(drift, 3)}", t0)
+    return (passed, f"min ratio {mp.nstr(mins[1], 10)}, drift across precisions "
+            f"{mp.nstr(drift, 3)}")
 
 
-def criterion_4_contiguity() -> CriterionOutcome:
+def criterion_4_contiguity() -> tuple[bool, str]:
     """Exhaustive scan at y = 0.05, sizes 2-4, span 10: contiguous wins."""
-    t0 = time.time()
     params = SystemParams.from_y("0.05")
     total = 0
     for size in (2, 3, 4):
         res = contiguity_scan(params, size, 10)
         total += res.supports_checked
         if not res.holds:
-            return _outcome("criterion_4_contiguity", False,
-                            f"contiguous support not the strict minimizer at size {size}", t0)
+            return False, f"contiguous support not the strict minimizer at size {size}"
         if res.monotonicity_violations:
-            return _outcome("criterion_4_contiguity", False,
-                            f"{len(res.monotonicity_violations)} monotonicity "
-                            f"violations at size {size}", t0)
-    return _outcome("criterion_4_contiguity", True,
-                    f"contiguous strictly minimal and gap-monotone over "
-                    f"{total} supports", t0)
+            return (False, f"{len(res.monotonicity_violations)} monotonicity "
+                    f"violations at size {size}")
+    return (True, f"contiguous strictly minimal and gap-monotone over "
+            f"{total} supports")
 
 
-def criterion_5_srf_scaling() -> CriterionOutcome:
+def criterion_5_srf_scaling() -> tuple[bool, str]:
     """srf_scaling's check for k = 1..3: the slope of log eps_2k vs log SRF
     equals -(2k-1) within recovery.SCALING_TOLERANCE."""
     from .recovery import srf_scaling
 
-    t0 = time.time()
     details = []
     for k in (1, 2, 3):
         res = srf_scaling(k, ("8", "12", "16", "24", "32"))
         check, = res.checks
         details.append(f"k={k}: {mp.nstr(res.slope, 6)}")
         if not check.satisfied:
-            return _outcome("criterion_5_srf_scaling", False,
-                            f"slope {mp.nstr(res.slope, 6)} off target "
-                            f"{res.expected_slope} by {mp.nstr(check.lhs, 3)}", t0)
-    return _outcome("criterion_5_srf_scaling", True, "; ".join(details), t0)
+            return (False, f"slope {mp.nstr(res.slope, 6)} off target "
+                    f"{res.expected_slope} by {mp.nstr(check.lhs, 3)}")
+    return True, "; ".join(details)
 
 
 def inertia_below(M, shift, bits):
@@ -206,16 +197,14 @@ def _lambda_min_bisect(M, bits):
         return (lo + hi) / 2
 
 
-def criterion_6_minimax_sandwich() -> CriterionOutcome:
+def criterion_6_minimax_sandwich() -> tuple[bool, str]:
     """Minimax sandwich for (k, y, sigma) in {(1, 0.2, 1e-4), (2, 0.2, 1e-6)},
     with the bounds recomputed independently from Gram data."""
-    t0 = time.time()
     for k, sigma in ((1, mpf("1e-4")), (2, mpf("1e-6"))):
         params = SystemParams.from_y("0.2", bits=512)
         rep = minimax_experiment(params, k, sigma)
         if not all(c.satisfied for c in rep.checks):
-            return _outcome("criterion_6_minimax_sandwich", False,
-                            f"in-pipeline check failed at k={k}", t0)
+            return False, f"in-pipeline check failed at k={k}"
         # independent recomputation: bisected eps_2k and direct error norms
         G = build_gram(params, rep.pair.T_star, bits=512)
         lam = _lambda_min_bisect(G, 512)
@@ -223,8 +212,7 @@ def criterion_6_minimax_sandwich() -> CriterionOutcome:
             eps_indep = mp.sqrt(lam)
             agree = abs(eps_indep - rep.pair.eps2k) / eps_indep
             if agree > mpf(10) ** (-30):
-                return _outcome("criterion_6_minimax_sandwich", False,
-                                f"eps_2k mismatch vs bisection: {mp.nstr(agree, 3)}", t0)
+                return False, f"eps_2k mismatch vs bisection: {mp.nstr(agree, 3)}"
             est = rep.recovery.estimate.embed(rep.pair.T_star)
             x0 = rep.pair.x0.embed(rep.pair.T_star)
             x1 = rep.pair.x1.embed(rep.pair.T_star)
@@ -239,17 +227,14 @@ def criterion_6_minimax_sandwich() -> CriterionOutcome:
             ok = (err0 <= upper and max(err0, err1) >= lower
                   and image <= sigma * (1 + mpf(10) ** (-50)))
         if not ok:
-            return _outcome("criterion_6_minimax_sandwich", False,
-                            f"independent recomputation failed at k={k}", t0)
-    return _outcome("criterion_6_minimax_sandwich", True,
-                    "both sandwich sides hold; eps_2k, error norms and "
-                    "||A(x0-x1)|| <= sigma re-derived from Gram data", t0)
+            return False, f"independent recomputation failed at k={k}"
+    return (True, "both sandwich sides hold; eps_2k, error norms and "
+            "||A(x0-x1)|| <= sigma re-derived from Gram data")
 
 
-def criterion_7_reproducing() -> CriterionOutcome:
+def criterion_7_reproducing() -> tuple[bool, str]:
     """Kernel quadrature reproduces Phi^{-n}, n <= 5, at 20 exterior points
     to relative 1e-8."""
-    t0 = time.time()
     params = SystemParams.from_y("0.17")
     rng = np.random.default_rng(7)
     radii = rng.uniform(2.2, 6.0, 20)
@@ -265,15 +250,12 @@ def criterion_7_reproducing() -> CriterionOutcome:
                 err = abs(val - ref) / abs(ref)
                 worst = max(worst, err)
                 if err > mpf("1e-8"):
-                    return _outcome("criterion_7_reproducing", False,
-                                    f"relative error {mp.nstr(err, 3)} at n={n}", t0)
-    return _outcome("criterion_7_reproducing", True,
-                    f"120 reproductions; worst relative error {mp.nstr(worst, 3)}", t0)
+                    return False, f"relative error {mp.nstr(err, 3)} at n={n}"
+    return True, f"120 reproductions; worst relative error {mp.nstr(worst, 3)}"
 
 
-def criterion_8_faber_rotation_bound() -> CriterionOutcome:
+def criterion_8_faber_rotation_bound() -> tuple[bool, str]:
     """Sampled max of |Faber_n| on the arc (1e4 points) <= 2(1+2y)."""
-    t0 = time.time()
     worst = None
     for ys in ("0.1", "0.3"):
         params = SystemParams.from_y(ys)
@@ -284,41 +266,32 @@ def criterion_8_faber_rotation_bound() -> CriterionOutcome:
             if worst is None or margin < worst:
                 worst = margin
             if not peak <= bound:
-                return _outcome("criterion_8_faber_rotation_bound", False,
-                                f"max |Faber_{n}| = {mp.nstr(peak, 8)} exceeds "
-                                f"{mp.nstr(bound, 8)} at y={ys}", t0)
-    return _outcome("criterion_8_faber_rotation_bound", True,
-                    f"22 polynomials within the rotation bound; smallest "
-                    f"relative margin {mp.nstr(worst, 3)}", t0)
+                return (False, f"max |Faber_{n}| = {mp.nstr(peak, 8)} exceeds "
+                        f"{mp.nstr(bound, 8)} at y={ys}")
+    return (True, f"22 polynomials within the rotation bound; smallest "
+            f"relative margin {mp.nstr(worst, 3)}")
 
 
-def criterion_9_growth_bounds() -> CriterionOutcome:
+def criterion_9_growth_bounds() -> tuple[bool, str]:
     """100 random arc-unit polynomials per (n <= 6, y in {0.1, 0.3}):
     zero violations of the exterior and banana-region growth bounds."""
-    t0 = time.time()
     checked = 0
     for seed, ys in ((101, "0.1"), (103, "0.3")):
         params = SystemParams.from_y(ys)
         suite = bound_suite(params, 6, samples=200, seed=seed, polys=100)
-        if suite.errors:
-            return _outcome("criterion_9_growth_bounds", False,
-                            f"suite errors at y={ys}: {suite.errors}", t0)
         growth = [c for c in suite.checks
                   if c.name.startswith(("growth_", "phi_prime_envelope"))]
         checked += len(growth)
         bad = [c.name for c in growth if not c.satisfied]
         if bad:
-            return _outcome("criterion_9_growth_bounds", False,
-                            f"violations at y={ys}: {bad}", t0)
-    return _outcome("criterion_9_growth_bounds", True,
-                    f"{checked} aggregated growth checks, zero violations", t0)
+            return False, f"violations at y={ys}: {bad}"
+    return True, f"{checked} aggregated growth checks, zero violations"
 
 
-def criterion_10_smally_exponent() -> CriterionOutcome:
+def criterion_10_smally_exponent() -> tuple[bool, str]:
     """Fitted decay exponent equals 2n +- 0.05 for n = 1..3, and the fitted
     constant is within 1% of the closed-form limit smally_limit (pi^2/6 for
     n = 1)."""
-    t0 = time.time()
     grid = ("0.001", "0.002", "0.003", "0.004", "0.006", "0.008")
     details = []
     for n in (1, 2, 3):
@@ -329,13 +302,11 @@ def criterion_10_smally_exponent() -> CriterionOutcome:
         details.append(f"n={n}: alpha={mp.nstr(res.alpha, 7)}, mu off the limit "
                        f"by {mp.nstr(rel, 3)}")
         if not dev <= mpf("0.05"):
-            return _outcome("criterion_10_smally_exponent", False,
-                            f"alpha={mp.nstr(res.alpha, 7)} not within 0.05 of {2 * n}", t0)
+            return False, f"alpha={mp.nstr(res.alpha, 7)} not within 0.05 of {2 * n}"
         if not rel <= mpf("0.01"):
-            return _outcome("criterion_10_smally_exponent", False,
-                            f"mu={mp.nstr(res.mu, 8)} off the limit "
-                            f"{mp.nstr(res.limit, 8)} by {mp.nstr(rel, 3)}", t0)
-    return _outcome("criterion_10_smally_exponent", True, "; ".join(details), t0)
+            return (False, f"mu={mp.nstr(res.mu, 8)} off the limit "
+                    f"{mp.nstr(res.limit, 8)} by {mp.nstr(rel, 3)}")
+    return True, "; ".join(details)
 
 
 def _l0_reference(params, f, sigma):
@@ -370,11 +341,10 @@ def _l0_reference(params, f, sigma):
         return best
 
 
-def criterion_11_oracle_equivalence() -> CriterionOutcome:
+def criterion_11_oracle_equivalence() -> tuple[bool, str]:
     """Closed forms against their independent oracles:
     gram_entry vs quadrature (1e-12), l0_solve vs all-subsets direct
     residual search, Cholesky k_n vs classical Gram-Schmidt (n <= 6)."""
-    t0 = time.time()
     rng = np.random.default_rng(11)
 
     # (i) gram_entry vs quadrature of the defining integral
@@ -387,8 +357,7 @@ def criterion_11_oracle_equivalence() -> CriterionOutcome:
         with workprec(128):
             err = abs(quad.real - closed) / max(abs(closed), mpf("1e-3"))
         if err > mpf("1e-12"):
-            return _outcome("criterion_11_oracle_equivalence", False,
-                            f"gram_entry vs quadrature off by {mp.nstr(err, 3)} at m={m}", t0)
+            return False, f"gram_entry vs quadrature off by {mp.nstr(err, 3)} at m={m}"
 
     # (ii) l0_solve vs exhaustive direct-residual search
     params = SystemParams.from_y("0.22")
@@ -407,8 +376,7 @@ def criterion_11_oracle_equivalence() -> CriterionOutcome:
         ref = _l0_reference(params, f, sigma)
         ref_support = tuple(window.offsets[i] for i in ref[1])
         if res.sparsity != ref[0] or res.support.offsets != ref_support:
-            return _outcome("criterion_11_oracle_equivalence", False,
-                            f"l0 mismatch on trial {trial}: {res.support} vs {ref_support}", t0)
+            return False, f"l0 mismatch on trial {trial}: {res.support} vs {ref_support}"
 
     # (iii) Cholesky k_n vs classical Gram-Schmidt on monomial inner products
     params = SystemParams.from_y("0.15")
@@ -430,11 +398,9 @@ def criterion_11_oracle_equivalence() -> CriterionOutcome:
             kn_gs = 1 / norm
             rel = abs(kn_gs - table.k_values[n]) / table.k_values[n]
             if rel > mpf(2) ** (-params.bits // 4):
-                return _outcome("criterion_11_oracle_equivalence", False,
-                                f"k_{n} Cholesky vs Gram-Schmidt differ by {mp.nstr(rel, 3)}", t0)
+                return False, f"k_{n} Cholesky vs Gram-Schmidt differ by {mp.nstr(rel, 3)}"
             basis.append([x / norm for x in resid])
-    return _outcome("criterion_11_oracle_equivalence", True,
-                    "quadrature, direct-residual and Gram-Schmidt oracles agree", t0)
+    return True, "quadrature, direct-residual and Gram-Schmidt oracles agree"
 
 
 ALL_CRITERIA = (
@@ -453,4 +419,4 @@ ALL_CRITERIA = (
 
 
 def run_all():
-    return [fn() for fn in ALL_CRITERIA]
+    return [run(fn) for fn in ALL_CRITERIA]

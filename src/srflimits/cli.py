@@ -1,15 +1,17 @@
 """Command-line surface: one subcommand per operation, JSON/CSV reports.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 usage or domain
-error (an unwritable --output path included), 3 computational error
-(precision cap, infeasibility, budget).
+error (a DomainError, or an unwritable --output path), 3 computational
+error (any other SRFError: precision cap, infeasibility, budget). Any
+other exception is a bug and propagates.
 Diagnostics go to stderr; the report is the only thing on stdout.
 
 Each ``_run_*`` handler takes (args, params), parses its arguments and
-maps the library's results, deriving any number at the run's bits; the
-library owns every check and default (selftest maps each criterion to a
-check), and ``reports`` encodes every number. asymptote, scaling and
-selftest have no params and read the resolved ``args.precision_bits``.
+maps the library's results to (results, checks, config_extra), deriving
+any number at the run's bits; the library owns every check and default
+(selftest maps each criterion to a check), and ``reports`` encodes every
+number. asymptote, scaling and selftest have no params and read the
+resolved ``args.precision_bits``.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def _parse_complex(text, bits):
     return value
 
 
-# --- subcommand handlers: (args, params) -> (results, checks, errors, config_extra) ---
+# --- subcommand handlers: (args, params) -> (results, checks, config_extra) ---
 
 
 def _run_gram(args, params):
@@ -192,14 +194,14 @@ def _run_gram(args, params):
     table = [{"tau_i": ti, "tau_j": tj, "entry": G[i][j]}
              for i, ti in enumerate(T.offsets)
              for j, tj in enumerate(T.offsets)]
-    return {"support": T, "entries": G, "table": table}, [], [], {"support": T}
+    return {"support": T, "entries": G, "table": table}, [], {"support": T}
 
 
 def _run_smin(args, params):
     T = SupportSet.from_text(args.support)
     val, eig = sigma_min_eig(params, T)
     return ({"support": T, "sigma_min": val, "sigma_min_enclosure": sigma_enclosure(eig)},
-            [], [], {"support": T})
+            [], {"support": T})
 
 
 def _run_epsilon(args, params):
@@ -212,7 +214,7 @@ def _run_epsilon(args, params):
         "mode": res.mode,
         "span_searched": res.span_searched,
     }
-    return results, [], [], {"k": args.k, "mode": args.mode, "span": args.span}
+    return results, [], {"k": args.k, "mode": args.mode, "span": args.span}
 
 
 def _run_spark(args, params):
@@ -226,14 +228,14 @@ def _run_spark(args, params):
                    for k, v, eig in res.levels],
     }
     cfg = {"eps": args.eps, "k_max": args.k_max, "mode": args.mode, "span": args.span}
-    return results, [], [], cfg
+    return results, [], cfg
 
 
 def _run_contiguity(args, params):
     res = contiguity_scan(params, args.size, args.span)
     results = {"holds": res.holds, "supports_checked": res.supports_checked,
                "table": [{"support": T, "sigma_min": v} for T, v in res.table]}
-    return results, res.checks, [], {"size": args.size, "span": args.span}
+    return results, res.checks, {"size": args.size, "span": args.span}
 
 
 def _run_asymptote(args, params_unused):
@@ -250,7 +252,7 @@ def _run_asymptote(args, params_unused):
                    "lambda_min_enclosure": Enclosure(eig.lo, eig.hi),
                    "bits_used": eig.bits_used} for y, eig in res.table],
     }
-    return results, [], [], {"support": T, "y_grid": grid}
+    return results, [], {"support": T, "y_grid": grid}
 
 
 def _run_szego(args, params):
@@ -263,7 +265,7 @@ def _run_szego(args, params):
             w = Phi_map(params.c, z, bits=params.bits)
             results.update(Phi_z=w, abs_Phi_z=abs(w),
                            phi_roundtrip_error=abs(phi_map(params.c, w) - mp.mpc(z)))
-    return results, [], [], {"z": args.z, "zeta": args.zeta}
+    return results, [], {"z": args.z, "zeta": args.zeta}
 
 
 def _run_bounds(args, params):
@@ -277,7 +279,7 @@ def _run_bounds(args, params):
         "polys": suite.polys,
     }
     cfg = {"n": args.n, "samples": args.samples, "polys": args.polys}
-    return results, suite.checks + decay.checks, suite.errors, cfg
+    return results, suite.checks + decay.checks, cfg
 
 
 def _run_recover(args, params):
@@ -294,7 +296,7 @@ def _run_recover(args, params):
         "supports_examined": res.supports_examined,
         "measurement_norm": res.measurement_norm,
     }
-    return results, [], [], {"window": W, "sigma": args.sigma, "k_cap": args.k_cap}
+    return results, [], {"window": W, "sigma": args.sigma, "k_cap": args.k_cap}
 
 
 def _run_adversary(args, params):
@@ -312,7 +314,7 @@ def _run_adversary(args, params):
         "separation": separation,
     }
     cfg = {"k": args.k, "sigma": args.sigma, "mode": args.mode, "span": args.span}
-    return results, [], [], cfg
+    return results, [], cfg
 
 
 def _run_minimax(args, params):
@@ -327,7 +329,7 @@ def _run_minimax(args, params):
         "recovered_sparsity": rep.recovery.sparsity,
     }
     cfg = {"k": args.k, "sigma": args.sigma, "mode": args.mode, "span": args.span}
-    return results, rep.checks, [], cfg
+    return results, rep.checks, cfg
 
 
 def _run_scaling(args, params_unused):
@@ -340,7 +342,7 @@ def _run_scaling(args, params_unused):
         "expected_slope": res.expected_slope,
         "table": [{"srf": s, "y": y, "eps_2k": e} for s, y, e in res.table],
     }
-    return results, res.checks, [], {"k": args.k, "srf_grid": grid}
+    return results, res.checks, {"k": args.k, "srf_grid": grid}
 
 
 def _run_selftest(args, params_unused):
@@ -353,7 +355,7 @@ def _run_selftest(args, params_unused):
     checks = [bound_check(out.name, 0 if out.passed else 1, 0) for out in outcomes]
     details = [{"name": out.name, "passed": out.passed, "detail": out.detail,
                 "seconds": round(out.seconds, 2)} for out in outcomes]
-    return {"criteria": details}, checks, [], {}
+    return {"criteria": details}, checks, {}
 
 
 _HANDLERS = {
@@ -380,8 +382,8 @@ def run_cli(argv=None) -> int:
     try:
         bits = args.precision_bits = resolve_bits(args.precision_bits, "--precision-bits")
         params = _params_from(args, bits)
-        results, checks, errors, cfg_extra = _HANDLERS[args.subcommand](args, params)
-    except (DomainError, ValueError) as exc:
+        results, checks, cfg_extra = _HANDLERS[args.subcommand](args, params)
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SRFError as exc:
@@ -393,7 +395,7 @@ def run_cli(argv=None) -> int:
         config.update(y=params.y, srf=params.srf, capacity=params.c,
                       arc_length=params.arc_length)
     report = reports.build_report(args.subcommand, config, results, bits,
-                                  checks=checks, errors=errors, seed=args.seed)
+                                  checks=checks, seed=args.seed)
     payload = report.to_json() if args.format == "json" else report.to_csv()
     if args.output:
         try:

@@ -7,6 +7,11 @@ owns that format: ``build_report`` takes the plain values a computation
 returns (mpf, mpc, proven enclosures, supports, coefficient vectors,
 checks, and containers of them) and ``encode`` writes every number at the
 run's bits, so callers never round or format a number themselves.
+
+A report's status is pass or fail, from its checks alone: a run that
+cannot finish raises its typed error and writes no report.
+``from_json`` reads reports of this SCHEMA_VERSION only: a schema-1
+report's ``errors`` key is not a Report field.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from .checks import BoundCheck
 from .core import CoefficientVector, SupportSet
 from .hp import Enclosure, iv_ends, iv_workprec
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
-STATUS_PARTIAL = "partial"
 
 
 def digits_for(bits) -> int:
@@ -113,7 +117,6 @@ class Report:
     config: dict
     results: dict
     checks: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
     status: str = STATUS_PASS
     seed: int = 0
     timestamp: str = ""
@@ -162,22 +165,16 @@ def _csv_cell(value):
     return value
 
 
-def build_report(subcommand, config, results, bits, checks=(), errors=(), seed=0,
+def build_report(subcommand, config, results, bits, checks=(), seed=0,
                  timestamp=None) -> Report:
     """A report whose config, results and checks are ``encode``d at ``bits``;
-    ``errors`` are (where, message) pairs."""
+    its status is fail if any check fails, else pass."""
     encoded = encode(checks, bits)
-    errs = [{"where": w, "message": m} for (w, m) in errors]
-    if any(not c["satisfied"] for c in encoded):
-        status = STATUS_FAIL
-    elif errs:
-        status = STATUS_PARTIAL
-    else:
-        status = STATUS_PASS
+    status = STATUS_PASS if all(c["satisfied"] for c in encoded) else STATUS_FAIL
     ts = timestamp if timestamp is not None else \
         datetime.now(timezone.utc).isoformat(timespec="seconds")
     return Report(subcommand=subcommand, config=encode(config, bits),
-                  results=encode(results, bits), checks=encoded, errors=errs,
+                  results=encode(results, bits), checks=encoded,
                   status=status, seed=seed, timestamp=ts)
 
 

@@ -499,7 +499,6 @@ def faber_arc_max(params: SystemParams, n):
 @dataclass(frozen=True)
 class BoundSuiteResult:
     checks: tuple
-    errors: tuple
     seed: int
     samples: int
     polys: int
@@ -532,7 +531,6 @@ def bound_suite(params: SystemParams, n_max, samples=DEFAULT_SAMPLES, seed=0,
       (f) the measured ratio k_n^{-2} / ((c/y) c^{2n}) (recorded, not asserted),
     and once overall:
       (e) the elementary envelope for |Phi'(z)|.
-    Individual section failures are captured, never aborting the suite.
     An n_max whose upper bracket 4 (1+2y)^2 c^{2 n_max} lies below 2^-bits,
     bits = params.bits, is refused with DomainError before any section
     runs: no Cholesky at those bits can resolve k_n there.
@@ -547,65 +545,51 @@ def bound_suite(params: SystemParams, n_max, samples=DEFAULT_SAMPLES, seed=0,
                 f"n_max = {n_max} is beyond what {bits} bits resolve: "
                 f"4 (1+2y)^2 c^(2 n_max) < 2^-{bits}")
     checks = []
-    errors = []
     rng = np.random.default_rng(seed)
 
     c = float(params.c)
-    y = float(params.y)
     L = float(params.arc_length)
 
-    try:
-        table = leading_coeffs(params, n_max)
-        checks.extend(table.thm10_checks(params))
-        with workprec(bits):
-            for n, k in enumerate(table.k_values):
-                ratio = (1 / (k * k)) / ((params.c / params.y) * params.c ** (2 * n))
-                checks.append(bound_check(f"kn_asymptotic_ratio[n={n}]", 0, ratio))
-    except Exception as exc:  # noqa: BLE001 - per-check isolation
-        errors.append(("kn_bracket", repr(exc)))
+    table = leading_coeffs(params, n_max)
+    checks.extend(table.thm10_checks(params))
+    with workprec(bits):
+        for n, k in enumerate(table.k_values):
+            ratio = (1 / (k * k)) / ((params.c / params.y) * params.c ** (2 * n))
+            checks.append(bound_check(f"kn_asymptotic_ratio[n={n}]", 0, ratio))
+        rot_bound = 2 * (1 + 2 * params.y)
+    for n, peak in enumerate(faber_arc_max(params, n_max)):
+        checks.append(bound_check(f"faber_arc_max[n={n}]", peak, rot_bound))
 
-    try:
-        with workprec(bits):
-            rot_bound = 2 * (1 + 2 * params.y)
-        for n, peak in enumerate(faber_arc_max(params, n_max)):
-            checks.append(bound_check(f"faber_arc_max[n={n}]", peak, rot_bound))
-    except Exception as exc:  # noqa: BLE001
-        errors.append(("faber_arc_max", repr(exc)))
+    r_ext = rng.uniform(1.1, 5.0, samples)
+    t_ext = rng.uniform(-np.pi, np.pi, samples)
+    w_ext = r_ext * np.exp(1j * t_ext)
+    z_ext = _np_phi(c, w_ext)
+    dphi_ext = np.abs(1.0 / _np_phi_prime(c, w_ext))
 
-    try:
-        r_ext = rng.uniform(1.1, 5.0, samples)
-        t_ext = rng.uniform(-np.pi, np.pi, samples)
-        w_ext = r_ext * np.exp(1j * t_ext)
-        z_ext = _np_phi(c, w_ext)
-        dphi_ext = np.abs(1.0 / _np_phi_prime(c, w_ext))
+    r_ban = rng.uniform(1.02, 2.0, samples)
+    t_ban = rng.uniform(-np.pi, np.pi, samples)
+    w_ban = r_ban * np.exp(1j * t_ban)
+    z_ban = _np_phi(c, w_ban)
+    dphi_ban = np.abs(1.0 / _np_phi_prime(c, w_ban))
 
-        r_ban = rng.uniform(1.02, 2.0, samples)
-        t_ban = rng.uniform(-np.pi, np.pi, samples)
-        w_ban = r_ban * np.exp(1j * t_ban)
-        z_ban = _np_phi(c, w_ban)
-        dphi_ban = np.abs(1.0 / _np_phi_prime(c, w_ban))
+    for n in range(1, n_max + 1):
+        P = _unit_arc_polys(params, n, polys, rng)
+        vals_ext = np.abs(_np_poly_eval(P, z_ext)) ** 2
+        rhs_ext = (L / np.pi) * dphi_ext * r_ext ** 2 / (r_ext ** 2 - 1) \
+            * r_ext ** (2 * n)
+        ratio_ext = (vals_ext / rhs_ext[None, :]).max()
+        checks.append(bound_check(f"growth_exterior[n={n}]", mpf(float(ratio_ext)), 1))
 
-        for n in range(1, n_max + 1):
-            P = _unit_arc_polys(params, n, polys, rng)
-            vals_ext = np.abs(_np_poly_eval(P, z_ext)) ** 2
-            rhs_ext = (L / np.pi) * dphi_ext * r_ext ** 2 / (r_ext ** 2 - 1) \
-                * r_ext ** (2 * n)
-            ratio_ext = (vals_ext / rhs_ext[None, :]).max()
-            checks.append(bound_check(f"growth_exterior[n={n}]", mpf(float(ratio_ext)), 1))
+        vals_ban = np.abs(_np_poly_eval(P, z_ban)) ** 2
+        rhs_ban = (4 * L / np.pi) / (c * np.sqrt(1 - c * c)) * 4.0 ** n
+        ratio_ban = (vals_ban / rhs_ban).max()
+        checks.append(bound_check(f"growth_inside_gamma2[n={n}]", mpf(float(ratio_ban)), 1))
 
-            vals_ban = np.abs(_np_poly_eval(P, z_ban)) ** 2
-            rhs_ban = (4 * L / np.pi) / (c * np.sqrt(1 - c * c)) * 4.0 ** n
-            ratio_ban = (vals_ban / rhs_ban).max()
-            checks.append(bound_check(f"growth_inside_gamma2[n={n}]", mpf(float(ratio_ban)), 1))
+    env = 1.0 / (c * np.sqrt(1 - c * c))
+    r_all = np.concatenate([r_ext, r_ban])
+    dphi_all = np.concatenate([dphi_ext, dphi_ban])
+    rhs_env = env * (r_all + c) ** 2 / (r_all ** 2 - 1)
+    ratio_env = (dphi_all / rhs_env).max()
+    checks.append(bound_check("phi_prime_envelope", mpf(float(ratio_env)), 1))
 
-        env = 1.0 / (c * np.sqrt(1 - c * c))
-        r_all = np.concatenate([r_ext, r_ban])
-        dphi_all = np.concatenate([dphi_ext, dphi_ban])
-        rhs_env = env * (r_all + c) ** 2 / (r_all ** 2 - 1)
-        ratio_env = (dphi_all / rhs_env).max()
-        checks.append(bound_check("phi_prime_envelope", mpf(float(ratio_env)), 1))
-    except Exception as exc:  # noqa: BLE001
-        errors.append(("sampled_growth", repr(exc)))
-
-    return BoundSuiteResult(checks=tuple(checks), errors=tuple(errors),
-                            seed=seed, samples=samples, polys=polys)
+    return BoundSuiteResult(checks=tuple(checks), seed=seed, samples=samples, polys=polys)

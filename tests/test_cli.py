@@ -42,7 +42,8 @@ def test_gram_json_exit_zero(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["status"] == "pass"
-    assert data["schema_version"] == "1"
+    assert data["schema_version"] == "2"
+    assert "errors" not in data
     assert data["results"]["entries"][0][0]["dec"] == "1.0"
     assert data["results"]["entries"][0][1]["bits"] == 128
 
@@ -89,6 +90,31 @@ def test_infeasible_exit_three(capsys):
                    "--coeffs", "0;0", "--rho", "0.5", "--sigma", "0.1",
                    "--k-cap", "2"], capsys)
     assert code == 3
+
+
+def test_bounds_computational_error_exit_three(capsys):
+    code = run_cli(["bounds", "--y", "0.05", "--n", "31", "--samples", "100",
+                    "--polys", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("computational error: ")
+
+
+def test_handler_bug_is_not_a_usage_error(monkeypatch, capsys):
+    # DomainError subclasses ValueError; only the former is the user's error
+    def bug(args, params):
+        raise ValueError("too many values to unpack (expected 3)")
+
+    def domain(args, params):
+        raise DomainError("bad input")
+
+    argv = ["gram", "--y", "0.1", "--support", "0,1"]
+    monkeypatch.setitem(cli._HANDLERS, "gram", bug)
+    with pytest.raises(ValueError, match="unpack"):
+        run_cli(argv)
+    monkeypatch.setitem(cli._HANDLERS, "gram", domain)
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad input")
 
 
 def test_usage_error_exit_two():

@@ -26,6 +26,7 @@ from srflimits import szego
 from srflimits.errors import (
     ConvergenceError,
     DomainError,
+    NotPositiveDefiniteError,
     OnArcError,
     PoleError,
     SRFError,
@@ -521,11 +522,18 @@ def test_faber_and_bound_suite_properties(y, n, bits):
 def test_bound_suite_clean_run():
     p = SystemParams.from_y("0.1")
     res = bound_suite(p, 3, samples=150, seed=1, polys=40)
-    assert not res.errors
     assert all(c.satisfied for c in res.checks)
     names = {c.name for c in res.checks}
     assert "growth_exterior[n=2]" in names
     assert "phi_prime_envelope" in names
+
+
+def test_bound_suite_raises_a_failed_section():
+    # n = 31 passes the up-front refusal (from n = 36 at 256 bits), but the
+    # k_n Cholesky fails at pivot 29
+    p = SystemParams.from_y("0.05")
+    with pytest.raises(NotPositiveDefiniteError):
+        bound_suite(p, 31, samples=100, polys=1)
 
 
 def test_bound_suite_rejects_thin_sampling():
