@@ -273,8 +273,10 @@ class _NodeTable:
     kernel trace that depends on the node alone,
     h = sqrt(1 + 2c u + u^2)/(w + c) * dt/ds with u = conj(w) = 1/w.
     ``nodes`` holds them level by level (m = 2, 4, 8, ...), so the m-panel
-    rule's nodes are its first m - 1 entries; levels with more than
-    RETAIN_NODES panels are computed on use and not kept.
+    rule's nodes are its first m - 1 entries. ``ratios`` holds, for the
+    last W = Phi(z) asked about, each level's pairs (w, h/(W - w)) and their
+    largest modulus. Levels above RETAIN_NODES panels are computed on use
+    and neither is kept.
     """
 
     def __init__(self, c, bits, piece):
@@ -283,6 +285,7 @@ class _NodeTable:
             t0 = mp.acos(-c)
             self.a, self.width = (-t0, 2 * t0) if piece == 0 else (t0, 2 * (mp.pi - t0))
         self.nodes = []
+        self.W, self.ratios = None, []
 
     def _level(self, m):
         """The nodes s = k/m with k odd: those the m-panel rule adds."""
@@ -296,23 +299,36 @@ class _NodeTable:
                     * (width * (mp.pi / 2) * mp.sinpi(s))
             yield w, h
 
-    def added(self, lo, hi):
-        """The nodes the hi-panel rule adds to the lo-panel one (lo = 1:
-        all of the hi-panel rule's nodes); both are powers of two."""
+    def _ratios(self, nodes):
+        """One level's pairs (w, h/(W - w)) and the largest |h/(W - w)|."""
+        with workprec(self.bits):
+            pairs = [(w, h / (self.W - w)) for w, h in nodes]
+            return pairs, max(abs(r) for _, r in pairs)
+
+    def added(self, lo, hi, W):
+        """The levels the hi-panel rule adds to the lo-panel one (lo = 1:
+        all of the hi-panel rule's levels; both are powers of two), each as
+        its pairs (w, h/(W - w)) and their largest modulus."""
+        if W != self.W:
+            self.W, self.ratios = W, []
         m = lo
         while m < hi:
             m *= 2
             if m > RETAIN_NODES:
-                yield from self._level(m)
+                yield self._ratios(self._level(m))
                 continue
             while len(self.nodes) < m - 1:
                 self.nodes.extend(self._level(2 * len(self.nodes) + 2))
-            yield from self.nodes[m // 2 - 1:m - 1]
+            levels = m.bit_length() - 1  # m = 2^levels
+            while len(self.ratios) < levels:
+                j = len(self.ratios)
+                self.ratios.append(self._ratios(self.nodes[(1 << j) - 1:(2 << j) - 1]))
+            yield self.ratios[levels - 1]
 
 
 # one table per (c, bits, piece), shared by every n and z on that arc; 8
 # tables hold both pieces of four arcs, and a full table of RETAIN_NODES
-# nodes takes about 1.2 MB at 256 bits
+# nodes takes about 1.2 MB at 256 bits, 1.7 MB with one point's ratios
 _node_table = functools.lru_cache(maxsize=8)(_NodeTable)
 
 
@@ -331,8 +347,8 @@ def szego_reproduce(params: SystemParams, n, z):
     each doubling evaluates only the new nodes, so stopping at m panels
     costs m - 1 nodes per piece. Everything that depends on the node alone
     sits in a per-arc table shared by every n and z on the same arc at the
-    same bits; a reproduction then costs one complex division and one
-    small power per node.
+    same bits, with the ratios h/(W - w) of the last z: every degree at one
+    point shares them, and costs one small power, product and sum per node.
     """
     bits = params.bits
     c, L = params.c, params.arc_length
@@ -350,11 +366,11 @@ def szego_reproduce(params: SystemParams, n, z):
 
             def level(panels):
                 nonlocal total, peak, done
-                for w, h in table.added(done, panels):
-                    power = w if n == 0 else mp.conj(w) ** (n - 1)
-                    val = h * power / (W - w)
-                    total += val
-                    peak = max(peak, abs(val))
+                for pairs, pk in table.added(done, panels, W):
+                    for w, r in pairs:
+                        total += r if n == 1 else \
+                            r * (w if n == 0 else mp.conj(w) ** (n - 1))
+                    peak = max(peak, pk)
                 done = panels
                 return K0 * total / panels, abs(K0) * peak
             return level

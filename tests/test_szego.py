@@ -262,9 +262,10 @@ def test_reproduce_matches_pointwise_oracle():
 
 def _count_panels_and_nodes(monkeypatch):
     """Record the last order of each integrate_doubling call, and count
-    the nodes each node table builds."""
-    panels, built = [], Counter()
+    the nodes each node table builds and the kernel ratios it divides."""
+    panels, built, divided = [], Counter(), Counter()
     doubling, level = szego.integrate_doubling, szego._NodeTable._level
+    ratios = szego._NodeTable._ratios
 
     def recording(f, bits=None):
         seen = []
@@ -277,13 +278,19 @@ def _count_panels_and_nodes(monkeypatch):
             built[table] += 1
             yield node
 
+    def dividing(table, nodes):
+        pairs, peak = ratios(table, nodes)
+        divided[table] += len(pairs)
+        return pairs, peak
+
     monkeypatch.setattr(szego, "integrate_doubling", recording)
     monkeypatch.setattr(szego._NodeTable, "_level", counting)
-    return panels, built
+    monkeypatch.setattr(szego._NodeTable, "_ratios", dividing)
+    return panels, built, divided
 
 
 def test_reproduction_evaluates_each_node_once(monkeypatch):
-    panels, built = _count_panels_and_nodes(monkeypatch)
+    panels, built, _ = _count_panels_and_nodes(monkeypatch)
     szego._node_table.cache_clear()
     p = SystemParams.from_y("0.2", bits=144)
     tables = [szego._node_table(p.c, 144, piece) for piece in (0, 1)]
@@ -300,9 +307,43 @@ def test_reproduction_evaluates_each_node_once(monkeypatch):
     assert not built
 
 
+def test_degrees_at_one_point_divide_once_per_node(monkeypatch):
+    panels, _, divided = _count_panels_and_nodes(monkeypatch)
+    szego._node_table.cache_clear()
+    p = SystemParams.from_y("0.2", bits=144)
+    tables = [szego._node_table(p.c, 144, piece) for piece in (0, 1)]
+    with workprec(144):
+        near = phi_map(p.c, mpf("1.3") * mp.expj(1))
+        far = phi_map(p.c, 4 * mp.expj(-2))
+    for z in (near, far):
+        panels.clear()
+        divided.clear()
+        for n in range(6):
+            szego_reproduce(p, n, z)
+        # panels alternate piece 0, piece 1; the deepest degree sets the count
+        assert [divided[t] for t in tables] == \
+            [max(panels[0::2]) - 1, max(panels[1::2]) - 1]
+
+
+def test_interleaved_reproductions_match_cold_ones():
+    # ratios kept for one point must serve no other point, bits or arc
+    cases = []
+    for y in ("0.1", "0.17"):
+        for bits in (128, 256):
+            p = SystemParams.from_y(y, bits=bits)
+            with workprec(bits):
+                z1, z2 = (phi_map(p.c, 3 * mp.expj(a)) for a in (1, -2))
+            cases += [(p, z1), (p, z2), (p, z1)]
+    szego._node_table.cache_clear()
+    warm = [[szego_reproduce(p, n, z) for n in range(6)] for p, z in cases]
+    for (p, z), got in zip(cases, warm):
+        szego._node_table.cache_clear()
+        assert got == [szego_reproduce(p, n, z) for n in range(6)]
+
+
 def test_node_tables_keep_nothing_above_retention(monkeypatch):
     # a limit of 32 panels stands in for 2^10, so the run stays small
-    panels, built = _count_panels_and_nodes(monkeypatch)
+    panels, built, divided = _count_panels_and_nodes(monkeypatch)
     monkeypatch.setattr(szego, "RETAIN_NODES", 32)
     szego._node_table.cache_clear()
     bits = 136
@@ -314,8 +355,10 @@ def test_node_tables_keep_nothing_above_retention(monkeypatch):
     assert min(panels) > 32
     tables = [szego._node_table(p.c, bits, piece) for piece in (0, 1)]
     assert [len(t.nodes) for t in tables] == [31, 31]
-    # every level above the limit was built afresh, and nothing else twice
+    assert [sum(len(pairs) for pairs, _ in t.ratios) for t in tables] == [31, 31]
+    # every level above the limit was built and divided afresh, nothing else twice
     assert [built[t] for t in tables] == [m - 1 for m in panels]
+    assert [divided[t] for t in tables] == [m - 1 for m in panels]
 
 
 def test_node_tables_are_kept_per_arc_bits_and_piece():
