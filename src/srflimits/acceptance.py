@@ -18,6 +18,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf, workprec
 
 from .core import (
+    CoefficientVector,
     SupportSet,
     SystemParams,
     build_gram,
@@ -27,7 +28,7 @@ from .core import (
 )
 from .errors import NotPositiveDefiniteError, PrecisionError
 from .hp import cholesky_solve, hp_cholesky, min_eig
-from .recovery import l0_solve, minimax_experiment
+from .recovery import l0_solve, minimax_experiment, srf_scaling
 from .spectral import contiguity_scan, smally_exponent, verify_srf_bounds
 from .szego import (
     Phi_map,
@@ -139,8 +140,6 @@ def criterion_4_contiguity() -> tuple[bool, str]:
 def criterion_5_srf_scaling() -> tuple[bool, str]:
     """srf_scaling's check for k = 1..3: the slope of log eps_2k vs log SRF
     equals -(2k-1) within recovery.SCALING_TOLERANCE."""
-    from .recovery import srf_scaling
-
     details = []
     for k in (1, 2, 3):
         res = srf_scaling(k, ("8", "12", "16", "24", "32"))
@@ -365,7 +364,6 @@ def criterion_11_oracle_equivalence() -> tuple[bool, str]:
     window = SupportSet(tuple(range(8)))
     for trial in range(4):
         support_idx = sorted(rng.choice(8, size=2, replace=False))
-        from .core import CoefficientVector
         x_true = CoefficientVector(
             support=SupportSet(tuple(window.offsets[i] for i in support_idx)),
             values=tuple(mpc(float(rng.standard_normal()), float(rng.standard_normal()))

@@ -47,7 +47,7 @@ class NotPositiveDefiniteError(PrecisionError):
     """Cholesky pivot failure: either a genuine singularity or too few bits.
 
     The failing pivot index is stored in ``pivot`` (None when a shifted
-    copy of the matrix failed, see hp.spectrum_above).
+    copy of the matrix failed, see hp._certify).
     """
 
     def __init__(self, pivot, message=None):

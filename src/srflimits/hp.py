@@ -10,16 +10,16 @@ run to 129. The pieces:
   Each entry is an exact dot product on raw mpmath mantissas, rounded
   once, then one division or square root,
 * Cholesky factorization with pivot diagnostics, and its solve,
-* ``spectrum_above``, the inertia test "M - s I factors", and
-  ``factored_floor``, what a Cholesky of M - s I that factored proves:
-  lambda_min(M) > s less its backward error (Higham, Sec. 10.1; Rump,
-  BIT 46, 2006). _certify's enclosure and the prune of the exhaustive
-  eps_k scan both rest on it,
+* ``factored_floor``, the Cholesky of M - s I and what it proves when it
+  factors: lambda_min(M) > s less its backward error (Higham, Sec. 10.1;
+  Rump, BIT 46, 2006), and None when it does not. _certify's enclosure
+  and the prune of the exhaustive eps_k scan both rest on it,
 * ``_certify``, the one proof of a lambda_min enclosure: a candidate
   least eigenvector v of M, one Cholesky at the Krylov-Weinstein shift
   s = mu - ||M v - mu v|| less a rounding guard, factored_floor of s as
   the lower bound and the Rayleigh quotient mu of v, with its rounding,
-  as the upper bound,
+  as the upper bound; a shift that is not positive runs no Cholesky and
+  proves nothing,
 * ``min_eig``: the smallest eigenpair of a positive definite matrix by
   Cholesky-based shifted inverse iteration, whose last vector _certify
   proves. It starts from the least eigenvector in double precision
@@ -35,9 +35,9 @@ run to 129. The pieces:
   by the builder's bound on its own rounding, is narrower than
   LADDER_RELTOL lo. A level certifies the builder's candidate vector when
   it hands one over (spectral does, on contiguous supports), and runs
-  min_eig's iteration otherwise or when that Cholesky fails. A candidate
-  whose certifying shift is not positive cannot stop the ladder, and its
-  level climbs without a Cholesky,
+  min_eig's iteration otherwise or when that Cholesky fails. A level
+  whose certifying shift is not positive cannot stop the ladder, and
+  climbs without that Cholesky,
 * ``vandermonde_lastrow``, the last row of the inverse Vandermonde matrix
   on integer nodes in closed form, exact rationals: the weights of the
   small-y limit of lambda_min (spectral.smally_limit).
@@ -235,23 +235,21 @@ def _rounding_factors(n, bits):
         return tuple(iv_ends(f)[1] for f in factors)
 
 
-def spectrum_above(M, s, bits):
-    """True when M - s*I factors at ``bits``; factored_floor(M, s, bits) is
-    then a proven lower bound on lambda_min(M). False means only that this
-    precision proves nothing."""
+def _factor(M, s, bits):
+    """hp_cholesky of M - s I at ``bits``, or None when it does not factor."""
     with workprec(bits):
         try:
-            hp_cholesky(_shifted(M, s), bits=bits)
+            return hp_cholesky(_shifted(M, s), bits=bits)
         except NotPositiveDefiniteError:
-            return False
-    return True
+            return None
 
 
 def factored_floor(M, s, bits, radius=0):
     """A proven lower bound on lambda_min(M + E) for every symmetric E with
-    ||E||_2 <= ``radius``, given that hp_cholesky of M - s I factored at
-    ``bits``: s - (g / (1 - g) + u) tr(A) - radius, where A is M - s I as
-    stored at ``bits``, u = 2^-bits and g = gamma_(n+1).
+    ||E||_2 <= ``radius`` when hp_cholesky of M - s I factors at ``bits``:
+    s - (g / (1 - g) + u) tr(A) - radius, where A is M - s I as stored at
+    ``bits``, u = 2^-bits and g = gamma_(n+1). None when it does not
+    factor, which means only that this precision proves nothing.
 
     The computed factor R has R^T R = A + dA with |dA| <= g |R^T| |R|
     (Higham, Accuracy and Stability, Sec. 10.1, Thm 10.3); cholesky_row
@@ -263,6 +261,8 @@ def factored_floor(M, s, bits, radius=0):
     Weyl's inequality the radius. Every step rounds toward a lower bound.
     """
     n = len(M)
+    if _factor(M, s, bits) is None:
+        return None
     with workprec(bits):
         trace = mp.fsum(M[i][i] - s for i in range(n))
         slack = mp.fmul(_rounding_factors(n, bits)[0], trace, rounding="c")
@@ -316,10 +316,11 @@ def min_eig(M, bits):
     M - s I must factor at its Krylov-Weinstein shift s = mu - ||M v -
     mu v|| - n 2^(8-bits) max_i M_ii. By Sylvester's law of inertia no
     eigenvalue lies below s, so mu is within its residual and that guard
-    of the smallest eigenvalue, not of a larger one.
+    of the smallest eigenvalue, not of a larger one. A shift s <= 0
+    (lambda_min below that guard) is not tried.
 
-    Raises NotPositiveDefiniteError when M or that shift does not factor
-    at this precision (too few bits), and ConvergenceError after
+    Raises NotPositiveDefiniteError when M or a positive shift s does not
+    factor at this precision (too few bits), and ConvergenceError after
     MIN_EIG_STEPS_PER_BIT * bits steps. Four steps per bit cover the
     midpoint fallback alone: it halves (lo, hi) at least every second
     step, and from (0, mu) it needs at most about bits halvings to reach
@@ -395,10 +396,7 @@ def _min_eig(M, bits, radius=0):
         start, L = _float_start(M), None
         if start is not None:
             v, lo = [mpf(t) for t in start[0]], mpf(start[1])
-            try:
-                L = hp_cholesky(_shifted(M, lo), bits=bits)
-            except NotPositiveDefiniteError:
-                pass
+            L = _factor(M, lo, bits)
         if L is None:
             L, lo, v = hp_cholesky(M, bits=bits), mpf(0), _graded(n)
         tol = mpf(2) ** (8 - bits)
@@ -413,11 +411,11 @@ def _min_eig(M, bits, radius=0):
             s = mu - res
             if failed or not lo < s < hi:
                 s = (lo + hi) / 2
-            try:
-                L = hp_cholesky(_shifted(M, s), bits=bits)
-                lo, failed = s, False
-            except NotPositiveDefiniteError:
+            factor = _factor(M, s, bits)
+            if factor is None:
                 hi, failed = s, True
+            else:
+                L, lo, failed = factor, s, False
         raise ConvergenceError(
             f"inverse iteration did not converge within {max_steps} steps"
         )
@@ -426,7 +424,8 @@ def _min_eig(M, bits, radius=0):
 def _certify(M, rayleigh, bits, radius=0):
     """(mu, v, (lo, hi)) as _min_eig returns them, from ``rayleigh`` = (v,
     mu, res), _unit_rayleigh at ``bits`` of a candidate least eigenvector
-    of M, and one Cholesky. Every lambda_min enclosure is proven here.
+    of M, and one Cholesky. Every lambda_min enclosure is proven here, and
+    only here is its shift formed.
 
     The Krylov-Weinstein bound puts an eigenvalue within res of mu, so
     when v is close to the least eigenvector, M - s I factors at the shift
@@ -436,24 +435,25 @@ def _certify(M, rayleigh, bits, radius=0):
     the sign of v follows min_eig's rule. Raises NotPositiveDefiniteError
     when M - s I does not factor: then v is not the least eigenvector (or
     these bits cannot tell), and nothing is proven.
+
+    A shift s <= 0 gives (mu, v, None) and no Cholesky runs, as when
+    lambda_min lies below the rounding guard. The ladder stops only on
+    lo > 0, and no Cholesky at these bits can prove that here: when
+    M - s I factors, lo is below s, and when it does not, M has an
+    eigenvalue within that Cholesky's rounding of s, so _min_eig's
+    iteration can prove no positive lo either.
     """
-    v, mu, _ = rayleigh
-    s = _kw_shift(M, rayleigh, bits)
+    v, mu, res = rayleigh
+    n = len(M)
     with workprec(bits):
-        if not spectrum_above(M, s, bits):
+        s = mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
+        if s <= 0:
+            return mu, _sign_fixed(v, bits), None
+        lo = factored_floor(M, s, bits, radius)
+        if lo is None:
             raise NotPositiveDefiniteError(
                 None, f"the candidate's shift mu - res does not factor at {bits} bits")
-        enclosure = (factored_floor(M, s, bits, radius),
-                     _rayleigh_ceiling(M, v, mu, bits, radius))
-        return mu, _sign_fixed(v, bits), enclosure
-
-
-def _kw_shift(M, rayleigh, bits):
-    """_certify's shift mu - res - n 2^(8-bits) max_i M_ii at ``bits``."""
-    n = _check_square(M)
-    _, mu, res = rayleigh
-    with workprec(bits):
-        return mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
+        return mu, _sign_fixed(v, bits), (lo, _rayleigh_ceiling(M, v, mu, bits, radius))
 
 
 def _tridiagonal_solve(diag, off, s, v, tiny):
@@ -523,9 +523,9 @@ class MinEigResult:
     are that level's eigenpair; value is good to about n 2^-bits_used ||M||
     absolute, and only the enclosure is a proof. ``history`` records every
     (bits, estimate) pair the ladder visited; the estimate is None at a
-    level where no Cholesky factored (too few bits). A level skipped
-    because its candidate's Krylov-Weinstein shift is not positive runs no
-    Cholesky and still records the candidate's Rayleigh quotient.
+    level where no Cholesky factored (too few bits). A level whose
+    Krylov-Weinstein shift is not positive runs no certifying Cholesky and
+    still records its vector's Rayleigh quotient.
     """
 
     value: mpf
@@ -544,10 +544,10 @@ def min_eig_adaptive(builder) -> MinEigResult:
     ``bits``, an upper bound on the spectral norm of its distance from the
     exact matrix, the same at every level, and a candidate least
     eigenvector at ``bits`` or None. A level with a candidate certifies it
-    with one Cholesky (_certify), or none when its shift is not positive
-    (_level); a level without one, or whose candidate's Cholesky fails,
-    runs _min_eig, as min_eig does, which certifies its iteration's last
-    vector the same way. The ladder stops at the
+    with one Cholesky (_certify), or none when its shift is not positive;
+    a level without one, or whose candidate's shift does not factor, runs
+    _min_eig, as min_eig does, which certifies its iteration's last vector
+    the same way. The ladder stops at the
     first level whose enclosure [lo, hi], widened by the radius, has
     hi - lo <= LADDER_RELTOL lo. A level where no Cholesky factors has too
     few bits: it is recorded without an estimate and the ladder climbs.
@@ -577,22 +577,10 @@ def min_eig_adaptive(builder) -> MinEigResult:
 
 def _level(M, bits, radius, candidate):
     """One ladder level: the candidate certified by _certify, or _min_eig
-    when there is none or its Cholesky fails.
-
-    A candidate whose Krylov-Weinstein shift s is not positive gives (mu,
-    v, None) and no Cholesky runs, as on a contiguous matrix whose
-    lambda_min lies below the level's rounding guard. The ladder stops
-    only on lo > 0, and neither path can prove that here: when M - s I
-    factors, _certify's lo is below s, and when it does not, M has an
-    eigenvalue within that Cholesky's rounding of s, so _min_eig can prove
-    no positive lo either."""
+    when there is none or its shift does not factor."""
     if candidate is not None:
-        rayleigh = _unit_rayleigh(M, candidate, bits)
-        if _kw_shift(M, rayleigh, bits) <= 0:
-            v, mu, _ = rayleigh
-            return mu, v, None
         try:
-            return _certify(M, rayleigh, bits, radius)
+            return _certify(M, _unit_rayleigh(M, candidate, bits), bits, radius)
         except NotPositiveDefiniteError:
             pass
     return _min_eig(M, bits, radius)

@@ -164,7 +164,6 @@ class AdversarialPair:
     eps2k: mpf
     sigma: mpf
     threshold_tie: bool
-    least_vector: tuple
 
 
 def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
@@ -224,7 +223,7 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
         if image > sigma * (1 + mpf(2) ** (-bits // 3)):
             raise PrecisionError("||A (x0 - x1)|| exceeded sigma")
     return AdversarialPair(x0=x0, x1=x1, T_star=T, eps2k=eps2k, sigma=sigma,
-                           threshold_tie=bool(tie), least_vector=v)
+                           threshold_tie=bool(tie))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ from .hp import (
     iv_workprec,
     min_eig_adaptive,
     resolve_bits,
-    spectrum_above,
     tridiagonal_min_vector,
     vandermonde_lastrow,
 )
@@ -228,15 +227,15 @@ def epsilon(params: SystemParams, k, mode=CONTIGUOUS, span_max=None) -> EpsilonR
 
 def _cannot_win(params, T, lam_best, bits):
     """True when the Gram matrix over T provably has no eigenvalue at or
-    below lam_best: G - lam_best (1 + CONFIRM_MARGIN) I factors at ``bits``,
-    and that Cholesky's factored_floor, less gram_radius, exceeds lam_best.
+    below lam_best: the factored_floor of G at the shift lam_best (1 +
+    CONFIRM_MARGIN), less gram_radius, exists and exceeds lam_best.
     False means only that this one Cholesky proves nothing, and the support
     is evaluated in full."""
     G = build_gram(params, T, bits=bits)
     with workprec(bits):
         s = lam_best * (1 + CONFIRM_MARGIN)
-    return (spectrum_above(G, s, bits)
-            and factored_floor(G, s, bits, gram_radius(params, T, bits)) > lam_best)
+    floor = factored_floor(G, s, bits, gram_radius(params, T, bits))
+    return floor is not None and floor > lam_best
 
 
 def _least(params, supports):

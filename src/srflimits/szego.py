@@ -156,9 +156,11 @@ def szego_kernel(params: SystemParams, zeta, z):
 # ---------------------------------------------------------------------------
 # quadrature with node doubling
 
-# Node tables and Legendre rules above this many nodes are computed on use,
-# never retained: a point near the arc can double toward QUAD_NODE_CAP, and
-# its nodes would otherwise stay behind for the life of the process.
+# Node tables above this many panels are computed on use, never retained: a
+# point near the arc can double toward QUAD_NODE_CAP, and its nodes would
+# otherwise stay behind for the life of the process. It also caps the
+# Gauss-Legendre rules of arc_inner_product, whose cost grows as n^2, so
+# every rule built is small enough to cache.
 RETAIN_NODES = 2 ** 10
 
 _NODE_CACHE = {}
@@ -167,8 +169,8 @@ _NODE_CACHE = {}
 def legendre_nodes(n, bits):
     """Gauss-Legendre nodes/weights on [-1, 1] at ``bits`` precision.
 
-    float64 initial guesses polished by Newton iterations on P_n. Rules of
-    at most RETAIN_NODES nodes are cached by (n, bits).
+    float64 initial guesses polished by Newton iterations on P_n, cached
+    by (n, bits).
     """
     key = (n, bits)
     cached = _NODE_CACHE.get(key)
@@ -190,9 +192,7 @@ def legendre_nodes(n, bits):
                 p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
             dp = n * (x * p1 - p0) / (x * x - 1)
             nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
-    result = tuple(nodes)
-    if n <= RETAIN_NODES:
-        _NODE_CACHE[key] = result
+    _NODE_CACHE[key] = result = tuple(nodes)
     return result
 
 
@@ -238,13 +238,19 @@ def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
 
     Pure Gauss-Legendre quadrature on theta in [-pi y, pi y], node doubling
     by ``integrate_doubling``; this is the test oracle for the closed-form
-    Gram entries, never a production path.
+    Gram entries, never a production path. Raises ConvergenceError before
+    it asks for a rule of more than RETAIN_NODES nodes, as it does past
+    QUAD_NODE_CAP.
     """
     bits = params.bits if bits is None else bits
     with workprec(bits):
         half = mp.pi * params.y
 
         def level(n):
+            if n > RETAIN_NODES:
+                raise ConvergenceError(
+                    f"quadrature did not converge to rel {QUAD_REL_TARGET} "
+                    f"within {RETAIN_NODES} Gauss-Legendre nodes")
             total = mpc(0)
             peak = mpf(0)
             for x, w in legendre_nodes(n, bits):
@@ -515,7 +521,6 @@ def faber_arc_max(params: SystemParams, n):
 @dataclass(frozen=True)
 class BoundSuiteResult:
     checks: tuple
-    seed: int
     samples: int
     polys: int
 
@@ -608,4 +613,4 @@ def bound_suite(params: SystemParams, n_max, samples=DEFAULT_SAMPLES, seed=0,
     ratio_env = (dphi_all / rhs_env).max()
     checks.append(bound_check("phi_prime_envelope", mpf(float(ratio_env)), 1))
 
-    return BoundSuiteResult(checks=tuple(checks), seed=seed, samples=samples, polys=polys)
+    return BoundSuiteResult(checks=tuple(checks), samples=samples, polys=polys)

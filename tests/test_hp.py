@@ -367,20 +367,20 @@ def test_ladder_levels_are_min_eig_runs(y, offsets):
 def test_every_enclosure_is_one_krylov_weinstein_cholesky(monkeypatch):
     # every general-kernel run, a ladder level or min_eig, proves its
     # enclosure as _certify proves a candidate's: after the iteration,
-    # exactly one spectrum_above, at s = mu - res - n 2^(8-bits) max M_ii
+    # exactly one factored_floor, at s = mu - res - n 2^(8-bits) max M_ii
     # of the last vector, and lo is factored_floor of that s
-    real_cholesky, real_above, real_rayleigh = (
-        hp.hp_cholesky, hp.spectrum_above, hp._unit_rayleigh)
+    real_cholesky, real_floor, real_rayleigh = (
+        hp.hp_cholesky, hp.factored_floor, hp._unit_rayleigh)
     events = []
 
     def cholesky(M, bits=None):
         events.append(("cholesky",))
         return real_cholesky(M, bits=bits)
 
-    def above(M, s, bits):
-        factors = real_above(M, s, bits)
-        events.append(("above", s, factors))
-        return factors
+    def floor(M, s, bits, radius=0):
+        lo = real_floor(M, s, bits, radius)
+        events.append(("floor", s, lo is not None))
+        return lo
 
     def rayleigh(M, x, bits):
         out = real_rayleigh(M, x, bits)
@@ -388,16 +388,16 @@ def test_every_enclosure_is_one_krylov_weinstein_cholesky(monkeypatch):
         return out
 
     monkeypatch.setattr(hp, "hp_cholesky", cholesky)
-    monkeypatch.setattr(hp, "spectrum_above", above)
+    monkeypatch.setattr(hp, "factored_floor", floor)
     monkeypatch.setattr(hp, "_unit_rayleigh", rayleigh)
 
     def kw_shift(M, bits):
-        """The shift of the one spectrum_above since events was cleared,
+        """The shift of the one factored_floor since events was cleared,
         which must be the last event and factor, checked against the
         Krylov-Weinstein shift of the last vector."""
-        aboves = [e for e in events if e[0] == "above"]
-        assert len(aboves) == 1 and events[-1] is aboves[0]
-        _, s, factors = aboves[0]
+        floors = [e for e in events if e[0] == "floor"]
+        assert len(floors) == 1 and events[-1] is floors[0]
+        _, s, factors = floors[0]
         _, mu, res = [e for e in events if e[0] == "rayleigh"][-1][1]
         with workprec(bits):
             guard = len(M) * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(len(M)))
@@ -543,11 +543,43 @@ def test_factored_floor_stays_below_a_shift_that_factors_by_rounding():
     with workprec(128):
         s = lam + mpf(2) ** -132
     assert inertia_below(M, s, 512) == 1
-    assert hp.spectrum_above(M, s, 128)
     floor = factored_floor(M, s, 128)
+    assert floor is not None
     assert inertia_below(M, floor, 512) == 0
     # the radius of a nearby matrix moves the bound down by exactly as much
     assert factored_floor(M, s, 128, mpf(2) ** -100) < floor - mpf(2) ** -101
+
+
+def test_factored_floor_is_none_where_the_shift_does_not_factor():
+    # contiguous n = 10 at y = 0.1: M - 2 lambda_min I has an eigenvalue
+    # below zero, so its Cholesky breaks down and nothing is proven
+    M = build_gram(SystemParams.from_y("0.1"), SupportSet(tuple(range(10))), bits=128)
+    lam = min_eig(M, bits=128)[0]
+    assert inertia_below(M, 2 * lam, 512) == 1
+    assert factored_floor(M, 2 * lam, 128) is None
+
+
+def test_min_eig_below_the_rounding_guard_makes_no_certifying_cholesky(monkeypatch):
+    # {0..12} at y = 0.0401, 128 bits: lambda_min, 8.7e-36, is below float
+    # resolution, so M itself is factored once for the graded start, and
+    # below the guard 13 * 2^-120 = 9.8e-36, so the Krylov-Weinstein shift
+    # of the iteration's last vector is negative. No Cholesky runs at it:
+    # the result is that vector's Rayleigh quotient and sign-fixed vector,
+    # with no enclosure
+    calls, rayleighs = [], []
+    real_cholesky, real_rayleigh = hp.hp_cholesky, hp._unit_rayleigh
+    monkeypatch.setattr(hp, "hp_cholesky",
+                        lambda M, bits=None: calls.append(bits) or real_cholesky(M, bits=bits))
+    monkeypatch.setattr(hp, "_unit_rayleigh",
+                        lambda M, x, bits: rayleighs.append(real_rayleigh(M, x, bits))
+                        or rayleighs[-1])
+    M = build_gram(SystemParams.from_y("0.0401"), SupportSet(tuple(range(13))), bits=128)
+    mu, v, enclosure = hp._min_eig(M, 128)
+    assert calls == [128] and enclosure is None
+    last_v, last_mu, _ = rayleighs[-1]
+    assert mu == last_mu and v == hp._sign_fixed(last_v, 128)
+    with workprec(128):
+        assert 0 < mu < 13 * mpf(2) ** -120
 
 
 def test_ladder_levels_do_not_flip_with_the_last_digits_of_y():

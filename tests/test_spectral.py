@@ -33,7 +33,7 @@ from srflimits.errors import (
 )
 from srflimits import hp, spectral
 from srflimits.core import gram_radius
-from srflimits.hp import LADDER_RELTOL, factored_floor, spectrum_above
+from srflimits.hp import LADDER_RELTOL, factored_floor
 from srflimits.spectral import (
     canonical_supports,
     min_eig_for_support,
@@ -422,8 +422,9 @@ def test_prune_guard_refuses_within_backward_error():
     T = SupportSet.of(0, 4, 9)
     G = build_gram(p, T, bits=128)
     lam = mpf(2) ** -110
-    assert spectrum_above(G, lam * (1 + mpf(2) ** -20), 128)
-    assert factored_floor(G, lam * (1 + mpf(2) ** -20), 128) < lam
+    floor = factored_floor(G, lam * (1 + mpf(2) ** -20), 128)
+    assert floor is not None
+    assert floor < lam
     assert not spectral._cannot_win(p, T, lam, 128)
     assert spectral._cannot_win(p, T, mpf(2) ** -100, 128)
 
@@ -616,10 +617,11 @@ def test_wrong_candidate_falls_back_to_the_general_kernel(monkeypatch, y, n):
 
 def _positive_kw_shift(params, n, bits):
     """Whether the Slepian candidate's Krylov-Weinstein shift at ``bits``,
-    for n contiguous atoms, is positive: a level that can certify."""
+    for n contiguous atoms, is positive: a level that can certify, where
+    _certify returns an enclosure."""
     M = build_gram(params, range(n), bits=bits)
     rayleigh = hp._unit_rayleigh(M, spectral._slepian_vector(params, n, bits), bits)
-    return hp._kw_shift(M, rayleigh, bits) > 0
+    return hp._certify(M, rayleigh, bits)[2] is not None
 
 
 @pytest.mark.parametrize("base", [40000, 120000, 300000])

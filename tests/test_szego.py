@@ -391,6 +391,18 @@ def test_quadrature_node_cap_raises(monkeypatch):
         arc_inner_product([0] * 200 + [1], [1], p)
 
 
+def test_legendre_oracle_raises_before_a_rule_above_retention(monkeypatch):
+    # a rule costs n^2 terms, so the oracle stops at RETAIN_NODES, not at
+    # QUAD_NODE_CAP: at 32 nodes a degree-200 monomial raises after one
+    # doubling, and every rule built stays cached
+    monkeypatch.setattr(szego, "RETAIN_NODES", 32)
+    monkeypatch.setattr(szego, "_NODE_CACHE", {})
+    p = SystemParams.from_y("0.3", bits=128)
+    with pytest.raises(ConvergenceError):
+        arc_inner_product([0] * 200 + [1], [1], p)
+    assert max(n for n, _ in szego._NODE_CACHE) == 32
+
+
 # --- leading coefficients ---------------------------------------------------
 
 
