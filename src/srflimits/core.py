@@ -203,7 +203,7 @@ class SupportSet:
 
 def gram_entry(params: SystemParams, m, bits=None) -> mpf:
     """Inner product of two atoms at offset difference m: sinc(pi*y*m)."""
-    bits = params.bits if bits is None else bits
+    bits = params.bits if bits is None else check_bits(bits)
     m = as_count(m, "offset difference", None)
     if m == 0:
         return mpf(1)
@@ -234,7 +234,7 @@ def gram_radius(params: SystemParams, support, bits=None) -> mpf:
     exact Gram matrix of the stored params.y: n 2^e, with e the largest
     _sinc_error_exponent over the support's offset differences, bounds the
     Frobenius norm of the entry errors (the diagonal is exactly 1)."""
-    bits = params.bits if bits is None else bits
+    bits = params.bits if bits is None else check_bits(bits)
     offs = SupportSet.coerce(support).offsets
     exponents = [_sinc_error_exponent(params.y, m, bits)
                  for m in {tj - ti for i, ti in enumerate(offs) for tj in offs[i + 1:]}]
@@ -246,7 +246,7 @@ def build_gram(params: SystemParams, support, bits=None) -> tuple:
     entry (i, j) = gram_entry(tau_j - tau_i) at ``bits``: symmetric, unit
     diagonal, positive definite, and Toeplitz for contiguous supports. The
     entries depend only on params.y, the offset differences and ``bits``."""
-    bits = params.bits if bits is None else bits
+    bits = params.bits if bits is None else check_bits(bits)
     T = SupportSet.coerce(support)
     offs = T.offsets
     diffs = {}

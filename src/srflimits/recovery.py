@@ -32,7 +32,7 @@ from .errors import (
     PrecisionError,
     ThresholdTieError,
 )
-from .hp import back_substitute, cholesky_row, resolve_bits
+from .hp import MAX_BITS, back_substitute, cholesky_row, resolve_bits
 from .spectral import CONTIGUOUS, epsilon, loglog_fit
 
 DEFAULT_WINDOW_CAP = 16
@@ -187,7 +187,7 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
         # precision whatever that level was
         norm = mp.sqrt(mp.fdot(eig.vector, eig.vector))
         v = tuple(x / norm for x in eig.vector)
-        G = build_gram(params, T, bits=2 * bits)
+        G = build_gram(params, T, bits=min(2 * bits, MAX_BITS))
         eps2k = mp.sqrt(gram_quadform(G, v, bits=2 * bits))
         # magnitudes within 2^-(bits_used/2) of the k-th largest are tied,
         # and the lower indices among them go to x1, whatever the rounding

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import to_fixed
 
 from .checks import bound_check
 from .core import SupportSet, SystemParams, as_count, build_gram, keep_complex, keep_real
@@ -37,7 +38,7 @@ from .errors import (
     OnArcError,
     PoleError,
 )
-from .hp import hp_cholesky
+from .hp import check_bits, hp_cholesky
 
 ON_ARC_TOL = mpf("1e-12")
 KERNEL_DEGENERACY_TOL = mpf("1e-30")
@@ -51,6 +52,9 @@ DEFAULT_POLYS = 100  # and random polynomials per degree
 # 10^4 times the worst deviation of the float64 recurrence from a 256-bit
 # evaluation measured at every sample point (5.6e-14, y in [0.01, 0.45], n <= 12)
 FABER_CUSHION = 2.0 ** -30
+# szego_reproduce's node sums carry this many bits below a unit at ``bits``:
+# degree m costs 2m of their units, 2^-14 of a unit at m = QUAD_NODE_CAP = 2^16
+FIXED_GUARD = 32
 
 
 def _is_inf(z) -> bool:
@@ -242,7 +246,7 @@ def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
     it asks for a rule of more than RETAIN_NODES nodes, as it does past
     QUAD_NODE_CAP.
     """
-    bits = params.bits if bits is None else bits
+    bits = params.bits if bits is None else check_bits(bits)
     with workprec(bits):
         half = mp.pi * params.y
 
@@ -266,7 +270,7 @@ def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
 
 class _NodeTable:
     """Nested trapezoid nodes on one piece of the unit circle, the preimage
-    of the slit.
+    of the slit, in fixed point.
 
     The circle splits at the arc-endpoint preimages t = +-t0, cos t0 = -c,
     where the boundary integrand has square-root kinks: piece 0 is
@@ -277,25 +281,27 @@ class _NodeTable:
     geometrically (the endpoint terms vanish) and doubling m adds only the
     nodes with odd k. A node is (w, h): w = e^{it}, and the part of the
     kernel trace that depends on the node alone,
-    h = sqrt(1 + 2c u + u^2)/(w + c) * dt/ds with u = conj(w) = 1/w.
-    ``nodes`` holds them level by level (m = 2, 4, 8, ...), so the m-panel
-    rule's nodes are its first m - 1 entries. ``ratios`` holds, for the
-    last W = Phi(z) asked about, each level's pairs (w, h/(W - w)) and their
-    largest modulus. Levels above RETAIN_NODES panels are computed on use
-    and neither is kept.
+    h = sqrt(1 + 2c u + u^2)/(w + c) * dt/ds with u = conj(w) = 1/w, held
+    as the integers (Re w, Im w, Re h, Im h) at scale 2^F, F = bits +
+    FIXED_GUARD, level by level (m = 2, 4, 8, ...) in ``nodes``: the m-panel
+    rule's nodes are its first m - 1 entries. ``ratios`` holds, for the last
+    W = Phi(z) asked about, each level's (Re w, Im w, Re r, Im r),
+    r = h/(W - w) at scale 2^(F + mag W), and its largest |r|^2. Every
+    integer is rounded down. Levels above RETAIN_NODES panels are computed
+    on use and neither is kept.
     """
 
     def __init__(self, c, bits, piece):
-        self.c, self.bits = c, bits
+        self.c, self.bits, self.frac = c, bits, bits + FIXED_GUARD
         with workprec(bits):
             t0 = mp.acos(-c)
             self.a, self.width = (-t0, 2 * t0) if piece == 0 else (t0, 2 * (mp.pi - t0))
         self.nodes = []
-        self.W, self.ratios = None, []
+        self.point, self.ratios = None, []
 
     def _level(self, m):
         """The nodes s = k/m with k odd: those the m-panel rule adds."""
-        c, a, width = self.c, self.a, self.width
+        c, a, width, F = self.c, self.a, self.width, self.frac
         for k in range(1, m, 2):
             with workprec(self.bits):
                 s = mpf(k) / m
@@ -303,20 +309,29 @@ class _NodeTable:
                 u = mp.conj(w)
                 h = mp.sqrt(1 + (2 * c + u) * u) / (w + c) \
                     * (width * (mp.pi / 2) * mp.sinpi(s))
-            yield w, h
+            yield tuple(to_fixed(x._mpf_, F) for x in (w.real, w.imag, h.real, h.imag))
 
     def _ratios(self, nodes):
-        """One level's pairs (w, h/(W - w)) and the largest |h/(W - w)|."""
-        with workprec(self.bits):
-            pairs = [(w, h / (self.W - w)) for w, h in nodes]
-            return pairs, max(abs(r) for _, r in pairs)
+        """One level's (Re w, Im w, Re r, Im r) and the largest |r|^2."""
+        Wr, Wi, shift = self.point
+        out, peak = [], 0
+        for wr, wi, hr, hi in nodes:
+            dr, di = Wr - wr, Wi - wi
+            den = dr * dr + di * di
+            rr = ((hr * dr + hi * di) << shift) // den
+            ri = ((hi * dr - hr * di) << shift) // den
+            out.append((wr, wi, rr, ri))
+            peak = max(peak, rr * rr + ri * ri)
+        return out, peak
 
-    def added(self, lo, hi, W):
+    def added(self, lo, hi, W, e):
         """The levels the hi-panel rule adds to the lo-panel one (lo = 1:
         all of the hi-panel rule's levels; both are powers of two), each as
-        its pairs (w, h/(W - w)) and their largest modulus."""
-        if W != self.W:
-            self.W, self.ratios = W, []
+        its ratios for W = Phi(z), e = mag(W), and their largest |r|^2."""
+        F = self.frac
+        point = (to_fixed(W.real._mpf_, F), to_fixed(W.imag._mpf_, F), F + e)
+        if point != self.point:
+            self.point, self.ratios = point, []
         m = lo
         while m < hi:
             m *= 2
@@ -334,8 +349,42 @@ class _NodeTable:
 
 # one table per (c, bits, piece), shared by every n and z on that arc; 8
 # tables hold both pieces of four arcs, and a full table of RETAIN_NODES
-# nodes takes about 1.2 MB at 256 bits, 1.7 MB with one point's ratios
+# nodes takes about 0.5 MB at 256 bits, 0.7 MB with one point's ratios
 _node_table = functools.lru_cache(maxsize=8)(_NodeTable)
+
+
+def _level_sum(pairs, n, F):
+    """sum r conj(w)^(n-1) (n = 0: sum r w) over one level's (Re w, Im w,
+    Re r, Im r), w at scale 2^F and r at 2^(F+e): integers at scale
+    2^(2F+e), exact but for the binary powers of w, whose every product
+    rounds down, by under one unit a part."""
+    if n == 1:
+        return sum(p[2] for p in pairs) << F, sum(p[3] for p in pairs) << F
+    m, conj = (1, 1) if n == 0 else (n - 1, -1)
+    sr = si = 0
+    for wr, wi, rr, ri in pairs:
+        x, y, k = wr, conj * wi, m
+        while not k & 1:
+            x, y, k = ((x + y) * (x - y)) >> F, (2 * x * y) >> F, k >> 1
+        pr, pi = x, y
+        while k > 1:
+            x, y, k = ((x + y) * (x - y)) >> F, (2 * x * y) >> F, k >> 1
+            if k & 1:
+                pr, pi = (pr * x - pi * y) >> F, (pr * y + pi * x) >> F
+        sr += rr * pr - ri * pi
+        si += rr * pi + ri * pr
+    return sr, si
+
+
+@functools.lru_cache(maxsize=4)
+def _point(params, z):
+    """W = Phi(z), K0 = (L/pi) sqrt(Phi'(z)) W sqrt(c) and e = mag(W),
+    shared by every degree reproduced at z."""
+    c = params.c
+    with workprec(params.bits):
+        W = Phi_map(c, z, bits=params.bits)
+        K0 = (params.arc_length / mp.pi) * (1 / phi_prime_sqrt(c, W)) * W * mp.sqrt(c)
+    return W, K0, int(mp.mag(W))
 
 
 def szego_reproduce(params: SystemParams, n, z):
@@ -353,8 +402,16 @@ def szego_reproduce(params: SystemParams, n, z):
     each doubling evaluates only the new nodes, so stopping at m panels
     costs m - 1 nodes per piece. Everything that depends on the node alone
     sits in a per-arc table shared by every n and z on the same arc at the
-    same bits, with the ratios h/(W - w) of the last z: every degree at one
-    point shares them, and costs one small power, product and sum per node.
+    same bits, with the ratios r = h/(W - w) of the last z; W and K0 are
+    kept per point (``_point``). Every degree at one point shares both.
+
+    Rounding: the sums are exact integers but for one binary power of w
+    per node and degree, and become an mpc once per rule. With F = bits +
+    FIXED_GUARD, rho = 2^(1/2 - F), m = |n - 1| < 2^(F/3 - 1) and inputs
+    within rho of w and rho 2^-e of r, each term r conj(w)^m (n = 0: r w)
+    is within rho (2m |r| + 2^(1-e)) of its exact value, so a rule's sum
+    over its panels is within rho (2m peak + 2^(1-e)) of its own, where
+    peak = max |r|.
     """
     bits = params.bits
     c, L = params.c, params.arc_length
@@ -362,23 +419,22 @@ def szego_reproduce(params: SystemParams, n, z):
     z = keep_complex(z)
     if not mp.isfinite(z):
         raise DomainError(f"reproduction point is not finite: {z}")
+    W, K0, e = _point(params, z)
     with workprec(bits):
-        W = Phi_map(c, z, bits=bits)
-        K0 = (L / mp.pi) * (1 / phi_prime_sqrt(c, W)) * W * mp.sqrt(c)
 
         def piece_level(piece):
             table = _node_table(c, bits, piece)
-            total, peak, done = mpc(0), mpf(0), 1
+            F, sr, si, sq = table.frac, 0, 0, 0
+            done = 1
 
             def level(panels):
-                nonlocal total, peak, done
-                for pairs, pk in table.added(done, panels, W):
-                    for w, r in pairs:
-                        total += r if n == 1 else \
-                            r * (w if n == 0 else mp.conj(w) ** (n - 1))
-                    peak = max(peak, pk)
+                nonlocal sr, si, sq, done
+                for pairs, pk in table.added(done, panels, W, e):
+                    dr, di = _level_sum(pairs, n, F)
+                    sr, si, sq = sr + dr, si + di, max(sq, pk)
                 done = panels
-                return K0 * total / panels, abs(K0) * peak
+                total = mpc(mpf((sr, -2 * F - e)), mpf((si, -2 * F - e)))
+                return K0 * total / panels, abs(K0) * mp.ldexp(mp.sqrt(sq), -F - e)
             return level
 
         part1 = integrate_doubling(piece_level(0), bits=bits)
@@ -459,7 +515,7 @@ class OrthoPolyTable:
 
 def leading_coeffs(params: SystemParams, n_max, bits=None) -> OrthoPolyTable:
     """k_0..k_{n_max} from the Cholesky factor of the contiguous Gram matrix."""
-    bits = params.bits if bits is None else bits
+    bits = params.bits if bits is None else check_bits(bits)
     n_max = as_count(n_max, "n_max")
     G = build_gram(params, SupportSet(tuple(range(n_max + 1))), bits=bits)
     L = hp_cholesky(G, bits=bits)

@@ -20,9 +20,11 @@ from srflimits import (
     arc_inner_product,
     build_gram,
     gram_entry,
+    leading_coeffs,
     measurement_norm,
     synthesize,
 )
+from srflimits.core import gram_radius
 from srflimits.errors import DomainError, SupportError
 
 
@@ -197,6 +199,21 @@ def test_build_gram_pair_and_translation():
     B = build_gram(p, SupportSet.of(7, 8, 9))
     assert A == B
 
+
+@pytest.mark.parametrize("bits", [0, 1.5, -5, True, 20, "x"])
+def test_functions_taking_their_own_bits_check_them(bits):
+    # bits=0 used to give an all-ones Gram matrix, and 20 ran below MIN_BITS
+    p = SystemParams.from_y("0.1", bits=128)
+    calls = (
+        lambda: gram_entry(p, 1, bits=bits),
+        lambda: gram_radius(p, SupportSet.of(0, 1), bits),
+        lambda: build_gram(p, SupportSet.of(0, 1), bits=bits),
+        lambda: leading_coeffs(p, 2, bits=bits),
+        lambda: arc_inner_product([1], [1], p, bits=bits),
+    )
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 def test_build_gram_is_positive_definite():
     p = SystemParams.from_y("0.15", bits=256)

@@ -214,6 +214,12 @@ def test_adversarial_pair_tie_goes_to_lower_index(monkeypatch, y, nudge):
     assert pair.x1.support.offsets == (0,) and pair.x0.support.offsets == (1,)
 
 
+def test_adversarial_pair_above_half_the_largest_precision():
+    # its Gram matrix is built at twice the run's bits, capped at MAX_BITS,
+    # which build_gram's bits check refuses to exceed
+    pair = adversarial_pair(SystemParams.from_y("0.2", bits=4200), 1, mpf("1e-6"))
+    assert pair.T_star.offsets == (0, 1)
+
 def test_adversarial_pair_strict_tie_mode():
     p = SystemParams.from_y("0.1")
     with pytest.raises(ThresholdTieError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import to_fixed
 
 from srflimits import (
     Phi_map,
@@ -262,7 +263,8 @@ def test_reproduce_matches_pointwise_oracle():
 
 def _count_panels_and_nodes(monkeypatch):
     """Record the last order of each integrate_doubling call, and count
-    the nodes each node table builds and the kernel ratios it divides."""
+    the nodes each node table builds and the kernel ratios h/(W - w) it
+    forms, one integer complex division each."""
     panels, built, divided = [], Counter(), Counter()
     doubling, level = szego.integrate_doubling, szego._NodeTable._level
     ratios = szego._NodeTable._ratios
@@ -373,9 +375,66 @@ def test_node_tables_are_kept_per_arc_bits_and_piece():
     tables = [szego._node_table(*key) for key in keys]
     assert szego._node_table.cache_info().hits == len(keys)
     # the first node, s = 1/2, is w = +-1 on every arc; the next one moves
-    quarter = {(t.nodes[1][0].real, t.nodes[1][0].imag) for t in tables}
+    quarter = {t.nodes[1][:2] for t in tables}
     assert len(quarter) == len(keys)
     assert szego._node_table.cache_info().maxsize is not None
+
+
+def test_degrees_at_one_point_map_the_point_once(monkeypatch):
+    calls = Counter()
+    inverse = szego.Phi_map
+    monkeypatch.setattr(szego, "Phi_map", lambda *a, **k: calls.update([a[1]]) or inverse(*a, **k))
+    szego._point.cache_clear()
+    p = SystemParams.from_y("0.17", bits=128)
+    with workprec(128):
+        z1, z2 = (phi_map(p.c, 3 * mp.expj(a)) for a in (1, -2))
+    for z in (z1, z2):
+        for n in range(6):
+            szego_reproduce(p, n, z)
+    assert calls == Counter([z1, z2])
+
+
+def test_far_points_keep_their_relative_accuracy():
+    # the ratios h/(W - w) sit at a per-point scale 2^(F + mag W): at one
+    # absolute scale a point at |w| = 2^100 kept 2^-100 of their bits and
+    # reproduced F = 1 about 10^15 times worse than one at |w| = 2^10
+    p = SystemParams.from_y("0.05", bits=128)
+    errs = []
+    for k in (10, 100):
+        with workprec(128):
+            z = phi_map(p.c, mpf(2) ** k * mp.expj(mpf("0.3")))
+        val = szego_reproduce(p, 0, z)
+        with workprec(256):
+            errs.append(abs(val - 1) * mpf(2) ** 128)
+    assert errs[0] <= 2 ** 13
+    assert errs[1] <= 2 * errs[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    bits=st.sampled_from([64, 128, 256, 512]),
+    t=st.floats(min_value=-3.2, max_value=3.2),
+    e=st.integers(min_value=0, max_value=100),
+    mag=st.integers(min_value=-20, max_value=20),
+    arg=st.floats(min_value=-3.2, max_value=3.2),
+    n=st.integers(min_value=0, max_value=64),
+)
+def test_fixed_point_terms_stay_within_the_stated_bound(bits, t, e, mag, arg, n):
+    # szego_reproduce's docstring: with rho = 2^(1/2 - F), m = |n - 1|, the
+    # term r conj(w)^m (n = 0: r w) from inputs truncated to scale 2^F (w)
+    # and 2^(F+e) (r) is within rho (2m |r| + 2^(1-e)) of its exact value
+    F = bits + szego.FIXED_GUARD
+    with workprec(2 * bits):
+        w = mp.expj(mpf(t))
+        r = mp.ldexp(1, mag - e) * mp.expj(mpf(arg))
+        fixed = [to_fixed(x._mpf_, F) for x in (w.real, w.imag)]
+        fixed += [to_fixed(x._mpf_, F + e) for x in (r.real, r.imag)]
+        sr, si = szego._level_sum([tuple(fixed)], n, F)
+        got = mpc(mp.ldexp(sr, -2 * F - e), mp.ldexp(si, -2 * F - e))
+        want = r * (w if n == 0 else mp.conj(w) ** (n - 1))
+        m = abs(n - 1)
+        rho = mp.ldexp(mp.sqrt(2), -F)
+        assert abs(got - want) <= rho * (2 * m * abs(r) + mp.ldexp(2, -e))
 
 
 def test_quadrature_node_cap_raises(monkeypatch):
