@@ -24,6 +24,7 @@ from .core import (
     build_gram,
     gram_entry,
     gram_quadform,
+    gram_radius,
     synthesize,
 )
 from .errors import NotPositiveDefiniteError, PrecisionError
@@ -33,6 +34,7 @@ from .spectral import contiguity_scan, smally_exponent, verify_srf_bounds
 from .szego import (
     Phi_map,
     arc_inner_product,
+    arc_rule,
     bound_suite,
     faber_arc_max,
     leading_coeffs,
@@ -343,7 +345,8 @@ def _l0_reference(params, f, sigma):
 
 def criterion_11_oracle_equivalence() -> tuple[bool, str]:
     """Closed forms against their independent oracles:
-    gram_entry vs quadrature (1e-12), l0_solve vs all-subsets direct
+    gram_entry vs quadrature (within the quadrature's proven error plus
+    gram_entry's own rounding error), l0_solve vs all-subsets direct
     residual search, Cholesky k_n vs classical Gram-Schmidt (n <= 6)."""
     rng = np.random.default_rng(11)
 
@@ -353,11 +356,14 @@ def criterion_11_oracle_equivalence() -> tuple[bool, str]:
         f = [mpf(0)] * (abs(m) + 1)
         f[abs(m)] = mpf(1)
         quad = arc_inner_product(f, [mpf(1)], params)
-        closed = gram_entry(params, m)
-        with workprec(128):
-            err = abs(quad.real - closed) / max(abs(closed), mpf("1e-3"))
-        if err > mpf("1e-12"):
-            return False, f"gram_entry vs quadrature off by {mp.nstr(err, 3)} at m={m}"
+        _, err = arc_rule(f, [mpf(1)], params)
+        radius = gram_radius(params, SupportSet.of(0, abs(m))) if m else 0
+        with workprec(256):
+            off = abs(quad - gram_entry(params, m))
+            bound = err + radius
+        if off > bound:
+            return False, (f"gram_entry vs quadrature off by {mp.nstr(off, 3)} at m={m}, "
+                           f"beyond the proven {mp.nstr(bound, 3)}")
 
     # (ii) l0_solve vs exhaustive direct-residual search
     params = SystemParams.from_y("0.22")

@@ -180,15 +180,17 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
     eps_res = epsilon(params, 2 * k, mode=mode, span_max=span_max)
     T = eps_res.attaining_support
     eig = eps_res.eig
-    with workprec(max(bits, 2 * eig.bits_used)):
+    # like every precision here, the doubled ones stop at MAX_BITS
+    quad_bits = min(2 * bits, MAX_BITS)
+    with workprec(min(max(bits, 2 * eig.bits_used), MAX_BITS)):
         # the ladder's vector is good to its level, bits_used; renormalized
         # here, with eps2k its Rayleigh quotient at 2 bits, the pair meets
         # ||x0 - x1|| = sigma/eps2k and ||A (x0 - x1)|| = sigma to working
         # precision whatever that level was
         norm = mp.sqrt(mp.fdot(eig.vector, eig.vector))
         v = tuple(x / norm for x in eig.vector)
-        G = build_gram(params, T, bits=min(2 * bits, MAX_BITS))
-        eps2k = mp.sqrt(gram_quadform(G, v, bits=2 * bits))
+        G = build_gram(params, T, bits=quad_bits)
+        eps2k = mp.sqrt(gram_quadform(G, v, bits=quad_bits))
         # magnitudes within 2^-(bits_used/2) of the k-th largest are tied,
         # and the lower indices among them go to x1, whatever the rounding
         # says
@@ -219,7 +221,7 @@ def adversarial_pair(params: SystemParams, k, sigma, mode=CONTIGUOUS,
         gap = mp.sqrt(sum((d * mp.conj(d)).real for d in diff))
         if abs(gap - scale) > mpf(2) ** (-bits // 3) * scale:
             raise PrecisionError("||x0 - x1|| drifted from sigma/eps_2k")
-        image = mp.sqrt(gram_quadform(G, diff, bits=2 * bits))
+        image = mp.sqrt(gram_quadform(G, diff, bits=quad_bits))
         if image > sigma * (1 + mpf(2) ** (-bits // 3)):
             raise PrecisionError("||A (x0 - x1)|| exceeded sigma")
     return AdversarialPair(x0=x0, x1=x1, T_star=T, eps2k=eps2k, sigma=sigma,

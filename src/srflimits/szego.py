@@ -16,6 +16,14 @@ a branch of sqrt(phi') that is analytic on |w| > 1 because
 1 + 2c u + u^2 never meets the negative real axis for |u| < 1. Then
 sqrt(Phi'(z)) = 1 / q(Phi(z)), positive at infinity.
 
+Two quadratures. ``szego_reproduce`` integrates the kernel trace by nested
+trapezoid rules, doubling the panels until two rules agree
+(``integrate_doubling``). The ``arc_inner_product`` oracle runs one
+Gauss-Legendre rule whose size ``arc_rule`` chooses in advance from the
+Bernstein-ellipse bound; ``arc_rule`` also returns the proven error of the
+value, the sum of the truncation bound, the error of the certified nodes and
+weights (``legendre_nodes``) and the rounding at ``bits``.
+
 What takes params runs at params.bits (``leading_coeffs`` and the
 ``arc_inner_product`` oracle also take another ``bits``).
 """
@@ -23,11 +31,12 @@ What takes params runs at params.bits (``leading_coeffs`` and the
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import to_fixed
+from mpmath import iv, mp, mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .checks import bound_check
 from .core import SupportSet, SystemParams, as_count, build_gram, keep_complex, keep_real
@@ -38,7 +47,7 @@ from .errors import (
     OnArcError,
     PoleError,
 )
-from .hp import check_bits, hp_cholesky
+from .hp import check_bits, hp_cholesky, iv_ends, iv_workprec
 
 ON_ARC_TOL = mpf("1e-12")
 KERNEL_DEGENERACY_TOL = mpf("1e-30")
@@ -77,15 +86,6 @@ def phi_map(c, w):
     if abs(w + c) == 0:
         raise PoleError("phi has a pole at w = -c")
     return w * (c * w + 1) / (w + c)
-
-
-def phi_prime(c, w):
-    """phi'(w) = c (w^2 + 2 c w + 1)/(w + c)^2."""
-    c = keep_real(c)
-    w = keep_complex(w)
-    if abs(w + c) == 0:
-        raise PoleError("phi' has a pole at w = -c")
-    return c * (w * w + 2 * c * w + 1) / ((w + c) * (w + c))
 
 
 def Phi_map(c, z, bits):
@@ -160,58 +160,23 @@ def szego_kernel(params: SystemParams, zeta, z):
 # ---------------------------------------------------------------------------
 # quadrature with node doubling
 
-# Node tables above this many panels are computed on use, never retained: a
-# point near the arc can double toward QUAD_NODE_CAP, and its nodes would
-# otherwise stay behind for the life of the process. It also caps the
-# Gauss-Legendre rules of arc_inner_product, whose cost grows as n^2, so
-# every rule built is small enough to cache.
+# Trapezoid node tables above this many panels are computed on use, never
+# retained: a point near the arc can double toward QUAD_NODE_CAP, and its
+# nodes would otherwise stay behind for the life of the process.
 RETAIN_NODES = 2 ** 10
-
-_NODE_CACHE = {}
-
-
-def legendre_nodes(n, bits):
-    """Gauss-Legendre nodes/weights on [-1, 1] at ``bits`` precision.
-
-    float64 initial guesses polished by Newton iterations on P_n, cached
-    by (n, bits).
-    """
-    key = (n, bits)
-    cached = _NODE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    guess, _ = np.polynomial.legendre.leggauss(n)
-    with workprec(bits + 16):
-        nodes = []
-        for g in guess:
-            x = mpf(float(g))
-            for _ in range(1 + max(1, (bits // 50).bit_length())):
-                p0, p1 = mpf(1), x
-                for k in range(1, n):
-                    p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                x -= p1 / dp
-            p0, p1 = mpf(1), x
-            for k in range(1, n):
-                p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            nodes.append((x, 2 / ((1 - x * x) * dp * dp)))
-    _NODE_CACHE[key] = result = tuple(nodes)
-    return result
 
 
 def integrate_doubling(level, bits):
-    """Node-doubling loop over an n-point quadrature rule, at ``bits``.
+    """Panel-doubling loop over a nested trapezoid rule, at ``bits``.
 
-    ``level(n)`` returns the approximation of the integral by the rule of
-    order n (n nodes, or n panels for a trapezoid rule) and the largest
-    sampled |integrand| in the same scale; it is called with
-    n = QUAD_START_NODES (a power of two), then with n doubled each time.
-    Converged when two successive orders agree to QUAD_REL_TARGET relative
+    ``level(m)`` returns the m-panel rule's approximation of the integral
+    and the largest sampled |integrand| in the same scale; it is called with
+    m = QUAD_START_NODES (a power of two), then with m doubled each time.
+    Converged when two successive rules agree to QUAD_REL_TARGET relative
     to max(|integral|, sampled peak), which keeps integrals that vanish by
     symmetry from chasing an impossible relative tolerance. Raises
-    ConvergenceError past QUAD_NODE_CAP. The constants are read at call
-    time.
+    ConvergenceError past QUAD_NODE_CAP panels. The constants are read at
+    call time.
     """
     with workprec(bits):
         n = QUAD_START_NODES
@@ -226,8 +191,113 @@ def integrate_doubling(level, bits):
             prev = cur
         raise ConvergenceError(
             f"quadrature did not converge to rel {QUAD_REL_TARGET} "
-            f"within {QUAD_NODE_CAP} nodes"
+            f"within {QUAD_NODE_CAP} panels"
         )
+
+
+# ---------------------------------------------------------------------------
+# the arc inner product oracle: one Gauss-Legendre rule of a-priori size
+
+# each node legendre_nodes returns, and the sum of its weights' errors, lie
+# within 2^-(bits + NODE_GUARD) of the exact rule's
+NODE_GUARD = 8
+
+_NODE_CACHE = {}
+
+
+def _legendre_fixed(n, X, F):
+    """P_n(x) and P_(n-1)(x), x = X 2^-F, by the three-term recurrence in
+    fixed point at scale 2^F, every step rounded down."""
+    p0, p1 = 1 << F, X
+    for k in range(1, n):
+        p0, p1 = p1, (((2 * k + 1) * X * p1 >> F) - k * p0) // (k + 1)
+    return p1, p0
+
+
+def _legendre_exact(n, X, F):
+    """q_n and q_(n-1), q_k = k! 2^(kF) P_k(X 2^-F): exact integers, from
+    q_(k+1) = (2k+1) X q_k - k^2 2^(2F) q_(k-1)."""
+    q0, q1 = 1, X
+    for k in range(1, n):
+        q0, q1 = q1, (2 * k + 1) * X * q1 - (k * k * q0 << 2 * F)
+    return q1, q0
+
+
+def legendre_nodes(n, bits):
+    """The n-point Gauss-Legendre rule on [-1, 1] for sums at ``bits``: its
+    (node, weight) pairs in ascending order, cached by (n, bits).
+
+    Each node x >= 0 starts from Tricomi's asymptotic formula and is
+    polished by Newton's method on P_n in fixed point at
+    F = bits + 16 + 2 bitlen(n) bits (``_legendre_fixed``). A step squares
+    the error, times at most n^2, so a step whose correction d has
+    n^2 d^2 <= 2^-F is the last. The nodes x < 0 are the mirror images of
+    these, so the nodes are exactly antisymmetric and the weights
+    symmetric. Each node is then certified from the exact values of P_n
+    and P_(n-1) at it (``_legendre_exact``):
+
+    * since P_n'/P_n = sum_j 1/(x - x_j), a zero of P_n lies within
+      delta = n |P_n(x)/P_n'(x)| of x. These n intervals are disjoint, so
+      each holds its own zero.
+    * The weight is w(x) = 2/((1 - x^2) P_n'(x)^2), exact at x and rounded
+      down to 2^-F; the exact rule's weight is w at the zero. By Legendre's
+      equation w'/w = (2n(n+1) P_n/P_n' - 2x)/(1 - x^2), and on [-1, 1]
+      |P_n'| <= n(n+1)/2 and |P_n''| <= (n-1)n(n+1)(n+2)/8, which bound
+      |w'| within delta of x in mpmath.iv.
+
+    Raises ConvergenceError unless every delta and the sum of the weights'
+    errors are at most 2^-(bits + NODE_GUARD), which arc_rule's error
+    assumes.
+    """
+    key = (n, bits)
+    cached = _NODE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    F = bits + 16 + 2 * n.bit_length()
+    S2 = 1 << 2 * F
+    last = 1 << F // 2 - n.bit_length()  # n^2 d^2 <= 2^-F for a correction d at most this
+    fact2 = math.factorial(n) ** 2
+    # the zeros x >= 0 as (X, W) at scale 2^F, ascending; log2 of a bound on every delta
+    half, log_delta = [], -F
+    for k in range((n + 1) // 2, 0, -1):
+        # Tricomi's asymptotic zero, within about n^-4 of the k-th largest
+        g = math.cos(math.pi * (4 * k - 1) / (4 * n + 2)) * (1 - (n - 1) / (8 * n ** 3))
+        X = 0 if n % 2 and not half else int(g * 2.0 ** 53) << F - 53
+        for _ in range(12 if X else 0):  # at most 7 steps up to 1024 bits
+            p, pm = _legendre_fixed(n, X, F)
+            step = p * (X * X - S2) // (n * (X * p - (pm << F)))
+            X -= step
+            if abs(step) <= last:
+                break
+        q, qm = _legendre_exact(n, X, F)
+        E = X * q - (n * qm << 2 * F)  # P_n'(x) = n E / (n! 2^((n-1)F) (X^2 - 2^(2F)))
+        one = S2 - X * X  # (1 - x^2) 2^(2F)
+        if q:  # delta = |q| one / (2^F |E|)
+            log_delta = max(log_delta, (abs(q) * one).bit_length() - (abs(E) << F).bit_length() + 1)
+        half.append((X, (2 * fact2 * one << (2 * n + 1) * F) // (n * n * E * E)))
+    gap = 2 << F + log_delta  # the least spacing at which the intervals x +- delta are disjoint
+    certified = log_delta <= -bits - NODE_GUARD and not (
+        any(b - a <= gap for (a, _), (b, _) in zip(half, half[1:]))
+        or 0 < half[0][0] <= gap // 2)
+    with iv_workprec(53):
+        d, unit, dw = iv.mpf(2) ** log_delta, iv.mpf(2) ** -F, 0
+        for X, W in half:
+            x, w = iv.mpf(X) * unit, iv.mpf([W, W + 1]) * unit
+            a = x + d
+            one_a = 1 - a * a  # 1 - xi^2 >= one_a for |xi - x| <= delta
+            # |P_n'(x)| = sqrt(2/((1 - x^2) w)), less delta max |P_n''| within delta
+            dp = iv.sqrt(2 / ((1 - x * x) * w)) - d * ((n - 1) * n * (n + 1) * (n + 2) // 8)
+            certified = certified and iv_ends(one_a).lo > 0 and iv_ends(dp).lo > 0
+            slope = 2 / (one_a * dp * dp) * (2 * (n * (n + 1)) ** 2 * d / dp + 2 * a) / one_a
+            dw += (d * slope + unit) * (2 if X else 1)
+        certified = certified and iv_ends(dw).hi <= mp.ldexp(1, -bits - NODE_GUARD)
+    if not certified:
+        raise ConvergenceError(f"the {n}-point Gauss-Legendre rule at {bits} bits "
+                               f"is not within 2^-{bits + NODE_GUARD} of the exact one")
+    pairs = [(-X, W) for X, W in reversed(half) if X] + half
+    _NODE_CACHE[key] = result = tuple(
+        (mp.make_mpf(from_man_exp(X, -F)), mp.make_mpf(from_man_exp(W, -F))) for X, W in pairs)
+    return result
 
 
 def _poly_eval(coeffs, z):
@@ -237,35 +307,122 @@ def _poly_eval(coeffs, z):
     return acc
 
 
+def _size_search(c, D, bits):
+    """Float search for the rule size: the least n over s = log(rho) > 0
+    with (32/15) e^(c sinh s + (2 - 2n) s)/(e^(2s) - 1) <= 2^-bits (12D + 8),
+    arc_rule's truncation bound over its rounding term at n = 0 (c = pi y
+    D), and that s; golden-section search on the n that each s needs."""
+    K = math.log(32 / 15) + bits * math.log(2) - math.log(12 * D + 8)
+
+    def need(s):
+        return 1 + (K + c * math.sinh(s) - 2 * s - math.log(-math.expm1(-2 * s))) / (2 * s)
+
+    lo, hi = 2.0 ** -20, min(700.0, math.asinh(2 * K / c) + 1 if c else 700.0)
+    r = (math.sqrt(5) - 1) / 2
+    for _ in range(60):
+        s1, s2 = hi - r * (hi - lo), lo + r * (hi - lo)
+        if need(s1) <= need(s2):
+            hi = s2
+        else:
+            lo = s1
+    s = (lo + hi) / 2
+    return max(2, math.ceil(need(s))), s
+
+
+@functools.lru_cache(maxsize=256)
+def _rule(y, D, bits):
+    """arc_rule's n and its error per unit of A, for band fraction y and
+    degree sum D: the float size, raised until mpmath.iv confirms it."""
+    with iv_workprec(53):
+        y, u = iv.mpf(y), iv.mpf(2) ** -bits
+        n, s = _size_search(float(iv_ends(iv.pi * y).hi) * D, D, bits)
+        rho = iv.exp(iv.mpf(s))
+        b = (rho - 1 / rho) / 2
+        scale = iv.mpf(64) / 15 * iv.exp(iv.pi * y * b * D) / (rho * rho - 1)
+        target = iv_ends(2 * u * (12 * D + 8)).lo
+        while iv_ends(scale * rho ** (2 - 2 * n)).hi > target:
+            n += 1
+        error = (scale * rho ** (2 - 2 * n) / 2
+                 + iv.mpf(2) ** (-bits - NODE_GUARD) * (1 + 2 * iv.pi * y * D) / 2
+                 + u * (2 * n + 12 * D + 8))
+        return n, iv_ends(error).hi
+
+
+def _coefficients(coeffs, bits):
+    """The coefficients as mpc at ``bits``; mpf and mpc ones unrounded."""
+    with workprec(bits):
+        return [keep_complex(a) for a in coeffs]
+
+
+def arc_rule(f_coeffs, g_coeffs, params: SystemParams, bits=None):
+    """(n, error): the size n of the Gauss-Legendre rule that
+    arc_inner_product runs on these polynomials at ``bits``, and a proven
+    bound on the distance of its value from the exact inner product of the
+    coefficients as mpc at ``bits`` (exact for int below 2^bits, float,
+    mpf and mpc).
+
+    With z = e^{i pi y x}, the value is half the integral over x in [-1, 1]
+    of f(x) = P(z) conj(Q(z)). f is entire, and on the Bernstein ellipse
+    E_rho, where |Im x| <= b = (rho - 1/rho)/2, |f| <= M = A e^{pi y b D},
+    with A = ||P||_1 ||Q||_1 and D = deg P + deg Q. The n-point rule,
+    exact to degree 2n - 1, errs on the integral by at most
+    (64/15) M rho^(2-2n)/(rho^2 - 1) for n >= 2 (Trefethen, Approximation
+    Theory and Approximation Practice, SIAM 2013, Thm 19.3, which counts
+    n + 1 points). The error is half the sum of three terms:
+
+    * that truncation bound;
+    * A 2^-(bits+NODE_GUARD) (1 + 2 pi y D), from legendre_nodes' nodes and
+      weights, since |f| <= A and |f'| <= pi y D A on [-1, 1];
+    * A 2^(1-bits) (2n + 12D + 8), the rounding at ``bits``: with
+      u = 2^-bits, z is within 7u of e^{i pi y x}, each computed value of
+      f within (12D + 2) A u of f, and the weighted terms and their running
+      sum add at most 2 (n + 1) A u per unit of weight; the weights sum
+      to 2.
+
+    n is the least size whose truncation bound is at most the rounding term
+    with n = 0: searched in floats over rho, then checked outward in
+    mpmath.iv, where the error is also summed. Raises ConvergenceError when
+    n exceeds QUAD_NODE_CAP (read at call time), before any rule is built.
+    """
+    bits = params.bits if bits is None else check_bits(bits)
+    P, Q = _coefficients(f_coeffs, bits), _coefficients(g_coeffs, bits)
+    n, unit = _rule(params.y, max(len(P) - 1, 0) + max(len(Q) - 1, 0), bits)
+    if n > QUAD_NODE_CAP:
+        raise ConvergenceError(f"arc_inner_product needs a {n}-point rule, above "
+                               f"QUAD_NODE_CAP = {QUAD_NODE_CAP}")
+    with iv_workprec(53):
+        A = 1
+        for coeffs in (P, Q):  # ||.||_1 <= sum |Re a| + |Im a|
+            A *= sum((iv.mpf(abs(a.real)) + iv.mpf(abs(a.imag)) for a in coeffs if a),
+                     iv.mpf(0))
+        return n, iv_ends(A * unit).hi
+
+
 def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
     """Arclength inner product (1/L) int_Gamma f conj(g) |dz| of polynomials.
 
-    Pure Gauss-Legendre quadrature on theta in [-pi y, pi y], node doubling
-    by ``integrate_doubling``; this is the test oracle for the closed-form
-    Gram entries, never a production path. Raises ConvergenceError before
-    it asks for a rule of more than RETAIN_NODES nodes, as it does past
-    QUAD_NODE_CAP.
+    The test oracle for the closed-form Gram entries, never a production
+    path. With z = e^{i pi y x} it is half the integral over x in [-1, 1]
+    of f(z) conj(g(z)), which one Gauss-Legendre rule of arc_rule's size
+    computes at ``bits`` to within arc_rule's error. With real coefficients
+    the integrand at -x is the conjugate of that at x, and each pair of
+    nodes +-x costs one evaluation. Raises ConvergenceError as arc_rule
+    does, before any rule is built.
     """
     bits = params.bits if bits is None else check_bits(bits)
+    P, Q = _coefficients(f_coeffs, bits), _coefficients(g_coeffs, bits)
+    n, _ = arc_rule(P, Q, params, bits)
+    real = not any(a.imag for a in P + Q)
     with workprec(bits):
         half = mp.pi * params.y
-
-        def level(n):
-            if n > RETAIN_NODES:
-                raise ConvergenceError(
-                    f"quadrature did not converge to rel {QUAD_REL_TARGET} "
-                    f"within {RETAIN_NODES} Gauss-Legendre nodes")
-            total = mpc(0)
-            peak = mpf(0)
-            for x, w in legendre_nodes(n, bits):
-                z = mp.exp(mpc(0, 1) * (half * x))
-                val = _poly_eval(f_coeffs, z) * mp.conj(_poly_eval(g_coeffs, z))
-                total += w * val
-                peak = max(peak, abs(val))
-            return half * total, peak
-
-        total = integrate_doubling(level, bits=bits)
-        return total / params.arc_length
+        total = mpc(0)
+        for x, w in legendre_nodes(n, bits):
+            if real and x < 0:
+                continue
+            z = mp.expj(half * x)
+            val = w * (_poly_eval(P, z) * mp.conj(_poly_eval(Q, z)))
+            total += 2 * val.real if real and x else val
+        return total / 2
 
 
 class _NodeTable:

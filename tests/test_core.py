@@ -25,6 +25,7 @@ from srflimits import (
     synthesize,
 )
 from srflimits.core import gram_radius
+from srflimits.szego import arc_rule
 from srflimits.errors import DomainError, SupportError
 
 
@@ -210,6 +211,7 @@ def test_functions_taking_their_own_bits_check_them(bits):
         lambda: build_gram(p, SupportSet.of(0, 1), bits=bits),
         lambda: leading_coeffs(p, 2, bits=bits),
         lambda: arc_inner_product([1], [1], p, bits=bits),
+        lambda: arc_rule([1], [1], p, bits=bits),
     )
     for call in calls:
         with pytest.raises(DomainError):

@@ -220,6 +220,23 @@ def test_adversarial_pair_above_half_the_largest_precision():
     pair = adversarial_pair(SystemParams.from_y("0.2", bits=4200), 1, mpf("1e-6"))
     assert pair.T_star.offsets == (0, 1)
 
+def test_adversarial_pair_stops_at_max_bits(monkeypatch):
+    # its doubled precisions stop at MAX_BITS like every other: with the cap
+    # patched to 300, a 256-bit run's quadratic forms, and the working
+    # precision around them, stay at 300 bits, not 512
+    seen = []
+    real = recovery.gram_quadform
+
+    def recording(G, v, bits):
+        seen.append((bits, mp.prec))
+        return real(G, v, bits)
+
+    monkeypatch.setattr(recovery, "MAX_BITS", 300)
+    monkeypatch.setattr(recovery, "gram_quadform", recording)
+    adversarial_pair(SystemParams.from_y("0.1", bits=256), 1, mpf("1e-4"))
+    assert len(seen) == 2 and all(bits == 300 and prec <= 300 for bits, prec in seen)
+
+
 def test_adversarial_pair_strict_tie_mode():
     p = SystemParams.from_y("0.1")
     with pytest.raises(ThresholdTieError):

@@ -24,6 +24,7 @@ from srflimits import (
 )
 from conftest import lit
 from srflimits import szego
+from srflimits.core import SupportSet, gram_radius
 from srflimits.errors import (
     ConvergenceError,
     DomainError,
@@ -32,10 +33,13 @@ from srflimits.errors import (
     PoleError,
     SRFError,
 )
-from srflimits.szego import (
-    phi_prime,
-    phi_prime_sqrt,
-)
+from srflimits.szego import arc_rule, legendre_nodes, phi_prime_sqrt
+
+
+def phi_prime(c, w):
+    """phi'(w) = c (w^2 + 2 c w + 1)/(w + c)^2, the derivative of
+    phi_map: the oracle for phi_prime_sqrt and the kernel."""
+    return c * (w * w + 2 * c * w + 1) / ((w + c) * (w + c))
 
 
 def test_phi_fixes_one():
@@ -438,9 +442,11 @@ def test_fixed_point_terms_stay_within_the_stated_bound(bits, t, e, mag, arg, n)
 
 
 def test_quadrature_node_cap_raises(monkeypatch):
-    # the cap is read at call time: at 32 nodes a point near the arc and a
-    # degree-200 monomial both stop after one doubling, with no large rule
+    # the cap is read at call time: at 32 panels a point near the arc stops
+    # after one doubling, and the oracle refuses a degree-200 monomial, whose
+    # rule would have 152 nodes, before it builds any rule
     monkeypatch.setattr(szego, "QUAD_NODE_CAP", 32)
+    monkeypatch.setattr(szego, "_NODE_CACHE", {})
     p = SystemParams.from_y("0.3", bits=128)
     with workprec(128):
         z = phi_map(p.c, mpf("1.001") * mp.exp(mpc(0, 1)))
@@ -448,18 +454,72 @@ def test_quadrature_node_cap_raises(monkeypatch):
         szego_reproduce(p, 1, z)
     with pytest.raises(ConvergenceError):
         arc_inner_product([0] * 200 + [1], [1], p)
+    assert szego._NODE_CACHE == {}
 
 
-def test_legendre_oracle_raises_before_a_rule_above_retention(monkeypatch):
-    # a rule costs n^2 terms, so the oracle stops at RETAIN_NODES, not at
-    # QUAD_NODE_CAP: at 32 nodes a degree-200 monomial raises after one
-    # doubling, and every rule built stays cached
-    monkeypatch.setattr(szego, "RETAIN_NODES", 32)
+def test_legendre_oracle_raises_before_building_a_rule_above_the_cap(monkeypatch):
+    # the rule's size comes from its error bound before any rule is built:
+    # at y = 0.3 and 128 bits z^12 needs 31 nodes and z^15 needs 34, so with
+    # the cap at 32 the first is computed and the second refused by
+    # arc_rule and arc_inner_product alike; RETAIN_NODES, which bounds the
+    # trapezoid tables, does not bound the rule
+    monkeypatch.setattr(szego, "QUAD_NODE_CAP", 32)
+    monkeypatch.setattr(szego, "RETAIN_NODES", 8)
     monkeypatch.setattr(szego, "_NODE_CACHE", {})
     p = SystemParams.from_y("0.3", bits=128)
+    assert arc_rule([0] * 12 + [1], [1], p)[0] == 31
+    arc_inner_product([0] * 12 + [1], [1], p)
+    assert list(szego._NODE_CACHE) == [(31, 128)]
+    for call in (arc_rule, arc_inner_product):
+        with pytest.raises(ConvergenceError):
+            call([0] * 15 + [1], [1], p)
+    assert list(szego._NODE_CACHE) == [(31, 128)]
+
+
+@pytest.mark.parametrize("n, bits", [(1, 128), (2, 128), (13, 128), (22, 256),
+                                     (35, 256), (20, 512)])
+def test_legendre_nodes_are_symmetric_and_integrate_even_powers(n, bits):
+    # each node legendre_nodes returns, and the sum of its weights' errors,
+    # lie within nu = 2^-(bits + NODE_GUARD) of the exact rule's, so x^j
+    # integrates to 2/(j + 1) within nu (1 + 2j) for even j <= 2n - 2
+    nodes = legendre_nodes(n, bits)
+    assert len(nodes) == n
+    assert [x for x, _ in nodes] == sorted(x for x, _ in nodes)
+    assert all(x + x2 == 0 and w == w2 for (x, w), (x2, w2) in zip(nodes, reversed(nodes)))
+    with workprec(4 * bits):
+        for j in range(0, 2 * n - 1, 2):
+            got = mp.fsum(w * x ** j for x, w in nodes)
+            assert abs(got - mpf(2) / (j + 1)) <= mp.ldexp(1 + 2 * j, -bits - szego.NODE_GUARD)
+
+
+def test_legendre_nodes_refuse_a_rule_they_cannot_certify(monkeypatch):
+    # nodes polished at bits + 16 + 2 bitlen(n) bits cannot be certified
+    # to 2^-(bits + 64), and an uncertified rule is never cached
+    monkeypatch.setattr(szego, "NODE_GUARD", 64)
+    monkeypatch.setattr(szego, "_NODE_CACHE", {})
     with pytest.raises(ConvergenceError):
-        arc_inner_product([0] * 200 + [1], [1], p)
-    assert max(n for n, _ in szego._NODE_CACHE) == 32
+        legendre_nodes(13, 128)
+    assert szego._NODE_CACHE == {}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    y=st.floats(min_value=0.01, max_value=0.45),
+    j=st.integers(min_value=0, max_value=20),
+    k=st.integers(min_value=0, max_value=20),
+    bits=st.sampled_from([128, 256, 512]),
+    unit=st.sampled_from([1, 1j]),
+)
+def test_arc_inner_product_lies_within_its_proven_error(y, j, k, bits, unit):
+    # <unit z^j, z^k> is unit * gram_entry(j - k), which is itself within
+    # gram_radius of the exact sinc; unit = 1j takes the complex path
+    p = SystemParams.from_y(y, bits=bits)
+    f, g = [0] * j + [unit], [0] * k + [1]
+    _, err = arc_rule(f, g, p)
+    got = arc_inner_product(f, g, p)
+    radius = gram_radius(p, SupportSet.of(0, abs(j - k))) if j != k else 0
+    with workprec(2 * bits):
+        assert abs(got - unit * gram_entry(p, j - k)) <= err + radius
 
 
 # --- leading coefficients ---------------------------------------------------
