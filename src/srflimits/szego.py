@@ -17,8 +17,8 @@ a branch of sqrt(phi') that is analytic on |w| > 1 because
 sqrt(Phi'(z)) = 1 / q(Phi(z)), positive at infinity.
 
 Two quadratures. ``szego_reproduce`` integrates the kernel trace by nested
-trapezoid rules, doubling the panels until two rules agree
-(``integrate_doubling``). The ``arc_inner_product`` oracle runs one
+trapezoid rules, one loop per piece of the boundary that doubles the panels
+until two rules agree. The ``arc_inner_product`` oracle runs one
 Gauss-Legendre rule whose size ``arc_rule`` chooses in advance from the
 Bernstein-ellipse bound; ``arc_rule`` also returns the proven error of the
 value, the sum of the truncation bound, the error of the certified nodes and
@@ -67,12 +67,8 @@ FIXED_GUARD = 32
 
 
 def _is_inf(z) -> bool:
-    if z is None or z == "inf":
-        return True
-    try:
-        return bool(mp.isinf(z))
-    except TypeError:
-        return False
+    """The point at infinity: None, or an mpmath infinity with no NaN part."""
+    return z is None or isinstance(z, (mpf, mpc)) and mp.isinf(z) and not mp.isnan(z)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +130,14 @@ def szego_kernel(params: SystemParams, zeta, z):
 
     K(zeta, z) = (L/pi) sqrt(Phi'(zeta)) conj(sqrt(Phi'(z)))
                  * P / (P - 1) with P = Phi(zeta) conj(Phi(z)).
-    Either argument may be infinite (None, 'inf', or an mpmath inf);
+    Either argument may be infinite (None, or an mpmath inf with no NaN part);
     K(inf, inf) = L/(pi c).
     """
     bits = params.bits
     c, L = params.c, params.arc_length
     for point in (zeta, z):
         if not _is_inf(point) and not mp.isfinite(keep_complex(point)):
-            raise DomainError(f"kernel argument is not a number: {point}")
+            raise DomainError(f"kernel argument is neither finite nor infinity: {point}")
     with workprec(bits):
         s1, w1 = _sqrt_phi_prime_at(c, zeta, bits)
         s2, w2 = _sqrt_phi_prime_at(c, z, bits)
@@ -155,44 +151,6 @@ def szego_kernel(params: SystemParams, zeta, z):
                 )
             ratio = p / (p - 1)
         return (L / mp.pi) * s1 * mp.conj(s2) * ratio
-
-
-# ---------------------------------------------------------------------------
-# quadrature with node doubling
-
-# Trapezoid node tables above this many panels are computed on use, never
-# retained: a point near the arc can double toward QUAD_NODE_CAP, and its
-# nodes would otherwise stay behind for the life of the process.
-RETAIN_NODES = 2 ** 10
-
-
-def integrate_doubling(level, bits):
-    """Panel-doubling loop over a nested trapezoid rule, at ``bits``.
-
-    ``level(m)`` returns the m-panel rule's approximation of the integral
-    and the largest sampled |integrand| in the same scale; it is called with
-    m = QUAD_START_NODES (a power of two), then with m doubled each time.
-    Converged when two successive rules agree to QUAD_REL_TARGET relative
-    to max(|integral|, sampled peak), which keeps integrals that vanish by
-    symmetry from chasing an impossible relative tolerance. Raises
-    ConvergenceError past QUAD_NODE_CAP panels. The constants are read at
-    call time.
-    """
-    with workprec(bits):
-        n = QUAD_START_NODES
-        prev, peak = level(n)
-        while 2 * n <= QUAD_NODE_CAP:
-            n *= 2
-            cur, pk = level(n)
-            peak = max(peak, pk)
-            scale = max(abs(cur), peak)
-            if abs(cur - prev) <= QUAD_REL_TARGET * scale:
-                return cur
-            prev = cur
-        raise ConvergenceError(
-            f"quadrature did not converge to rel {QUAD_REL_TARGET} "
-            f"within {QUAD_NODE_CAP} panels"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +383,15 @@ def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
         return total / 2
 
 
+# ---------------------------------------------------------------------------
+# the Szego reproduction: nested trapezoid rules, one loop per piece
+
+# Trapezoid levels whose rule has more than this many panels are computed on
+# use, never retained: a point near the arc can double toward QUAD_NODE_CAP,
+# and its nodes would otherwise stay behind for the life of the process.
+RETAIN_NODES = 2 ** 10
+
+
 class _NodeTable:
     """Nested trapezoid nodes on one piece of the unit circle, the preimage
     of the slit, in fixed point.
@@ -440,12 +407,9 @@ class _NodeTable:
     kernel trace that depends on the node alone,
     h = sqrt(1 + 2c u + u^2)/(w + c) * dt/ds with u = conj(w) = 1/w, held
     as the integers (Re w, Im w, Re h, Im h) at scale 2^F, F = bits +
-    FIXED_GUARD, level by level (m = 2, 4, 8, ...) in ``nodes``: the m-panel
-    rule's nodes are its first m - 1 entries. ``ratios`` holds, for the last
-    W = Phi(z) asked about, each level's (Re w, Im w, Re r, Im r),
-    r = h/(W - w) at scale 2^(F + mag W), and its largest |r|^2. Every
-    integer is rounded down. Levels above RETAIN_NODES panels are computed
-    on use and neither is kept.
+    FIXED_GUARD, each rounded down. ``levels`` maps j to level j, the nodes
+    the m = 2^(j+1)-panel rule adds to the m/2-panel one; a level whose rule
+    has more than RETAIN_NODES panels is computed on use and not kept.
     """
 
     def __init__(self, c, bits, piece):
@@ -453,8 +417,7 @@ class _NodeTable:
         with workprec(bits):
             t0 = mp.acos(-c)
             self.a, self.width = (-t0, 2 * t0) if piece == 0 else (t0, 2 * (mp.pi - t0))
-        self.nodes = []
-        self.point, self.ratios = None, []
+        self.levels = {}
 
     def _level(self, m):
         """The nodes s = k/m with k odd: those the m-panel rule adds."""
@@ -468,46 +431,64 @@ class _NodeTable:
                     * (width * (mp.pi / 2) * mp.sinpi(s))
             yield tuple(to_fixed(x._mpf_, F) for x in (w.real, w.imag, h.real, h.imag))
 
-    def _ratios(self, nodes):
-        """One level's (Re w, Im w, Re r, Im r) and the largest |r|^2."""
-        Wr, Wi, shift = self.point
+    def level(self, j):
+        """Level j's nodes, kept when its rule has at most RETAIN_NODES panels."""
+        nodes = self.levels.get(j)
+        if nodes is None:
+            nodes = list(self._level(2 << j))
+            if 2 << j <= RETAIN_NODES:
+                self.levels[j] = nodes
+        return nodes
+
+
+# one table per (c, bits, piece), shared by every n and z on that arc; 8
+# tables hold both pieces of four arcs, and a full table of RETAIN_NODES
+# nodes takes about 0.35 MB at 256 bits
+_node_table = functools.lru_cache(maxsize=8)(_NodeTable)
+
+
+class _Point:
+    """What szego_reproduce keeps of one point z, shared by every degree:
+    W = Phi(z), K0 = (L/pi) sqrt(Phi'(z)) W sqrt(c), e = mag(W), and in
+    ``levels``, keyed by (piece, j), each node table level's
+    (Re w, Im w, Re r, Im r), r = h/(W - w) at scale 2^(F + e) with the
+    table's F, rounded down, and its largest |r|^2, kept as the table keeps
+    its levels.
+    """
+
+    def __init__(self, params, z):
+        c = params.c
+        with workprec(params.bits):
+            self.W = W = Phi_map(c, z, bits=params.bits)
+            self.K0 = (params.arc_length / mp.pi) * (1 / phi_prime_sqrt(c, W)) * W * mp.sqrt(c)
+        self.e = int(mp.mag(W))
+        self.levels = {}
+
+    def level(self, table, piece, j):
+        """Level j of ``table``, the node table of ``piece``, as its ratios
+        and their largest |r|^2: one integer complex division per node."""
+        kept = self.levels.get((piece, j))
+        if kept is not None:
+            return kept
+        F = table.frac
+        Wr, Wi = (to_fixed(x._mpf_, F) for x in (self.W.real, self.W.imag))
+        shift = F + self.e
         out, peak = [], 0
-        for wr, wi, hr, hi in nodes:
+        for wr, wi, hr, hi in table.level(j):
             dr, di = Wr - wr, Wi - wi
             den = dr * dr + di * di
             rr = ((hr * dr + hi * di) << shift) // den
             ri = ((hi * dr - hr * di) << shift) // den
             out.append((wr, wi, rr, ri))
             peak = max(peak, rr * rr + ri * ri)
+        if 2 << j <= RETAIN_NODES:
+            self.levels[piece, j] = out, peak
         return out, peak
 
-    def added(self, lo, hi, W, e):
-        """The levels the hi-panel rule adds to the lo-panel one (lo = 1:
-        all of the hi-panel rule's levels; both are powers of two), each as
-        its ratios for W = Phi(z), e = mag(W), and their largest |r|^2."""
-        F = self.frac
-        point = (to_fixed(W.real._mpf_, F), to_fixed(W.imag._mpf_, F), F + e)
-        if point != self.point:
-            self.point, self.ratios = point, []
-        m = lo
-        while m < hi:
-            m *= 2
-            if m > RETAIN_NODES:
-                yield self._ratios(self._level(m))
-                continue
-            while len(self.nodes) < m - 1:
-                self.nodes.extend(self._level(2 * len(self.nodes) + 2))
-            levels = m.bit_length() - 1  # m = 2^levels
-            while len(self.ratios) < levels:
-                j = len(self.ratios)
-                self.ratios.append(self._ratios(self.nodes[(1 << j) - 1:(2 << j) - 1]))
-            yield self.ratios[levels - 1]
 
-
-# one table per (c, bits, piece), shared by every n and z on that arc; 8
-# tables hold both pieces of four arcs, and a full table of RETAIN_NODES
-# nodes takes about 0.5 MB at 256 bits, 0.7 MB with one point's ratios
-_node_table = functools.lru_cache(maxsize=8)(_NodeTable)
+# the last point only: its ratios for a full table take about 0.2 MB more
+# per piece at 256 bits, and keeping more points pays only when one repeats
+_point = functools.lru_cache(maxsize=1)(_Point)
 
 
 def _level_sum(pairs, n, F):
@@ -533,17 +514,6 @@ def _level_sum(pairs, n, F):
     return sr, si
 
 
-@functools.lru_cache(maxsize=4)
-def _point(params, z):
-    """W = Phi(z), K0 = (L/pi) sqrt(Phi'(z)) W sqrt(c) and e = mag(W),
-    shared by every degree reproduced at z."""
-    c = params.c
-    with workprec(params.bits):
-        W = Phi_map(c, z, bits=params.bits)
-        K0 = (params.arc_length / mp.pi) * (1 / phi_prime_sqrt(c, W)) * W * mp.sqrt(c)
-    return W, K0, int(mp.mag(W))
-
-
 def szego_reproduce(params: SystemParams, n, z):
     """Reproduce F(z) = Phi(z)^{-n} from its boundary trace via the kernel.
 
@@ -555,12 +525,19 @@ def szego_reproduce(params: SystemParams, n, z):
     K0 = (L/pi) sqrt(Phi'(z)) W sqrt(c). The boundary integrand has
     square-root kinks at the two arc-endpoint preimages cos(t) = -c, so
     the circle splits there and each piece is integrated by a nested
-    trapezoid rule under a kink-flattening substitution (``_NodeTable``):
-    each doubling evaluates only the new nodes, so stopping at m panels
-    costs m - 1 nodes per piece. Everything that depends on the node alone
-    sits in a per-arc table shared by every n and z on the same arc at the
-    same bits, with the ratios r = h/(W - w) of the last z; W and K0 are
-    kept per point (``_point``). Every degree at one point shares both.
+    trapezoid rule under a kink-flattening substitution (``_NodeTable``).
+
+    One loop per piece runs over the levels j = 0, 1, ..., the rules of
+    m = 2^(j+1) panels, and adds each level's new nodes to the sum, so
+    stopping at m panels costs m - 1 nodes per piece. From QUAD_START_NODES
+    panels on, the piece is done when two successive rules agree to
+    QUAD_REL_TARGET relative to max(|integral|, sampled peak |integrand|),
+    which keeps integrals that vanish by symmetry from chasing an
+    impossible relative tolerance; past QUAD_NODE_CAP panels it raises
+    ConvergenceError. The constants are read at call time. Everything that
+    depends on the node alone sits in a per-arc table shared by every n and
+    z on the same arc at the same bits; W, K0 and the ratios r = h/(W - w)
+    are kept for the last point (``_point``), shared by every degree there.
 
     Rounding: the sums are exact integers but for one binary power of w
     per node and degree, and become an mpc once per rule. With F = bits +
@@ -571,32 +548,35 @@ def szego_reproduce(params: SystemParams, n, z):
     peak = max |r|.
     """
     bits = params.bits
-    c, L = params.c, params.arc_length
     n = as_count(n, "n")
     z = keep_complex(z)
     if not mp.isfinite(z):
         raise DomainError(f"reproduction point is not finite: {z}")
-    W, K0, e = _point(params, z)
+    point = _point(params, z)
+    K0, e = point.K0, point.e
+    parts = []
     with workprec(bits):
-
-        def piece_level(piece):
-            table = _node_table(c, bits, piece)
-            F, sr, si, sq = table.frac, 0, 0, 0
-            done = 1
-
-            def level(panels):
-                nonlocal sr, si, sq, done
-                for pairs, pk in table.added(done, panels, W, e):
-                    dr, di = _level_sum(pairs, n, F)
-                    sr, si, sq = sr + dr, si + di, max(sq, pk)
-                done = panels
-                total = mpc(mpf((sr, -2 * F - e)), mpf((si, -2 * F - e)))
-                return K0 * total / panels, abs(K0) * mp.ldexp(mp.sqrt(sq), -F - e)
-            return level
-
-        part1 = integrate_doubling(piece_level(0), bits=bits)
-        part2 = integrate_doubling(piece_level(1), bits=bits)
-        return (part1 + part2) / (2 * L)
+        for piece in (0, 1):
+            table = _node_table(params.c, bits, piece)
+            F, sr, si, sq, prev = table.frac, 0, 0, 0, None
+            for j in range(QUAD_NODE_CAP.bit_length() - 1):  # 2^(j+1) <= QUAD_NODE_CAP
+                pairs, pk = point.level(table, piece, j)
+                dr, di = _level_sum(pairs, n, F)
+                sr, si, sq = sr + dr, si + di, max(sq, pk)
+                m = 2 << j
+                if m < QUAD_START_NODES:
+                    continue
+                cur = K0 * mpc(mpf((sr, -2 * F - e)), mpf((si, -2 * F - e))) / m
+                peak = abs(K0) * mp.ldexp(mp.sqrt(sq), -F - e)
+                if prev is not None and abs(cur - prev) <= QUAD_REL_TARGET * max(abs(cur), peak):
+                    break
+                prev = cur
+            else:
+                raise ConvergenceError(
+                    f"quadrature did not converge to rel {QUAD_REL_TARGET} "
+                    f"within {QUAD_NODE_CAP} panels")
+            parts.append(cur)
+        return (parts[0] + parts[1]) / (2 * params.arc_length)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +633,6 @@ class OrthoPolyTable:
 
     n_max: int
     k_values: tuple
-    cholesky_factor: tuple
     bits: int
 
     def thm10_checks(self, params: SystemParams):
@@ -678,8 +657,7 @@ def leading_coeffs(params: SystemParams, n_max, bits=None) -> OrthoPolyTable:
     L = hp_cholesky(G, bits=bits)
     with workprec(bits):
         ks = tuple(1 / L[i][i] for i in range(n_max + 1))
-    return OrthoPolyTable(n_max=n_max, k_values=ks,
-                          cholesky_factor=tuple(tuple(row) for row in L), bits=bits)
+    return OrthoPolyTable(n_max=n_max, k_values=ks, bits=bits)
 
 
 # ---------------------------------------------------------------------------

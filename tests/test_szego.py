@@ -1,5 +1,7 @@
 """Conformal maps, Szego kernel, leading coefficients, Faber polynomials."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -24,7 +26,7 @@ from srflimits import (
 )
 from conftest import lit
 from srflimits import szego
-from srflimits.core import SupportSet, gram_radius
+from srflimits.core import SupportSet, build_gram, gram_radius
 from srflimits.errors import (
     ConvergenceError,
     DomainError,
@@ -33,6 +35,7 @@ from srflimits.errors import (
     PoleError,
     SRFError,
 )
+from srflimits.hp import hp_cholesky
 from srflimits.szego import arc_rule, legendre_nodes, phi_prime_sqrt
 
 
@@ -129,6 +132,10 @@ def test_kernel_rejects_nan_point():
         szego_kernel(p, None, mpc("nan"))
     with pytest.raises(DomainError):
         szego_kernel(p, mpc(3, float("nan")), None)
+    # an infinite part does not make a point with a NaN part infinity
+    for point in (mpc("nan", "inf"), mpc("inf", "nan")):
+        with pytest.raises(DomainError):
+            szego_kernel(p, point, 3)
 
 
 def test_kernel_at_infinity():
@@ -266,38 +273,46 @@ def test_reproduce_matches_pointwise_oracle():
 
 
 def _count_panels_and_nodes(monkeypatch):
-    """Record the last order of each integrate_doubling call, and count
-    the nodes each node table builds and the kernel ratios h/(W - w) it
-    forms, one integer complex division each."""
+    """Record each piece's final panel count, read off the levels that
+    reach _level_sum (level j holds 2^j nodes, so a rule of m panels has
+    summed m - 1 of them), and count the nodes each node table evaluates
+    and the kernel ratios h/(W - w) formed from its levels, one integer
+    complex division each, when the point has none kept."""
     panels, built, divided = [], Counter(), Counter()
-    doubling, level = szego.integrate_doubling, szego._NodeTable._level
-    ratios = szego._NodeTable._ratios
+    level_sum, evaluate = szego._level_sum, szego._NodeTable._level
+    ratios = szego._Point.level
 
-    def recording(f, bits=None):
-        seen = []
-        out = doubling(lambda m: seen.append(m) or f(m), bits=bits)
-        panels.append(seen[-1])
-        return out
+    def summing(pairs, n, F):
+        if len(pairs) == 1:  # level 0 opens a piece's loop
+            panels.append(1)
+        panels[-1] += len(pairs)
+        return level_sum(pairs, n, F)
 
     def counting(table, m):
-        for node in level(table, m):
+        for node in evaluate(table, m):
             built[table] += 1
             yield node
 
-    def dividing(table, nodes):
-        pairs, peak = ratios(table, nodes)
-        divided[table] += len(pairs)
+    def dividing(point, table, piece, j):
+        fresh = (piece, j) not in point.levels
+        pairs, peak = ratios(point, table, piece, j)
+        divided[table] += len(pairs) if fresh else 0
         return pairs, peak
 
-    monkeypatch.setattr(szego, "integrate_doubling", recording)
+    monkeypatch.setattr(szego, "_level_sum", summing)
     monkeypatch.setattr(szego._NodeTable, "_level", counting)
-    monkeypatch.setattr(szego._NodeTable, "_ratios", dividing)
+    monkeypatch.setattr(szego._Point, "level", dividing)
     return panels, built, divided
+
+
+def _clear_caches():
+    szego._node_table.cache_clear()
+    szego._point.cache_clear()
 
 
 def test_reproduction_evaluates_each_node_once(monkeypatch):
     panels, built, _ = _count_panels_and_nodes(monkeypatch)
-    szego._node_table.cache_clear()
+    _clear_caches()
     p = SystemParams.from_y("0.2", bits=144)
     tables = [szego._node_table(p.c, 144, piece) for piece in (0, 1)]
     with workprec(144):
@@ -315,7 +330,7 @@ def test_reproduction_evaluates_each_node_once(monkeypatch):
 
 def test_degrees_at_one_point_divide_once_per_node(monkeypatch):
     panels, _, divided = _count_panels_and_nodes(monkeypatch)
-    szego._node_table.cache_clear()
+    _clear_caches()
     p = SystemParams.from_y("0.2", bits=144)
     tables = [szego._node_table(p.c, 144, piece) for piece in (0, 1)]
     with workprec(144):
@@ -340,35 +355,59 @@ def test_interleaved_reproductions_match_cold_ones():
             with workprec(bits):
                 z1, z2 = (phi_map(p.c, 3 * mp.expj(a)) for a in (1, -2))
             cases += [(p, z1), (p, z2), (p, z1)]
-    szego._node_table.cache_clear()
+    _clear_caches()
     warm = [[szego_reproduce(p, n, z) for n in range(6)] for p, z in cases]
     for (p, z), got in zip(cases, warm):
-        szego._node_table.cache_clear()
+        _clear_caches()
         assert got == [szego_reproduce(p, n, z) for n in range(6)]
+
+
+def test_reproduction_keeps_the_ratios_of_the_last_point_only():
+    # a point's kernel ratios take as much memory again as the node tables,
+    # and only repeated identical points would reuse those of an earlier one
+    _clear_caches()
+    p = SystemParams.from_y("0.17", bits=128)
+    with workprec(128):
+        z1, z2 = (phi_map(p.c, 3 * mp.expj(a)) for a in (1, -2))
+    szego_reproduce(p, 1, z1)
+    first = weakref.ref(szego._point(p, z1))
+    assert first().levels
+    szego_reproduce(p, 1, z2)
+    gc.collect()
+    assert first() is None
+    assert szego._point.cache_info().currsize == 1
+    # the node tables hold node levels only, and those stay for z2
+    for piece in (0, 1):
+        table = szego._node_table(p.c, 128, piece)
+        assert all(len(nodes) == 1 << j for j, nodes in table.levels.items())
+    assert szego._node_table.cache_info().currsize == 2
 
 
 def test_node_tables_keep_nothing_above_retention(monkeypatch):
     # a limit of 32 panels stands in for 2^10, so the run stays small
     panels, built, divided = _count_panels_and_nodes(monkeypatch)
     monkeypatch.setattr(szego, "RETAIN_NODES", 32)
-    szego._node_table.cache_clear()
+    _clear_caches()
     bits = 136
     p = SystemParams.from_y("0.1", bits=bits)
     with workprec(bits):
         w = mpf("1.3") * mp.expj(1)
-        val = szego_reproduce(p, 2, phi_map(p.c, w))
+        z = phi_map(p.c, w)
+        val = szego_reproduce(p, 2, z)
         assert abs(val - w ** -2) < mpf("1e-20") * abs(w ** -2)
     assert min(panels) > 32
     tables = [szego._node_table(p.c, bits, piece) for piece in (0, 1)]
-    assert [len(t.nodes) for t in tables] == [31, 31]
-    assert [sum(len(pairs) for pairs, _ in t.ratios) for t in tables] == [31, 31]
+    assert [sum(map(len, t.levels.values())) for t in tables] == [31, 31]
+    kept = szego._point(p, z).levels
+    assert [sum(len(pairs) for (k, _), (pairs, _) in kept.items() if k == piece)
+            for piece in (0, 1)] == [31, 31]
     # every level above the limit was built and divided afresh, nothing else twice
     assert [built[t] for t in tables] == [m - 1 for m in panels]
     assert [divided[t] for t in tables] == [m - 1 for m in panels]
 
 
 def test_node_tables_are_kept_per_arc_bits_and_piece():
-    szego._node_table.cache_clear()
+    _clear_caches()
     keys = []
     for y in ("0.1", "0.17"):
         for bits in (128, 256):
@@ -378,8 +417,9 @@ def test_node_tables_are_kept_per_arc_bits_and_piece():
             keys += [(p.c, bits, piece) for piece in (0, 1)]
     tables = [szego._node_table(*key) for key in keys]
     assert szego._node_table.cache_info().hits == len(keys)
-    # the first node, s = 1/2, is w = +-1 on every arc; the next one moves
-    quarter = {t.nodes[1][:2] for t in tables}
+    # the only node of level 0, s = 1/2, is w = +-1 on every arc; the
+    # first of level 1, s = 1/4, moves
+    quarter = {t.levels[1][0][:2] for t in tables}
     assert len(quarter) == len(keys)
     assert szego._node_table.cache_info().maxsize is not None
 
@@ -555,11 +595,10 @@ def test_kn_strictly_increasing():
         assert b > a
 
 
-def _orthonormal_poly(table, n):
+def _orthonormal_poly(L, n, bits):
     """Coefficients (ascending) of the orthonormal p_n: with L the Cholesky
     factor of the monomial Gram matrix, they solve L^T x = e_n."""
-    L = table.cholesky_factor
-    with workprec(table.bits):
+    with workprec(bits):
         x = [mpf(0)] * (n + 1)
         x[n] = 1 / L[n][n]
         for i in range(n - 1, -1, -1):
@@ -569,8 +608,10 @@ def _orthonormal_poly(table, n):
 
 def test_orthonormality_via_quadrature():
     p = SystemParams.from_y("0.15", bits=256)
-    table = leading_coeffs(p, 6)
-    polys = [_orthonormal_poly(table, n) for n in range(7)]
+    L = hp_cholesky(build_gram(p, SupportSet(tuple(range(7))), bits=256), bits=256)
+    polys = [_orthonormal_poly(L, n, 256) for n in range(7)]
+    # the leading coefficient of p_n is k_n
+    assert [q[-1] for q in polys] == list(leading_coeffs(p, 6).k_values)
     for m in range(7):
         for n in range(m, 7):
             ip = arc_inner_product(polys[m], polys[n], p)
