@@ -28,8 +28,8 @@ run to 129. The pieces:
   resolve lambda_min,
 * ``tridiagonal_min_vector``: the least eigenvector of a symmetric
   tridiagonal matrix, from ``eigh`` of its float image and O(n) shifted
-  inverse-iteration steps at the working precision, a candidate for
-  _certify,
+  inverse-iteration steps in fixed point, on Python integers at scale
+  2^(bits + FIXED_GUARD), a candidate for _certify,
 * a precision ladder that doubles the mantissa from LADDER_START_BITS and
   stops at the first level whose enclosure [lo, hi] of lambda_min, widened
   by the builder's bound on its own rounding, is narrower than
@@ -50,12 +50,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import isqrt, prod
 from typing import NamedTuple
 
-import numpy as np
 from mpmath import iv, mp, mpf, workprec
-from mpmath.libmp import mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sum, round_nearest
+from mpmath.libmp import mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sum, round_nearest, to_fixed
 
 from .errors import (
     ConvergenceError,
@@ -73,6 +72,10 @@ LADDER_START_BITS = 128
 LADDER_RELTOL = mpf("1e-6")
 # min_eig gives up after this many inverse-iteration steps per bit
 MIN_EIG_STEPS_PER_BIT = 4
+# fixed-point work carries this many bits below a unit at ``bits``:
+# tridiagonal_min_vector's refinement, and szego_reproduce's node sums, where
+# degree m costs 2m of their units, 2^-14 of a unit at m = QUAD_NODE_CAP = 2^16
+FIXED_GUARD = 32
 
 
 def check_bits(bits, name="bits") -> int:
@@ -371,6 +374,8 @@ def _float_start(M):
     _min_eig checks the shift with a Cholesky at its bits, and _certify
     proves whatever the iteration ends on.
     """
+    import numpy as np
+
     A = np.array(M, dtype=float)
     if not np.isfinite(A).all():
         return None
@@ -456,20 +461,21 @@ def _certify(M, rayleigh, bits, radius=0):
         return mu, _sign_fixed(v, bits), (lo, _rayleigh_ceiling(M, v, mu, bits, radius))
 
 
-def _tridiagonal_solve(diag, off, s, v, tiny):
+def _tridiagonal_solve(D, E, s, v, tiny, F):
     """x with (T - s I) x = v for the symmetric tridiagonal T with diagonal
-    ``diag`` and off-diagonal ``off``, by LDL^T without pivoting, at the
-    ambient precision; a zero pivot is replaced by ``tiny``."""
-    n = len(diag)
-    piv, mult, x = [diag[0] - s or tiny], [], [v[0]]
+    ``D`` and off-diagonal ``E``, by LDL^T without pivoting, in fixed point:
+    every argument and every entry of x is an integer at scale 2^F, each
+    product and quotient rounded down; a zero pivot is replaced by ``tiny``."""
+    n = len(D)
+    piv, mult, x = [D[0] - s or tiny], [], [v[0]]
     for i in range(1, n):
-        m = off[i - 1] / piv[-1]
+        m = (E[i - 1] << F) // piv[-1]
         mult.append(m)
-        piv.append(diag[i] - s - m * off[i - 1] or tiny)
-        x.append(v[i] - m * x[-1])
-    x[-1] /= piv[-1]
+        piv.append(D[i] - s - (m * E[i - 1] >> F) or tiny)
+        x.append(v[i] - (m * x[-1] >> F))
+    x[-1] = (x[-1] << F) // piv[-1]
     for i in range(n - 2, -1, -1):
-        x[i] = x[i] / piv[i] - mult[i] * x[i + 1]
+        x[i] = (x[i] << F) // piv[i] - (mult[i] * x[i + 1] >> F)
     return x
 
 
@@ -479,38 +485,43 @@ def tridiagonal_min_vector(diag, off, bits):
     ``off`` (mpf values), for an eigenvalue well separated from the next.
 
     LAPACK's eigh of the dense float image of T gives the vector to about
-    float precision, relative to the gap. Shifted inverse iteration at
-    ``bits`` then refines it, O(n) a step: each step's shift is theta -
-    res - tol, theta the Rayleigh quotient, res the residual norm and tol
-    = n 2^(8-bits) ||T||. That shift stays below the eigenvalue, so T - sI
-    stays positive definite, and each step squares the error relative to
-    the gap (the eigenvalues of Slepian's T are about 1 apart). Once res
-    <= tol, T's rounding level, one more step makes the vector good to
-    working precision. Gives up after ``bits`` steps and returns the last
-    vector; whoever uses it must check it (hp._certify does).
+    float precision, relative to the gap. Shifted inverse iteration then
+    refines it in fixed point, O(n) a step: T's entries are converted once
+    to integers at scale 2^F, F = bits + FIXED_GUARD, and every step (T v,
+    the Rayleigh quotient theta, the residual norm res, the LDL^T solve and
+    the normalisation) runs on Python integers. Each step's shift is
+    theta - res - tol, tol = n 2^(8-bits) ||T||. That shift stays below the
+    eigenvalue, so T - sI stays positive definite, and each step squares
+    the error relative to the gap (the eigenvalues of Slepian's T are about
+    1 apart). Once res <= tol, T's rounding level, one more step makes the
+    vector good to working precision. Gives up after ``bits`` steps and
+    returns the last vector, rounded once to mpf at ``bits``; whoever uses
+    it must check it (hp._certify does).
     """
     n = len(diag)
     if n == 1:
         return (mpf(1),)
-    fd, fe = [float(d) for d in diag], [float(e) for e in off]
-    scale = max(map(abs, fd)) + 2 * max(map(abs, fe))
+    import numpy as np
+
     # eigh reads only the lower triangle
-    v = np.linalg.eigh(np.diag(fd) + np.diag(fe, -1))[1][:, 0]
+    start = np.linalg.eigh(np.diag([float(d) for d in diag])
+                           + np.diag([float(e) for e in off], -1))[1][:, 0].tolist()
+    F = bits + FIXED_GUARD
+    D, E = [to_fixed(d._mpf_, F) for d in diag], [to_fixed(e._mpf_, F) for e in off]
+    tol = n * (max(map(abs, D)) + 2 * max(map(abs, E))) >> (bits - 8)
+    v = [(p << F) // q for p, q in (t.as_integer_ratio() for t in start)]
+    for _ in range(bits):
+        Tv = [(D[i] * v[i] + (E[i - 1] * v[i - 1] if i else 0)
+               + (E[i] * v[i + 1] if i < n - 1 else 0)) >> F for i in range(n)]
+        theta = (sum(a * b for a, b in zip(v, Tv)) << F) // sum(a * a for a in v)
+        res = isqrt(sum((a - (theta * b >> F)) ** 2 for a, b in zip(Tv, v)))
+        x = _tridiagonal_solve(D, E, theta - res - tol, v, tol, F)
+        norm = isqrt(sum(a * a for a in x))
+        v = [(a << F) // norm for a in x]
+        if res <= tol:
+            break
     with workprec(bits):
-        tol = n * mpf(2) ** (8 - bits) * scale
-        v = [mpf(t) for t in v.tolist()]
-        for _ in range(bits):
-            Tv = [diag[i] * v[i] + (off[i - 1] * v[i - 1] if i else 0)
-                  + (off[i] * v[i + 1] if i < n - 1 else 0) for i in range(n)]
-            theta = mp.fdot(v, Tv)
-            r = [a - theta * b for a, b in zip(Tv, v)]
-            res = mp.sqrt(mp.fdot(r, r))
-            x = _tridiagonal_solve(diag, off, theta - res - tol, v, tol)
-            norm = mp.sqrt(mp.fdot(x, x))
-            v = [xi / norm for xi in x]
-            if res <= tol:
-                break
-        return tuple(v)
+        return tuple(mpf((a, -F)) for a in v)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ out; contiguity scans evaluate them all.
 On a contiguous support, the case of every contiguous-mode eps_k, of
 verify_srf_bounds and of the first support of every exhaustive scan, the
 Gram matrix commutes with Slepian's tridiagonal, whose least eigenvalue
-lies at least 1 below the next. Its least eigenvector costs O(n) a step
-to find, and the ladder certifies it with one Cholesky a level
-(min_eig_for_support).
+lies at least 1 below the next. Its least eigenvector is refined in fixed
+point, O(n) a step on Python integers, and the ladder certifies it with one
+Cholesky a level (min_eig_for_support).
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import iv, mp, mpc, mpf, workprec
 from mpmath.libmp import from_man_exp, to_fixed
 
@@ -47,7 +46,7 @@ from .errors import (
     OnArcError,
     PoleError,
 )
-from .hp import check_bits, hp_cholesky, iv_ends, iv_workprec
+from .hp import FIXED_GUARD, check_bits, hp_cholesky, iv_ends, iv_workprec
 
 ON_ARC_TOL = mpf("1e-12")
 KERNEL_DEGENERACY_TOL = mpf("1e-30")
@@ -61,9 +60,6 @@ DEFAULT_POLYS = 100  # and random polynomials per degree
 # 10^4 times the worst deviation of the float64 recurrence from a 256-bit
 # evaluation measured at every sample point (5.6e-14, y in [0.01, 0.45], n <= 12)
 FABER_CUSHION = 2.0 ** -30
-# szego_reproduce's node sums carry this many bits below a unit at ``bits``:
-# degree m costs 2m of their units, 2^-14 of a unit at m = QUAD_NODE_CAP = 2^16
-FIXED_GUARD = 32
 
 
 def _is_inf(z) -> bool:
@@ -386,9 +382,10 @@ def arc_inner_product(f_coeffs, g_coeffs, params: SystemParams, bits=None):
 # ---------------------------------------------------------------------------
 # the Szego reproduction: nested trapezoid rules, one loop per piece
 
-# Trapezoid levels whose rule has more than this many panels are computed on
-# use, never retained: a point near the arc can double toward QUAD_NODE_CAP,
-# and its nodes would otherwise stay behind for the life of the process.
+# Trapezoid levels whose rule has more than this many panels are not kept in
+# the node table: a point near the arc can double toward QUAD_NODE_CAP, and its
+# nodes would otherwise stay behind for the life of the process. The point
+# itself (_Point) keeps them until the next point replaces it.
 RETAIN_NODES = 2 ** 10
 
 
@@ -452,8 +449,9 @@ class _Point:
     W = Phi(z), K0 = (L/pi) sqrt(Phi'(z)) W sqrt(c), e = mag(W), and in
     ``levels``, keyed by (piece, j), each node table level's
     (Re w, Im w, Re r, Im r), r = h/(W - w) at scale 2^(F + e) with the
-    table's F, rounded down, and its largest |r|^2, kept as the table keeps
-    its levels.
+    table's F, rounded down, and its largest |r|^2. Every level asked for
+    is kept, above RETAIN_NODES panels too, so each is evaluated and
+    divided once per point, whatever the number of degrees.
     """
 
     def __init__(self, params, z):
@@ -481,13 +479,14 @@ class _Point:
             ri = ((hi * dr - hr * di) << shift) // den
             out.append((wr, wi, rr, ri))
             peak = max(peak, rr * rr + ri * ri)
-        if 2 << j <= RETAIN_NODES:
-            self.levels[piece, j] = out, peak
+        self.levels[piece, j] = out, peak
         return out, peak
 
 
-# the last point only: its ratios for a full table take about 0.2 MB more
-# per piece at 256 bits, and keeping more points pays only when one repeats
+# the last point only, freed when the next one arrives; keeping more pays only
+# when a point repeats. Its levels take about 350 bytes a node at 256 bits
+# (more at more bits): 0.36 MB per piece up to RETAIN_NODES panels, and at
+# worst, QUAD_NODE_CAP panels on both pieces, 2^17 - 2 nodes or about 46 MB
 _point = functools.lru_cache(maxsize=1)(_Point)
 
 
@@ -674,6 +673,8 @@ def _np_phi_prime(c, w):
 
 def _np_poly_eval(coeff_rows, z):
     """Rows of coefficients (ascending) evaluated at points z: (rows, len(z))."""
+    import numpy as np
+
     powers = z[None, :] ** np.arange(coeff_rows.shape[1])[:, None]
     return coeff_rows @ powers
 
@@ -688,6 +689,8 @@ def _np_faber_arc(params: SystemParams, n):
     Horner evaluation of faber_poly does, cancels away every digit for
     small y.
     """
+    import numpy as np
+
     c, y = float(params.c), float(params.y)
     z = np.exp(1j * np.linspace(-np.pi * y, np.pi * y, ARC_SAMPLES))
     r = {1: 2 * c * c, 2: c}
@@ -719,6 +722,8 @@ class BoundSuiteResult:
 def _unit_arc_polys(params, degree, count, rng):
     """Random degree-n polynomials with unit arc norm (coefficients sampled
     on the complex sphere, then normalized through the Gram quadratic form)."""
+    import numpy as np
+
     y = float(params.y)
     m = np.arange(degree + 1)
     diff = np.pi * y * (m[None, :] - m[:, None])
@@ -747,6 +752,8 @@ def bound_suite(params: SystemParams, n_max, samples=DEFAULT_SAMPLES, seed=0,
     bits = params.bits, is refused with DomainError before any section
     runs: no Cholesky at those bits can resolve k_n there.
     """
+    import numpy as np
+
     bits = params.bits
     n_max = as_count(n_max, "n_max", 1)
     samples = as_count(samples, "samples", 100)

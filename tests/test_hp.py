@@ -495,7 +495,7 @@ def test_eigh_failure_falls_back_to_the_graded_start(monkeypatch):
     def fails(A):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(hp.np.linalg, "eigh", fails)
+    monkeypatch.setattr(np.linalg, "eigh", fails)
     result = hp._min_eig(M, 128)
     monkeypatch.setattr(hp, "_float_start", lambda M: None)
     assert hp._min_eig(M, 128) == result

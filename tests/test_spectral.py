@@ -576,13 +576,13 @@ def test_slepian_tridiagonal_commutes_with_the_gram_matrix(y):
 def test_tridiagonal_refinement_steps_from_the_float_start(monkeypatch, bits, steps):
     # from the double-precision eigenvector, inverse iteration at ``bits``
     # reaches T's rounding level and takes its one last step within
-    # ``steps`` mpf solves, for every size up to the largest measured
+    # ``steps`` fixed-point solves, for every size up to the largest measured
     real = hp._tridiagonal_solve
     solves = []
 
-    def counted(diag, off, s, v, tiny):
-        solves.append(isinstance(s, mpf))
-        return real(diag, off, s, v, tiny)
+    def counted(D, E, s, v, tiny, F):
+        solves.append(isinstance(s, int) and all(isinstance(t, int) for t in v))
+        return real(D, E, s, v, tiny, F)
 
     monkeypatch.setattr(hp, "_tridiagonal_solve", counted)
     for y in ("0.04", "0.12", "0.3"):
@@ -591,6 +591,37 @@ def test_tridiagonal_refinement_steps_from_the_float_start(monkeypatch, bits, st
             solves.clear()
             hp.tridiagonal_min_vector(*spectral._slepian_tridiagonal(p, n, bits), bits)
             assert 0 < sum(solves) <= steps, (y, n, solves)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize("n", [2, 5, 13, 65])
+def test_tridiagonal_vector_is_the_least_eigenvector(n, bits):
+    # up to its sign, the fixed-point vector is T's least eigenvector from
+    # mpmath's eigsy at twice the bits, within n 2^(8-bits) ||T||
+    diag, off = spectral._slepian_tridiagonal(SystemParams.from_y("0.2"), n, bits)
+    v = hp.tridiagonal_min_vector(diag, off, bits)
+    with workprec(2 * bits):
+        E, Q = mp.eigsy(mp.matrix(_dense_tridiagonal(diag, off)))
+        k = min(range(n), key=lambda i: E[i])
+        q = [Q[i, k] for i in range(n)]
+        if mp.fdot(q, v) < 0:
+            q = [-x for x in q]
+        norm = max(map(abs, diag)) + 2 * max(map(abs, off))
+        assert max(abs(a - b) for a, b in zip(v, q)) <= n * mpf(2) ** (8 - bits) * norm
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(y=st.integers(min_value=10001, max_value=489999).map(lambda v: f"0.{v:06d}"),
+       n=st.integers(min_value=2, max_value=40))
+def test_contiguous_ladder_encloses_lambda_min(y, n):
+    # the enclosure of the certified Slepian candidate holds lambda_min by
+    # inertia at 4x bits_used, on the Gram matrix of the same stored y
+    p = SystemParams.from_y(y)
+    res = min_eig_for_support(p, range(n))
+    bits = 4 * res.bits_used
+    G = build_gram(p, range(n), bits=bits)
+    assert inertia_below(G, res.lo, bits) == 0 and inertia_below(G, res.hi, bits) == 1
+    assert res.hi - res.lo <= LADDER_RELTOL * res.lo
 
 
 def _second_vector(params, n, bits):

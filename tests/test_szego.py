@@ -1,6 +1,10 @@
 """Conformal maps, Szego kernel, leading coefficients, Faber polynomials."""
 
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 from collections import Counter
 
@@ -398,12 +402,55 @@ def test_node_tables_keep_nothing_above_retention(monkeypatch):
     assert min(panels) > 32
     tables = [szego._node_table(p.c, bits, piece) for piece in (0, 1)]
     assert [sum(map(len, t.levels.values())) for t in tables] == [31, 31]
+    # the point keeps every level, above the limit too, until the next point
     kept = szego._point(p, z).levels
     assert [sum(len(pairs) for (k, _), (pairs, _) in kept.items() if k == piece)
-            for piece in (0, 1)] == [31, 31]
+            for piece in (0, 1)] == [m - 1 for m in panels]
     # every level above the limit was built and divided afresh, nothing else twice
     assert [built[t] for t in tables] == [m - 1 for m in panels]
     assert [divided[t] for t in tables] == [m - 1 for m in panels]
+
+
+def test_degrees_at_one_point_evaluate_each_level_once(monkeypatch):
+    # z = phi(1.02 e^i) doubles past RETAIN_NODES panels on one piece; the
+    # six degrees there evaluate every level of each node table once, the
+    # levels above the limit included, which the point keeps
+    calls = Counter()
+    evaluate = szego._NodeTable._level
+    monkeypatch.setattr(szego._NodeTable, "_level",
+                        lambda table, m: calls.update([(table, m)]) or evaluate(table, m))
+    _clear_caches()
+    p = SystemParams.from_y("0.17", bits=128)
+    with workprec(128):
+        z = phi_map(p.c, mpf("1.02") * mp.expj(1))
+    for n in range(6):
+        szego_reproduce(p, n, z)
+    assert max(m for _, m in calls) > szego.RETAIN_NODES
+    assert set(calls.values()) == {1}
+
+
+def test_reproduction_oracle_and_l0_never_load_numpy():
+    # numpy is imported on first use, by the sampled suites and the float
+    # starts of the lambda_min kernels only
+    script = textwrap.dedent("""
+        import sys
+        from mpmath import mpc
+        from srflimits import (CoefficientVector, SupportSet, SystemParams,
+                               arc_inner_product, build_gram, l0_solve,
+                               szego_reproduce, synthesize)
+        p = SystemParams.from_y("0.17", bits=128)
+        szego_reproduce(p, 2, mpc(3, 1))
+        arc_inner_product([0, 1], [1], p)
+        build_gram(p, SupportSet.of(0, 2, 5))
+        x = CoefficientVector(support=SupportSet.of(3), values=(mpc(2),))
+        l0_solve(p, synthesize(p, x, SupportSet(tuple(range(6)))), 0, 2)
+        sys.exit("numpy was loaded" if "numpy" in sys.modules else 0)
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_node_tables_are_kept_per_arc_bits_and_piece():
