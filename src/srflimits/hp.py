@@ -23,13 +23,13 @@ run to 129. The pieces:
 * ``min_eig``: the smallest eigenpair of a positive definite matrix by
   Cholesky-based shifted inverse iteration, whose last vector _certify
   proves. It starts from the least eigenvector in double precision
-  (``_float_start``: numpy's LAPACK ``eigh``) and the shift below it, and
+  (``_float_start``, LAPACK's ``eigh``) and the shift below it, and
   from a graded alternating-sign vector with lo = 0 when floats cannot
   resolve lambda_min,
 * ``tridiagonal_min_vector``: the least eigenvector of a symmetric
-  tridiagonal matrix, from ``eigh`` of its float image and O(n) shifted
-  inverse-iteration steps in fixed point, on Python integers at scale
-  2^(bits + FIXED_GUARD), a candidate for _certify,
+  tridiagonal matrix, from the binomial vector (-1)^j C(n-1, j) by O(n)
+  shifted inverse-iteration steps in fixed point, on Python integers at
+  scale 2^(bits + FIXED_GUARD), a candidate for _certify,
 * a precision ladder that doubles the mantissa from LADDER_START_BITS and
   stops at the first level whose enclosure [lo, hi] of lambda_min, widened
   by the builder's bound on its own rounding, is narrower than
@@ -50,7 +50,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import comb, isqrt, prod
 from typing import NamedTuple
 
 from mpmath import iv, mp, mpf, workprec
@@ -484,8 +484,8 @@ def tridiagonal_min_vector(diag, off, bits):
     symmetric tridiagonal matrix T with diagonal ``diag`` and off-diagonal
     ``off`` (mpf values), for an eigenvalue well separated from the next.
 
-    LAPACK's eigh of the dense float image of T gives the vector to about
-    float precision, relative to the gap. Shifted inverse iteration then
+    The start is the unit vector along (-1)^j C(n-1, j), the y -> 0 limit
+    of the least eigenvector of Slepian's T. Shifted inverse iteration
     refines it in fixed point, O(n) a step: T's entries are converted once
     to integers at scale 2^F, F = bits + FIXED_GUARD, and every step (T v,
     the Rayleigh quotient theta, the residual norm res, the LDL^T solve and
@@ -501,15 +501,12 @@ def tridiagonal_min_vector(diag, off, bits):
     n = len(diag)
     if n == 1:
         return (mpf(1),)
-    import numpy as np
-
-    # eigh reads only the lower triangle
-    start = np.linalg.eigh(np.diag([float(d) for d in diag])
-                           + np.diag([float(e) for e in off], -1))[1][:, 0].tolist()
     F = bits + FIXED_GUARD
     D, E = [to_fixed(d._mpf_, F) for d in diag], [to_fixed(e._mpf_, F) for e in off]
     tol = n * (max(map(abs, D)) + 2 * max(map(abs, E))) >> (bits - 8)
-    v = [(p << F) // q for p, q in (t.as_integer_ratio() for t in start)]
+    v = [(-1) ** j * comb(n - 1, j) << F for j in range(n)]
+    norm = isqrt(sum(a * a for a in v))
+    v = [(a << F) // norm for a in v]
     for _ in range(bits):
         Tv = [(D[i] * v[i] + (E[i - 1] * v[i - 1] if i else 0)
                + (E[i] * v[i + 1] if i < n - 1 else 0)) >> F for i in range(n)]

@@ -572,11 +572,12 @@ def test_slepian_tridiagonal_commutes_with_the_gram_matrix(y):
                 <= n ** 3 * mpf(2) ** -240
 
 
-@pytest.mark.parametrize("bits,steps", [(128, 3), (512, 5)])
-def test_tridiagonal_refinement_steps_from_the_float_start(monkeypatch, bits, steps):
-    # from the double-precision eigenvector, inverse iteration at ``bits``
+@pytest.mark.parametrize("bits,steps", [(128, 7), (512, 9), (1024, 10)])
+def test_tridiagonal_refinement_steps_from_the_binomial_start(monkeypatch, bits, steps):
+    # from the y -> 0 limit (-1)^j C(n-1, j), inverse iteration at ``bits``
     # reaches T's rounding level and takes its one last step within
-    # ``steps`` fixed-point solves, for every size up to the largest measured
+    # ``steps`` fixed-point solves: the most measured over n = 2..129 and
+    # y in {0.02, 0.05, 0.1, 0.2, 0.3, 0.45}, at y = 0.45, n = 3
     real = hp._tridiagonal_solve
     solves = []
 
@@ -585,9 +586,9 @@ def test_tridiagonal_refinement_steps_from_the_float_start(monkeypatch, bits, st
         return real(D, E, s, v, tiny, F)
 
     monkeypatch.setattr(hp, "_tridiagonal_solve", counted)
-    for y in ("0.04", "0.12", "0.3"):
+    for y in ("0.02", "0.12", "0.3", "0.45"):
         p = SystemParams.from_y(y)
-        for n in (5, 13, 65, 129):
+        for n in (2, 3, 5, 13, 65, 129):
             solves.clear()
             hp.tridiagonal_min_vector(*spectral._slepian_tridiagonal(p, n, bits), bits)
             assert 0 < sum(solves) <= steps, (y, n, solves)
@@ -608,6 +609,25 @@ def test_tridiagonal_vector_is_the_least_eigenvector(n, bits):
             q = [-x for x in q]
         norm = max(map(abs, diag)) + 2 * max(map(abs, off))
         assert max(abs(a - b) for a, b in zip(v, q)) <= n * mpf(2) ** (8 - bits) * norm
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("y", ["0.001", "0.2", "0.49"])
+def test_tridiagonal_vector_is_least_from_y_near_0_to_near_half(y, bits):
+    # the binomial start is the y -> 0 limit, so y -> 1/2 starts farthest
+    # from the answer; the vector still has T's rounding-level residual, and
+    # one eigenvalue of T lies below its Rayleigh quotient + 3/4 (T's
+    # eigenvalues are about 1 apart), so the residual bounds its distance
+    # from the least eigenvector, not another one
+    p = SystemParams.from_y(y)
+    for n in (2, 5, 13, 65, 129):
+        diag, off = spectral._slepian_tridiagonal(p, n, bits)
+        v = hp.tridiagonal_min_vector(diag, off, bits)
+        with workprec(bits):
+            theta, res = _residual(_dense_tridiagonal(diag, off), v)
+            norm = max(map(abs, diag)) + 2 * max(map(abs, off))
+            assert res <= n * mpf(2) ** (8 - bits) * norm, (n, res)
+            assert _tridiagonal_below(diag, off, theta + mpf(3) / 4) == 1, n
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -430,20 +430,29 @@ def test_degrees_at_one_point_evaluate_each_level_once(monkeypatch):
 
 
 def test_reproduction_oracle_and_l0_never_load_numpy():
-    # numpy is imported on first use, by the sampled suites and the float
-    # starts of the lambda_min kernels only
+    # numpy is imported on first use, by the sampled suites and the general
+    # lambda_min kernel's float start only: no contiguous support loads it
     script = textwrap.dedent("""
         import sys
         from mpmath import mpc
         from srflimits import (CoefficientVector, SupportSet, SystemParams,
-                               arc_inner_product, build_gram, l0_solve,
-                               szego_reproduce, synthesize)
+                               arc_inner_product, build_gram, epsilon, l0_solve,
+                               leading_coeffs, smally_exponent, synthesize,
+                               szego_reproduce, verify_srf_bounds)
+        from srflimits.spectral import min_eig_for_support
         p = SystemParams.from_y("0.17", bits=128)
         szego_reproduce(p, 2, mpc(3, 1))
         arc_inner_product([0, 1], [1], p)
         build_gram(p, SupportSet.of(0, 2, 5))
         x = CoefficientVector(support=SupportSet.of(3), values=(mpc(2),))
         l0_solve(p, synthesize(p, x, SupportSet(tuple(range(6)))), 0, 2)
+        # a level below the certifying guard, and a deep ladder
+        min_eig_for_support(SystemParams.from_y("0.0401"), range(13))
+        min_eig_for_support(SystemParams.from_y("0.1"), range(65))
+        epsilon(p, 5)
+        verify_srf_bounds(p, 6)
+        smally_exponent([0, 1, 2], ["0.001", "0.002", "0.004", "0.008"])
+        leading_coeffs(p, 6)
         sys.exit("numpy was loaded" if "numpy" in sys.modules else 0)
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
