@@ -3,58 +3,44 @@
 A matrix here is any sequence of row sequences of mpmath scalars, such as
 the row tuples ``core.build_gram`` returns; nothing in this module mutates
 one, it only indexes. Most have a few rows; contiguous ladders have been
-run to 129. The pieces:
+run to 129. Every factorization and every proof runs in fixed point, on
+Python integers at scale 2^F, F = bits + FIXED_GUARD:
 
+* ``fixed_matrix``, M converted once per ladder level, each row and
+  column scaled by its own power of two (D = I on a Gram matrix),
 * ``cholesky_row``, the one row step of every Cholesky factor in the
-  package: ``hp_cholesky`` and the bordered factors of the l0 solver.
-  Each entry is an exact dot product on raw mpmath mantissas, rounded
-  once, then one division or square root,
-* Cholesky factorization with pivot diagnostics, and its solve,
-* ``factored_floor``, the Cholesky of M - s I and what it proves when it
-  factors: lambda_min(M) > s less its backward error (Higham, Sec. 10.1;
-  Rump, BIT 46, 2006), and None when it does not. _certify's enclosure
-  and the prune of the exhaustive eps_k scan both rest on it,
-* ``_certify``, the one proof of a lambda_min enclosure: a candidate
-  least eigenvector v of M, one Cholesky at the Krylov-Weinstein shift
-  s = mu - ||M v - mu v|| less a rounding guard, factored_floor of s as
-  the lower bound and the Rayleigh quotient mu of v, with its rounding,
-  as the upper bound; a shift that is not positive runs no Cholesky and
-  proves nothing,
-* ``min_eig``: the smallest eigenpair of a positive definite matrix by
-  Cholesky-based shifted inverse iteration, whose last vector _certify
-  proves. It starts from the least eigenvector in double precision
-  (``_float_start``, LAPACK's ``eigh``) and the shift below it, and
-  from a graded alternating-sign vector with lo = 0 when floats cannot
-  resolve lambda_min,
-* ``tridiagonal_min_vector``: the least eigenvector of a symmetric
-  tridiagonal matrix, from the binomial vector (-1)^j C(n-1, j) by O(n)
-  shifted inverse-iteration steps in fixed point, on Python integers at
-  scale 2^(bits + FIXED_GUARD), a candidate for _certify,
-* a precision ladder that doubles the mantissa from LADDER_START_BITS and
-  stops at the first level whose enclosure [lo, hi] of lambda_min, widened
-  by the builder's bound on its own rounding, is narrower than
-  LADDER_RELTOL lo. A level certifies the builder's candidate vector when
-  it hands one over (spectral does, on contiguous supports), and runs
-  min_eig's iteration otherwise or when that Cholesky fails. A level
-  whose certifying shift is not positive cannot stop the ladder, and
-  climbs without that Cholesky,
-* ``vandermonde_lastrow``, the last row of the inverse Vandermonde matrix
-  on integer nodes in closed form, exact rationals: the weights of the
-  small-y limit of lambda_min (spectral.smally_limit).
+  package (``hp_cholesky`` and the l0 solver's bordered factors): exact
+  dot products, one floor division per entry and one isqrt per pivot, so
+  |R R^T - A|_ij <= (2 sqrt(max A_ii) + 2) 2^-F,
+* ``factored_floor``: when M - s I factors, lambda_min(M) > s less n
+  times that bound (Wilkinson; Rump, BIT 46, 2006), the proof under
+  _certify's enclosure and the exhaustive eps_k scan's prune,
+* ``_certify``, the one proof of a lambda_min enclosure: one Cholesky at
+  the Krylov-Weinstein shift of a candidate vector v for lo, and the
+  Rayleigh quotient of v, from the exact integer M v, for hi,
+* ``min_eig``: shifted inverse iteration from a float or a graded start,
+  whose last vector _certify proves,
+* ``tridiagonal_min_vector``: Slepian's least eigenvector, a candidate for
+  _certify, by O(n) inverse-iteration steps from (-1)^j C(n-1, j),
+* ``min_eig_adaptive``, a precision ladder that doubles the mantissa from
+  LADDER_START_BITS until an enclosure of lambda_min, widened by the
+  builder's bound on its own rounding, is narrower than LADDER_RELTOL lo,
+* ``vandermonde_lastrow``, in exact rationals the weights of the small-y
+  limit of lambda_min (spectral.smally_limit).
 """
-
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isqrt, prod
+from operator import mul
 from typing import NamedTuple
 
-from mpmath import iv, mp, mpf, workprec
-from mpmath.libmp import mpf_div, mpf_mul, mpf_neg, mpf_sqrt, mpf_sum, round_nearest, to_fixed
+from mpmath import iv, mp, mpc, mpf, workprec
+from mpmath.libmp import from_float, from_int, from_man_exp, mpf_div, mpf_neg, to_fixed
+from mpmath.libmp import round_ceiling, round_nearest
 
 from .errors import (
     ConvergenceError,
@@ -72,9 +58,10 @@ LADDER_START_BITS = 128
 LADDER_RELTOL = mpf("1e-6")
 # min_eig gives up after this many inverse-iteration steps per bit
 MIN_EIG_STEPS_PER_BIT = 4
-# fixed-point work carries this many bits below a unit at ``bits``:
-# tridiagonal_min_vector's refinement, and szego_reproduce's node sums, where
-# degree m costs 2m of their units, 2^-14 of a unit at m = QUAD_NODE_CAP = 2^16
+# fixed-point work carries this many bits below a unit at ``bits``: the
+# dense kernel, tridiagonal_min_vector's refinement, and szego_reproduce's
+# node sums, where degree m costs 2m of their units, 2^-14 of a unit at
+# m = QUAD_NODE_CAP = 2^16
 FIXED_GUARD = 32
 
 
@@ -103,97 +90,122 @@ def resolve_bits(bits, name="bits") -> int:
     return default_bits() if bits is None else check_bits(bits, name)
 
 
-def _check_square(M):
-    n = len(M)
-    for row in M:
-        if len(row) != n:
-            raise DomainError("matrix must be square")
-    return n
+class FixedMatrix(NamedTuple):
+    """A symmetric M in fixed point: ``rows`` holds D M D at scale 2^frac,
+    rounded down, for D = diag(2^-exps[i]); ``diag`` is the diagonal that
+    hp_cholesky factors, M's own or M - s I's (``shifted``); ``source`` is M."""
+
+    rows: list
+    diag: list
+    exps: list
+    frac: int
+    source: object
+
+    def shifted(self, s):
+        """M - s I: diag less s 2^(frac - 2 e_i) rounded up, 2 units at most."""
+        neg = mpf_neg(s._mpf_)
+        return self._replace(diag=[row[i] + to_fixed(neg, self.frac - 2 * e)
+                                   for i, (row, e) in enumerate(zip(self.rows, self.exps))])
 
 
-def cholesky_row(L, cross, diag):
-    """Row d = len(L) of a Cholesky factor, at the ambient precision.
+def fixed_matrix(M, bits) -> FixedMatrix:
+    """M (its lower triangle is read) at scale 2^(bits + FIXED_GUARD), or M
+    itself when it is a FixedMatrix already. e_i = floor(log2(M_ii) / 2),
+    or 0 where M_ii is not positive, puts the diagonal of D M D in [1, 4):
+    an exact congruence, so it keeps the inertia, and no entry of a badly
+    scaled M is lost to the fixed point. Raises DomainError on an entry
+    that is NaN or infinite."""
+    if isinstance(M, FixedMatrix):
+        return M
+    n, frac = len(M), bits + FIXED_GUARD
+    if any(len(row) != n for row in M):
+        raise DomainError("matrix must be square")
+    exps = [0 if x[0] or not x[1] else (x[2] + x[3] - 1) >> 1
+            for x in (row[i]._mpf_ for i, row in enumerate(M))]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(M):
+        for j in range(i + 1):
+            x = row[j]._mpf_
+            if not x[1] and x[2]:
+                raise DomainError(f"matrix entry ({i}, {j}) is not finite ({row[j]})")
+            rows[i][j] = rows[j][i] = to_fixed(x, frac - exps[i] - exps[j])
+    return FixedMatrix(rows, [row[i] for i, row in enumerate(rows)], exps, frac, M)
 
-    ``L`` holds rows 0..d-1 of the factor (row i has at least i + 1
-    entries), ``cross`` the matrix entries M[d][0..d-1] and ``diag`` M[d][d],
-    all mpf. Returns the d + 1 entries l with l_i = (M[d][i] - sum_{k<i}
-    l_k L[i][k]) / L[i][i] and l_d = sqrt(M[d][d] - sum_{k<d} l_k^2).
 
-    Each numerator is one exact dot product: exact products on the raw
-    mantissas, summed by mpf_sum and rounded once (it drops only partial
-    sums more than 2 prec bits below the next term). Then one rounded
-    division or square root. An entry thus carries fewer roundings than
-    the textbook loop: for A stored at the working precision the computed
-    factor meets Higham's |R^T R - A| <= gamma_(n+1) |R^T| |R| (Accuracy
-    and Stability, Thm 10.3) with gamma_3 in place of gamma_(n+1), and
-    gamma_2 for n = 1, where no sum is rounded. Raises DomainError when
-    the pivot under the root is NaN or infinite (a non-finite entry) and
-    NotPositiveDefiniteError(d) when it is not positive.
-    """
-    prec = mp.prec
-    row, neg = [], []  # l_k and -l_k as raw mpf tuples
+def cholesky_row(L, cross, diag, frac):
+    """Row d = len(L) of a Cholesky factor in fixed point at scale 2^frac.
+
+    ``L`` holds rows 0..d-1 of the factor (row i has i + 1 entries),
+    ``cross`` the matrix entries a_d0..a_d(d-1) and ``diag`` a_dd, all
+    integers. Returns l_i = floor((a_di 2^frac - sum_{k<i} l_k L[i][k]) /
+    L[i][i]) and l_d = isqrt(a_dd 2^frac - sum_{k<d} l_k^2), each one exact
+    dot product and one rounding. For A = a 2^-frac and R = L 2^-frac,
+    (A - R R^T)_di = R_ii t with 0 <= t < 2^-frac and R_ii^2 <= A_ii, and
+    the pivot's isqrt leaves at most 2 R_dd 2^-frac, so |R R^T - A| <=
+    2 sqrt(max A_ii) 2^-frac entrywise. Raises NotPositiveDefiniteError(d)
+    when the pivot is not positive."""
+    row = []
     for c, Li in zip(cross, L):
-        s = mpf_sum([c._mpf_, *map(mpf_mul, neg, [x._mpf_ for x in Li[:len(row)]])],
-                    prec, round_nearest)
-        l = mpf_div(s, Li[len(row)]._mpf_, prec, round_nearest)
-        row.append(l)
-        neg.append(mpf_neg(l))
-    pivot = mpf_sum([diag._mpf_, *map(mpf_mul, neg, row)], prec, round_nearest)
-    sign, man, exp, _ = pivot
-    if not man and exp:
-        raise DomainError(f"matrix entry is not finite (pivot {len(row)} is "
-                          f"{mp.make_mpf(pivot)})")
-    if sign or not man:
+        row.append(((c << frac) - sum(map(mul, row, Li))) // Li[len(row)])
+    pivot = (diag << frac) - sum(x * x for x in row)
+    if pivot <= 0:
         raise NotPositiveDefiniteError(len(row))
-    row.append(mpf_sqrt(pivot, prec, round_nearest))
-    return [mp.make_mpf(x) for x in row]
+    row.append(isqrt(pivot))
+    return row
+
+
+class Factor:
+    """hp_cholesky's factor, M = D^-1 R R^T D^-1: R is ``rows``, integers at
+    scale 2^frac, D = diag(2^-exps[i]). Indexing gives row i of D^-1 R as
+    n mpf at the ambient precision, zeros above the diagonal."""
+
+    def __init__(self, rows, exps, frac):
+        self.rows, self.exps, self.frac = rows, exps, frac
+
+    def __getitem__(self, i):
+        row, shift = self.rows[i], self.exps[i] - self.frac
+        return [mpf((x, shift)) for x in row] + [mpf(0)] * (len(self.rows) - len(row))
 
 
 def hp_cholesky(M, bits):
-    """Lower-triangular L with L L^T = M, computed at ``bits`` precision,
-    as n lists of n entries (zeros above the diagonal).
-
-    Raises NotPositiveDefiniteError with the first failing pivot index,
-    which signals either a genuine singularity or insufficient precision.
+    """The Factor of M as fixed_matrix converts it at ``bits`` (or of a
+    FixedMatrix with its ``diag``). Raises NotPositiveDefiniteError with the
+    first failing pivot index, which signals either a genuine singularity or
+    insufficient precision, and DomainError on an entry that is not finite.
     """
-    n = _check_square(M)
-    with workprec(bits):
-        L = []
-        for j, row in enumerate(M):
-            L.append(cholesky_row(L, row[:j], row[j]))
-    return [row + [mpf(0)] * (n - j - 1) for j, row in enumerate(L)]
+    A = fixed_matrix(M, bits)
+    L = []
+    for i, (row, d) in enumerate(zip(A.rows, A.diag)):
+        L.append(cholesky_row(L, row[:i], d, A.frac))
+    return Factor(L, A.exps, A.frac)
 
 
-def cholesky_solve(L, b, bits):
-    """Solve (L L^T) x = b by forward/back substitution. b may be complex."""
-    n = len(L)
-    with workprec(bits):
-        y = list(b)
-        for i in range(n):
-            s = y[i]
-            for k in range(i):
-                s -= L[i][k] * y[k]
-            y[i] = s / L[i][i]
-    return back_substitute(L, y, bits=bits)
-
-
-def back_substitute(L, y, bits):
-    """Solve L^T x = y (the second half of cholesky_solve)."""
-    n = len(L)
-    with workprec(bits):
-        x = list(y)
-        for i in range(n - 1, -1, -1):
-            s = x[i]
-            for k in range(i + 1, n):
-                s -= L[k][i] * x[k]
-            x[i] = s / L[i][i]
+def back_substitute(L, y, frac):
+    """x with L^T x = y, for L's rows at scale 2^frac and y integers at any
+    one scale, x at that scale and each entry rounded down once."""
+    x = [0] * len(L)
+    for i in reversed(range(len(L))):
+        x[i] = ((y[i] << frac) - sum(L[k][i] * x[k] for k in range(i + 1, len(L)))) // L[i][i]
     return x
 
 
-def _shifted(M, s):
-    """M - s*I as a new matrix."""
-    return [[x - s if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(M)]
+def cholesky_solve(L, b, bits):
+    """x = D (R R^T)^-1 D b with M x = b, for L = hp_cholesky(M, bits). For
+    integer b, x is integers at b's scale times 2^(2 max e_i), each step
+    rounded down once; for mpf or mpc b, x is mpf or mpc at ``bits``,
+    solved from b in fixed point, its largest entry at 2^F."""
+    F, exps, top = L.frac, L.exps, max(L.exps)
+    if all(type(t) is int for t in b):
+        y = []
+        for Li, t, e in zip(L.rows, b, exps):
+            y.append(((t << F + top - e) - sum(map(mul, Li, y))) // Li[len(y)])
+        return [t << top - e for t, e in zip(back_substitute(L.rows, y, F), exps)]
+    with workprec(bits):
+        b = [mpc(t) for t in b]
+        g = F - max([mp.mag(t) for t in b if t] or [0])
+        re, im = ([mpf((x, -g - 2 * top)) for x in cholesky_solve(L, part, bits)]
+                  for part in zip(*([to_fixed(x, g) for x in t._mpc_] for t in b)))
+        return [mpc(*z) for z in zip(re, im)] if any(t.imag for t in b) else re
 
 
 @contextmanager
@@ -221,77 +233,48 @@ def iv_ends(x) -> Enclosure:
         return Enclosure(mpf(x.a), mpf(x.b))
 
 
-@lru_cache(maxsize=256)
-def _rounding_factors(n, bits):
-    """Upper bounds, from mpmath.iv, on the constant factors of min_eig's
-    enclosure for n rows at u = 2^-bits, with gamma_k = k u / (1 - k u):
-
-    * (g / (1 - g) + u)(1 + 2u), g = gamma_(n+1): factored_floor's slack
-      per unit of the trace, which fsum rounds once;
-    * g (2 + g) n / (1 - g) and 1 + g, g = gamma_n: the Rayleigh ceiling's.
-    """
-    with iv_workprec(bits):
-        u = iv.mpf(2) ** -bits
-        g1 = (n + 1) * u / (1 - (n + 1) * u)
-        g = n * u / (1 - n * u)
-        factors = ((g1 / (1 - g1) + u) * (1 + 2 * u), g * (2 + g) * n / (1 - g), 1 + g)
-        return tuple(iv_ends(f)[1] for f in factors)
-
-
-def _factor(M, s, bits):
-    """hp_cholesky of M - s I at ``bits``, or None when it does not factor."""
-    with workprec(bits):
-        try:
-            return hp_cholesky(_shifted(M, s), bits=bits)
-        except NotPositiveDefiniteError:
-            return None
+def _factor(A, bits):
+    """hp_cholesky of the FixedMatrix A, or None when it does not factor."""
+    try:
+        return hp_cholesky(A, bits=bits)
+    except NotPositiveDefiniteError:
+        return None
 
 
 def factored_floor(M, s, bits, radius=0):
     """A proven lower bound on lambda_min(M + E) for every symmetric E with
     ||E||_2 <= ``radius`` when hp_cholesky of M - s I factors at ``bits``:
-    s - (g / (1 - g) + u) tr(A) - radius, where A is M - s I as stored at
-    ``bits``, u = 2^-bits and g = gamma_(n+1). None when it does not
-    factor, which means only that this precision proves nothing.
-
-    The computed factor R has R^T R = A + dA with |dA| <= g |R^T| |R|
-    (Higham, Accuracy and Stability, Sec. 10.1, Thm 10.3); cholesky_row
-    meets it with gamma_3 (gamma_2 when n = 1), at most g. Column i of R
-    has squared norm at most a_ii / (1 - g), so ||dA||_2 <= g / (1 - g)
-    tr(A), and R^T R is positive definite: lambda_min(A) > -||dA||_2
-    (Rump, BIT 46, 2006).
-    The rounding of the shift into A's diagonal adds at most u tr(A), and
-    Weyl's inequality the radius. Every step rounds toward a lower bound.
+    s - n (2 sqrt(max A_ii) + 2) 2^-F max_i 4^e_i - radius, where A is
+    D (M - s I) D as stored at scale 2^F and D = diag(2^-e_i) is
+    fixed_matrix's scaling. None when it does not factor, which means only
+    that this precision proves nothing. A is within 2 units of 2^-F of
+    D (M - s I) D and cholesky_row's R R^T within 2 sqrt(max A_ii) 2^-F of
+    A, so R R^T = D (M - s I) D + dA with ||dA||_2 <= n max |dA_ij|. R R^T
+    is positive definite, so lambda_min(D (M - s I) D) > -||dA||_2 (Rump,
+    BIT 46, 2006) and x^T (M - s I) x > -||dA||_2 ||D^-1 x||^2. Weyl's
+    inequality adds the radius; every step rounds toward a lower bound.
     """
-    n = len(M)
-    if _factor(M, s, bits) is None:
+    A = fixed_matrix(M, bits).shifted(s)
+    if _factor(A, bits) is None:
         return None
+    err = len(A.diag) * (2 * isqrt(max(A.diag) << A.frac) + 2 + (2 << A.frac))  # at 2^(2F)
     with workprec(bits):
-        trace = mp.fsum(M[i][i] - s for i in range(n))
-        slack = mp.fmul(_rounding_factors(n, bits)[0], trace, rounding="c")
+        slack = mp.make_mpf(from_man_exp(err, 2 * (max(A.exps) - A.frac), bits, round_ceiling))
         return mp.fsub(mp.fsub(s, slack, rounding="f"), radius, rounding="f")
 
 
-def _rayleigh_ceiling(M, v, mu, bits, radius):
-    """A proven upper bound on lambda_min(M + E), ||E||_2 <= ``radius``, from
-    mu = v^T (M v) as min_eig computes it with fdot at ``bits``.
+def _rayleigh_ceiling(A, mu, bits, radius):
+    """A proven upper bound on lambda_min(M + E), ||E||_2 <= ``radius``, for
+    the FixedMatrix A of M, from mu as _unit_rayleigh rounds it.
 
-    The exact Rayleigh quotient q / w, q = v^T M v and w = v^T v, is at
-    least lambda_min(M). Each n-term dot product rounds by at most
-    g = gamma_n times its sum of magnitudes, so the computed w_c is within
-    g w of w, and mu within g (2 + g) |v|^T |M| |v| <= g (2 + g) n
-    max|M_ij| w of q. Hence q / w <= max(mu + c max|M_ij| w_c, 0) (1 + g)
-    / w_c with c = g (2 + g) n / (1 - g). Every step rounds up.
-    """
-    n = len(M)
-    _, c, one_plus_g = _rounding_factors(n, bits)
+    _unit_rayleigh's quotient of its integer vector v is exact for the
+    stored D M D + E0, |E0_ij| < 2^-F, and mu is it rounded once to
+    nearest. v^T M v / v^T v, at least lambda_min(M), is within ||E0||_2
+    ||D^-1 v||^2 / ||v||^2 <= n 2^-F max_i 4^e_i of it. Rounds up."""
     with workprec(bits):
-        w = mp.fdot(v, v)
-        largest = max(abs(x) for row in M for x in row)
-        q = mp.fadd(mu, mp.fmul(mp.fmul(c, largest, rounding="c"), w, rounding="c"),
-                    rounding="c")
-        ceiling = mp.fdiv(mp.fmul(max(q, 0), one_plus_g, rounding="c"), w, rounding="c")
-        return mp.fadd(ceiling, radius, rounding="c")
+        err = mpf((len(A.rows), 2 * max(A.exps) - A.frac))
+        hi = mp.fadd(mu, mp.ldexp(abs(mu), 1 - bits), rounding="c")
+        return mp.fadd(mp.fadd(hi, err, rounding="c"), radius, rounding="c")
 
 
 def min_eig(M, bits):
@@ -315,12 +298,8 @@ def min_eig(M, bits):
     The iteration stops when the residual reaches n 2^(8-bits) max_i M_ii
     or when mu - lo <= 2^(8-bits) mu.
 
-    The last vector is then certified as any candidate is (_certify):
-    M - s I must factor at its Krylov-Weinstein shift s = mu - ||M v -
-    mu v|| - n 2^(8-bits) max_i M_ii. By Sylvester's law of inertia no
-    eigenvalue lies below s, so mu is within its residual and that guard
-    of the smallest eigenvalue, not of a larger one. A shift s <= 0
-    (lambda_min below that guard) is not tried.
+    The last vector is then certified as any candidate is (_certify), so
+    that mu is near the smallest eigenvalue, not a larger one.
 
     Raises NotPositiveDefiniteError when M or a positive shift s does not
     factor at this precision (too few bits), and ConvergenceError after
@@ -335,31 +314,38 @@ def min_eig(M, bits):
 
 
 def _unit_rayleigh(M, x, bits):
-    """(v, mu, res) at ``bits``: the unit vector v = x / ||x||, its Rayleigh
-    quotient mu and its residual norm ||M v - mu v||."""
+    """(v, mu, res) for M or its FixedMatrix: v = x / ||x|| as integers at
+    scale 2^G, G = F + max e_i - min e_i (F on a Gram matrix, and fine
+    enough that no large M_ii magnifies v's rounding), its Rayleigh
+    quotient mu, rounded once to ``bits`` from the exact M v of the stored
+    D M D, and res = ||M v - mu v||, rounded down. ``x`` is mpf values or
+    integers at any one scale."""
+    A = fixed_matrix(M, bits)
+    F, exps, low = A.frac, A.exps, min(A.exps)
+    G = F + max(exps) - low
+    x = [t if type(t) is int else to_fixed(t._mpf_, G) for t in x]
+    norm = isqrt(sum(t * t for t in x))
+    v = [(t << G) // norm for t in x]
+    u = [t << e - low for t, e in zip(v, exps)]
+    Mv = [sum(map(mul, row, u)) << e - low for row, e in zip(A.rows, exps)]  # 2^(F + G - 2 low)
+    q, w = sum(map(mul, v, Mv)), sum(t * t for t in v)
+    mu = mp.make_mpf(mpf_div(from_man_exp(q, 2 * low - F), from_int(w), bits, round_nearest))
+    fixed_mu = (q << G) // w
+    res = isqrt(sum((a - (fixed_mu * t >> G)) ** 2 for a, t in zip(Mv, v)))
     with workprec(bits):
-        norm = mp.sqrt(mp.fdot(x, x))
-        v = [t / norm for t in x]
-        Mv = [mp.fdot(row, v) for row in M]
-        mu = mp.fdot(v, Mv)
-        r = [a - mu * b for a, b in zip(Mv, v)]
-        return v, mu, mp.sqrt(mp.fdot(r, r))
+        return v, mu, mpf((res, 2 * low - F - G))
 
 
-def _sign_fixed(v, bits):
-    """v or -v, whichever makes positive the lowest-index entry whose
-    magnitude is within 2^-(bits/2) of the largest. Such magnitudes are
-    tied (they are, exactly, for the antisymmetric vector of a symmetric
-    support), so rounding cannot pick the sign."""
-    top = max(abs(x) for x in v) - mpf(2) ** (-bits // 2)
-    return tuple(-x for x in v) if next(x for x in v if abs(x) >= top) < 0 else tuple(v)
-
-
-def _graded(n):
-    """The start vector of _min_eig's mpf fallback: alternating signs,
-    graded so that it is not orthogonal to the reflection-symmetric
-    eigenvectors of a symmetric support."""
-    return [(1 - 2 * (i % 2)) * (1 + mpf(i) / (2 * n)) for i in range(n)]
+def _sign_fixed(v, bits, F):
+    """v, integers at scale 2^F, as mpf at ``bits``, or -v, whichever makes
+    positive the lowest-index entry whose magnitude is within 2^-(bits/2)
+    of the largest. Such magnitudes are tied (they are, exactly, for the
+    antisymmetric vector of a symmetric support), so rounding cannot pick
+    the sign."""
+    top = max(map(abs, v)) - (1 << F + (-bits) // 2)
+    sign = -1 if next(x for x in v if abs(x) >= top) < 0 else 1
+    with workprec(bits):
+        return tuple(mpf((sign * x, -F)) for x in v)
 
 
 def _float_start(M):
@@ -392,31 +378,33 @@ def _float_start(M):
 def _min_eig(M, bits, radius=0):
     """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
     every symmetric E with ||E||_2 <= ``radius``: _certify of the
-    iteration's last vector. The start is _float_start's vector and shift
-    when that shift factors at ``bits``, else the graded vector and lo = 0;
-    either way only the start moves, never what _certify proves."""
+    iteration's last vector. M may be a FixedMatrix. The start is
+    _float_start's vector and shift when that shift factors at ``bits``,
+    else the graded vector and lo = 0; either way only the start moves,
+    never what _certify proves."""
     max_steps = MIN_EIG_STEPS_PER_BIT * bits
-    n = _check_square(M)
+    A = fixed_matrix(M, bits)
+    n, F = len(A.rows), A.frac
     with workprec(bits):
-        start, L = _float_start(M), None
+        start, L = _float_start(A.source), None
         if start is not None:
-            v, lo = [mpf(t) for t in start[0]], mpf(start[1])
-            L = _factor(M, lo, bits)
-        if L is None:
-            L, lo, v = hp_cholesky(M, bits=bits), mpf(0), _graded(n)
+            v, lo = [to_fixed(from_float(t), F) for t in start[0]], mpf(start[1])
+            L = _factor(A.shifted(lo), bits)
+        if L is None:  # graded, so not orthogonal to a symmetric support's eigenvectors
+            L, lo, v = hp_cholesky(A, bits=bits), mpf(0), [
+                (-1) ** i * ((2 * n + i) << F) // (2 * n) for i in range(n)]
         tol = mpf(2) ** (8 - bits)
-        res_tol = n * tol * max(M[i][i] for i in range(n))
-        hi = mp.inf
-        failed = False
+        res_tol = n * tol * max(A.source[i][i] for i in range(n))
+        hi, failed = mp.inf, False
         for _ in range(max_steps):
-            v, mu, res = _unit_rayleigh(M, cholesky_solve(L, v, bits=bits), bits)
+            v, mu, res = _unit_rayleigh(A, cholesky_solve(L, v, bits=bits), bits)
             if res <= res_tol or mu - lo <= tol * mu:
-                return _certify(M, (v, mu, res), bits, radius)
+                return _certify(A, (v, mu, res), bits, radius)
             hi = min(hi, mu)
             s = mu - res
             if failed or not lo < s < hi:
                 s = (lo + hi) / 2
-            factor = _factor(M, s, bits)
+            factor = _factor(A.shifted(s), bits)
             if factor is None:
                 hi, failed = s, True
             else:
@@ -429,17 +417,18 @@ def _min_eig(M, bits, radius=0):
 def _certify(M, rayleigh, bits, radius=0):
     """(mu, v, (lo, hi)) as _min_eig returns them, from ``rayleigh`` = (v,
     mu, res), _unit_rayleigh at ``bits`` of a candidate least eigenvector
-    of M, and one Cholesky. Every lambda_min enclosure is proven here, and
-    only here is its shift formed.
+    of M (or of its FixedMatrix), and one Cholesky. Every lambda_min
+    enclosure is proven here, and only here is its shift formed.
 
     The Krylov-Weinstein bound puts an eigenvalue within res of mu, so
     when v is close to the least eigenvector, M - s I factors at the shift
     s = mu - res - n 2^(8-bits) max_i M_ii; the guard, the residual stop
-    of _min_eig, covers the rounding of mu, res and of the Cholesky
-    itself. lo is factored_floor of s and hi the Rayleigh ceiling of v;
-    the sign of v follows min_eig's rule. Raises NotPositiveDefiniteError
-    when M - s I does not factor: then v is not the least eigenvector (or
-    these bits cannot tell), and nothing is proven.
+    of _min_eig, covers the rounding of mu and res and, many times over,
+    the Cholesky's n (2 sqrt(max A_ii) + 2) 2^-F. lo is factored_floor of
+    s and hi the Rayleigh ceiling of mu; the sign of v follows min_eig's
+    rule. Raises NotPositiveDefiniteError when M - s I does not factor:
+    then v is not the least eigenvector (or these bits cannot tell), and
+    nothing is proven.
 
     A shift s <= 0 gives (mu, v, None) and no Cholesky runs, as when
     lambda_min lies below the rounding guard. The ladder stops only on
@@ -449,16 +438,17 @@ def _certify(M, rayleigh, bits, radius=0):
     iteration can prove no positive lo either.
     """
     v, mu, res = rayleigh
-    n = len(M)
+    A = fixed_matrix(M, bits)
+    v = _sign_fixed(v, bits, A.frac + max(A.exps) - min(A.exps))  # _unit_rayleigh's G
     with workprec(bits):
-        s = mu - res - n * mpf(2) ** (8 - bits) * max(M[i][i] for i in range(n))
+        s = mu - res - mp.ldexp(len(A.rows), 8 - bits) * max(r[i] for i, r in enumerate(A.source))
         if s <= 0:
-            return mu, _sign_fixed(v, bits), None
-        lo = factored_floor(M, s, bits, radius)
+            return mu, v, None
+        lo = factored_floor(A, s, bits, radius)
         if lo is None:
             raise NotPositiveDefiniteError(
                 None, f"the candidate's shift mu - res does not factor at {bits} bits")
-        return mu, _sign_fixed(v, bits), (lo, _rayleigh_ceiling(M, v, mu, bits, radius))
+        return mu, v, (lo, _rayleigh_ceiling(A, mu, bits, radius))
 
 
 def _tridiagonal_solve(D, E, s, v, tiny, F):
@@ -586,12 +576,13 @@ def min_eig_adaptive(builder) -> MinEigResult:
 def _level(M, bits, radius, candidate):
     """One ladder level: the candidate certified by _certify, or _min_eig
     when there is none or its shift does not factor."""
+    A = fixed_matrix(M, bits)
     if candidate is not None:
         try:
-            return _certify(M, _unit_rayleigh(M, candidate, bits), bits, radius)
+            return _certify(A, _unit_rayleigh(A, candidate, bits), bits, radius)
         except NotPositiveDefiniteError:
             pass
-    return _min_eig(M, bits, radius)
+    return _min_eig(A, bits, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import mpf_neg, to_fixed
 
 from .checks import bound_check
 from .core import (
@@ -32,7 +33,7 @@ from .errors import (
     PrecisionError,
     ThresholdTieError,
 )
-from .hp import MAX_BITS, back_substitute, cholesky_row, resolve_bits
+from .hp import FIXED_GUARD, MAX_BITS, back_substitute, cholesky_row, fixed_matrix, resolve_bits
 from .spectral import CONTIGUOUS, epsilon, loglog_fit
 
 DEFAULT_WINDOW_CAP = 16
@@ -82,16 +83,19 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap) -> Recove
         guard = mpf(2) ** (-bits // 2) * (1 + fnorm2)
         target = sigma * sigma + guard
         b_window = [mp.fdot(row, f.coeffs) for row in G]  # G_W coeffs
+        frac = bits + FIXED_GUARD  # proj is ||z||^2 at scale 2^(2 frac)
+        need = -to_fixed(mpf_neg((fnorm2 - target)._mpf_), 2 * frac)  # least feasible proj
         examined = 0
         for s in range(0, k_cap + 1):
-            for idx, L, z, proj in _factored_supports(G, b_window, s):
+            for idx, L, z, proj in _factored_supports(G, b_window, s, bits):
                 examined += 1
-                if fnorm2 - proj > target:
+                if proj < need:
                     continue
                 if s == 0:
                     residual = mp.sqrt(fnorm2) if fnorm2 > 0 else mpf(0)
                     return RecoveryResult(None, None, 0, residual, examined, norm)
-                x = back_substitute(L, z, bits=bits)
+                x = [mpc(mpf((re, -frac)), mpf((im, -frac)))
+                     for re, im in zip(*(back_substitute(L, part, frac) for part in zip(*z)))]
                 # report ||f||^2 - Re b* x from the coefficients the estimate
                 # carries, not the running ||z||^2 that decided feasibility
                 b = [b_window[i] for i in idx]
@@ -110,19 +114,22 @@ def l0_solve(params: SystemParams, f: MeasurementVector, sigma, k_cap) -> Recove
     )
 
 
-def _factored_supports(G, b, s):
+def _factored_supports(G, b, s, bits):
     """(idx, L, z, proj) for every s-subset idx of range(len(G)), in
-    itertools.combinations order. L is the Cholesky factor of G over idx,
-    z solves L z = b[idx], and proj = ||z||^2 = b* G_idx^-1 b.
+    itertools.combinations order, in fixed point at scale 2^F, F = bits +
+    FIXED_GUARD, for a Gram matrix G (hp.fixed_matrix scales nothing): L is
+    the Cholesky factor of G over idx, z the (re, im) pairs with L z =
+    b[idx], and proj = ||z||^2 = b* G_idx^-1 b at scale 2^(2F).
 
     Consecutive subsets share prefixes, so each prefix is factored once and
     a subset costs one bordered row of L, built by hp.cholesky_row as every
-    row of hp_cholesky is, and one entry of z, the forward substitution of
-    cholesky_solve. L and z are the walk's own lists, valid only until the
-    next item is drawn. Runs at the ambient precision.
+    row of hp_cholesky is, and one forward-substitution step for z. L and
+    z are the walk's own lists, valid only until the next item is drawn.
     """
-    n = len(G)
-    idx, L, z, projs = [], [], [], [mpf(0)]
+    A = fixed_matrix(G, bits)
+    F, n = A.frac, len(G)
+    b = [(to_fixed(t.real._mpf_, F), to_fixed(t.imag._mpf_, F)) for t in map(mpc, b)]
+    idx, L, z, projs = [], [], [], [0]
 
     def walk(start):
         depth = len(idx)
@@ -130,15 +137,13 @@ def _factored_supports(G, b, s):
             yield tuple(idx), L, z, projs[-1]
             return
         for j in range(start, n - s + depth + 1):
-            row = cholesky_row(L, [G[j][p] for p in idx], G[j][j])
-            acc = b[j]
-            for m in range(depth):
-                acc -= row[m] * z[m]
-            zj = acc / row[depth]
+            row = cholesky_row(L, [A.rows[j][p] for p in idx], A.rows[j][j], F)
+            zj = tuple(((t << F) - sum(r * p[k] for r, p in zip(row, z))) // row[depth]
+                       for k, t in enumerate(b[j]))
             idx.append(j)
             L.append(row)
             z.append(zj)
-            projs.append(projs[-1] + (zj * mp.conj(zj)).real)
+            projs.append(projs[-1] + zj[0] * zj[0] + zj[1] * zj[1])
             yield from walk(j + 1)
             idx.pop()
             L.pop()

@@ -155,6 +155,9 @@ def szego_kernel(params: SystemParams, zeta, z):
 # each node legendre_nodes returns, and the sum of its weights' errors, lie
 # within 2^-(bits + NODE_GUARD) of the exact rule's
 NODE_GUARD = 8
+# legendre_nodes costs about n^3 (bits + NODE_GUARD); a rule at this cap takes
+# under a second on a 2-CPU VM: 0.37-0.76 s at (200, 256), 0.56-0.95 s at (160, 512)
+NODE_COST_CAP = 2 ** 31
 
 _NODE_CACHE = {}
 
@@ -335,15 +338,16 @@ def arc_rule(f_coeffs, g_coeffs, params: SystemParams, bits=None):
 
     n is the least size whose truncation bound is at most the rounding term
     with n = 0: searched in floats over rho, then checked outward in
-    mpmath.iv, where the error is also summed. Raises ConvergenceError when
-    n exceeds QUAD_NODE_CAP (read at call time), before any rule is built.
+    mpmath.iv, where the error is also summed. Raises ConvergenceError,
+    before any rule is built, when n > QUAD_NODE_CAP or n^3 (bits +
+    NODE_GUARD) > NODE_COST_CAP (both read at call time).
     """
     bits = params.bits if bits is None else check_bits(bits)
     P, Q = _coefficients(f_coeffs, bits), _coefficients(g_coeffs, bits)
     n, unit = _rule(params.y, max(len(P) - 1, 0) + max(len(Q) - 1, 0), bits)
-    if n > QUAD_NODE_CAP:
-        raise ConvergenceError(f"arc_inner_product needs a {n}-point rule, above "
-                               f"QUAD_NODE_CAP = {QUAD_NODE_CAP}")
+    if n > QUAD_NODE_CAP or n ** 3 * (bits + NODE_GUARD) > NODE_COST_CAP:
+        raise ConvergenceError(f"arc_inner_product needs a {n}-point rule at {bits} bits, "
+                               f"above QUAD_NODE_CAP or NODE_COST_CAP")
     with iv_workprec(53):
         A = 1
         for coeffs in (P, Q):  # ||.||_1 <= sum |Re a| + |Im a|
@@ -655,7 +659,7 @@ def leading_coeffs(params: SystemParams, n_max, bits=None) -> OrthoPolyTable:
     G = build_gram(params, SupportSet(tuple(range(n_max + 1))), bits=bits)
     L = hp_cholesky(G, bits=bits)
     with workprec(bits):
-        ks = tuple(1 / L[i][i] for i in range(n_max + 1))
+        ks = tuple(1 / mpf((row[-1], e - L.frac)) for row, e in zip(L.rows, L.exps))
     return OrthoPolyTable(n_max=n_max, k_values=ks, bits=bits)
 
 

@@ -17,6 +17,7 @@ from srflimits import SupportSet, SystemParams, build_gram
 from srflimits.acceptance import _lambda_min_bisect, inertia_below
 from srflimits import hp
 from srflimits.core import gram_radius
+from srflimits.recovery import _factored_supports
 from srflimits.spectral import min_eig_for_support, reflection_representatives
 from srflimits.errors import (
     DomainError,
@@ -86,35 +87,55 @@ def exact(x):
     return (-1) ** sign * man * Fraction(2) ** exp
 
 
+def meets_fixed_point_bound(R, A, frac):
+    """|R R^T - A|_ij <= (2 sqrt(max A_ii) + 2) 2^-frac for every i, j, with
+    R and A as Fractions, checked exactly: the bound factored_floor rests
+    on. Returns the largest (|R R^T - A| 2^frac - 2) / 2 seen, squared
+    where positive, over max A_ii, which must not exceed 1."""
+    n, top = len(A), max(A[i][i] for i in range(len(A)))
+    worst = Fraction(0)
+    for i in range(n):
+        for j in range(i + 1):
+            err = abs(sum(R[i][k] * R[j][k] for k in range(j + 1)) - A[i][j])
+            excess = (err * 2 ** frac - 2) / 2  # must be at most sqrt(top)
+            if excess > 0:
+                worst = max(worst, excess * excess / top)
+    return worst
+
+
 @pytest.mark.parametrize("y", ["0.04", "0.1", "0.3"])
-def test_cholesky_meets_higham_backward_error_bound(y):
-    # |R^T R - A| <= gamma_(n+1) |R^T| |R| entrywise (Higham, Thm 10.3), the
-    # bound factored_floor rests on, checked exactly for A as handed to
-    # hp_cholesky: contiguous Gram matrices, unshifted and at a shift just
-    # below lambda_min, such as factored_floor trusts
+def test_cholesky_meets_fixed_point_backward_error_bound(y):
+    # |R R^T - A| <= (2 sqrt(max A_ii) + 2) 2^-F entrywise, F = bits +
+    # FIXED_GUARD, checked exactly for A = G - s I as hp_cholesky gets it:
+    # contiguous Gram matrices and one gapped one, unshifted and at a shift
+    # just below lambda_min, such as factored_floor trusts, and the bordered
+    # factors of the l0 walk
     p = SystemParams.from_y(y)
     worst = 0
-    for n in (2, 5, 9, 13, 16):
-        T = SupportSet(tuple(range(n)))
+    for offsets in [tuple(range(n)) for n in (2, 5, 9, 13, 16)] + [(0, 2, 5, 6, 9)]:
+        T = SupportSet(offsets)
         lam = min_eig_adaptive(gram_builder(y, T)).value
         for bits in (128, 256):
             G = build_gram(p, T, bits=bits)
             with workprec(bits):
-                shifted = hp._shifted(G, lam * (1 - mpf(2) ** -20))
-            for A in (G, shifted):
+                s = lam * (1 - mpf(2) ** -20)
+            for shift in (mpf(0), s):
+                A = hp.fixed_matrix(G, bits).shifted(shift)
                 L = hp_cholesky(A, bits=bits)
-                u = Fraction(1, 2 ** bits)
-                gamma = (n + 1) * u / (1 - (n + 1) * u)
-                R = [[exact(x) for x in row] for row in L]
-                for i in range(n):
-                    for j in range(i + 1):
-                        dot = sum(R[i][k] * R[j][k] for k in range(j + 1))
-                        bound = gamma * sum(abs(R[i][k] * R[j][k]) for k in range(j + 1))
-                        err = abs(dot - exact(A[i][j]))
-                        assert err <= bound, (n, bits, i, j)
-                        if bound:
-                            worst = max(worst, err / bound)
-    assert worst < Fraction(1, 2)
+                assert L.exps == [0] * len(G)  # D = I on a Gram matrix
+                R = [[Fraction(x, 2 ** L.frac) for x in row] for row in L.rows]
+                exact_A = [[exact(x) - (exact(shift) if i == j else 0)
+                            for j, x in enumerate(row)] for i, row in enumerate(G)]
+                worst = max(worst, meets_fixed_point_bound(R, exact_A, L.frac))
+    # every bordered row of the l0 walk over a 7-atom window, to size 4
+    bits = 128
+    G = build_gram(p, SupportSet((0, 1, 3, 4, 6, 8, 9)), bits=bits)
+    frac = bits + hp.FIXED_GUARD
+    for idx, L, _, _ in _factored_supports(G, [mpf(1)] * len(G), 4, bits):
+        R = [[Fraction(x, 2 ** frac) for x in row] for row in L]
+        worst = max(worst, meets_fixed_point_bound(
+            R, [[exact(G[i][j]) for j in idx] for i in idx], frac))
+    assert worst <= 1
 
 
 @pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf], ids=["nan", "+inf", "-inf"])
@@ -488,6 +509,25 @@ def test_float_start_falls_back_to_the_graded_start(monkeypatch, run):
     assert run() == result
 
 
+@pytest.mark.parametrize("M, exps", [
+    ([[mpf(1), mpf(1)], [mpf(1), mpf(2) ** 600]], [0, 300]),
+    ([[mpf(2) ** -600, mpf(2) ** -601], [mpf(2) ** -601, mpf(1)]], [-300, 0]),
+], ids=["2^600", "2^-600"])
+def test_badly_scaled_matrix_keeps_its_small_entries(monkeypatch, M, exps):
+    # diagonal entries 2^600 apart: one fixed-point scale for the whole
+    # matrix would truncate the small ones, and rounding the least
+    # eigenvector at one scale would let the large one magnify it. Row and
+    # column i scaled by 2^-e_i, and the vector kept fine enough, give
+    # lambda_min to working precision from the float and the graded start
+    assert hp.fixed_matrix(M, 128).exps == exps
+    with workprec(512):
+        a, b, c = M[0][0], M[0][1], M[1][1]
+        lam = (a * c - b * b) / ((a + c) / 2 + mp.sqrt(((a - c) / 2) ** 2 + b * b))
+    for start in (hp._float_start, lambda M: None):
+        monkeypatch.setattr(hp, "_float_start", start)
+        assert abs(hp._min_eig(M, 128)[0] - lam) <= mpf(2) ** -120 * lam
+
+
 def test_eigh_failure_falls_back_to_the_graded_start(monkeypatch):
     # a LinAlgError from LAPACK is a float start that gives up, not an error
     M = build_gram(SystemParams.from_y("0.1"), SupportSet((0, 2, 5, 6, 9)), bits=128)
@@ -536,12 +576,13 @@ def test_gapped_enclosure_is_as_narrow_as_the_guard(y, offsets):
 
 def test_factored_floor_stays_below_a_shift_that_factors_by_rounding():
     # contiguous n = 10 at y = 0.1, 128 bits: M - s I factors for a shift s
-    # 2^-132 above lambda_min(M), inside the rounding floor; the backward
-    # error still puts the proven bound below lambda_min
+    # 2^-168 above lambda_min(M), inside the fixed-point rounding floor
+    # n (2 + 2) 2^-160; the backward error still puts the proven bound
+    # below lambda_min
     M = build_gram(SystemParams.from_y("0.1"), SupportSet(tuple(range(10))), bits=128)
     lam = min_eig(M, bits=512)[0]
     with workprec(128):
-        s = lam + mpf(2) ** -132
+        s = lam + mpf(2) ** -168
     assert inertia_below(M, s, 512) == 1
     floor = factored_floor(M, s, 128)
     assert floor is not None
@@ -577,7 +618,7 @@ def test_min_eig_below_the_rounding_guard_makes_no_certifying_cholesky(monkeypat
     mu, v, enclosure = hp._min_eig(M, 128)
     assert calls == [128] and enclosure is None
     last_v, last_mu, _ = rayleighs[-1]
-    assert mu == last_mu and v == hp._sign_fixed(last_v, 128)
+    assert mu == last_mu and v == hp._sign_fixed(last_v, 128, 128 + hp.FIXED_GUARD)
     with workprec(128):
         assert 0 < mu < 13 * mpf(2) ** -120
 

@@ -415,13 +415,14 @@ def test_prune_never_skips_a_reflection_tie():
 
 
 def test_prune_guard_refuses_within_backward_error():
-    # G - lam (1 + 2^-20) I plainly factors for lam = 2^-110, but the
-    # margin lam 2^-20 is under the Cholesky's backward error, about
-    # 4 2^-128 tr(G) = 2^-124.4, so nothing is proven; at 2^-100 it is
+    # G - lam (1 + 2^-20) I plainly factors for lam = 2^-140, but the
+    # margin lam 2^-20 is under the fixed-point Cholesky's backward error,
+    # n (2 sqrt(max A_ii) + 2) 2^-160 = 12 2^-160 = 2^-156.4, so nothing is
+    # proven; at 2^-100, past gram_radius too, it is
     p = SystemParams.from_y("0.2")
     T = SupportSet.of(0, 4, 9)
     G = build_gram(p, T, bits=128)
-    lam = mpf(2) ** -110
+    lam = mpf(2) ** -140
     floor = factored_floor(G, lam * (1 + mpf(2) ** -20), 128)
     assert floor is not None
     assert floor < lam

@@ -572,6 +572,25 @@ def test_legendre_oracle_raises_before_building_a_rule_above_the_cap(monkeypatch
     assert list(szego._NODE_CACHE) == [(31, 128)]
 
 
+def test_legendre_oracle_refuses_a_rule_too_costly_to_certify(monkeypatch):
+    # the node certificate costs about n^3 (bits + NODE_GUARD): a degree-400
+    # monomial at y = 0.3 and 128 bits needs a rule far below QUAD_NODE_CAP
+    # but above NODE_COST_CAP, refused before legendre_nodes is ever called;
+    # criterion 11's rules, up to z^20 at 128 bits, stay far below the cap
+    def never(n, bits):
+        raise AssertionError(f"legendre_nodes({n}, {bits}) was called")
+
+    monkeypatch.setattr(szego, "legendre_nodes", never)
+    p = SystemParams.from_y("0.3", bits=128)
+    n = szego._rule(p.y, 400, 128)[0]
+    assert n <= szego.QUAD_NODE_CAP and n ** 3 * (128 + szego.NODE_GUARD) > szego.NODE_COST_CAP
+    for call in (arc_rule, arc_inner_product):
+        with pytest.raises(ConvergenceError):
+            call([0] * 400 + [1], [1], p)
+    small = szego._rule(SystemParams.from_y("0.1").y, 20, 128)[0]
+    assert 2 ** 8 * small ** 3 * (128 + szego.NODE_GUARD) <= szego.NODE_COST_CAP
+
+
 @pytest.mark.parametrize("n, bits", [(1, 128), (2, 128), (13, 128), (22, 256),
                                      (35, 256), (20, 512)])
 def test_legendre_nodes_are_symmetric_and_integrate_even_powers(n, bits):
@@ -630,6 +649,39 @@ def test_leading_coeffs_k0_and_k1():
         g = gram_entry(p, 1)
         assert abs(k1m2 - (1 - g * g)) < mpf(2) ** (-240)
         assert abs(k1m2 - lit("0.0324687907249210178")) < lit("1e-17")
+
+
+@pytest.mark.parametrize("y", ["0.04", "0.12", "0.3"])
+def test_leading_coeffs_are_the_ldlt_pivots(y):
+    # k_n^-2 is the n-th pivot of the LDL^T factorization of the contiguous
+    # Gram matrix, to 1e-30 relative as srfbench's oracle checks it: the
+    # pivots eliminated here in mpf at 1024 bits, k_n from the 512-bit
+    # fixed-point Cholesky
+    p = SystemParams.from_y(y, bits=512)
+    ks = leading_coeffs(p, 12, bits=512).k_values
+    with workprec(1024):
+        A = [list(row) for row in build_gram(p, SupportSet(tuple(range(13))), bits=1024)]
+        for n, k in enumerate(ks):
+            pivot = A[n][n]
+            assert abs(1 / (k * k) - pivot) <= mpf("1e-30") * pivot, n
+            for i in range(n + 1, 13):
+                f = A[i][n] / pivot
+                for j in range(n + 1, 13):
+                    A[i][j] -= f * A[n][j]
+
+
+@pytest.mark.parametrize("y, first", [("0.05", 29), ("0.1", 39), ("0.3", 69)])
+def test_leading_coeffs_first_fail_at_256_bits(y, first):
+    # the least n_max whose Cholesky fails at 256 bits: the stored G stops
+    # being positive definite there, whatever the factorization's rounding.
+    # bound_suite's looser up-front refusal lets these n_max through to the
+    # Cholesky, so they must not move unnoticed. A factor's leading rows
+    # factor the leading block, so n_max - 1 factoring means every smaller
+    # n_max does
+    p = SystemParams.from_y(y, bits=256)
+    leading_coeffs(p, first - 1)
+    with pytest.raises(NotPositiveDefiniteError):
+        leading_coeffs(p, first)
 
 
 def test_leading_coeffs_bracket_n1():
