@@ -28,7 +28,7 @@ from .core import (
     synthesize,
 )
 from .errors import NotPositiveDefiniteError, PrecisionError
-from .hp import cholesky_solve, hp_cholesky, min_eig
+from .hp import min_eig
 from .recovery import l0_solve, minimax_experiment, srf_scaling
 from .spectral import contiguity_scan, smally_exponent, verify_srf_bounds
 from .szego import (
@@ -312,7 +312,10 @@ def criterion_10_smally_exponent() -> tuple[bool, str]:
 
 
 def _l0_reference(params, f, sigma):
-    """All-subsets direct-residual search: the independence oracle for l0_solve."""
+    """All-subsets direct-residual search: the independence oracle for
+    l0_solve. Each support is solved by mpmath's own LU (mp.lu_solve), so
+    that no fault in hp.cholesky_row, which l0_solve's walk runs, can move
+    this oracle with it."""
     W, bits = f.window, params.bits
     nw = len(W)
     G = build_gram(params, W)
@@ -329,8 +332,7 @@ def _l0_reference(params, f, sigma):
                     b = []
                     for i in idx:
                         b.append(sum(G[i][j] * f.coeffs[j] for j in range(nw)))
-                    L = hp_cholesky(sub, bits=bits)
-                    x = cholesky_solve(L, b, bits=bits)
+                    x = mp.lu_solve(sub, b)
                     # residual evaluated directly as ||f - A x|| in window space
                     diff = list(f.coeffs)
                     for pos, i in enumerate(idx):

@@ -18,8 +18,9 @@ Python integers at scale 2^F, F = bits + FIXED_GUARD:
 * ``_certify``, the one proof of a lambda_min enclosure: one Cholesky at
   the Krylov-Weinstein shift of a candidate vector v for lo, and the
   Rayleigh quotient of v, from the exact integer M v, for hi,
-* ``min_eig``: shifted inverse iteration from a float or a graded start,
-  whose last vector _certify proves,
+* ``min_eig``: shifted inverse iteration from an integer start, the same
+  iteration on M at scale 2^START_BITS, or from a graded start, whose
+  last vector _certify proves,
 * ``tridiagonal_min_vector``: Slepian's least eigenvector, a candidate for
   _certify, by O(n) inverse-iteration steps from (-1)^j C(n-1, j),
 * ``min_eig_adaptive``, a precision ladder that doubles the mantissa from
@@ -39,7 +40,7 @@ from operator import mul
 from typing import NamedTuple
 
 from mpmath import iv, mp, mpc, mpf, workprec
-from mpmath.libmp import from_float, from_int, from_man_exp, mpf_div, mpf_neg, to_fixed
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_neg, to_fixed
 from mpmath.libmp import round_ceiling, round_nearest
 
 from .errors import (
@@ -63,6 +64,13 @@ MIN_EIG_STEPS_PER_BIT = 4
 # node sums, where degree m costs 2m of their units, 2^-14 of a unit at
 # m = QUAD_NODE_CAP = 2^16
 FIXED_GUARD = 32
+# _integer_start runs min_eig's iteration as at this many bits. One
+# full-precision step from its vector and shift leaves a residual near
+# n 2^(8 - 2 START_BITS), 2^8 above the stop n 2^(8 - LADDER_START_BITS)
+# of the first ladder level, so that level still takes its second step,
+# which ends at its rounding floor; from a start at 64 bits some levels
+# stopped a step early, their enclosures up to twice as wide
+START_BITS = 60
 
 
 def check_bits(bits, name="bits") -> int:
@@ -282,12 +290,12 @@ def min_eig(M, bits):
     definite M, at ``bits`` precision.
 
     Inverse iteration on a Cholesky factor of M - lo*I. It starts from the
-    least eigenvector of M in double precision (LAPACK's eigh) and lo the
-    shift below its eigenvalue that _float_start returns, when M - lo*I
-    factors at ``bits``; otherwise (floats cannot resolve lambda_min, an
-    entry overflows them, eigh fails, or that shift does not factor) from
-    a graded alternating-sign vector with lo = 0. A float start leaves
-    about two steps on a well-separated lambda_min. ``lo`` is a proven
+    vector and the shift lo below its eigenvalue that _integer_start
+    finds by the same iteration on Python integers at scale 2^START_BITS,
+    when M - lo*I factors at ``bits``; otherwise (M badly scaled,
+    lambda_min below that scale, or that shift does not factor) from a
+    graded alternating-sign vector with lo = 0. The integer start leaves
+    two steps on a well-separated lambda_min at 128 bits. ``lo`` is a proven
     lower bound on the smallest eigenvalue (M - lo*I factors); ``hi`` is
     an upper bound (the Rayleigh quotient mu, or a shift that failed to
     factor). After each step the next shift is s = mu - ||M v - mu v||, or
@@ -348,51 +356,95 @@ def _sign_fixed(v, bits, F):
         return tuple(mpf((sign * x, -F)) for x in v)
 
 
-def _float_start(M):
-    """A start for _min_eig from double precision: (v, s), a unit least
-    eigenvector of the float image A of M from LAPACK's symmetric
-    eigensolver (np.linalg.eigh) and the shift s = mu - 2 ||A v - mu v||
-    below its eigenvalue, mu the Rayleigh quotient of v.
+def _graded(n, F):
+    """The graded alternating-sign start as integers at scale 2^F: not
+    orthogonal to a symmetric support's eigenvectors."""
+    return [(-1) ** i * ((2 * n + i) << F) // (2 * n) for i in range(n)]
 
-    None when an entry of A is not finite, when eigh raises LinAlgError or
-    when s <= 0 (lambda_min below float resolution, as for an
+
+def _integer_start(A):
+    """A start for _min_eig on the FixedMatrix A of M: (v, s), v a guess at
+    the least eigenvector as integers at scale about 2^A.frac and s a
+    shift just below its eigenvalue, or None.
+
+    It is _min_eig's shifted inverse iteration, run as at START_BITS bits
+    on A's rows rounded down to scale 2^START_BITS, wholly on Python
+    integers. From the graded vector and lo = 0, each step is one factor
+    of A - s I by cholesky_row, whose forward substitution runs row by
+    row beside it, one back_substitute, and M v, the Rayleigh quotient mu
+    and the residual res from exact sums, each rounded down once; the next
+    shift is mu - res, or the midpoint of (lo, hi). None of this goes
+    through hp_cholesky or cholesky_solve, which count full-precision work
+    only. It stops, as _min_eig does, at res <= g = n 2^(8-START_BITS)
+    max_i M_ii or mu - lo <= 2^(8-START_BITS) mu, and s = mu - 2 res - g:
+    without the guard g, a residual that rounds to 0 would hand _min_eig a
+    shift just above lambda_min, which does not factor.
+
+    None when D != I (a badly scaled M, whose small entries that scale
+    would lose), when A does not factor at that scale, when the iteration
+    gives up, or when s <= 0 (lambda_min below that scale, as for an
     ill-conditioned contiguous Gram matrix). The pair is only a guess:
-    _min_eig checks the shift with a Cholesky at its bits, and _certify
-    proves whatever the iteration ends on.
+    _min_eig checks s with a Cholesky at its bits, and _certify proves
+    whatever the iteration ends on.
     """
-    import numpy as np
+    if any(A.exps):
+        return None
+    n, S, cut = len(A.rows), START_BITS, A.frac - START_BITS
+    rows = [[x >> cut for x in row] for row in A.rows]
+    res_tol = n * max(row[i] for i, row in enumerate(rows)) >> S - 8
 
-    A = np.array(M, dtype=float)
-    if not np.isfinite(A).all():
-        return None
+    def factor(s, v):
+        """L, the factor of A - s I, and y = L^-1 v, its solve's first half."""
+        L, y = [], []
+        for i, row in enumerate(rows):
+            L.append(cholesky_row(L, row[:i], row[i] - s, S))
+            y.append(((v[i] << S) - sum(map(mul, L[i], y))) // L[i][i])
+        return L, y
+
+    v, lo, hi, failed = _graded(n, S), 0, None, False
     try:
-        v = np.linalg.eigh(A)[1][:, 0]
-    except np.linalg.LinAlgError:
+        L, y = factor(0, v)
+    except NotPositiveDefiniteError:
         return None
-    Av = A @ v
-    mu = v @ Av
-    s = mu - 2 * np.linalg.norm(Av - mu * v)
-    return (v.tolist(), float(s)) if s > 0 else None
+    for _ in range(MIN_EIG_STEPS_PER_BIT * S):
+        x = back_substitute(L, y, S)
+        k = max(map(abs, x)).bit_length() - S
+        v = [t >> k for t in x] if k > 0 else x  # largest entry about 2^S
+        Mv = [sum(map(mul, row, v)) for row in rows]
+        w = sum(t * t for t in v)
+        mu = sum(map(mul, v, Mv)) // w
+        res = isqrt(sum((a - mu * t) ** 2 for a, t in zip(Mv, v)) // w)
+        if res <= res_tol or mu - lo <= mu >> S - 8:
+            s = mu - 2 * res - res_tol
+            return ([t << cut for t in v], mpf((s, -S))) if s > 0 else None
+        hi = mu if hi is None else min(hi, mu)
+        s = mu - res
+        if failed or not lo < s < hi:
+            s = (lo + hi) >> 1
+        try:
+            (L, y), lo, failed = factor(s, v), s, False
+        except NotPositiveDefiniteError:
+            hi, failed = s, True
+    return None
 
 
 def _min_eig(M, bits, radius=0):
     """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
     every symmetric E with ||E||_2 <= ``radius``: _certify of the
     iteration's last vector. M may be a FixedMatrix. The start is
-    _float_start's vector and shift when that shift factors at ``bits``,
+    _integer_start's vector and shift when that shift factors at ``bits``,
     else the graded vector and lo = 0; either way only the start moves,
     never what _certify proves."""
     max_steps = MIN_EIG_STEPS_PER_BIT * bits
     A = fixed_matrix(M, bits)
-    n, F = len(A.rows), A.frac
+    n = len(A.rows)
     with workprec(bits):
-        start, L = _float_start(A.source), None
+        start, L = _integer_start(A), None
         if start is not None:
-            v, lo = [to_fixed(from_float(t), F) for t in start[0]], mpf(start[1])
+            v, lo = start
             L = _factor(A.shifted(lo), bits)
-        if L is None:  # graded, so not orthogonal to a symmetric support's eigenvectors
-            L, lo, v = hp_cholesky(A, bits=bits), mpf(0), [
-                (-1) ** i * ((2 * n + i) << F) // (2 * n) for i in range(n)]
+        if L is None:
+            L, lo, v = hp_cholesky(A, bits=bits), mpf(0), _graded(n, A.frac)
         tol = mpf(2) ** (8 - bits)
         res_tol = n * tol * max(A.source[i][i] for i in range(n))
         hi, failed = mp.inf, False

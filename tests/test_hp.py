@@ -444,8 +444,8 @@ def test_every_enclosure_is_one_krylov_weinstein_cholesky(monkeypatch):
 
 def test_ladder_cholesky_count(monkeypatch):
     # contiguous n = 12 at y = 0.05, run by the general kernel, climbs
-    # 128 -> 256 bits in 9 hp_cholesky calls: lambda_min is below float
-    # resolution, so the float start's shift is not positive and each level
+    # 128 -> 256 bits in 9 hp_cholesky calls: lambda_min is below the
+    # integer start's scale, so its shift is not positive and each level
     # factors G, its shifts and, once, the certifying Krylov-Weinstein shift
     calls = []
     real = hp.hp_cholesky
@@ -460,15 +460,17 @@ def test_ladder_cholesky_count(monkeypatch):
     assert len(calls) == 9
 
 
-# --- the float start ---------------------------------------------------------
+# --- the integer start -------------------------------------------------------
 
 
 @pytest.mark.parametrize("size,span", [(3, 9), (4, 7)])
-def test_float_start_certifies_gapped_supports_in_two_steps(monkeypatch, size, span):
-    # the gapped supports `srf contiguity --y 0.1` scans: from the float
-    # vector and its shift, two inverse-iteration steps (one cholesky_solve
-    # each) and at most four hp_cholesky (the shifted start, one shift and
-    # the certifying one), where the graded start takes five or six steps
+def test_integer_start_certifies_gapped_supports_in_two_steps(monkeypatch, size, span):
+    # the gapped supports `srf contiguity --y 0.1` scans: from the integer
+    # start's vector and shift, two inverse-iteration steps (one
+    # cholesky_solve each) and at most four hp_cholesky (the shifted start,
+    # one shift and the certifying one), where the graded start takes five
+    # or six steps. The start's own small-scale factors and solves go
+    # through neither, so these count full-precision work only
     counts = dict.fromkeys(["hp_cholesky", "cholesky_solve"], 0)
     for name in counts:
         def counted(*args, real=getattr(hp, name), name=name, **kwargs):
@@ -484,29 +486,35 @@ def test_float_start_certifies_gapped_supports_in_two_steps(monkeypatch, size, s
         assert counts["cholesky_solve"] <= 2 and counts["hp_cholesky"] <= 4, (T, counts)
 
 
-def _near_double(bits):
+def _near_double(bits, e=256):
     with workprec(bits):
-        g = mpf(2) ** -256
+        g = mpf(2) ** -e
         return [[mpf(1), -g], [-g, mpf(1)]]
 
 
-@pytest.mark.parametrize("run", [
-    # contiguous {0..11} at y = 0.05: lambda_min is below float resolution,
-    # so the float shift mu - 2 res is not positive (test_ladder_cholesky_count
-    # counts the run)
-    lambda: min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12))))),
-    # an entry that overflows float
-    lambda: hp._min_eig([[mpf("1e400"), mpf(1)], [mpf(1), mpf(2)]], 128),
-    # a pair 2^-256 apart: floats see a double eigenvalue, and the float
-    # shift does not factor at 512 bits
-    lambda: hp._min_eig(_near_double(512), 512),
+@pytest.mark.parametrize("run, graded", [
+    # contiguous {0..11} at y = 0.05: lambda_min is below the integer
+    # start's scale, so its shift mu - 2 res - g is not positive
+    # (test_ladder_cholesky_count counts the run)
+    (lambda: min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12))))), True),
+    # diagonal entries 1e400 and 2: D != I, which the start refuses
+    (lambda: hp._min_eig([[mpf("1e400"), mpf(1)], [mpf(1), mpf(2)]], 128), True),
+    # a pair 2^-256 apart: at the start's scale the matrix is I, so the
+    # start passes on the graded vector with a shift just below 1
+    (lambda: hp._min_eig(_near_double(512), 512), False),
 ], ids=["ill-conditioned", "overflow", "near-double"])
-def test_float_start_falls_back_to_the_graded_start(monkeypatch, run):
-    # where the float start gives up, the kernel runs exactly as from the
-    # graded start with lo = 0
+def test_float_start_falls_back_to_the_graded_start(monkeypatch, run, graded):
+    # where the integer start gives up, the kernel runs exactly as from the
+    # graded start with lo = 0; where it goes on without resolving
+    # lambda_min, the enclosure still holds it by inertia at 4x bits
     result = run()
-    monkeypatch.setattr(hp, "_float_start", lambda M: None)
-    assert run() == result
+    if graded:
+        monkeypatch.setattr(hp, "_integer_start", lambda A: None)
+        assert run() == result
+    else:
+        M, (lo, hi) = _near_double(512), result[2]
+        assert inertia_below(M, lo, 2048) == 0 and inertia_below(M, hi, 2048) >= 1
+        assert hp._integer_start(hp.fixed_matrix(M, 512)) is not None
 
 
 @pytest.mark.parametrize("M, exps", [
@@ -518,27 +526,48 @@ def test_badly_scaled_matrix_keeps_its_small_entries(monkeypatch, M, exps):
     # matrix would truncate the small ones, and rounding the least
     # eigenvector at one scale would let the large one magnify it. Row and
     # column i scaled by 2^-e_i, and the vector kept fine enough, give
-    # lambda_min to working precision from the float and the graded start
-    assert hp.fixed_matrix(M, 128).exps == exps
+    # lambda_min to working precision. The integer start, whose one small
+    # scale would lose those entries, refuses D != I, so the kernel runs
+    # from the graded start either way
+    A = hp.fixed_matrix(M, 128)
+    assert A.exps == exps and hp._integer_start(A) is None
     with workprec(512):
         a, b, c = M[0][0], M[0][1], M[1][1]
         lam = (a * c - b * b) / ((a + c) / 2 + mp.sqrt(((a - c) / 2) ** 2 + b * b))
-    for start in (hp._float_start, lambda M: None):
-        monkeypatch.setattr(hp, "_float_start", start)
+    for start in (hp._integer_start, lambda A: None):
+        monkeypatch.setattr(hp, "_integer_start", start)
         assert abs(hp._min_eig(M, 128)[0] - lam) <= mpf(2) ** -120 * lam
 
 
-def test_eigh_failure_falls_back_to_the_graded_start(monkeypatch):
-    # a LinAlgError from LAPACK is a float start that gives up, not an error
-    M = build_gram(SystemParams.from_y("0.1"), SupportSet((0, 2, 5, 6, 9)), bits=128)
-
-    def fails(A):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", fails)
-    result = hp._min_eig(M, 128)
-    monkeypatch.setattr(hp, "_float_start", lambda M: None)
-    assert hp._min_eig(M, 128) == result
+def test_integer_start_costs_no_more_choleskys_than_a_float_start(monkeypatch):
+    # gapped supports of 3 to 5 atoms within span 9 at five y, at 128 and
+    # 512 bits: at most 6 full-precision hp_cholesky per support and at
+    # most 4.0 on average, where LAPACK's eigh as the start took up to 6
+    # and 4.0008. A start whose shift sat just above lambda_min, as
+    # mu - 2 res does when res rounds to 0, would fail to factor there and
+    # fall back to the graded start, at up to 15 factors a support
+    calls, real = [], hp.hp_cholesky
+    monkeypatch.setattr(hp, "hp_cholesky",
+                        lambda M, bits=None: calls.append(bits) or real(M, bits=bits))
+    supports = [T for k in (3, 4, 5) for T in reflection_representatives(k, 9)
+                if T.span > k - 1]
+    counts = []
+    for y in ("0.05", "0.1", "0.2", "0.3", "0.45"):
+        p = SystemParams.from_y(y)
+        for bits in (128, 512):
+            for T in supports:
+                calls.clear()
+                hp._min_eig(build_gram(p, T, bits=bits), bits, gram_radius(p, T, bits))
+                counts.append(len(calls))
+    assert len(counts) == 1330
+    assert max(counts) <= 6 and sum(counts) <= 4 * len(counts)
+    # [[1, -g], [-g, 1]]: every mu - res shift fails while the vector stays
+    # near the larger eigenvector (ROADMAP item 2); no more factors than
+    # from the float start, 519, 136 and 261
+    for e, bits, most in ((256, 512, 519), (64, 512, 136), (200, 256, 261)):
+        calls.clear()
+        hp._min_eig(_near_double(bits, e), bits)
+        assert len(calls) <= most, (e, bits, len(calls))
 
 
 # --- proven enclosures ------------------------------------------------------
@@ -601,12 +630,12 @@ def test_factored_floor_is_none_where_the_shift_does_not_factor():
 
 
 def test_min_eig_below_the_rounding_guard_makes_no_certifying_cholesky(monkeypatch):
-    # {0..12} at y = 0.0401, 128 bits: lambda_min, 8.7e-36, is below float
-    # resolution, so M itself is factored once for the graded start, and
-    # below the guard 13 * 2^-120 = 9.8e-36, so the Krylov-Weinstein shift
-    # of the iteration's last vector is negative. No Cholesky runs at it:
-    # the result is that vector's Rayleigh quotient and sign-fixed vector,
-    # with no enclosure
+    # {0..12} at y = 0.0401, 128 bits: lambda_min, 8.7e-36, is below the
+    # integer start's scale, so M itself is factored once for the graded
+    # start, and below the guard 13 * 2^-120 = 9.8e-36, so the
+    # Krylov-Weinstein shift of the iteration's last vector is negative.
+    # No Cholesky runs at it: the result is that vector's Rayleigh quotient
+    # and sign-fixed vector, with no enclosure
     calls, rayleighs = [], []
     real_cholesky, real_rayleigh = hp.hp_cholesky, hp._unit_rayleigh
     monkeypatch.setattr(hp, "hp_cholesky",

@@ -430,8 +430,8 @@ def test_degrees_at_one_point_evaluate_each_level_once(monkeypatch):
 
 
 def test_reproduction_oracle_and_l0_never_load_numpy():
-    # numpy is imported on first use, by the sampled suites and the general
-    # lambda_min kernel's float start only: no contiguous support loads it
+    # numpy is imported on first use, by the sampled suites and acceptance
+    # only: no lambda_min, contiguous or gapped, loads it
     script = textwrap.dedent("""
         import sys
         from mpmath import mpc
@@ -439,7 +439,8 @@ def test_reproduction_oracle_and_l0_never_load_numpy():
                                arc_inner_product, build_gram, epsilon, l0_solve,
                                leading_coeffs, smally_exponent, synthesize,
                                szego_reproduce, verify_srf_bounds)
-        from srflimits.spectral import min_eig_for_support
+        from srflimits.recovery import minimax_experiment
+        from srflimits.spectral import EXHAUSTIVE, contiguity_scan, min_eig_for_support
         p = SystemParams.from_y("0.17", bits=128)
         szego_reproduce(p, 2, mpc(3, 1))
         arc_inner_product([0, 1], [1], p)
@@ -453,6 +454,12 @@ def test_reproduction_oracle_and_l0_never_load_numpy():
         verify_srf_bounds(p, 6)
         smally_exponent([0, 1, 2], ["0.001", "0.002", "0.004", "0.008"])
         leading_coeffs(p, 6)
+        # the general kernel on gapped supports, its exhaustive prune and scans
+        q = SystemParams.from_y("0.1")
+        min_eig_for_support(q, SupportSet.of(0, 2, 5))
+        epsilon(q, 3, mode=EXHAUSTIVE, span_max=8)
+        contiguity_scan(q, 4, 7)
+        minimax_experiment(SystemParams.from_y("0.2"), 1, "1e-4")
         sys.exit("numpy was loaded" if "numpy" in sys.modules else 0)
     """)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
