@@ -9,8 +9,9 @@ Python integers at scale 2^F, F = bits + FIXED_GUARD:
 * ``fixed_matrix``, M converted once per ladder level, each row and
   column scaled by its own power of two (D = I on a Gram matrix),
 * ``cholesky_row``, the one row step of every Cholesky factor in the
-  package (``hp_cholesky`` and the l0 solver's bordered factors): exact
-  dot products, one floor division per entry and one isqrt per pivot, so
+  package (``hp_cholesky``, ``_inverse_iteration``'s and the l0 solver's
+  bordered factors): exact dot products, one floor division per entry
+  and one isqrt per pivot, so
   |R R^T - A|_ij <= (2 sqrt(max A_ii) + 2) 2^-F,
 * ``factored_floor``: when M - s I factors, lambda_min(M) > s less n
   times that bound (Wilkinson; Rump, BIT 46, 2006), the proof under
@@ -18,9 +19,9 @@ Python integers at scale 2^F, F = bits + FIXED_GUARD:
 * ``_certify``, the one proof of a lambda_min enclosure: one Cholesky at
   the Krylov-Weinstein shift of a candidate vector v for lo, and the
   Rayleigh quotient of v, from the exact integer M v, for hi,
-* ``min_eig``: shifted inverse iteration from an integer start, the same
-  iteration on M at scale 2^START_BITS, or from a graded start, whose
-  last vector _certify proves,
+* ``min_eig``: ``_inverse_iteration``, shifted inverse iteration on
+  Python integers, run on M at scale 2^START_BITS and then, from that
+  run's vector and shift, at ``bits``; _certify proves its last vector,
 * ``tridiagonal_min_vector``: Slepian's least eigenvector, a candidate for
   _certify, by O(n) inverse-iteration steps from (-1)^j C(n-1, j),
 * ``min_eig_adaptive``, a precision ladder that doubles the mantissa from
@@ -32,14 +33,14 @@ Python integers at scale 2^F, F = bits + FIXED_GUARD:
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
-from mpmath import iv, mp, mpc, mpf, workprec
+from mpmath import iv, mp, mpf, workprec
 from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_neg, to_fixed
 from mpmath.libmp import round_ceiling, round_nearest
 
@@ -64,12 +65,13 @@ MIN_EIG_STEPS_PER_BIT = 4
 # node sums, where degree m costs 2m of their units, 2^-14 of a unit at
 # m = QUAD_NODE_CAP = 2^16
 FIXED_GUARD = 32
-# _integer_start runs min_eig's iteration as at this many bits. One
-# full-precision step from its vector and shift leaves a residual near
-# n 2^(8 - 2 START_BITS), 2^8 above the stop n 2^(8 - LADDER_START_BITS)
-# of the first ladder level, so that level still takes its second step,
-# which ends at its rounding floor; from a start at 64 bits some levels
-# stopped a step early, their enclosures up to twice as wide
+# min_eig first runs its iteration as at this many bits, on M at scale
+# 2^START_BITS. One full-precision step from that run's vector and shift
+# leaves a residual near n 2^(8 - 2 START_BITS), 2^8 above the stop
+# n 2^(8 - LADDER_START_BITS) of the first ladder level, so that level
+# still takes its second step, which ends at its rounding floor; from a
+# first run at 64 bits some levels stopped a step early, their enclosures
+# up to twice as wide
 START_BITS = 60
 
 
@@ -121,13 +123,16 @@ def fixed_matrix(M, bits) -> FixedMatrix:
     itself when it is a FixedMatrix already. e_i = floor(log2(M_ii) / 2),
     or 0 where M_ii is not positive, puts the diagonal of D M D in [1, 4):
     an exact congruence, so it keeps the inertia, and no entry of a badly
-    scaled M is lost to the fixed point. Raises DomainError on an entry
-    that is NaN or infinite."""
+    scaled M is lost to the fixed point. Raises DomainError on an empty
+    M and on an entry that is not an mpf (a float, an int or an mpc) or
+    is NaN or infinite."""
     if isinstance(M, FixedMatrix):
         return M
     n, frac = len(M), bits + FIXED_GUARD
-    if any(len(row) != n for row in M):
-        raise DomainError("matrix must be square")
+    if not n or any(len(row) != n for row in M):
+        raise DomainError("matrix must be square and not empty")
+    if not all(isinstance(x, mpf) for i, row in enumerate(M) for x in row[:i + 1]):
+        raise DomainError("matrix entries must be mpf")
     exps = [0 if x[0] or not x[1] else (x[2] + x[3] - 1) >> 1
             for x in (row[i]._mpf_ for i, row in enumerate(M))]
     rows = [[0] * n for _ in range(n)]
@@ -179,9 +184,10 @@ def hp_cholesky(M, bits):
     """The Factor of M as fixed_matrix converts it at ``bits`` (or of a
     FixedMatrix with its ``diag``). Raises NotPositiveDefiniteError with the
     first failing pivot index, which signals either a genuine singularity or
-    insufficient precision, and DomainError on an entry that is not finite.
+    insufficient precision, and DomainError on bits that check_bits refuses
+    and on a matrix that fixed_matrix refuses.
     """
-    A = fixed_matrix(M, bits)
+    A = fixed_matrix(M, check_bits(bits))
     L = []
     for i, (row, d) in enumerate(zip(A.rows, A.diag)):
         L.append(cholesky_row(L, row[:i], d, A.frac))
@@ -195,25 +201,6 @@ def back_substitute(L, y, frac):
     for i in reversed(range(len(L))):
         x[i] = ((y[i] << frac) - sum(L[k][i] * x[k] for k in range(i + 1, len(L)))) // L[i][i]
     return x
-
-
-def cholesky_solve(L, b, bits):
-    """x = D (R R^T)^-1 D b with M x = b, for L = hp_cholesky(M, bits). For
-    integer b, x is integers at b's scale times 2^(2 max e_i), each step
-    rounded down once; for mpf or mpc b, x is mpf or mpc at ``bits``,
-    solved from b in fixed point, its largest entry at 2^F."""
-    F, exps, top = L.frac, L.exps, max(L.exps)
-    if all(type(t) is int for t in b):
-        y = []
-        for Li, t, e in zip(L.rows, b, exps):
-            y.append(((t << F + top - e) - sum(map(mul, Li, y))) // Li[len(y)])
-        return [t << top - e for t, e in zip(back_substitute(L.rows, y, F), exps)]
-    with workprec(bits):
-        b = [mpc(t) for t in b]
-        g = F - max([mp.mag(t) for t in b if t] or [0])
-        re, im = ([mpf((x, -g - 2 * top)) for x in cholesky_solve(L, part, bits)]
-                  for part in zip(*([to_fixed(x, g) for x in t._mpc_] for t in b)))
-        return [mpc(*z) for z in zip(re, im)] if any(t.imag for t in b) else re
 
 
 @contextmanager
@@ -241,14 +228,6 @@ def iv_ends(x) -> Enclosure:
         return Enclosure(mpf(x.a), mpf(x.b))
 
 
-def _factor(A, bits):
-    """hp_cholesky of the FixedMatrix A, or None when it does not factor."""
-    try:
-        return hp_cholesky(A, bits=bits)
-    except NotPositiveDefiniteError:
-        return None
-
-
 def factored_floor(M, s, bits, radius=0):
     """A proven lower bound on lambda_min(M + E) for every symmetric E with
     ||E||_2 <= ``radius`` when hp_cholesky of M - s I factors at ``bits``:
@@ -263,7 +242,9 @@ def factored_floor(M, s, bits, radius=0):
     inequality adds the radius; every step rounds toward a lower bound.
     """
     A = fixed_matrix(M, bits).shifted(s)
-    if _factor(A, bits) is None:
+    try:
+        hp_cholesky(A, bits)
+    except NotPositiveDefiniteError:
         return None
     err = len(A.diag) * (2 * isqrt(max(A.diag) << A.frac) + 2 + (2 << A.frac))  # at 2^(2F)
     with workprec(bits):
@@ -289,36 +270,39 @@ def min_eig(M, bits):
     """Smallest eigenpair (value, unit vector) of a symmetric positive
     definite M, at ``bits`` precision.
 
-    Inverse iteration on a Cholesky factor of M - lo*I. It starts from the
-    vector and the shift lo below its eigenvalue that _integer_start
-    finds by the same iteration on Python integers at scale 2^START_BITS,
-    when M - lo*I factors at ``bits``; otherwise (M badly scaled,
-    lambda_min below that scale, or that shift does not factor) from a
-    graded alternating-sign vector with lo = 0. The integer start leaves
-    two steps on a well-separated lambda_min at 128 bits. ``lo`` is a proven
-    lower bound on the smallest eigenvalue (M - lo*I factors); ``hi`` is
-    an upper bound (the Rayleigh quotient mu, or a shift that failed to
+    Shifted inverse iteration (_inverse_iteration) on Python integers,
+    run twice. The first run is on M rounded down to scale 2^START_BITS,
+    as at START_BITS bits, from a graded alternating-sign vector with
+    lo = 0. The second is on M at ``bits``, from the first run's vector
+    and its shift below lambda_min, which leaves two steps on a
+    well-separated lambda_min at 128 bits; it starts from the graded
+    vector with lo = 0 when the first run gives nothing, or its shift is
+    not positive (lambda_min below that scale) or does not factor. ``lo``
+    is a lower bound on the smallest eigenvalue (M - lo*I factors); ``hi``
+    is an upper bound (the Rayleigh quotient mu, or a shift that failed to
     factor). After each step the next shift is s = mu - ||M v - mu v||, or
     the midpoint of (lo, hi) when s falls outside it or the last shift
     failed; M - s*I then factors (lo = s) or not (hi = s). Near the
     eigenvalue each step about doubles the correct digits; the midpoint
     bounds what a poor start vector or a nearly double eigenvalue costs.
-    The iteration stops when the residual reaches n 2^(8-bits) max_i M_ii
-    or when mu - lo <= 2^(8-bits) mu.
+    A run stops when the residual reaches n 2^(8-bits) max_i M_ii or when
+    mu - lo <= 2^(8-bits) mu.
 
     The last vector is then certified as any candidate is (_certify), so
     that mu is near the smallest eigenvalue, not a larger one.
 
-    Raises NotPositiveDefiniteError when M or a positive shift s does not
-    factor at this precision (too few bits), and ConvergenceError after
-    MIN_EIG_STEPS_PER_BIT * bits steps. Four steps per bit cover the
-    midpoint fallback alone: it halves (lo, hi) at least every second
-    step, and from (0, mu) it needs at most about bits halvings to reach
-    an eigenvalue that factors (above about 2^-bits ||M||) and bits more
-    to reach the relative stop. The lowest-index entry of the vector whose
-    magnitude is within 2^-(bits/2) of the largest is positive.
+    Raises DomainError on bits that check_bits refuses and on a matrix
+    that fixed_matrix refuses, NotPositiveDefiniteError when M or a
+    positive shift s does not factor at this precision (too few bits), and
+    ConvergenceError after MIN_EIG_STEPS_PER_BIT * bits steps. Four steps
+    per bit cover the midpoint fallback alone: it halves (lo, hi) at least
+    every second step, and from (0, mu) it needs at most about bits
+    halvings to reach an eigenvalue that factors (above about 2^-bits
+    ||M||) and bits more to reach the relative stop. The lowest-index
+    entry of the vector whose magnitude is within 2^-(bits/2) of the
+    largest is positive.
     """
-    return _min_eig(M, bits)[:2]
+    return _min_eig(M, check_bits(bits))[:2]
 
 
 def _unit_rayleigh(M, x, bits):
@@ -362,67 +346,63 @@ def _graded(n, F):
     return [(-1) ** i * ((2 * n + i) << F) // (2 * n) for i in range(n)]
 
 
-def _integer_start(A):
-    """A start for _min_eig on the FixedMatrix A of M: (v, s), v a guess at
-    the least eigenvector as integers at scale about 2^A.frac and s a
-    shift just below its eigenvalue, or None.
+def _scaled(x, G):
+    """x, integers, shifted so that its largest entry is about 2^G."""
+    k = max(map(abs, x)).bit_length() - G
+    return [t >> k for t in x] if k > 0 else [t << -k for t in x]
 
-    It is _min_eig's shifted inverse iteration, run as at START_BITS bits
-    on A's rows rounded down to scale 2^START_BITS, wholly on Python
-    integers. From the graded vector and lo = 0, each step is one factor
-    of A - s I by cholesky_row, whose forward substitution runs row by
-    row beside it, one back_substitute, and M v, the Rayleigh quotient mu
-    and the residual res from exact sums, each rounded down once; the next
-    shift is mu - res, or the midpoint of (lo, hi). None of this goes
-    through hp_cholesky or cholesky_solve, which count full-precision work
-    only. It stops, as _min_eig does, at res <= g = n 2^(8-START_BITS)
-    max_i M_ii or mu - lo <= 2^(8-START_BITS) mu, and s = mu - 2 res - g:
-    without the guard g, a residual that rounds to 0 would hand _min_eig a
-    shift just above lambda_min, which does not factor.
 
-    None when D != I (a badly scaled M, whose small entries that scale
-    would lose), when A does not factor at that scale, when the iteration
-    gives up, or when s <= 0 (lambda_min below that scale, as for an
-    ill-conditioned contiguous Gram matrix). The pair is only a guess:
-    _min_eig checks s with a Cholesky at its bits, and _certify proves
-    whatever the iteration ends on.
+def _inverse_iteration(A, bits, lo=0, v=None):
+    """min_eig's shifted inverse iteration, as at ``bits``, on the M that
+    the FixedMatrix A stores (its rows, exps and frac), wholly on Python
+    integers: (x, s), the last step's solution and s = mu - 2 res - g just
+    below its eigenvalue, or None after MIN_EIG_STEPS_PER_BIT * bits steps.
+
+    Vectors are scaled to about 2^G, G = frac + max e_i - min e_i, and
+    eigenvalues and shifts are integers at scale 2^(frac - 2 min e_i).
+    From v (the graded vector when None) and the factor of A - lo I, each
+    step solves with the last factor that factored, forward then
+    back_substitute, and takes M v, the Rayleigh quotient mu and the
+    residual res of the scaled solution v from exact sums, each rounded
+    down once. It stops at res <= g = n 2^(8-bits) max_i M_ii or mu - lo <=
+    2^(8-bits) mu; without the guard g in s, a residual that rounds to 0
+    would give a shift just above lambda_min. A factor of A - s I is
+    cholesky_row's, with s 4^-e_i taken off the diagonal rounded up as in
+    FixedMatrix.shifted. Raises NotPositiveDefiniteError when A - lo I does
+    not factor.
     """
-    if any(A.exps):
-        return None
-    n, S, cut = len(A.rows), START_BITS, A.frac - START_BITS
-    rows = [[x >> cut for x in row] for row in A.rows]
-    res_tol = n * max(row[i] for i, row in enumerate(rows)) >> S - 8
+    rows, exps, F = A.rows, A.exps, A.frac
+    n, low, top = len(rows), min(exps), max(exps)
+    G = F + top - low
+    g = n * max(r[i] << 2 * (e - low) for i, (r, e) in enumerate(zip(rows, exps))) >> bits - 8
 
-    def factor(s, v):
-        """L, the factor of A - s I, and y = L^-1 v, its solve's first half."""
-        L, y = [], []
-        for i, row in enumerate(rows):
-            L.append(cholesky_row(L, row[:i], row[i] - s, S))
-            y.append(((v[i] << S) - sum(map(mul, L[i], y))) // L[i][i])
-        return L, y
+    def factor(s):
+        L = []
+        for i, (row, e) in enumerate(zip(rows, exps)):
+            L.append(cholesky_row(L, row[:i], row[i] + (-s >> 2 * (e - low)), F))
+        return L
 
-    v, lo, hi, failed = _graded(n, S), 0, None, False
-    try:
-        L, y = factor(0, v)
-    except NotPositiveDefiniteError:
-        return None
-    for _ in range(MIN_EIG_STEPS_PER_BIT * S):
-        x = back_substitute(L, y, S)
-        k = max(map(abs, x)).bit_length() - S
-        v = [t >> k for t in x] if k > 0 else x  # largest entry about 2^S
-        Mv = [sum(map(mul, row, v)) for row in rows]
+    L, hi, failed = factor(lo), None, False
+    v = _scaled(_graded(n, G) if v is None else v, G)
+    for _ in range(MIN_EIG_STEPS_PER_BIT * bits):
+        y = []
+        for Li, t, e in zip(L, v, exps):
+            y.append(((t << F + top - e) - sum(map(mul, Li, y))) // Li[len(y)])
+        x = [t << top - e for t, e in zip(back_substitute(L, y, F), exps)]
+        v = _scaled(x, G)
+        u = [t << e - low for t, e in zip(v, exps)]
+        Mv = [sum(map(mul, row, u)) << e - low for row, e in zip(rows, exps)]
         w = sum(t * t for t in v)
         mu = sum(map(mul, v, Mv)) // w
         res = isqrt(sum((a - mu * t) ** 2 for a, t in zip(Mv, v)) // w)
-        if res <= res_tol or mu - lo <= mu >> S - 8:
-            s = mu - 2 * res - res_tol
-            return ([t << cut for t in v], mpf((s, -S))) if s > 0 else None
+        if res <= g or mu - lo <= mu >> bits - 8:
+            return x, mu - 2 * res - g
         hi = mu if hi is None else min(hi, mu)
         s = mu - res
         if failed or not lo < s < hi:
             s = (lo + hi) >> 1
         try:
-            (L, y), lo, failed = factor(s, v), s, False
+            L, lo, failed = factor(s), s, False
         except NotPositiveDefiniteError:
             hi, failed = s, True
     return None
@@ -430,40 +410,22 @@ def _integer_start(A):
 
 def _min_eig(M, bits, radius=0):
     """min_eig, plus a proven enclosure (lo, hi) of lambda_min(M + E) for
-    every symmetric E with ||E||_2 <= ``radius``: _certify of the
-    iteration's last vector. M may be a FixedMatrix. The start is
-    _integer_start's vector and shift when that shift factors at ``bits``,
-    else the graded vector and lo = 0; either way only the start moves,
-    never what _certify proves."""
-    max_steps = MIN_EIG_STEPS_PER_BIT * bits
+    every symmetric E with ||E||_2 <= ``radius``: _certify of the second
+    run's last vector. M may be a FixedMatrix. The first run only picks
+    where the second begins, never what _certify proves."""
     A = fixed_matrix(M, bits)
-    n = len(A.rows)
-    with workprec(bits):
-        start, L = _integer_start(A), None
-        if start is not None:
-            v, lo = start
-            L = _factor(A.shifted(lo), bits)
-        if L is None:
-            L, lo, v = hp_cholesky(A, bits=bits), mpf(0), _graded(n, A.frac)
-        tol = mpf(2) ** (8 - bits)
-        res_tol = n * tol * max(A.source[i][i] for i in range(n))
-        hi, failed = mp.inf, False
-        for _ in range(max_steps):
-            v, mu, res = _unit_rayleigh(A, cholesky_solve(L, v, bits=bits), bits)
-            if res <= res_tol or mu - lo <= tol * mu:
-                return _certify(A, (v, mu, res), bits, radius)
-            hi = min(hi, mu)
-            s = mu - res
-            if failed or not lo < s < hi:
-                s = (lo + hi) / 2
-            factor = _factor(A.shifted(s), bits)
-            if factor is None:
-                hi, failed = s, True
-            else:
-                L, lo, failed = factor, s, False
-        raise ConvergenceError(
-            f"inverse iteration did not converge within {max_steps} steps"
-        )
+    cut = A.frac - START_BITS
+    small = A._replace(rows=[[x >> cut for x in row] for row in A.rows], frac=START_BITS)
+    last = None
+    with suppress(NotPositiveDefiniteError):
+        v, s = _inverse_iteration(small, START_BITS) or (None, 0)
+        if s > 0:
+            last = _inverse_iteration(A, bits, s << cut, v)
+    last = last or _inverse_iteration(A, bits)
+    if last is None:
+        raise ConvergenceError(f"inverse iteration did not converge within "
+                               f"{MIN_EIG_STEPS_PER_BIT * bits} steps")
+    return _certify(A, _unit_rayleigh(A, last[0], bits), bits, radius)
 
 
 def _certify(M, rayleigh, bits, radius=0):

@@ -10,9 +10,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
-from conftest import lit
+from conftest import full_precision_work, lit
 from srflimits import SupportSet, SystemParams, build_gram
 from srflimits.acceptance import _lambda_min_bisect, inertia_below
 from srflimits import hp
@@ -152,6 +152,26 @@ def test_non_finite_entry_is_a_domain_error(bad, where):
         min_eig(M, bits=128)
     with pytest.raises(DomainError):
         min_eig_adaptive(lambda bits: (M, 0, None))
+
+
+_SPD = [[mpf(2), mpf("0.5")], [mpf("0.5"), mpf(2)]]
+
+
+@pytest.mark.parametrize("M, bits", [
+    (_SPD, 10), (_SPD, 27), (_SPD, 0), (_SPD, -5), (_SPD, 1.5), (_SPD, 100000),
+    ([[2.0, 0.5], [0.5, 2.0]], 128),
+    ([[2, 0], [0, 2]], 128),
+    ([[mpc(2), mpc("0.5")], [mpc("0.5"), mpc(2)]], 128),
+    ([], 128),
+], ids=["bits=10", "bits=27", "bits=0", "bits=-5", "bits=1.5", "bits=100000",
+        "float", "int", "mpc", "empty"])
+def test_bad_input_to_min_eig_and_cholesky_is_a_domain_error(M, bits):
+    # bits outside [MIN_BITS, MAX_BITS] or not integral, entries that are
+    # not mpf, and the empty matrix are refused up front, not met later as
+    # a negative shift count, an AttributeError or max() of nothing
+    for public in (min_eig, hp_cholesky):
+        with pytest.raises(DomainError):
+            public(M, bits)
 
 
 # --- min_eig: Cholesky plus shifted inverse iteration ------------------------
@@ -444,46 +464,51 @@ def test_every_enclosure_is_one_krylov_weinstein_cholesky(monkeypatch):
 
 def test_ladder_cholesky_count(monkeypatch):
     # contiguous n = 12 at y = 0.05, run by the general kernel, climbs
-    # 128 -> 256 bits in 9 hp_cholesky calls: lambda_min is below the
-    # integer start's scale, so its shift is not positive and each level
+    # 128 -> 256 bits in 9 full-precision factors: lambda_min is below the
+    # first run's scale, so its shift is not positive and each level
     # factors G, its shifts and, once, the certifying Krylov-Weinstein shift
-    calls = []
-    real = hp.hp_cholesky
-
-    def counted(M, bits=None):
-        calls.append(bits)
-        return real(M, bits=bits)
-
-    monkeypatch.setattr(hp, "hp_cholesky", counted)
+    factors, _ = full_precision_work(monkeypatch)
     res = min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12)))))
     assert [b for b, _ in res.history] == [128, 256]
-    assert len(calls) == 9
+    assert len(factors) == 9
 
 
-# --- the integer start -------------------------------------------------------
+# --- the integer start: the first run at 2^START_BITS -------------------------
+
+
+def watch_first_run(monkeypatch, give=True):
+    """A list, filled from here on with what each of min_eig's first runs,
+    at scale 2^START_BITS, returns; with ``give`` False, each returns
+    nothing, so that the second run starts from the graded vector."""
+    runs, real = [], hp._inverse_iteration
+
+    def first(A, bits, *args):
+        if bits != hp.START_BITS:
+            return real(A, bits, *args)
+        runs.append(real(A, bits, *args) if give else None)
+        return runs[-1]
+
+    monkeypatch.setattr(hp, "_inverse_iteration", first)
+    return runs
 
 
 @pytest.mark.parametrize("size,span", [(3, 9), (4, 7)])
 def test_integer_start_certifies_gapped_supports_in_two_steps(monkeypatch, size, span):
-    # the gapped supports `srf contiguity --y 0.1` scans: from the integer
-    # start's vector and shift, two inverse-iteration steps (one
-    # cholesky_solve each) and at most four hp_cholesky (the shifted start,
-    # one shift and the certifying one), where the graded start takes five
-    # or six steps. The start's own small-scale factors and solves go
-    # through neither, so these count full-precision work only
-    counts = dict.fromkeys(["hp_cholesky", "cholesky_solve"], 0)
-    for name in counts:
-        def counted(*args, real=getattr(hp, name), name=name, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-        monkeypatch.setattr(hp, name, counted)
+    # the gapped supports `srf contiguity --y 0.1` scans: from the first
+    # run's vector and shift, two full-precision inverse-iteration steps
+    # (one solve each) and at most four full-precision factors (the shifted
+    # start, one shift and the certifying one), where the graded start
+    # takes five or six steps. The first run's factors and solves, at
+    # 2^START_BITS, are not counted
+    factors, solves = full_precision_work(monkeypatch)
     p = SystemParams.from_y("0.1")
     gapped = [T for T in reflection_representatives(size, span) if T.span > size - 1]
     assert len(gapped) == {3: 19, 4: 21}[size]
     for T in gapped:
-        counts.update(hp_cholesky=0, cholesky_solve=0)
+        factors.clear()
+        solves.clear()
         hp._min_eig(build_gram(p, T, bits=128), 128, gram_radius(p, T, 128))
-        assert counts["cholesky_solve"] <= 2 and counts["hp_cholesky"] <= 4, (T, counts)
+        assert len(solves) <= 2 and len(factors) <= 4, (T, factors, solves)
 
 
 def _near_double(bits, e=256):
@@ -497,24 +522,28 @@ def _near_double(bits, e=256):
     # start's scale, so its shift mu - 2 res - g is not positive
     # (test_ladder_cholesky_count counts the run)
     (lambda: min_eig_adaptive(gram_builder("0.05", SupportSet(tuple(range(12))))), True),
-    # diagonal entries 1e400 and 2: D != I, which the start refuses
+    # diagonal entries 1e400 and 2: D != I, and the first run's guard
+    # n 2^(8-START_BITS) max M_ii is far above lambda_min
     (lambda: hp._min_eig([[mpf("1e400"), mpf(1)], [mpf(1), mpf(2)]], 128), True),
-    # a pair 2^-256 apart: at the start's scale the matrix is I, so the
-    # start passes on the graded vector with a shift just below 1
+    # a pair 2^-256 apart: at the first run's scale the matrix is I, so it
+    # passes on the graded vector with a shift just below 1
     (lambda: hp._min_eig(_near_double(512), 512), False),
 ], ids=["ill-conditioned", "overflow", "near-double"])
-def test_float_start_falls_back_to_the_graded_start(monkeypatch, run, graded):
-    # where the integer start gives up, the kernel runs exactly as from the
-    # graded start with lo = 0; where it goes on without resolving
-    # lambda_min, the enclosure still holds it by inertia at 4x bits
+def test_integer_start_falls_back_to_the_graded_start(monkeypatch, run, graded):
+    # where the first run gives no positive shift, the kernel runs exactly
+    # as from the graded start with lo = 0; where it goes on without
+    # resolving lambda_min, the enclosure still holds it by inertia at 4x
+    # bits
+    runs = watch_first_run(monkeypatch)
     result = run()
+    starts = [out is not None and out[1] > 0 for out in runs]
+    assert starts and set(starts) == {not graded}
     if graded:
-        monkeypatch.setattr(hp, "_integer_start", lambda A: None)
+        watch_first_run(monkeypatch, give=False)
         assert run() == result
     else:
         M, (lo, hi) = _near_double(512), result[2]
         assert inertia_below(M, lo, 2048) == 0 and inertia_below(M, hi, 2048) >= 1
-        assert hp._integer_start(hp.fixed_matrix(M, 512)) is not None
 
 
 @pytest.mark.parametrize("M, exps", [
@@ -526,29 +555,29 @@ def test_badly_scaled_matrix_keeps_its_small_entries(monkeypatch, M, exps):
     # matrix would truncate the small ones, and rounding the least
     # eigenvector at one scale would let the large one magnify it. Row and
     # column i scaled by 2^-e_i, and the vector kept fine enough, give
-    # lambda_min to working precision. The integer start, whose one small
-    # scale would lose those entries, refuses D != I, so the kernel runs
+    # lambda_min to working precision. The first run, at one small scale,
+    # loses those entries, but its shift, below lambda_min by its guard
+    # n 2^(8-START_BITS) max M_ii, is not positive, so the kernel runs
     # from the graded start either way
     A = hp.fixed_matrix(M, 128)
-    assert A.exps == exps and hp._integer_start(A) is None
+    assert A.exps == exps
     with workprec(512):
         a, b, c = M[0][0], M[0][1], M[1][1]
         lam = (a * c - b * b) / ((a + c) / 2 + mp.sqrt(((a - c) / 2) ** 2 + b * b))
-    for start in (hp._integer_start, lambda A: None):
-        monkeypatch.setattr(hp, "_integer_start", start)
+    for give in (True, False):
+        runs = watch_first_run(monkeypatch, give)
         assert abs(hp._min_eig(M, 128)[0] - lam) <= mpf(2) ** -120 * lam
+        assert len(runs) == 1 and (runs[0] is None or runs[0][1] <= 0)
 
 
-def test_integer_start_costs_no_more_choleskys_than_a_float_start(monkeypatch):
+def test_integer_start_keeps_full_precision_factors_within_bounds(monkeypatch):
     # gapped supports of 3 to 5 atoms within span 9 at five y, at 128 and
-    # 512 bits: at most 6 full-precision hp_cholesky per support and at
-    # most 4.0 on average, where LAPACK's eigh as the start took up to 6
-    # and 4.0008. A start whose shift sat just above lambda_min, as
-    # mu - 2 res does when res rounds to 0, would fail to factor there and
-    # fall back to the graded start, at up to 15 factors a support
-    calls, real = [], hp.hp_cholesky
-    monkeypatch.setattr(hp, "hp_cholesky",
-                        lambda M, bits=None: calls.append(bits) or real(M, bits=bits))
+    # 512 bits: at most 6 full-precision factors per support and at most
+    # 4.0 on average, where LAPACK's eigh as the start took up to 6 and
+    # 4.0008. A first-run shift just above lambda_min, as mu - 2 res is
+    # when res rounds to 0, would fail to factor at full precision and fall
+    # back to the graded start, at up to 15 factors a support
+    calls, _ = full_precision_work(monkeypatch)
     supports = [T for k in (3, 4, 5) for T in reflection_representatives(k, 9)
                 if T.span > k - 1]
     counts = []
@@ -563,7 +592,7 @@ def test_integer_start_costs_no_more_choleskys_than_a_float_start(monkeypatch):
     assert max(counts) <= 6 and sum(counts) <= 4 * len(counts)
     # [[1, -g], [-g, 1]]: every mu - res shift fails while the vector stays
     # near the larger eigenvector (ROADMAP item 2); no more factors than
-    # from the float start, 519, 136 and 261
+    # from LAPACK's eigh as the start, 519, 136 and 261
     for e, bits, most in ((256, 512, 519), (64, 512, 136), (200, 256, 261)):
         calls.clear()
         hp._min_eig(_near_double(bits, e), bits)
@@ -631,15 +660,13 @@ def test_factored_floor_is_none_where_the_shift_does_not_factor():
 
 def test_min_eig_below_the_rounding_guard_makes_no_certifying_cholesky(monkeypatch):
     # {0..12} at y = 0.0401, 128 bits: lambda_min, 8.7e-36, is below the
-    # integer start's scale, so M itself is factored once for the graded
+    # first run's scale, so M itself is factored once for the graded
     # start, and below the guard 13 * 2^-120 = 9.8e-36, so the
     # Krylov-Weinstein shift of the iteration's last vector is negative.
     # No Cholesky runs at it: the result is that vector's Rayleigh quotient
     # and sign-fixed vector, with no enclosure
-    calls, rayleighs = [], []
-    real_cholesky, real_rayleigh = hp.hp_cholesky, hp._unit_rayleigh
-    monkeypatch.setattr(hp, "hp_cholesky",
-                        lambda M, bits=None: calls.append(bits) or real_cholesky(M, bits=bits))
+    calls, _ = full_precision_work(monkeypatch)
+    rayleighs, real_rayleigh = [], hp._unit_rayleigh
     monkeypatch.setattr(hp, "_unit_rayleigh",
                         lambda M, x, bits: rayleighs.append(real_rayleigh(M, x, bits))
                         or rayleighs[-1])

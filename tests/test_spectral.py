@@ -23,7 +23,7 @@ from srflimits import (
     smally_exponent,
     verify_srf_bounds,
 )
-from conftest import lit
+from conftest import full_precision_work, lit
 from srflimits.acceptance import inertia_below
 from srflimits.core import gram_quadform
 from srflimits.errors import (
@@ -680,13 +680,10 @@ def _positive_kw_shift(params, n, bits):
 def test_contiguous_ladder_makes_one_cholesky_per_level(monkeypatch, base):
     # the spectra benchmark's supports {0..n}, n = 4, 8, 12, on its y ranges
     # [base, base + 500) millionths: the same levels for every y, and one
-    # hp_cholesky, at its bits, per level that can certify; a level whose
-    # Krylov-Weinstein shift is not positive makes none (n = 12 below
-    # y = 0.0403 at 128 bits)
-    calls = []
-    real = hp.hp_cholesky
-    monkeypatch.setattr(hp, "hp_cholesky",
-                        lambda M, bits=None: calls.append(bits) or real(M, bits=bits))
+    # full-precision factor, at its bits, per level that can certify; a
+    # level whose Krylov-Weinstein shift is not positive makes none (n = 12
+    # below y = 0.0403 at 128 bits)
+    calls, _ = full_precision_work(monkeypatch)
     for n in (4, 8, 12):
         levels = set()
         for micro in (*range(base, base + 500, 71), base + 499):
@@ -706,10 +703,7 @@ def test_level_below_the_rounding_guard_makes_no_cholesky(monkeypatch):
     # quotient, 8.7e-36, lies below the guard 13 * 2^-120 = 9.8e-36, so its
     # Krylov-Weinstein shift is negative. The level records that quotient,
     # as its Cholesky at that shift did, and climbs without one
-    calls = []
-    real = hp.hp_cholesky
-    monkeypatch.setattr(hp, "hp_cholesky",
-                        lambda M, bits=None: calls.append(bits) or real(M, bits=bits))
+    calls, _ = full_precision_work(monkeypatch)
     p = SystemParams.from_y("0.0401")
     res = min_eig_for_support(p, range(13))
     assert calls == [256] and res.bits_used == 256
